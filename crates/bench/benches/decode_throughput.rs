@@ -7,6 +7,10 @@
 //!   the per-symbol cost is one dechirp + FFT regardless of N; dividing the
 //!   reported median by 16 gives the per-symbol decode time, whose inverse
 //!   is the symbols/sec figure `perf_snapshot` tracks.
+//! * `symbol_spectrum/{lattice,padded}` — the per-symbol dechirp + FFT +
+//!   power pass on the `2^SF`-point lattice `decode_round` computes when
+//!   every search bound is zero, versus the `2^SF · 8` zero-padded grid it
+//!   computes when tracking or a payload window reads between bins.
 //! * `zero_padded_fft/{pruned,dense}` — the 512→4096 sub-bin transform of
 //!   §3.2.3 with input pruning (first `log2(8) = 3` butterfly stages
 //!   skipped) versus the dense pad-then-transform path over the same plan.
@@ -16,6 +20,7 @@ use netscatter::receiver::ConcurrentReceiver;
 use netscatter_dsp::chirp::ChirpSynthesizer;
 use netscatter_dsp::fft::Fft;
 use netscatter_dsp::Complex64;
+use netscatter_phy::distributed::{ConcurrentDemodulator, DemodWorkspace};
 use netscatter_phy::params::PhyProfile;
 use netscatter_sim::workloads::build_concurrent_round;
 use std::hint::black_box;
@@ -39,6 +44,23 @@ fn full_round_decode(c: &mut Criterion) {
                 })
             },
         );
+    }
+    group.finish();
+}
+
+fn lattice_vs_padded_spectrum(c: &mut Criterion) {
+    let mut group = c.benchmark_group("symbol_spectrum");
+    group.sample_size(20);
+    let profile = PhyProfile::default();
+    let demod =
+        ConcurrentDemodulator::new(profile.modulation.chirp(), profile.zero_padding).unwrap();
+    let (stream, _) = build_concurrent_round(&profile, 256, 1);
+    let symbol = &stream[..profile.modulation.num_bins()];
+    let mut ws = DemodWorkspace::new();
+    for (name, step) in [("lattice", 1), ("padded", profile.zero_padding)] {
+        group.bench_function(name, |b| {
+            b.iter(|| black_box(demod.spectrum_into(symbol, step, &mut ws).unwrap()[0]))
+        });
     }
     group.finish();
 }
@@ -70,5 +92,10 @@ fn pruned_vs_dense_fft(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, full_round_decode, pruned_vs_dense_fft);
+criterion_group!(
+    benches,
+    full_round_decode,
+    lattice_vs_padded_spectrum,
+    pruned_vs_dense_fft
+);
 criterion_main!(benches);

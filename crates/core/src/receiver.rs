@@ -10,13 +10,17 @@
 //! 4. for every payload symbol, compare the power in each device's search
 //!    window against its threshold to produce the bit.
 //!
-//! The heavy operations (dechirp, zero-padded FFT) run once per symbol
-//! regardless of how many devices transmit, which is the receiver-complexity
-//! property §3.1 highlights.
+//! The heavy operations (dechirp, FFT) run once per symbol regardless of how
+//! many devices transmit, which is the receiver-complexity property §3.1
+//! highlights. The FFT is sized to what steps 2 and 4 will read: with every
+//! search bound zero (the default) that is the `2^SF` chirp bins, and the
+//! zero-padded sub-bin grid of §3.2.3 is computed only when peak tracking or
+//! a payload search window needs the points between bins. Both grids hold
+//! bit-identical values at the bins, so the choice never changes a result.
 
 use netscatter_dsp::fft::FftError;
 use netscatter_dsp::Complex64;
-use netscatter_phy::distributed::{ConcurrentDemodulator, DemodWorkspace};
+use netscatter_phy::distributed::DemodWorkspace;
 use netscatter_phy::params::PhyProfile;
 use netscatter_phy::preamble::{DetectedDevice, PreambleDetector, PREAMBLE_UPCHIRPS};
 use serde::{Deserialize, Serialize};
@@ -53,7 +57,6 @@ impl DecodedRound {
 /// The NetScatter AP receiver.
 #[derive(Debug, Clone)]
 pub struct ConcurrentReceiver {
-    demodulator: ConcurrentDemodulator,
     detector: PreambleDetector,
     profile: PhyProfile,
     /// Minimum preamble power (linear) for a device to be declared present.
@@ -81,7 +84,6 @@ impl ConcurrentReceiver {
     pub fn new(profile: &PhyProfile) -> Result<Self, FftError> {
         let chirp = profile.modulation.chirp();
         Ok(Self {
-            demodulator: ConcurrentDemodulator::new(chirp, profile.zero_padding)?,
             detector: PreambleDetector::new(chirp, profile.zero_padding)?,
             profile: *profile,
             detection_floor_fraction: 1e-4,
@@ -106,15 +108,6 @@ impl ConcurrentReceiver {
     pub fn set_preamble_tracking(&mut self, halfwidth_bins: f64, forward_bias_bins: f64) {
         self.detector.search_halfwidth_bins = halfwidth_bins;
         self.detector.search_forward_bias_bins = forward_bias_bins;
-    }
-
-    /// The peak-search half-width in chirp bins, derived from the SKIP guard
-    /// band: the receiver tolerates peak excursions of up to `SKIP − 1` bins
-    /// (the empty guard bins) without reaching into the next device's
-    /// territory. A minimum of half a bin is kept so fractional offsets are
-    /// still captured when `SKIP = 1`.
-    pub fn search_halfwidth_bins(&self) -> f64 {
-        ((self.profile.skip.saturating_sub(1)) as f64).max(0.5)
     }
 
     /// Estimates where the packet starts within `stream` (§3.3.1 step i),
@@ -164,9 +157,12 @@ impl ConcurrentReceiver {
     }
 
     /// As [`Self::decode_payload_symbol`], but running entirely inside the
-    /// caller's scratch buffers: one dechirp, one pruned zero-padded FFT and
-    /// one power pass per symbol, with zero steady-state heap allocation.
-    /// `bits` is cleared and refilled with one decision per detected device.
+    /// caller's scratch buffers: one dechirp, one FFT and one power pass per
+    /// symbol, with zero steady-state heap allocation. The FFT is the
+    /// `2^SF`-point one when every read lands on a bin (no payload search
+    /// window and whole-bin `observed_bin`s, i.e. untracked detection) and
+    /// the zero-padded one otherwise. `bits` is cleared and refilled with
+    /// one decision per detected device.
     pub fn decode_payload_symbol_with(
         &self,
         symbol: &[Complex64],
@@ -174,14 +170,22 @@ impl ConcurrentReceiver {
         ws: &mut DemodWorkspace,
         bits: &mut Vec<bool>,
     ) -> Result<(), FftError> {
-        self.demodulator.padded_spectrum_into(symbol, ws)?;
+        let demodulator = self.detector.demodulator();
+        let on_bins = self.payload_halfwidth_bins == 0.0
+            && detected.iter().all(|d| d.observed_bin.fract() == 0.0);
+        let step = if on_bins {
+            1
+        } else {
+            demodulator.zero_padding()
+        };
+        demodulator.spectrum_into(symbol, step, ws)?;
         bits.clear();
         bits.extend(detected.iter().map(|d| {
             // Track the device at the peak position learned from its
             // preamble; a narrow window there rejects neighbouring
             // devices even when hardware delays push peaks off their
             // nominal bins.
-            let (power, _) = self.demodulator.device_power_at(
+            let (power, _) = demodulator.device_power_at(
                 ws.power(),
                 d.observed_bin,
                 self.payload_halfwidth_bins,
@@ -202,10 +206,11 @@ impl ConcurrentReceiver {
     ) -> Result<DecodedRound, FftError> {
         let n = self.profile.modulation.num_bins();
         let preamble_len = PREAMBLE_UPCHIRPS * n;
-        let needed = packet_start + (PREAMBLE_UPCHIRPS + 2 + payload_symbols) * n;
+        // Only the upchirp preamble is required: a truncated payload decodes
+        // the symbols that are there.
         if stream.len() < packet_start + preamble_len {
             return Err(FftError::LengthMismatch {
-                expected: needed,
+                expected: packet_start + preamble_len,
                 actual: stream.len(),
             });
         }
@@ -357,9 +362,15 @@ mod tests {
     fn short_stream_is_rejected() {
         let p = profile();
         let rx = ConcurrentReceiver::new(&p).unwrap();
-        assert!(rx
-            .decode_round(&[Complex64::ZERO; 100], 0, &[0], 4)
-            .is_err());
+        // The error names the length the check enforces (offset + the six
+        // upchirps), not the full packet a truncated payload may fall short of.
+        assert_eq!(
+            rx.decode_round(&[Complex64::ZERO; 100], 7, &[0], 4),
+            Err(FftError::LengthMismatch {
+                expected: 7 + PREAMBLE_UPCHIRPS * p.modulation.num_bins(),
+                actual: 100,
+            })
+        );
     }
 
     #[test]
@@ -377,24 +388,5 @@ mod tests {
         stream.truncate(stream.len() - n);
         let round = rx.decode_round(&stream, 0, &[64], bits.len()).unwrap();
         assert_eq!(round.bits_for(64).unwrap(), &bits[..3]);
-    }
-
-    #[test]
-    fn search_halfwidth_tracks_skip() {
-        let mut p = profile();
-        assert_eq!(
-            ConcurrentReceiver::new(&p).unwrap().search_halfwidth_bins(),
-            1.0
-        );
-        p.skip = 3;
-        assert_eq!(
-            ConcurrentReceiver::new(&p).unwrap().search_halfwidth_bins(),
-            2.0
-        );
-        p.skip = 1;
-        assert_eq!(
-            ConcurrentReceiver::new(&p).unwrap().search_halfwidth_bins(),
-            0.5
-        );
     }
 }

@@ -14,6 +14,7 @@
 use crate::complex::Complex64;
 use std::f64::consts::PI;
 use std::fmt;
+use std::sync::Arc;
 
 /// Errors returned by FFT plan construction and execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,6 +66,10 @@ impl std::error::Error for FftError {}
 
 /// A reusable radix-2 FFT plan for a fixed power-of-two size.
 ///
+/// The tables are immutable and shared: cloning a plan (one per decode
+/// worker, per connection) bumps three reference counts instead of copying
+/// them.
+///
 /// # Examples
 ///
 /// ```
@@ -83,12 +88,12 @@ impl std::error::Error for FftError {}
 pub struct Fft {
     size: usize,
     /// Twiddle factors e^{-j 2π k / size} for k in 0..size/2.
-    twiddles: Vec<Complex64>,
+    twiddles: Arc<[Complex64]>,
     /// Conjugate twiddle factors, precomputed so the inverse transform's
     /// butterfly loop carries no per-element branch or conjugation.
-    twiddles_conj: Vec<Complex64>,
+    twiddles_conj: Arc<[Complex64]>,
     /// Bit-reversal permutation indices.
-    reversed: Vec<usize>,
+    reversed: Arc<[usize]>,
 }
 
 impl Fft {
@@ -100,7 +105,7 @@ impl Fft {
         if size == 0 || !size.is_power_of_two() {
             return Err(FftError::SizeNotPowerOfTwo { size });
         }
-        let twiddles: Vec<Complex64> = (0..size / 2)
+        let twiddles: Arc<[Complex64]> = (0..size / 2)
             .map(|k| Complex64::cis(-2.0 * PI * k as f64 / size as f64))
             .collect();
         let twiddles_conj = twiddles.iter().map(|t| t.conj()).collect();

@@ -304,9 +304,10 @@ impl StreamDetector {
         }
         let params = config.profile.modulation.chirp();
         let n = params.num_bins();
-        // The overlap-save segment size matches the receiver's padded
-        // transform (8n at the default zero padding): a comfortable
-        // lags-per-segment hop without outsized template spectra.
+        // An overlap-save segment of 8n (the size of the receiver's
+        // zero-padded grid at the default padding, though independent of
+        // it): a comfortable lags-per-segment hop without outsized template
+        // spectra.
         let correlator = Correlator::new(n, n * 8)?;
         Ok(Self {
             receiver,

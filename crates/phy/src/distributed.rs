@@ -11,6 +11,12 @@
 //! sub-bin peak resolution (§3.2.3); residual timing offsets of up to about
 //! one bin (§3.2.1) are absorbed by searching for the device's peak within a
 //! window around its assigned bin whose width is set by the SKIP guard band.
+//! The padding only buys the points *between* bins: a caller that reads
+//! nothing but the bins themselves (the lattice `bin · zero_padding` of the
+//! padded grid) asks [`ConcurrentDemodulator::spectrum_into`] for the
+//! critically-sampled `2^SF`-point transform, whose values are bit for bit
+//! the padded transform's at those points (DESIGN.md, "Read-set-sized
+//! transform").
 
 use netscatter_dsp::chirp::{ChirpParams, ChirpSynthesizer};
 use netscatter_dsp::fft::{Fft, FftError};
@@ -19,8 +25,8 @@ use netscatter_dsp::Complex64;
 
 /// Reusable scratch buffers for the allocation-free decode path.
 ///
-/// The steady-state per-symbol receive chain is dechirp → zero-padded FFT →
-/// power spectrum; each stage writes into one of these buffers, so after the
+/// The steady-state per-symbol receive chain is dechirp → FFT → power
+/// spectrum; each stage writes into one of these buffers, so after the
 /// first symbol has sized them no further heap allocation occurs. One
 /// workspace serves one receiver thread; create one per thread when decoding
 /// in parallel.
@@ -28,9 +34,10 @@ use netscatter_dsp::Complex64;
 pub struct DemodWorkspace {
     /// Dechirped time-domain symbol (`2^SF` samples).
     dechirped: Vec<Complex64>,
-    /// Zero-padded complex spectrum (`2^SF · zero_padding` bins).
+    /// Complex spectrum on the grid last asked for: `2^SF · step` points,
+    /// `step` being `zero_padding` (sub-bin grid) or 1 (bins only).
     padded: Vec<Complex64>,
-    /// Power spectrum of `padded`.
+    /// Power spectrum of `padded` (same length).
     power: Vec<f64>,
 }
 
@@ -40,7 +47,7 @@ impl DemodWorkspace {
         Self::default()
     }
 
-    /// The most recently computed padded power spectrum.
+    /// The most recently computed power spectrum (`2^SF · step` points).
     pub fn power(&self) -> &[f64] {
         &self.power
     }
@@ -206,7 +213,10 @@ pub struct SymbolDecision {
 #[derive(Debug, Clone)]
 pub struct ConcurrentDemodulator {
     synth: ChirpSynthesizer,
+    /// `2^SF · zero_padding`-point plan: the sub-bin grid of §3.2.3.
     fft: Fft,
+    /// `2^SF`-point plan: the same spectrum on the lattice of chirp bins only.
+    lattice_fft: Fft,
     zero_padding: usize,
 }
 
@@ -216,10 +226,10 @@ impl ConcurrentDemodulator {
     /// power of two).
     pub fn new(params: ChirpParams, zero_padding: usize) -> Result<Self, FftError> {
         let zero_padding = zero_padding.max(1);
-        let fft = Fft::new(params.num_bins() * zero_padding)?;
         Ok(Self {
             synth: ChirpSynthesizer::new(params),
-            fft,
+            fft: Fft::new(params.num_bins() * zero_padding)?,
+            lattice_fft: Fft::new(params.num_bins())?,
             zero_padding,
         })
     }
@@ -260,7 +270,26 @@ impl ConcurrentDemodulator {
         symbol: &[Complex64],
         ws: &'ws mut DemodWorkspace,
     ) -> Result<&'ws [f64], FftError> {
-        self.spectrum_into(symbol, ws, false)
+        self.spectrum_into(symbol, self.zero_padding, ws)
+    }
+
+    /// As [`Self::padded_spectrum_into`] on the grid with `step` points per
+    /// chirp bin: `zero_padding` is the padded grid, 1 the `2^SF`-point
+    /// transform that holds only the points at the bins themselves. Those
+    /// are bit-identical on both grids, and [`Self::device_power_at`] /
+    /// [`Self::device_peak_track`] read either, so a caller whose reads all
+    /// land on bins (every search bound zero) passes 1 and skips the
+    /// `zero_padding − 1` in `zero_padding` points nobody would look at.
+    ///
+    /// # Panics
+    /// If `step` is neither 1 nor the zero-padding factor.
+    pub fn spectrum_into<'ws>(
+        &self,
+        symbol: &[Complex64],
+        step: usize,
+        ws: &'ws mut DemodWorkspace,
+    ) -> Result<&'ws [f64], FftError> {
+        self.dechirped_spectrum_into(symbol, step, ws, false)
     }
 
     /// Allocation-free variant of [`Self::padded_spectrum_downchirp`].
@@ -269,15 +298,25 @@ impl ConcurrentDemodulator {
         symbol: &[Complex64],
         ws: &'ws mut DemodWorkspace,
     ) -> Result<&'ws [f64], FftError> {
-        self.spectrum_into(symbol, ws, true)
+        self.dechirped_spectrum_into(symbol, self.zero_padding, ws, true)
     }
 
-    fn spectrum_into<'ws>(
+    fn dechirped_spectrum_into<'ws>(
         &self,
         symbol: &[Complex64],
+        step: usize,
         ws: &'ws mut DemodWorkspace,
         down: bool,
     ) -> Result<&'ws [f64], FftError> {
+        let fft = if step == 1 {
+            &self.lattice_fft
+        } else {
+            assert_eq!(
+                step, self.zero_padding,
+                "grid step must be 1 or the zero-padding factor"
+            );
+            &self.fft
+        };
         if symbol.len() != self.params().num_bins() {
             return Err(FftError::LengthMismatch {
                 expected: self.params().num_bins(),
@@ -289,15 +328,15 @@ impl ConcurrentDemodulator {
         } else {
             self.synth.dechirp_into(symbol, &mut ws.dechirped);
         }
-        self.fft
-            .forward_zero_padded_into(&ws.dechirped, &mut ws.padded)?;
+        fft.forward_zero_padded_into(&ws.dechirped, &mut ws.padded)?;
         power_spectrum_into(&ws.padded, &mut ws.power);
         Ok(&ws.power)
     }
 
     /// Measured power of the device assigned `chirp_bin`, searching the
-    /// padded spectrum within ±`search_halfwidth_bins` chirp bins of the
-    /// assignment (to absorb residual timing/frequency offsets).
+    /// spectrum (on either grid of [`Self::spectrum_into`]) within
+    /// ±`search_halfwidth_bins` chirp bins of the assignment (to absorb
+    /// residual timing/frequency offsets).
     pub fn device_power(
         &self,
         padded_power: &[f64],
@@ -316,15 +355,16 @@ impl ConcurrentDemodulator {
     /// returning `(power, fractional bin of the maximum)`. The receiver uses
     /// this to track each device at the peak position learned from its
     /// preamble, which absorbs the device's (per-packet-constant) timing
-    /// offset.
+    /// offset. Points per bin come from the spectrum's own length, so either
+    /// grid of [`Self::spectrum_into`] is read the same way.
     pub fn device_power_at(
         &self,
         padded_power: &[f64],
         center_bins: f64,
         search_halfwidth_bins: f64,
     ) -> (f64, f64) {
-        let pad = self.zero_padding as f64;
         let total = padded_power.len();
+        let pad = (total / self.params().num_bins()) as f64;
         let centre = (center_bins * pad).round() as isize;
         let half = (search_halfwidth_bins.max(0.0) * pad).round() as isize;
         let mut best = 0.0f64;
@@ -340,8 +380,8 @@ impl ConcurrentDemodulator {
         (best, best_idx as f64 / pad)
     }
 
-    /// Tracks a device's spectral peak by hill-climbing the zero-padded
-    /// power spectrum from `start_bins` to the nearest local maximum,
+    /// Tracks a device's spectral peak by hill-climbing the power spectrum
+    /// (zero-padded, or — for zero bounds — the bins alone) from `start_bins` to the nearest local maximum,
     /// bounded to `[start − back_bins, start + fwd_bins]` (both in chirp
     /// bins). Returns `(power, fractional bin)` of the climb's end point.
     ///
@@ -367,8 +407,8 @@ impl ConcurrentDemodulator {
         back_bins: f64,
         fwd_bins: f64,
     ) -> (f64, f64) {
-        let pad = self.zero_padding as isize;
         let total = padded_power.len() as isize;
+        let pad = total / self.params().num_bins() as isize;
         let at = |raw: isize| padded_power[raw.rem_euclid(total) as usize];
         let start = (start_bins * pad as f64).round() as isize;
         let lo = start - (back_bins.max(0.0) * pad as f64).round() as isize;
@@ -618,6 +658,80 @@ mod tests {
         assert_eq!(pos, 40.0);
         let n2 = (p.num_bins() as f64).powi(2);
         assert!((power - n2).abs() / n2 < 1e-6);
+    }
+
+    #[test]
+    fn lattice_grid_is_bit_identical_to_the_padded_grid_at_the_bins() {
+        let p = params();
+        let n = p.num_bins();
+        let mut rng = StdRng::seed_from_u64(21);
+        let mut rx = vec![Complex64::ZERO; n];
+        for bin in [0usize, 1, 77, 300, n - 1] {
+            OnOffModulator::new(p, bin).add_symbol(true, 0.7e-6, 150.0, 0.8, &mut rx);
+        }
+        AwgnChannel::with_noise_power(1.0).apply(&mut rng, &mut rx);
+        for zero_padding in [1usize, 2, 4, 8] {
+            let demod = ConcurrentDemodulator::new(p, zero_padding).unwrap();
+            let padded = demod.padded_spectrum(&rx).unwrap();
+            let mut ws = DemodWorkspace::new();
+            let lattice = demod.spectrum_into(&rx, 1, &mut ws).unwrap();
+            assert_eq!(lattice.len(), n);
+            assert_eq!(padded.len(), n * zero_padding);
+            for bin in 0..n {
+                assert_eq!(
+                    lattice[bin].to_bits(),
+                    padded[bin * zero_padding].to_bits(),
+                    "bin {bin}, zero padding {zero_padding}"
+                );
+                let at = |spec: &[f64]| demod.device_power_at(spec, bin as f64, 0.0);
+                assert_eq!(at(lattice), at(&padded));
+                let track = |spec: &[f64]| demod.device_peak_track(spec, bin as f64, 0.0, 0.0);
+                assert_eq!(track(lattice), track(&padded));
+            }
+        }
+    }
+
+    #[test]
+    fn readers_take_the_step_from_the_spectrum_and_wrap_at_the_band_edges() {
+        let p = params();
+        let n = p.num_bins();
+        let demod = ConcurrentDemodulator::new(p, 8).unwrap();
+        // A step-1 spectrum: one value per chirp bin.
+        let mut power = vec![1.0f64; n];
+        power[0] = 5.0;
+        power[n - 1] = 3.0;
+        // A ±1-bin window around the last bin reaches bin 0 across the wrap
+        // and reports the unwrapped position, as on the padded grid.
+        assert_eq!(
+            demod.device_power_at(&power, (n - 1) as f64, 1.0),
+            (5.0, n as f64)
+        );
+        assert_eq!(demod.device_power_at(&power, 0.0, 1.0), (5.0, 0.0));
+        assert_eq!(demod.device_power_at(&power, 1.0, 0.0), (1.0, 1.0));
+        power[n - 1] = 7.0;
+        assert_eq!(demod.device_power_at(&power, 0.0, 1.0), (7.0, -1.0));
+        assert_eq!(demod.device_power(&power, n, 0.0), 5.0);
+        // The climb moves in whole bins and crosses the wrap both ways.
+        assert_eq!(demod.device_peak_track(&power, 0.0, 1.0, 0.0), (7.0, -1.0));
+        assert_eq!(demod.device_peak_track(&power, 0.0, 0.0, 1.0), (5.0, 0.0));
+        power[n - 1] = 3.0;
+        assert_eq!(
+            demod.device_peak_track(&power, (n - 1) as f64, 0.0, 1.0),
+            (5.0, n as f64)
+        );
+        assert_eq!(
+            demod.device_peak_track(&power, (n - 1) as f64, 0.0, 0.0),
+            (3.0, (n - 1) as f64)
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "grid step")]
+    fn a_step_that_is_neither_grid_panics() {
+        let p = params();
+        let demod = ConcurrentDemodulator::new(p, 8).unwrap();
+        let sym = vec![Complex64::ZERO; p.num_bins()];
+        let _ = demod.spectrum_into(&sym, 4, &mut DemodWorkspace::new());
     }
 
     #[test]

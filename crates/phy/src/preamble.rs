@@ -99,7 +99,10 @@ pub struct PreambleDetector {
     /// phase-static across the preamble) and mis-calibrates the threshold.
     /// Set nonzero to restore main-lobe tracking (hill climb within
     /// `[bin − (hw − bias), bin + (hw + bias)]`) for tag populations with
-    /// uncompensated multi-bin delays.
+    /// uncompensated multi-bin delays. With this and
+    /// [`Self::search_forward_bias_bins`] both zero every read lands on a
+    /// bin, so [`Self::detect_devices_with`] computes the `2^SF`-point
+    /// spectrum; any other value gets the zero-padded grid.
     pub search_halfwidth_bins: f64,
     /// Forward bias (chirp bins) of the tracking bounds relative to the
     /// assigned bin. Hardware delays are one-sided — a tag can only respond
@@ -207,12 +210,20 @@ impl PreambleDetector {
                 actual: preamble.len(),
             });
         }
+        // With tracking off every read below lands on an assigned bin, so
+        // only the 2^SF points at the bins are computed (bit-identical to
+        // the padded grid there); tracking needs the points in between.
+        let step = if self.search_halfwidth_bins == 0.0 && self.search_forward_bias_bins == 0.0 {
+            1
+        } else {
+            self.demod.zero_padding()
+        };
         // (power sum, observed-bin sum, above-floor-in-every-symbol).
         let mut acc: Vec<(f64, f64, bool)> = vec![(0.0, 0.0, true); candidate_bins.len()];
         for s in 0..PREAMBLE_UPCHIRPS {
             let spec = self
                 .demod
-                .padded_spectrum_into(&preamble[s * n..(s + 1) * n], ws)?;
+                .spectrum_into(&preamble[s * n..(s + 1) * n], step, ws)?;
             for (&bin, a) in candidate_bins.iter().zip(acc.iter_mut()) {
                 // Climb the device's own main lobe from its assigned bin.
                 // The climb bounds reproduce the biased window
