@@ -1,8 +1,9 @@
 //! One Criterion benchmark per table/figure of the paper's evaluation.
 //!
 //! Each bench times the corresponding experiment driver at `Scale::Quick`;
-//! run the binaries in `netscatter-sim` (e.g. `cargo run -p netscatter-sim
-//! --bin fig17 --release`) for the full, figure-quality output.
+//! run the CLI in `netscatter_sim` (e.g. `cargo run --release -p
+//! netscatter_sim --bin netscatter -- run fig17`) for the full,
+//! figure-quality output.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use netscatter_sim::experiments::{self, Scale};

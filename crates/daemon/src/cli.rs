@@ -4,7 +4,7 @@
 use crate::client;
 use crate::protocol::StreamHeader;
 use crate::registry::DEFAULT_METRICS_RETENTION;
-use crate::serve::{Daemon, DaemonConfig};
+use crate::serve::{bin_range_error, Daemon, DaemonConfig};
 use crate::signals;
 use netscatter_gateway::GatewayConfig;
 use netscatter_obs::log as olog;
@@ -222,6 +222,9 @@ pub fn parse_serve_args(args: &[String]) -> Result<ServeOptions, CliUsage> {
                     .split(',')
                     .map(|b| num::<usize>(arg, b.trim()))
                     .collect::<Result<_, _>>()?;
+                if let Some(msg) = bin_range_error(&opts.bins, &PhyProfile::default()) {
+                    return Err(CliUsage::usage(format!("--bins: {msg}")));
+                }
             }
             "--payload-bits" => {
                 opts.payload_bits = num(arg, &value(&mut i, arg)?)?;
@@ -477,6 +480,7 @@ mod tests {
             vec!["--frobnicate"],
             vec!["--bins"],
             vec!["--bins", "a,b"],
+            vec!["--bins", "64,512"], // 512 is not a shift of a 2^9-bin chirp
             vec!["--payload-bits", "0"],
             vec!["--sample-rate", "-1"],
             vec!["--header-timeout", "-1"],
@@ -487,5 +491,7 @@ mod tests {
             assert_eq!(err.code, 2, "{bad:?}");
         }
         assert_eq!(parse_serve_args(&args(&["--help"])).unwrap_err().code, 0);
+        let last = parse_serve_args(&args(&["--bins", "0,511"])).expect("highest shift parses");
+        assert_eq!(last.bins, vec![0, 511]);
     }
 }

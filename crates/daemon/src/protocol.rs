@@ -82,7 +82,8 @@ pub struct StreamHeader {
     /// Sample rate of the stream in Hz; `None` uses the daemon default.
     pub sample_rate_hz: Option<f64>,
     /// Cyclic-shift assignment to decode against; `None` uses the daemon
-    /// default (`--bins`).
+    /// default (`--bins`). The daemon refuses a shift `≥ 2^SF` of its
+    /// profile as `bad_header` (the parser does not know the profile).
     pub bins: Option<Vec<usize>>,
     /// Payload bits per packet; `None` uses the daemon default.
     pub payload_bits: Option<usize>,

@@ -45,6 +45,7 @@ use netscatter::json::Json;
 use netscatter_coding::frame::FrameCodec;
 use netscatter_gateway::{EngineError, GatewayConfig, OverflowPolicy, StreamEngine, TimedPacket};
 use netscatter_obs::log as olog;
+use netscatter_phy::params::PhyProfile;
 use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -541,6 +542,13 @@ fn serve_connection(
         )?;
         return Ok(());
     }
+    if let Some(msg) = bin_range_error(&cfg.assigned_bins, &cfg.profile) {
+        write_record(
+            &mut sock,
+            &protocol::error_json(&header.name, code::BAD_HEADER, &msg),
+        )?;
+        return Ok(());
+    }
     // A coded stream's frame geometry must fill the (merged) payload bits
     // exactly; a mismatch is a header-validation failure, caught before
     // any engine is spawned.
@@ -575,6 +583,16 @@ fn serve_connection(
     );
     stats.set_inactive();
     result
+}
+
+/// The refusal for the first of `bins` outside `profile`'s `2^SF` cyclic
+/// shifts: the detector indexes its `2^SF`-point spectrum by assigned bin.
+pub(crate) fn bin_range_error(bins: &[usize], profile: &PhyProfile) -> Option<String> {
+    let num_bins = profile.modulation.num_bins();
+    let bin = bins.iter().find(|&&b| b >= num_bins)?;
+    Some(format!(
+        "bin {bin} is out of range: bins must be in 0..{num_bins}"
+    ))
 }
 
 /// Running frame tallies of one connection.

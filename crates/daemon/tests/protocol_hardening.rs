@@ -5,10 +5,22 @@
 //! truncated prefixes, duplicate keys, oversized-but-well-formed documents —
 //! and for [`Cf32Decoder`] — a split at every byte offset modulo the sample
 //! size, with a dangling partial sample counted (not silently dropped).
+//! One case needs the daemon itself: a well-formed header whose bins exceed
+//! the profile's `2^SF` is only rejectable where the profile is known.
 
-use netscatter_daemon::protocol::{encode_cf32le, Cf32Decoder, StreamHeader, SAMPLE_BYTES};
+use netscatter_daemon::protocol::{
+    code, encode_cf32le, quantize_cf32, Cf32Decoder, StreamHeader, SAMPLE_BYTES,
+};
+use netscatter_daemon::{Daemon, DaemonConfig};
 use netscatter_dsp::Complex64;
+use netscatter_gateway::GatewayConfig;
+use netscatter_phy::distributed::OnOffModulator;
+use netscatter_phy::params::PhyProfile;
+use netscatter_phy::preamble::PreambleBuilder;
 use proptest::prelude::*;
+use std::io::{BufRead, BufReader, Write};
+use std::net::{Shutdown, TcpStream};
+use std::time::Duration;
 
 /// A header exercising every optional field, so truncation cuts through
 /// all of the parse paths.
@@ -172,4 +184,65 @@ fn malformed_fields_are_rejected() {
     ] {
         assert!(StreamHeader::parse(bad).is_err(), "accepted: {bad:?}");
     }
+}
+
+/// A header bin at or past `2^SF` indexes outside the detector's spectrum.
+/// It must be refused as `bad_header` before an engine exists — not reach
+/// the detection thread, where the first gate fire would panic on it — and
+/// the daemon must keep serving in-range populations.
+#[test]
+fn out_of_range_bins_are_refused_before_an_engine_is_spawned() {
+    const BIN: usize = 64;
+    const BITS: [bool; 8] = [true, false, true, true, false, false, true, true];
+    let profile = PhyProfile::default();
+    let params = profile.modulation.chirp();
+    let num_bins = profile.modulation.num_bins();
+    let mut cfg = DaemonConfig::new(GatewayConfig::new(profile, vec![BIN], BITS.len()));
+    cfg.metrics = None;
+    let daemon = Daemon::start(cfg).unwrap();
+
+    // One ideal packet, so a header that got through would fire the gate.
+    let mut stream = vec![Complex64::ZERO; 500];
+    stream.extend(PreambleBuilder::new(params, BIN).build(0.0, 0.0, 1.0));
+    stream.extend(OnOffModulator::new(params, BIN).modulate_payload(&BITS, 0.0, 0.0, 1.0));
+    stream.extend(vec![Complex64::ZERO; 4096]);
+    let samples = encode_cf32le(&quantize_cf32(&stream));
+    let exchange = |bins: Vec<usize>| -> Vec<String> {
+        let mut header = StreamHeader::named("bins");
+        header.bins = Some(bins);
+        let mut payload = header.to_json_line().into_bytes();
+        payload.push(b'\n');
+        payload.extend_from_slice(&samples);
+        let sock = TcpStream::connect(daemon.ingest_addr()).expect("connect");
+        sock.set_read_timeout(Some(Duration::from_secs(20)))
+            .unwrap();
+        // The daemon may close before the samples are through.
+        let _ = (&sock).write_all(&payload);
+        let _ = sock.shutdown(Shutdown::Write);
+        BufReader::new(sock).lines().map_while(Result::ok).collect()
+    };
+
+    for bins in [vec![600, 10, 20, 30], vec![600], vec![BIN, num_bins]] {
+        let lines = exchange(bins.clone());
+        assert_eq!(lines.len(), 1, "{bins:?}: {lines:?}");
+        let record = &lines[0];
+        assert!(
+            record.contains("\"type\":\"error\"") && record.contains(code::BAD_HEADER),
+            "{bins:?}: {record}"
+        );
+        let bad = bins.iter().find(|&&b| b >= num_bins).unwrap();
+        assert!(
+            record.contains(&format!("bin {bad} ")) && record.contains(&format!("0..{num_bins}")),
+            "message must name the bin and the range: {record}"
+        );
+    }
+    assert_eq!(daemon.health().snapshot().worker_panics, 0);
+
+    // The highest valid shift is accepted, and the real population decodes.
+    let lines = exchange(vec![BIN, num_bins - 1]);
+    assert!(lines[0].contains("\"ready\""), "{lines:?}");
+    let frames = lines.iter().filter(|l| l.contains("\"type\":\"frame\""));
+    assert_eq!(frames.count(), 1, "{lines:?}");
+    assert_eq!(daemon.health().snapshot().worker_panics, 0);
+    daemon.shutdown();
 }

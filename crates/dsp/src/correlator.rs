@@ -1,280 +1,18 @@
-//! Overlap-save FFT cross-correlation against finite templates, and the
-//! chirp-bank correlation used by the streaming gateway's preamble sync.
+//! Chirp-bank correlation: the streaming gateway's preamble-sync evaluator.
 //!
 //! The NetScatter receiver detects packets by correlating the incoming
-//! stream against the known preamble chirps (§3.3.1). Done naively in the
-//! time domain that costs `O(n)` multiplies per candidate lag; this module
-//! provides the two classic fast evaluations instead:
-//!
-//! * [`Correlator`] — *overlap-save* frequency-domain correlation of an
-//!   arbitrary-length signal against one or more precomputed [`Template`]s.
-//!   Each signal segment is transformed **once** (via the pruned
-//!   [`Fft::forward_zero_padded_into`] path) and reused across every
-//!   template, so correlating against `D` device templates costs one
-//!   forward transform plus `D` pointwise-multiply/inverse passes per
-//!   segment.
-//! * [`ChirpBank`] — correlation of a single symbol against **every**
-//!   cyclic-shift chirp template at once. Dechirping a symbol and taking a
-//!   critically-sampled FFT yields, in bin `b`, exactly the lag-0
-//!   cross-correlation against the shift-`b` chirp template (the correlation
-//!   theorem specialized to the chirp alphabet, §3.1/§3.3.1). This is the
-//!   fast path for the detector's preamble comb, which needs all assigned
-//!   bins of a candidate symbol, not a single template.
-//!
-//! Both types own their scratch buffers (like `DemodWorkspace` in the phy
-//! crate) so the steady-state streaming path performs no heap allocation.
+//! stream against the known preamble chirps (§3.3.1). [`ChirpBank`]
+//! correlates a single symbol against **every** cyclic-shift chirp template
+//! at once: dechirping a symbol and taking a critically-sampled FFT yields,
+//! in bin `b`, exactly the lag-0 cross-correlation against the shift-`b`
+//! chirp template (the correlation theorem specialized to the chirp
+//! alphabet, §3.1/§3.3.1) — the paper's "single FFT operation" that scores
+//! all concurrent devices. [`shift_template`] builds one such template
+//! explicitly; it is the oracle the bank's tests compare against.
 
 use crate::chirp::{ChirpParams, ChirpSynthesizer};
 use crate::complex::Complex64;
 use crate::fft::{Fft, FftError};
-
-/// A template prepared for frequency-domain correlation: the conjugated
-/// spectrum of the zero-padded taps, bound to the [`Correlator`] FFT size it
-/// was built with.
-#[derive(Debug, Clone)]
-pub struct Template {
-    /// Conjugated spectrum `conj(FFT(taps ++ zeros))`, length = FFT size.
-    spectrum_conj: Vec<Complex64>,
-    /// Number of time-domain taps.
-    len: usize,
-}
-
-impl Template {
-    /// Number of time-domain taps in the template.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when the template has no taps (never produced by
-    /// [`Correlator::template`], which rejects empty taps).
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-}
-
-/// Overlap-save FFT cross-correlator for templates of a fixed length.
-///
-/// The correlation computed is the standard "valid"-mode complex
-/// cross-correlation
-///
-/// ```text
-/// corr[lag] = Σ_τ signal[lag + τ] · conj(template[τ]),   τ in 0..template_len
-/// ```
-///
-/// evaluated through the correlation theorem: multiply the segment spectrum
-/// by the conjugated template spectrum and inverse-transform. With an FFT
-/// size `M` and template length `n`, each segment yields `M − n + 1` valid
-/// (wrap-free) lags, so long signals are processed in overlapping segments
-/// hopped by that amount — the overlap-save method.
-///
-/// # Examples
-///
-/// ```
-/// use netscatter_dsp::{Complex64, Correlator};
-///
-/// let mut corr = Correlator::new(4, 16).unwrap();
-/// let taps = [Complex64::ONE, Complex64::I, -Complex64::ONE, -Complex64::I];
-/// let template = corr.template(&taps).unwrap();
-/// // Embed the template at offset 5 of a zero signal: the correlation
-/// // peaks at lag 5 with value Σ|taps|² = 4.
-/// let mut signal = vec![Complex64::ZERO; 24];
-/// signal[5..9].copy_from_slice(&taps);
-/// let mut out = Vec::new();
-/// corr.correlate_into(&signal, &template, &mut out).unwrap();
-/// let peak = (0..out.len())
-///     .max_by(|&a, &b| out[a].abs().total_cmp(&out[b].abs()))
-///     .unwrap();
-/// assert_eq!(peak, 5);
-/// assert!((out[5] - Complex64::new(4.0, 0.0)).abs() < 1e-12);
-/// ```
-#[derive(Debug, Clone)]
-pub struct Correlator {
-    fft: Fft,
-    template_len: usize,
-    /// Spectrum of the currently loaded signal segment.
-    segment_spec: Vec<Complex64>,
-    /// Scratch for the pointwise product / inverse transform.
-    product: Vec<Complex64>,
-    /// Whether [`Self::load_segment`] has been called since construction.
-    loaded: bool,
-}
-
-impl Correlator {
-    /// Creates a correlator for templates of `template_len` taps using
-    /// `fft_size`-point transforms.
-    ///
-    /// `fft_size` must be a power of two strictly greater than
-    /// `template_len` (otherwise a segment would yield no valid lags), and
-    /// `template_len` must be non-zero.
-    pub fn new(template_len: usize, fft_size: usize) -> Result<Self, FftError> {
-        if template_len == 0 {
-            return Err(FftError::LengthMismatch {
-                expected: 1,
-                actual: 0,
-            });
-        }
-        if fft_size <= template_len {
-            return Err(FftError::InputLongerThanTransform {
-                input: template_len,
-                size: fft_size,
-            });
-        }
-        let fft = Fft::new(fft_size)?;
-        Ok(Self {
-            fft,
-            template_len,
-            segment_spec: vec![Complex64::ZERO; fft_size],
-            product: vec![Complex64::ZERO; fft_size],
-            loaded: false,
-        })
-    }
-
-    /// The template length this correlator was built for.
-    #[inline]
-    pub fn template_len(&self) -> usize {
-        self.template_len
-    }
-
-    /// The FFT size used for segment transforms.
-    #[inline]
-    pub fn fft_size(&self) -> usize {
-        self.fft.size()
-    }
-
-    /// Number of valid (wrap-free) lags produced per loaded segment:
-    /// `fft_size − template_len + 1`. This is also the hop between
-    /// consecutive segments in [`Self::correlate_into`].
-    #[inline]
-    pub fn lags_per_segment(&self) -> usize {
-        self.fft.size() - self.template_len + 1
-    }
-
-    /// Prepares a template for repeated correlation by precomputing its
-    /// conjugated spectrum. `taps.len()` must equal
-    /// [`Self::template_len`].
-    pub fn template(&self, taps: &[Complex64]) -> Result<Template, FftError> {
-        if taps.len() != self.template_len {
-            return Err(FftError::LengthMismatch {
-                expected: self.template_len,
-                actual: taps.len(),
-            });
-        }
-        let mut spectrum_conj = Vec::new();
-        self.fft
-            .forward_zero_padded_into(taps, &mut spectrum_conj)?;
-        for v in spectrum_conj.iter_mut() {
-            *v = v.conj();
-        }
-        Ok(Template {
-            spectrum_conj,
-            len: taps.len(),
-        })
-    }
-
-    /// Loads one signal segment (at most [`Self::fft_size`] samples; shorter
-    /// segments are treated as zero-extended) and caches its spectrum. The
-    /// cached spectrum is shared by every subsequent
-    /// [`Self::correlate_loaded_into`] call until the next load — this is
-    /// the "one forward transform, many templates" half of the overlap-save
-    /// sharing.
-    pub fn load_segment(&mut self, segment: &[Complex64]) -> Result<(), FftError> {
-        let mut spec = std::mem::take(&mut self.segment_spec);
-        let result = self.fft.forward_zero_padded_into(segment, &mut spec);
-        self.segment_spec = spec;
-        result?;
-        self.loaded = true;
-        Ok(())
-    }
-
-    /// Correlates the currently loaded segment against `template`, writing
-    /// the [`Self::lags_per_segment`] valid lags into `out` (cleared and
-    /// refilled). Lags past the end of a short-loaded segment are the
-    /// correlation against its zero extension.
-    ///
-    /// Returns [`FftError::LengthMismatch`] if the template was built for a
-    /// different correlator geometry or no segment has been loaded.
-    pub fn correlate_loaded_into(
-        &mut self,
-        template: &Template,
-        out: &mut Vec<Complex64>,
-    ) -> Result<(), FftError> {
-        if template.spectrum_conj.len() != self.fft.size() || template.len != self.template_len {
-            return Err(FftError::LengthMismatch {
-                expected: self.fft.size(),
-                actual: template.spectrum_conj.len(),
-            });
-        }
-        if !self.loaded {
-            return Err(FftError::LengthMismatch {
-                expected: self.fft.size(),
-                actual: 0,
-            });
-        }
-        self.product.clear();
-        self.product.extend(
-            self.segment_spec
-                .iter()
-                .zip(template.spectrum_conj.iter())
-                .map(|(x, t)| *x * *t),
-        );
-        self.fft.inverse_in_place(&mut self.product)?;
-        let valid = self.lags_per_segment();
-        out.clear();
-        out.extend_from_slice(&self.product[..valid]);
-        Ok(())
-    }
-
-    /// Full overlap-save correlation of `signal` against `template`: `out`
-    /// receives `signal.len() − template_len + 1` lags (empty when the
-    /// signal is shorter than the template), identical to the time-domain
-    /// "valid"-mode correlation.
-    ///
-    /// The signal is processed in segments of [`Self::fft_size`] samples
-    /// hopped by [`Self::lags_per_segment`]; each segment is transformed
-    /// once. To correlate the same signal against many templates with
-    /// shared forward transforms, drive [`Self::load_segment`] /
-    /// [`Self::correlate_loaded_into`] directly instead.
-    pub fn correlate_into(
-        &mut self,
-        signal: &[Complex64],
-        template: &Template,
-        out: &mut Vec<Complex64>,
-    ) -> Result<(), FftError> {
-        out.clear();
-        if signal.len() < self.template_len {
-            return Ok(());
-        }
-        let total = signal.len() - self.template_len + 1;
-        out.reserve(total);
-        let hop = self.lags_per_segment();
-        let mut produced = 0;
-        while produced < total {
-            let seg_end = (produced + self.fft.size()).min(signal.len());
-            self.load_segment(&signal[produced..seg_end])?;
-            if template.spectrum_conj.len() != self.fft.size() || template.len != self.template_len
-            {
-                return Err(FftError::LengthMismatch {
-                    expected: self.fft.size(),
-                    actual: template.spectrum_conj.len(),
-                });
-            }
-            self.product.clear();
-            self.product.extend(
-                self.segment_spec
-                    .iter()
-                    .zip(template.spectrum_conj.iter())
-                    .map(|(x, t)| *x * *t),
-            );
-            self.fft.inverse_in_place(&mut self.product)?;
-            let take = hop.min(total - produced);
-            out.extend_from_slice(&self.product[..take]);
-            produced += take;
-        }
-        Ok(())
-    }
-}
 
 /// Builds the shift-`b` chirp template `ref[t] · e^{+j2πbt/n}` used by the
 /// preamble correlators — the tone-offset form whose lag-0 correlation with
@@ -376,146 +114,10 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    /// Direct `O(n·lags)` time-domain valid-mode correlation.
-    fn direct_correlation(signal: &[Complex64], taps: &[Complex64]) -> Vec<Complex64> {
-        if signal.len() < taps.len() {
-            return Vec::new();
-        }
-        (0..=signal.len() - taps.len())
-            .map(|lag| {
-                taps.iter()
-                    .enumerate()
-                    .map(|(t, tap)| signal[lag + t] * tap.conj())
-                    .sum()
-            })
-            .collect()
-    }
-
     fn random_signal(rng: &mut StdRng, len: usize) -> Vec<Complex64> {
         (0..len)
             .map(|_| Complex64::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)))
             .collect()
-    }
-
-    #[test]
-    fn rejects_degenerate_geometry() {
-        assert!(Correlator::new(0, 16).is_err());
-        assert!(Correlator::new(16, 16).is_err());
-        assert!(Correlator::new(17, 16).is_err());
-        assert!(Correlator::new(5, 24).is_err()); // not a power of two
-        assert!(Correlator::new(5, 32).is_ok());
-    }
-
-    #[test]
-    fn template_rejects_wrong_length() {
-        let corr = Correlator::new(8, 32).unwrap();
-        assert!(corr.template(&[Complex64::ONE; 7]).is_err());
-        assert!(corr.template(&[Complex64::ONE; 9]).is_err());
-        assert!(corr.template(&[Complex64::ONE; 8]).is_ok());
-    }
-
-    #[test]
-    fn correlate_before_load_is_an_error() {
-        let mut corr = Correlator::new(8, 32).unwrap();
-        let template = corr.template(&[Complex64::ONE; 8]).unwrap();
-        let mut out = Vec::new();
-        assert!(corr.correlate_loaded_into(&template, &mut out).is_err());
-    }
-
-    #[test]
-    fn template_from_other_geometry_is_rejected() {
-        let small = Correlator::new(8, 32).unwrap();
-        let template = small.template(&[Complex64::ONE; 8]).unwrap();
-        let mut big = Correlator::new(8, 64).unwrap();
-        let mut out = Vec::new();
-        big.load_segment(&vec![Complex64::ONE; 64]).unwrap();
-        assert!(big.correlate_loaded_into(&template, &mut out).is_err());
-        assert!(big
-            .correlate_into(&vec![Complex64::ONE; 64], &template, &mut out)
-            .is_err());
-    }
-
-    #[test]
-    fn fft_correlation_matches_time_domain_within_1e9() {
-        let mut rng = StdRng::seed_from_u64(0xC0FFEE);
-        for (taps_len, fft_size, signal_len) in [
-            (4usize, 16usize, 4usize), // single segment, exact fit
-            (4, 16, 40),               // several segments
-            (7, 32, 100),              // non-power-of-two template
-            (16, 64, 16),              // single-lag output
-            (12, 32, 1000),            // many segments, hop 21
-            (512, 4096, 9000),         // symbol-sized template (SF9 geometry)
-        ] {
-            let mut corr = Correlator::new(taps_len, fft_size).unwrap();
-            let taps = random_signal(&mut rng, taps_len);
-            let template = corr.template(&taps).unwrap();
-            let signal = random_signal(&mut rng, signal_len);
-            let mut out = Vec::new();
-            corr.correlate_into(&signal, &template, &mut out).unwrap();
-            let reference = direct_correlation(&signal, &taps);
-            assert_eq!(out.len(), reference.len());
-            let scale = taps_len as f64;
-            for (lag, (got, want)) in out.iter().zip(reference.iter()).enumerate() {
-                assert!(
-                    (*got - *want).abs() < 1e-9 * scale,
-                    "taps {taps_len} fft {fft_size} signal {signal_len} lag {lag}: \
-                     {got:?} != {want:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn signal_shorter_than_template_yields_no_lags() {
-        let mut corr = Correlator::new(8, 32).unwrap();
-        let template = corr.template(&[Complex64::ONE; 8]).unwrap();
-        let mut out = vec![Complex64::ONE; 3];
-        corr.correlate_into(&[Complex64::ONE; 7], &template, &mut out)
-            .unwrap();
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn loaded_segment_lags_match_zero_extension() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let mut corr = Correlator::new(6, 32).unwrap();
-        let taps = random_signal(&mut rng, 6);
-        let template = corr.template(&taps).unwrap();
-        // Load a 20-sample segment: lags beyond 20-6 correlate against the
-        // zero extension, exactly as if the signal were padded with zeros.
-        let segment = random_signal(&mut rng, 20);
-        corr.load_segment(&segment).unwrap();
-        let mut out = Vec::new();
-        corr.correlate_loaded_into(&template, &mut out).unwrap();
-        assert_eq!(out.len(), corr.lags_per_segment());
-        let mut extended = segment.clone();
-        extended.resize(32 + 6, Complex64::ZERO);
-        let reference = direct_correlation(&extended, &taps);
-        for (lag, got) in out.iter().enumerate() {
-            assert!(
-                (*got - reference[lag]).abs() < 1e-9,
-                "lag {lag}: {got:?} != {:?}",
-                reference[lag]
-            );
-        }
-    }
-
-    #[test]
-    fn repeated_loads_reuse_buffers_without_stale_state() {
-        let mut rng = StdRng::seed_from_u64(21);
-        let mut corr = Correlator::new(5, 16).unwrap();
-        let taps = random_signal(&mut rng, 5);
-        let template = corr.template(&taps).unwrap();
-        let mut out = Vec::new();
-        for _ in 0..4 {
-            let segment = random_signal(&mut rng, 16);
-            corr.load_segment(&segment).unwrap();
-            corr.correlate_loaded_into(&template, &mut out).unwrap();
-            let reference = direct_correlation(&segment, &taps);
-            for (lag, want) in reference.iter().enumerate() {
-                assert!((out[lag] - *want).abs() < 1e-9);
-            }
-        }
     }
 
     #[test]

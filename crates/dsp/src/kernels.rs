@@ -1,34 +1,21 @@
-//! Vectorized inner-loop kernels for the streaming receive path.
+//! Elementwise inner-loop kernels for the streaming receive path.
 //!
-//! The gateway's hot loops — the per-sample energy gate, dechirping, and
-//! waveform superposition — are all elementwise or reduction passes over
-//! contiguous sample buffers. Written as chunked slice iterations with no
-//! per-element branching they autovectorize under `opt-level = 3` without
-//! any `unsafe` or architecture-specific intrinsics (the workspace forbids
-//! `unsafe_code`).
+//! Written as slice iterations with no per-element branching they
+//! autovectorize under `opt-level = 3` without any `unsafe` or
+//! architecture-specific intrinsics (the workspace forbids `unsafe_code`).
 //!
-//! Two precision tiers are provided:
-//!
-//! * **f64 kernels** operate on [`Complex64`] buffers and are bit-identical
-//!   to the scalar expressions they replace (pure elementwise IEEE ops, no
-//!   reassociation), so the detector's gate decisions do not change.
-//! * **f32-lane kernels** operate on split re/im `f32` slices — the wire
-//!   format of the daemon's `cf32` streams and twice the SIMD lane density
-//!   of `f64`. They are for wire-adjacent paths where samples are already
-//!   quantized to `f32` (the paper's hardware digitizes at far lower
-//!   resolution still).
-//!
-//! Reductions ([`energy_f32`], [`power_sum`]) accumulate in [`LANES`]
-//! parallel partial sums, which is what lets the compiler keep the
-//! accumulator in a vector register; the result can therefore differ from a
-//! strictly sequential sum by normal floating-point reassociation error.
+//! * [`power_append`] / [`power_into`] operate on [`Complex64`] buffers and
+//!   are bit-identical to the scalar `norm_sqr` they replace (pure
+//!   elementwise IEEE ops, no reassociation), so the detector's gate
+//!   decisions do not change. They are the only kernels the gateway runs:
+//!   its dechirp is `ChirpSynthesizer::dechirp_into` inside the `f64`
+//!   chirp bank.
+//! * [`dechirp_f32`] operates on split re/im `f32` slices — the wire format
+//!   of the daemon's `cf32` streams and twice the SIMD lane density of
+//!   `f64`. No receive path calls it; the repo benchmark's probe times it
+//!   as the cost floor of a wire-precision dechirp.
 
 use crate::complex::Complex64;
-
-/// Number of parallel accumulators used by the reduction kernels. Eight
-/// f32 lanes fill a 256-bit vector register; for f64 reductions the
-/// compiler simply uses two registers.
-pub const LANES: usize = 8;
 
 /// Writes `|x|²` for every sample into `out` (cleared and refilled).
 ///
@@ -44,24 +31,6 @@ pub fn power_into(samples: &[Complex64], out: &mut Vec<f64>) {
 /// buffer aligned with a growing sample window.
 pub fn power_append(samples: &[Complex64], out: &mut Vec<f64>) {
     out.extend(samples.iter().map(|s| s.norm_sqr()));
-}
-
-/// Sum of `|x|²` over the buffer using [`LANES`] partial accumulators
-/// (chunked twin of `complex::total_power`).
-pub fn power_sum(samples: &[Complex64]) -> f64 {
-    let mut acc = [0.0f64; LANES];
-    let chunks = samples.chunks_exact(LANES);
-    let tail = chunks.remainder();
-    for chunk in chunks {
-        for (a, s) in acc.iter_mut().zip(chunk) {
-            *a += s.norm_sqr();
-        }
-    }
-    let mut total: f64 = acc.iter().sum();
-    for s in tail {
-        total += s.norm_sqr();
-    }
-    total
 }
 
 /// Dechirps a split-complex f32 symbol: `out = sig · conj(reference)`,
@@ -100,62 +69,6 @@ pub fn dechirp_f32(
     }
 }
 
-/// Writes `re² + im²` per sample into `out` and returns the total energy,
-/// accumulated in [`LANES`] partial sums. `re`, `im` and `out` must have
-/// equal lengths.
-///
-/// # Panics
-///
-/// Panics if the slice lengths disagree.
-pub fn energy_f32(re: &[f32], im: &[f32], out: &mut [f32]) -> f32 {
-    let n = re.len();
-    assert!(
-        im.len() == n && out.len() == n,
-        "energy_f32 slice lengths disagree"
-    );
-    for i in 0..n {
-        out[i] = re[i] * re[i] + im[i] * im[i];
-    }
-    let mut acc = [0.0f32; LANES];
-    let chunks = out.chunks_exact(LANES);
-    let tail = chunks.remainder();
-    for chunk in chunks {
-        for (a, p) in acc.iter_mut().zip(chunk) {
-            *a += *p;
-        }
-    }
-    acc.iter().sum::<f32>() + tail.iter().sum::<f32>()
-}
-
-/// Superposes a split-complex f32 waveform onto an accumulator with a
-/// complex gain: `acc += (gain_re + j·gain_im) · src`, elementwise.
-///
-/// Used when mixing several device waveforms (or channel streams) into one
-/// composite buffer at wire precision.
-///
-/// # Panics
-///
-/// Panics if the slice lengths disagree.
-pub fn superpose_f32(
-    acc_re: &mut [f32],
-    acc_im: &mut [f32],
-    src_re: &[f32],
-    src_im: &[f32],
-    gain_re: f32,
-    gain_im: f32,
-) {
-    let n = acc_re.len();
-    assert!(
-        acc_im.len() == n && src_re.len() == n && src_im.len() == n,
-        "superpose_f32 slice lengths disagree"
-    );
-    for i in 0..n {
-        let (a, b) = (src_re[i], src_im[i]);
-        acc_re[i] += gain_re * a - gain_im * b;
-        acc_im[i] += gain_re * b + gain_im * a;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -176,19 +89,6 @@ mod tests {
             for (i, p) in out.iter().enumerate() {
                 assert_eq!(*p, buf[i].norm_sqr(), "n={n} i={i}");
             }
-        }
-    }
-
-    #[test]
-    fn total_power_matches_sequential_sum_closely() {
-        for n in [0usize, 1, 8, 15, 1000] {
-            let buf = samples(n);
-            let sequential: f64 = buf.iter().map(|s| s.norm_sqr()).sum();
-            let chunked = power_sum(&buf);
-            assert!(
-                (chunked - sequential).abs() <= 1e-12 * sequential.max(1.0),
-                "n={n}: {chunked} vs {sequential}"
-            );
         }
     }
 
@@ -217,40 +117,16 @@ mod tests {
     }
 
     #[test]
-    fn energy_f32_per_sample_exact_and_total_close() {
-        let n = 100;
-        let re: Vec<f32> = (0..n).map(|t| (t as f32 * 0.31).sin()).collect();
-        let im: Vec<f32> = (0..n).map(|t| (t as f32 * 0.17).cos()).collect();
-        let mut out = vec![0.0; n];
-        let total = energy_f32(&re, &im, &mut out);
-        let mut sequential = 0.0f64;
-        for i in 0..n {
-            assert_eq!(out[i], re[i] * re[i] + im[i] * im[i], "i={i}");
-            sequential += f64::from(out[i]);
-        }
-        assert!((f64::from(total) - sequential).abs() < 1e-3 * sequential.max(1.0));
-    }
-
-    #[test]
-    fn superpose_f32_accumulates_with_complex_gain() {
-        let n = 19;
-        let mut acc_re = vec![1.0f32; n];
-        let mut acc_im = vec![-1.0f32; n];
-        let src_re: Vec<f32> = (0..n).map(|t| t as f32).collect();
-        let src_im: Vec<f32> = (0..n).map(|t| -(t as f32) * 0.5).collect();
-        let (g_re, g_im) = (0.25f32, -0.75f32);
-        superpose_f32(&mut acc_re, &mut acc_im, &src_re, &src_im, g_re, g_im);
-        for i in 0..n {
-            let (a, b) = (src_re[i], src_im[i]);
-            assert_eq!(acc_re[i], 1.0 + (g_re * a - g_im * b), "re {i}");
-            assert_eq!(acc_im[i], -1.0 + (g_re * b + g_im * a), "im {i}");
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "lengths disagree")]
     fn mismatched_lengths_panic() {
-        let mut out = vec![0.0f32; 3];
-        energy_f32(&[0.0; 4], &[0.0; 4], &mut out);
+        let (mut out_re, mut out_im) = ([0.0f32; 4], [0.0f32; 3]);
+        dechirp_f32(
+            &[0.0; 4],
+            &[0.0; 4],
+            &[0.0; 4],
+            &[0.0; 4],
+            &mut out_re,
+            &mut out_im,
+        );
     }
 }

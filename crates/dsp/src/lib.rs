@@ -11,11 +11,10 @@
 //!   sub-FFT-bin peak resolution, §3.2.3).
 //! * [`chirp`] — linear upchirp/downchirp synthesis, cyclic shifting, and
 //!   dechirping (downchirp multiplication), the core CSS operations of §2.1.
-//! * [`correlator`] — overlap-save FFT cross-correlation against chirp
-//!   templates and the all-shifts chirp-bank correlation, the fast preamble
-//!   sync machinery of §3.3.1.
-//! * [`kernels`] — autovectorizing f64/f32-lane kernels (energy gate,
-//!   dechirp, superposition) for the streaming hot loops.
+//! * [`correlator`] — the all-shifts chirp-bank correlation (one dechirp
+//!   and FFT scores every device), the preamble sync machinery of §3.3.1.
+//! * [`kernels`] — autovectorizing elementwise kernels (per-sample power
+//!   for the energy gate, an f32-lane dechirp) for the streaming hot loops.
 //! * [`spectrum`] — power spectra, dB conversion, peak search, fractional
 //!   peak interpolation and side-lobe measurement (Fig. 8).
 //! * [`spectrogram`] — short-time Fourier transform used to reproduce the
@@ -47,7 +46,7 @@ pub mod window;
 
 pub use chirp::{ChirpParams, ChirpSynthesizer};
 pub use complex::Complex64;
-pub use correlator::{ChirpBank, Correlator, Template};
+pub use correlator::ChirpBank;
 pub use fft::{Fft, FftError};
 pub use spectrum::{power_spectrum_db, PeakSearch, SpectralPeak};
 pub use units::{db_to_linear, dbm_to_watts, linear_to_db, watts_to_dbm};

@@ -6,7 +6,7 @@
 
 use netscatter_dsp::chirp::{ChirpParams, ChirpSynthesizer};
 use netscatter_dsp::complex::total_power;
-use netscatter_dsp::correlator::{shift_template, ChirpBank, Correlator};
+use netscatter_dsp::correlator::{shift_template, ChirpBank};
 use netscatter_dsp::fft::{fft, ifft, Fft};
 use netscatter_dsp::spectrum::PeakSearch;
 use netscatter_dsp::Complex64;
@@ -207,40 +207,6 @@ proptest! {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// The overlap-save FFT correlator matches the direct time-domain
-    /// "valid"-mode cross-correlation within 1e-9 over randomized signals,
-    /// template lengths, FFT sizes and signal lengths (including multi-
-    /// segment stitching).
-    #[test]
-    fn fft_correlator_matches_time_domain(
-        taps in prop::collection::vec(arb_complex(), 1..48),
-        signal in prop::collection::vec(arb_complex(), 0..300),
-        log2_extra in 1u32..=3,
-    ) {
-        let fft_size = (taps.len().next_power_of_two() << log2_extra).max(2);
-        let mut corr = Correlator::new(taps.len(), fft_size).unwrap();
-        let template = corr.template(&taps).unwrap();
-        let mut out = Vec::new();
-        corr.correlate_into(&signal, &template, &mut out).unwrap();
-        if signal.len() < taps.len() {
-            prop_assert!(out.is_empty());
-        } else {
-            prop_assert_eq!(out.len(), signal.len() - taps.len() + 1);
-        }
-        let tol = 1e-9 * taps.len() as f64;
-        for (lag, got) in out.iter().enumerate() {
-            let want: Complex64 = taps
-                .iter()
-                .enumerate()
-                .map(|(t, tap)| signal[lag + t] * tap.conj())
-                .sum();
-            prop_assert!(
-                (*got - want).abs() < tol,
-                "lag {}: {:?} != {:?}", lag, got, want
-            );
-        }
-    }
 
     /// The chirp bank output at every bin equals the lag-0 correlation
     /// against the corresponding shift template.

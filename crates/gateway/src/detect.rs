@@ -16,26 +16,16 @@
 //!    shift's mirrored downchirp template, and the candidate maximizing
 //!    the summed *per-device minimum* of the two measurements wins.
 //!
-//!    The comb is evaluated through the FFT correlator core in
-//!    `netscatter_dsp::correlator`, picking per sync whichever of its two
-//!    mathematically identical fast paths costs fewer butterflies:
-//!
-//!    * **chirp bank** (`ChirpBank`): dechirp each candidate symbol and
-//!      take one critically-sampled `n`-point FFT — bin `b` *is* the
-//!      correlation against the shift-`b` template, so one transform
-//!      scores every device at once. Cheapest for populated combs
-//!      (`pad×` smaller than the old per-candidate padded transform).
-//!    * **overlap-save** (`Correlator`): one shared forward transform of
-//!      the sync span per segment, then a pointwise-multiply/inverse per
-//!      device template yields that correlation at *every* candidate lag
-//!      simultaneously. Cheapest for sparse populations, whose template
-//!      count is small while the bank would still pay per candidate.
-//!
-//!    Both paths compute exactly the quantity the original padded-spectrum
-//!    comb measured (the integer assigned bins of the dechirped symbols),
-//!    so detection decisions are unchanged; a test pins all three
-//!    evaluations against each other. Each comb ingredient kills one
-//!    ambiguity a blind dechirp-sharpness metric cannot resolve:
+//!    The comb is evaluated by `netscatter_dsp::correlator::ChirpBank`:
+//!    dechirp each candidate symbol and take one critically-sampled
+//!    `n`-point FFT — bin `b` *is* the correlation against the shift-`b`
+//!    template, so one transform scores every device at once (the paper's
+//!    single FFT for all concurrent transmissions), at a cost independent
+//!    of the population size. This is exactly the quantity a padded-
+//!    spectrum comb measures at the integer assigned bins of the dechirped
+//!    symbols; a test pins the two against each other. Each comb
+//!    ingredient kills one ambiguity a blind dechirp-sharpness metric
+//!    cannot resolve:
 //!
 //!    * the preamble repeats identical upchirps, so any window offset into
 //!      the repetition is just another cyclic shift at full peak power —
@@ -78,9 +68,9 @@
 //! output to the batch receiver bit for bit under randomized chunk sizes.
 
 use netscatter::receiver::ConcurrentReceiver;
-use netscatter_dsp::correlator::{shift_template, ChirpBank, Correlator, Template};
+use netscatter_dsp::correlator::ChirpBank;
 use netscatter_dsp::fft::FftError;
-use netscatter_dsp::{kernels, ChirpSynthesizer, Complex64};
+use netscatter_dsp::{kernels, Complex64};
 use netscatter_obs::{Counter, Histogram};
 use netscatter_phy::params::PhyProfile;
 use netscatter_phy::preamble::{PREAMBLE_DOWNCHIRPS, PREAMBLE_SYMBOLS, PREAMBLE_UPCHIRPS};
@@ -229,29 +219,17 @@ enum State {
 pub struct StreamDetector {
     receiver: ConcurrentReceiver,
     /// All-shifts chirp correlation (dechirp + critically-sampled FFT) —
-    /// the populated-comb sync path.
+    /// the sync comb's evaluator.
     bank: ChirpBank,
-    /// Overlap-save per-template correlator — the sparse-comb sync path.
-    correlator: Correlator,
-    /// Chirp synthesizer the shift templates are built from (kept so the
-    /// templates can be built lazily — dense populations never need them).
-    synth: ChirpSynthesizer,
-    /// Per-device upchirp shift templates, in `bins` order. Built on the
-    /// first overlap-save sync; empty until then.
-    up_templates: Vec<Template>,
-    /// Per-device mirrored downchirp shift templates, in `bins` order.
-    down_templates: Vec<Template>,
     /// Bank-output scratch (one symbol's correlations against all shifts).
     spec: Vec<Complex64>,
-    /// Overlap-save correlation scratch (one template's lags per segment).
-    corr: Vec<Complex64>,
     /// Comb values per sync candidate (scratch).
     combs: Vec<f64>,
     /// The assigned cyclic shifts the sync comb samples.
     bins: Vec<usize>,
-    /// Per-candidate-per-bin upchirp-comb accumulator (sync scratch).
+    /// Per-bin upchirp-comb accumulator of one candidate (sync scratch).
     up_acc: Vec<f64>,
-    /// Per-candidate-per-bin downchirp-comb accumulator (sync scratch).
+    /// Per-bin downchirp-comb accumulator of one candidate (sync scratch).
     down_acc: Vec<f64>,
     payload_symbols: usize,
     energy_gate_factor: f64,
@@ -302,22 +280,10 @@ impl StreamDetector {
         if let Some(floor) = config.detection_floor_fraction {
             receiver.detection_floor_fraction = floor;
         }
-        let params = config.profile.modulation.chirp();
-        let n = params.num_bins();
-        // An overlap-save segment of 8n (the size of the receiver's
-        // zero-padded grid at the default padding, though independent of
-        // it): a comfortable lags-per-segment hop without outsized template
-        // spectra.
-        let correlator = Correlator::new(n, n * 8)?;
         Ok(Self {
             receiver,
-            bank: ChirpBank::new(params)?,
-            correlator,
-            synth: ChirpSynthesizer::new(params),
-            up_templates: Vec::new(),
-            down_templates: Vec::new(),
+            bank: ChirpBank::new(config.profile.modulation.chirp())?,
             spec: Vec::new(),
-            corr: Vec::new(),
             combs: Vec::new(),
             bins: config.assigned_bins.clone(),
             up_acc: Vec::new(),
@@ -486,7 +452,7 @@ impl StreamDetector {
                     } else {
                         (lo, hi)
                     };
-                    self.compute_combs(comb_lo, comb_hi, n);
+                    self.combs_bank(comb_lo, (comb_hi - comb_lo + 1) as usize, n);
                     let best_comb = self.combs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
                     // Stage two: among the shortlisted (possibly
                     // lattice-ambiguous) candidates, the one nearest the
@@ -536,68 +502,13 @@ impl StreamDetector {
         }
     }
 
-    /// Fills `self.combs` with the up/down consistency comb for every
-    /// candidate packet start in `comb_lo..=comb_hi`: average assigned-bin
+    /// Fills `self.combs` with the up/down consistency comb for the
+    /// `candidates` packet starts from `comb_lo` on: average assigned-bin
     /// correlation power over the six upchirps, average mirrored-bin power
-    /// over the two downchirps, summed per-device minimum of the two. See
-    /// the module docs for why both combs are needed.
-    ///
-    /// Picks whichever correlator path does less transform work for this
-    /// candidate count and population size (`size · log₂ size` butterfly
-    /// model); both compute identical quantities.
-    fn compute_combs(&mut self, comb_lo: u64, comb_hi: u64, n: usize) {
-        let candidates = (comb_hi - comb_lo + 1) as usize;
-        let devices = self.bins.len();
-        let m = self.correlator.fft_size();
-        let hop = self.correlator.lags_per_segment();
-        // Overlap-save needs every lag in [0, candidates + 7n); each
-        // segment costs one shared forward plus one inverse per template
-        // (up and down, hence 2 per device).
-        let total_lags = candidates + (PREAMBLE_SYMBOLS - 1) * n;
-        let segments = total_lags.div_ceil(hop);
-        let os_work = segments * (1 + 2 * devices) * m * m.trailing_zeros() as usize;
-        // The bank pays one n-point transform per candidate per preamble
-        // symbol, scoring all devices at once.
-        let bank_work = candidates * PREAMBLE_SYMBOLS * n * n.trailing_zeros() as usize;
-        if devices > 0 && os_work < bank_work {
-            self.build_templates();
-            self.combs_overlap_save(comb_lo, candidates, n);
-        } else {
-            self.combs_bank(comb_lo, candidates, n);
-        }
-    }
-
-    /// Builds the per-device shift templates on first overlap-save use
-    /// (dense populations always take the bank path and never pay for
-    /// them).
-    fn build_templates(&mut self) {
-        if self.up_templates.len() == self.bins.len() {
-            return;
-        }
-        let n = self.synth.params().num_bins();
-        self.up_templates.clear();
-        self.down_templates.clear();
-        for &bin in &self.bins {
-            let up = shift_template(&self.synth, bin, false);
-            // A shift-`a` downchirp dechirps to the mirrored bin
-            // `(n − a) mod n`, so the downchirp template carries that shift.
-            let down = shift_template(&self.synth, (n - bin % n) % n, true);
-            self.up_templates.push(
-                self.correlator
-                    .template(&up)
-                    .expect("shift templates match the correlator geometry"),
-            );
-            self.down_templates.push(
-                self.correlator
-                    .template(&down)
-                    .expect("shift templates match the correlator geometry"),
-            );
-        }
-    }
-
-    /// Chirp-bank comb evaluation: per candidate and preamble symbol, one
-    /// critically-sampled FFT of the dechirped symbol scores every assigned
-    /// shift at once.
+    /// over the two downchirps, summed per-device minimum of the two (see
+    /// the module docs for why both combs are needed). Per candidate and
+    /// preamble symbol, one critically-sampled FFT of the dechirped symbol
+    /// scores every assigned shift at once.
     fn combs_bank(&mut self, comb_lo: u64, candidates: usize, n: usize) {
         let devices = self.bins.len();
         self.combs.clear();
@@ -627,95 +538,6 @@ impl StreamDetector {
                 }
             }
             self.combs.push(Self::comb_of(&self.up_acc, &self.down_acc));
-        }
-    }
-
-    /// Overlap-save comb evaluation: one shared forward transform of the
-    /// sync span per segment, then each device's up/down template is
-    /// correlated across *all* candidate lags with a single
-    /// multiply-inverse pass.
-    fn combs_overlap_save(&mut self, comb_lo: u64, candidates: usize, n: usize) {
-        let devices = self.bins.len();
-        let at = (comb_lo - self.window_start) as usize;
-        let span = candidates - 1 + PREAMBLE_SYMBOLS * n;
-        let signal = &self.window[at..at + span];
-        let total_lags = span - n + 1;
-        let hop = self.correlator.lags_per_segment();
-        // Flat [candidate][device] accumulators.
-        self.up_acc.clear();
-        self.up_acc.resize(candidates * devices, 0.0);
-        self.down_acc.clear();
-        self.down_acc.resize(candidates * devices, 0.0);
-        let mut produced = 0;
-        while produced < total_lags {
-            let seg_end = (produced + self.correlator.fft_size()).min(span);
-            self.correlator
-                .load_segment(&signal[produced..seg_end])
-                .expect("sync segment fits the correlator transform");
-            let lag_hi = (produced + hop).min(total_lags);
-            for (d, template) in self.up_templates.iter().enumerate() {
-                self.correlator
-                    .correlate_loaded_into(template, &mut self.corr)
-                    .expect("sync templates match the correlator geometry");
-                for s in 0..PREAMBLE_UPCHIRPS {
-                    Self::accumulate_lattice(
-                        &self.corr,
-                        &mut self.up_acc,
-                        s * n,
-                        produced,
-                        lag_hi,
-                        candidates,
-                        devices,
-                        d,
-                    );
-                }
-            }
-            for (d, template) in self.down_templates.iter().enumerate() {
-                self.correlator
-                    .correlate_loaded_into(template, &mut self.corr)
-                    .expect("sync templates match the correlator geometry");
-                for s in 0..PREAMBLE_DOWNCHIRPS {
-                    Self::accumulate_lattice(
-                        &self.corr,
-                        &mut self.down_acc,
-                        (PREAMBLE_UPCHIRPS + s) * n,
-                        produced,
-                        lag_hi,
-                        candidates,
-                        devices,
-                        d,
-                    );
-                }
-            }
-            produced = lag_hi;
-        }
-        self.combs.clear();
-        for c in 0..candidates {
-            self.combs.push(Self::comb_of(
-                &self.up_acc[c * devices..(c + 1) * devices],
-                &self.down_acc[c * devices..(c + 1) * devices],
-            ));
-        }
-    }
-
-    /// Adds `|corr[candidate + offset]|²` into `acc[candidate·devices + d]`
-    /// for every candidate whose lattice lag falls inside the current
-    /// segment's lag range `[seg_lo, seg_hi)`.
-    #[allow(clippy::too_many_arguments)]
-    fn accumulate_lattice(
-        corr: &[Complex64],
-        acc: &mut [f64],
-        offset: usize,
-        seg_lo: usize,
-        seg_hi: usize,
-        candidates: usize,
-        devices: usize,
-        d: usize,
-    ) {
-        let first = seg_lo.saturating_sub(offset);
-        let last = seg_hi.saturating_sub(offset).min(candidates);
-        for c in first..last {
-            acc[c * devices + d] += corr[c + offset - seg_lo].norm_sqr();
         }
     }
 
@@ -853,34 +675,62 @@ mod tests {
     }
 
     #[test]
-    fn sparse_population_takes_overlap_save_and_stays_sample_exact() {
-        // One device: the transform-work model must pick overlap-save, and
-        // detection must stay sample-exact on that path.
+    fn sync_is_sample_exact_across_populations_anchored_and_unanchored() {
+        // One comb routine serves every population size and both candidate
+        // ranges. Strong round: the packet's first samples clear
+        // EDGE_ANCHOR_DB, so only the 2·SYNC_SLACK + 1 candidates around
+        // the anchor are scored. Weak round: no sample of the sync range
+        // does, so the full gated range is.
+        let anchored = 2 * SYNC_SLACK + 1;
+        let unanchored = GATE_WINDOW + 2 * SYNC_SLACK;
+        // Over the unit-power idle noise below.
+        let anchor_threshold = netscatter_dsp::units::db_to_linear(EDGE_ANCHOR_DB);
         let bits = [true, false, true, true];
-        let cfg = config(vec![37], bits.len());
-        let mut det = StreamDetector::new(&cfg).unwrap();
-        // The anchored sync range holds 2·SYNC_SLACK + 1 candidates; one
-        // device correlates cheaper via overlap-save there.
-        let n = cfg.profile.modulation.num_bins();
-        let candidates = 2 * SYNC_SLACK + 1;
-        let hop = det.correlator.lags_per_segment();
-        let total_lags = candidates + (PREAMBLE_SYMBOLS - 1) * n;
-        let segments = total_lags.div_ceil(hop);
-        let m = det.correlator.fft_size();
-        let os_work = segments * 3 * m * m.trailing_zeros() as usize;
-        let bank_work = candidates * PREAMBLE_SYMBOLS * n * n.trailing_zeros() as usize;
-        assert!(
-            os_work < bank_work,
-            "one-device sync should favor overlap-save ({os_work} vs {bank_work})"
-        );
-        let mut stream = vec![Complex64::ZERO; 901];
-        stream.extend(packet(37, &bits));
-        stream.extend(vec![Complex64::ZERO; 200]);
-        let mut spans = Vec::new();
-        det.push(&stream, &mut spans);
-        det.finish();
-        assert_eq!(spans.len(), 1);
-        assert_eq!(spans[0].start_sample, 901);
+        let offset = 901usize;
+        for devices in [1usize, 2, 3, 4, 16] {
+            // Shifts n/16 apart beat with a GATE_WINDOW period, so the
+            // gate's window mean is the aggregate power at every offset.
+            let bins: Vec<usize> = (0..devices).map(|d| 5 + 32 * d).collect();
+            for (aggregate_power, candidates) in [(400.0, anchored), (2.0, unanchored)] {
+                let mut cfg = config(bins.clone(), bits.len());
+                // A 3 dB gate lets an aggregate fire it whose peaks stay
+                // under the 10 dB anchor threshold.
+                cfg.energy_gate_db = 3.0;
+                let mut det = StreamDetector::new(&cfg).unwrap();
+                let len = offset + cfg.packet_samples() + 200;
+                // Constant-modulus idle noise with a scrambled phase: the
+                // floor estimate is exactly its unit power.
+                let mut stream: Vec<Complex64> = (0..len)
+                    .map(|t| Complex64::cis(0.37 * (t * t % 1009) as f64))
+                    .collect();
+                let amplitude = (aggregate_power / devices as f64).sqrt();
+                for (d, &bin) in bins.iter().enumerate() {
+                    // Quadratic per-device phases keep the aggregate's
+                    // envelope flat (no coherent pulse at the packet edge).
+                    let phase =
+                        Complex64::cis(std::f64::consts::PI * (d * d) as f64 / devices as f64)
+                            * amplitude;
+                    for (acc, s) in stream[offset..].iter_mut().zip(packet(bin, &bits)) {
+                        *acc += s * phase;
+                    }
+                }
+                let edge =
+                    &stream[offset - GATE_WINDOW - SYNC_SLACK..offset + GATE_WINDOW + SYNC_SLACK];
+                let clears = edge.iter().any(|s| s.norm_sqr() > anchor_threshold);
+                assert_eq!(
+                    clears,
+                    candidates == anchored,
+                    "{devices} devices at aggregate power {aggregate_power}: fixture anchor"
+                );
+                let mut spans = Vec::new();
+                det.push(&stream, &mut spans);
+                det.finish();
+                let what = format!("{devices} devices, {candidates} candidates");
+                assert_eq!(spans.len(), 1, "{what}");
+                assert_eq!(spans[0].start_sample, offset as u64, "{what}");
+                assert_eq!(det.combs.len(), candidates, "{what}");
+            }
+        }
     }
 
     #[test]
@@ -888,8 +738,8 @@ mod tests {
         use netscatter_phy::distributed::{ConcurrentDemodulator, DemodWorkspace};
 
         // Three devices, impaired superposed packet at a known offset: the
-        // bank path, the overlap-save path, and the original padded-
-        // spectrum comb must agree on every candidate within fp tolerance.
+        // bank comb and the per-candidate padded-spectrum comb must agree
+        // on every candidate within fp tolerance.
         let profile = PhyProfile::default();
         let params = profile.modulation.chirp();
         let n = params.num_bins();
@@ -922,11 +772,8 @@ mod tests {
         let candidates = 11usize;
         det.combs_bank(comb_lo, candidates, n);
         let bank = det.combs.clone();
-        det.build_templates();
-        det.combs_overlap_save(comb_lo, candidates, n);
-        let os = det.combs.clone();
 
-        // Reference: the original per-candidate padded-spectrum comb.
+        // Reference: the per-candidate padded-spectrum comb.
         let demod = ConcurrentDemodulator::new(params, profile.zero_padding).unwrap();
         let mut ws = DemodWorkspace::new();
         let mut reference = Vec::new();
@@ -960,12 +807,6 @@ mod tests {
                 (bank[c] - reference[c]).abs() < 1e-9 * scale,
                 "bank comb {c}: {} != {}",
                 bank[c],
-                reference[c]
-            );
-            assert!(
-                (os[c] - reference[c]).abs() < 1e-9 * scale,
-                "overlap-save comb {c}: {} != {}",
-                os[c],
                 reference[c]
             );
         }

@@ -1,6 +1,6 @@
 //! The unified `netscatter` command-line interface.
 //!
-//! One binary replaces the 14 per-figure drivers:
+//! One binary runs every experiment:
 //!
 //! * `netscatter list` — every registered experiment with its scenario
 //!   knobs.
@@ -16,9 +16,7 @@
 //!
 //! Every experiment accepts the same universal flags (`--quick`/`--paper`,
 //! `--seed`, `--threads`, `--fidelity`, `--devices`, `--placement`,
-//! `--channel`, `--scheme`, `--payload-bits`); the per-figure shim binaries
-//! route through [`legacy_main`] so `fig17 --quick --fidelity sample` keeps
-//! working unchanged.
+//! `--channel`, `--scheme`, `--payload-bits`).
 
 use crate::experiment::{render, Experiment, ExperimentResult, OutputFormat, SCHEMA_VERSION};
 use crate::experiments::{find, registry};
@@ -102,7 +100,7 @@ fn coding_names() -> Vec<&'static str> {
         .collect()
 }
 
-/// Options shared by `run`, `sweep`, and the shim binaries.
+/// Options shared by `run`, `sweep` and `perf_snapshot`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunOptions {
     /// The scenario assembled from the flags.
@@ -127,8 +125,7 @@ impl Default for RunOptions {
 }
 
 /// Parses the universal flag set into [`RunOptions`]. `allow_grid` enables
-/// `--set` (the sweep grid); everything else is shared by `run` and the
-/// shims.
+/// `--set` (the sweep grid); everything else is shared with `run`.
 pub fn parse_flags(args: &[String], allow_grid: bool) -> Result<RunOptions, CliError> {
     let mut opts = RunOptions::default();
     let mut i = 0;
@@ -262,7 +259,7 @@ fn find_experiment(id: &str) -> Result<&'static dyn Experiment, CliError> {
 }
 
 /// Warns (stderr) when a flag sets a field the experiment never reads.
-/// Shared by `run`, `sweep`, the shims, and `perf_snapshot`.
+/// Shared by `run`, `sweep` and `perf_snapshot`.
 pub fn warn_unused_fields(exp: &dyn Experiment, opts: &RunOptions) {
     let defaults = Scenario::default();
     let default_fields = defaults.fields();
@@ -473,36 +470,9 @@ pub fn main_with_args(args: &[String]) -> i32 {
     }
 }
 
-/// The `--help` text for a standalone (non-subcommand) binary: the shared
-/// flag set without the `netscatter` subcommands, plus an optional
-/// binary-specific trailer.
-pub fn standalone_usage(name: &str, summary: &str, extra_flags: &str) -> String {
-    format!(
-        "{name} — {summary}
-
-USAGE:
-  {name} [flags]
-
-FLAGS:
-  --quick | --paper           trial-count scale (default: paper)
-  --seed <N>                  Monte-Carlo base seed (default: 42)
-  --threads <N>               worker-thread bound (default: all cores; 0 = all cores)
-  --fidelity <analytical|sample>
-  --devices <N>  --placement <office|hall>  --channel <office|outdoor|pristine>
-  --scheme <name>  --payload-bits <N>  --coding <none|hamming|rs|conv|fountain>
-  --arrival-rate <R>  --stream-secs <S>  --chunk-samples <N>
-  --format <text|json|csv>    output sink (default: text)
-  --out <PATH>                write output to PATH instead of stdout{extra_flags}
-
-Flags setting scenario fields this experiment does not read produce a
-stderr note. The unified CLI (`netscatter list | run | sweep`) exposes the
-same experiments plus parameter sweeps."
-    )
-}
-
 /// Parses standalone-binary flags or exits: prints `help` and exits 0 on
-/// `--help`, prints the error and exits with its code on failure. Shared
-/// by [`legacy_main`] and `perf_snapshot`.
+/// `--help`, prints the error and exits with its code on failure (the
+/// `perf_snapshot` entry).
 pub fn parse_flags_or_exit(args: &[String], help: &str) -> RunOptions {
     match parse_flags(args, false) {
         Ok(opts) => opts,
@@ -514,33 +484,6 @@ pub fn parse_flags_or_exit(args: &[String], help: &str) -> RunOptions {
             eprintln!("{}", e.message);
             std::process::exit(e.code);
         }
-    }
-}
-
-/// Entry point for the per-figure shim binaries: parses the universal flag
-/// set from `std::env::args` and prints the experiment's report — identical
-/// behaviour and output to the pre-redesign binary, now with the shared
-/// `--seed`/`--threads` flags instead of a hardcoded seed.
-pub fn legacy_main(id: &str) {
-    let exp = find(id).unwrap_or_else(|| panic!("shim for unregistered experiment {id}"));
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let help = standalone_usage(id, &format!("shim for `netscatter run {id}`"), "");
-    let opts = parse_flags_or_exit(&args, &help);
-    warn_unused_fields(exp, &opts);
-    let result = exp.run(&opts.scenario);
-    let rendered = render(exp, &result, opts.format);
-    match &opts.out {
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, &rendered) {
-                eprintln!("failed to write {path}: {e}");
-                std::process::exit(1);
-            }
-            println!("wrote {path}");
-        }
-        // `println!` (not `print!`): the pre-redesign binaries printed the
-        // report through `println!("{report}")`, so stdout ends with the
-        // report's own newline plus one more — kept byte-identical.
-        None => println!("{rendered}"),
     }
 }
 

@@ -5,10 +5,9 @@
 //! [`Scenario`] to a structured [`ExperimentResult`] (named numeric tables
 //! plus named scalars), and `render_text` reproduces the pre-redesign text
 //! report byte-for-byte from that structure — pinned by the golden parity
-//! tests in `tests/golden_parity.rs`. The unified `netscatter` CLI and the
-//! per-figure shim binaries both drive [`registry`]; the Criterion benches
-//! time the same drivers through the string-returning compatibility
-//! wrappers ([`fig04`], [`fig17`], …).
+//! tests in `tests/golden_parity.rs`. The unified `netscatter` CLI drives
+//! [`registry`]; the Criterion benches time the same drivers through the
+//! string-returning compatibility wrappers ([`fig04`], [`fig17`], …).
 
 use crate::ber::{max_tolerable_power_difference_db_sharded, near_far_ber_sharded, NearFarConfig};
 use crate::deployment::Deployment;
@@ -2261,10 +2260,11 @@ impl Experiment for Goodput {
 /// Payload symbols per round timed by the perf snapshot.
 pub const PERF_PAYLOAD_SYMBOLS: usize = 16;
 
-/// Msamples/s the pre-correlator gateway recorded in `BENCH_stream.json`
-/// at [`GATEWAY_SIZES`] = {16, 64, 256} devices — the CI snapshot taken
-/// before the FFT overlap-save sync correlator landed and before the
-/// measurement isolated replay from synthesis. The `speedup_vs_pre_refactor`
+/// Msamples/s the PR 5 gateway recorded in `BENCH_stream.json` at
+/// [`GATEWAY_SIZES`] = {16, 64, 256} devices — the CI snapshot taken while
+/// preamble sync still ran a zero-padded transform per candidate symbol
+/// (before the chirp-bank comb) and before the measurement isolated replay
+/// from synthesis. The `speedup_vs_pre_refactor`
 /// scalar divides today's 64-device single-channel replay session (the
 /// `multi_channel` table's k = 1 row — same population, same 10 rounds/s
 /// expected occupancy) by the middle entry.

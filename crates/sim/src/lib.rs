@@ -34,9 +34,8 @@
 //!   recharge dead time between rounds, and thermal noise over the idle
 //!   gaps.
 //! * [`experiments`] — the registered drivers, one per table/figure of the
-//!   paper plus the CI perf snapshot. The `netscatter` CLI binary and the
-//!   per-figure shim binaries in `src/bin/` are thin wrappers around
-//!   [`experiments::registry`].
+//!   paper plus the CI perf snapshot. The `netscatter` CLI binary in
+//!   `src/bin/` is a thin wrapper around [`experiments::registry`].
 //! * [`stress`] — the `netscatter stress` harness: N simultaneous
 //!   synthesized TCP ingest streams driven at a `netscatterd` daemon
 //!   (in-process or `--connect`), scored for bit identity against the
@@ -50,8 +49,8 @@
 //!   terminal records with machine-readable codes, bit-identical healthy
 //!   decodes, admission rejects, no leaked serving threads.
 //! * [`cli`] — the unified `netscatter` command-line interface
-//!   (`list` / `run` / `sweep` / `serve` / `stress`) and the shared flag
-//!   parsing the shim binaries reuse.
+//!   (`list` / `run` / `sweep` / `serve` / `stress`) and the flag parsing
+//!   `perf_snapshot` shares with it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

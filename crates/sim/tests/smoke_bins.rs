@@ -1,5 +1,5 @@
-//! Smoke test: the unified `netscatter` CLI and every shim binary run to
-//! completion on a small problem size and print a non-empty report.
+//! Smoke test: the unified `netscatter` CLI runs every experiment to
+//! completion on a small problem size and prints a non-empty report.
 //!
 //! The binaries are executed as real subprocesses (cargo exposes their paths
 //! through `CARGO_BIN_EXE_*`), so this also covers the shared argument
@@ -31,11 +31,19 @@ fn run(exe: &str, args: &[&str]) -> String {
     stdout
 }
 
+const NETSCATTER: &str = env!("CARGO_BIN_EXE_netscatter");
+
+/// `netscatter run <id> [flags]`, asserting success and a report.
+fn run_experiment(id: &str, flags: &[&str]) -> String {
+    run(NETSCATTER, &[&["run", id], flags].concat())
+}
+
+/// One test per paper table/figure, named after its experiment id.
 macro_rules! smoke {
     ($($name:ident => $args:expr;)*) => {$(
         #[test]
         fn $name() {
-            run(env!(concat!("CARGO_BIN_EXE_", stringify!($name))), &$args);
+            run_experiment(stringify!($name), &$args);
         }
     )*};
 }
@@ -59,28 +67,23 @@ smoke! {
 #[test]
 fn network_figs_run_at_sample_fidelity() {
     // The sample-level smoke: Figs. 17–19 end-to-end through the
-    // superposition + decode chain, via the shim flag surface.
-    for exe in [
-        env!("CARGO_BIN_EXE_fig17"),
-        env!("CARGO_BIN_EXE_fig18"),
-        env!("CARGO_BIN_EXE_fig19"),
-    ] {
-        run(exe, &["--quick", "--fidelity", "sample"]);
+    // superposition + decode chain.
+    for id in ["fig17", "fig18", "fig19"] {
+        run_experiment(id, &["--quick", "--fidelity", "sample"]);
     }
 }
 
 #[test]
 fn shims_accept_the_universal_seed_and_threads_flags() {
-    // The seed is a flag now, not a constant baked into each binary: a
+    // The seed is a flag, not a constant baked into each experiment: a
     // different seed must change the Monte-Carlo figures...
-    let exe = env!("CARGO_BIN_EXE_fig04");
-    let default = run(exe, &["--quick"]);
-    let same = run(exe, &["--quick", "--seed", "42", "--threads", "2"]);
-    let reseeded = run(exe, &["--quick", "--seed", "7"]);
+    let default = run_experiment("fig04", &["--quick"]);
+    let same = run_experiment("fig04", &["--quick", "--seed", "42", "--threads", "2"]);
+    let reseeded = run_experiment("fig04", &["--quick", "--seed", "7"]);
     assert_eq!(default, same, "seed 42 is the default");
     assert_ne!(default, reseeded, "--seed must reach the experiment");
     // ...and unknown arguments still fail loudly.
-    let bad = spawn(exe, &["--qiuck"]);
+    let bad = spawn(NETSCATTER, &["run", "fig04", "--qiuck"]);
     assert_eq!(bad.status.code(), Some(2));
 }
 
