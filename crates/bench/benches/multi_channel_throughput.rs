@@ -3,7 +3,7 @@
 //!
 //! * `multi_channel_throughput/sharded/K` — K pre-synthesized 0.1 s
 //!   sample-level office streams (distinct arrival realizations, same
-//!   64-device population) through the `MultiChannelEngine`. Dividing
+//!   64-device population), one `StreamEngine` per channel. Dividing
 //!   K × 50 000 samples by the reported median gives the aggregate
 //!   Msamples/s `perf_snapshot` tracks in `BENCH_stream.json`'s
 //!   `multi_channel` table; on a single core the aggregate is flat in K

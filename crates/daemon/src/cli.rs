@@ -239,7 +239,12 @@ pub fn parse_serve_args(args: &[String]) -> Result<ServeOptions, CliUsage> {
                 }
             }
             "--chunk-samples" => opts.chunk_samples = num(arg, &value(&mut i, arg)?)?,
-            "--ring-slots" => opts.ring_slots = num(arg, &value(&mut i, arg)?)?,
+            "--ring-slots" => {
+                opts.ring_slots = num(arg, &value(&mut i, arg)?)?;
+                if opts.ring_slots == 0 {
+                    return Err(CliUsage::usage("--ring-slots must be at least 1"));
+                }
+            }
             "--workers" => opts.workers = num(arg, &value(&mut i, arg)?)?,
             "--detection-floor" => opts.detection_floor = Some(num(arg, &value(&mut i, arg)?)?),
             "--energy-gate-db" => opts.energy_gate_db = num(arg, &value(&mut i, arg)?)?,
@@ -482,6 +487,7 @@ mod tests {
             vec!["--bins", "a,b"],
             vec!["--bins", "64,512"], // 512 is not a shift of a 2^9-bin chirp
             vec!["--payload-bits", "0"],
+            vec!["--ring-slots", "0"], // a ring holds at least one chunk
             vec!["--sample-rate", "-1"],
             vec!["--header-timeout", "-1"],
             vec!["--idle-timeout", "nope"],
@@ -493,5 +499,7 @@ mod tests {
         assert_eq!(parse_serve_args(&args(&["--help"])).unwrap_err().code, 0);
         let last = parse_serve_args(&args(&["--bins", "0,511"])).expect("highest shift parses");
         assert_eq!(last.bins, vec![0, 511]);
+        let one = parse_serve_args(&args(&["--ring-slots", "1"])).expect("one slot parses");
+        assert_eq!(one.ring_slots, 1);
     }
 }

@@ -2,7 +2,8 @@
 //! against an in-process daemon: the header-deadline regression (a silent
 //! connection must not pin a serving thread forever), the idle-ingest
 //! deadline, admission control with slot reaping, and decode-worker panic
-//! supervision via header-carried fault injection.
+//! supervision via header-carried fault injection (for a client that
+//! closes, and for one that never stops streaming).
 
 use netscatter::json::Json;
 use netscatter_daemon::protocol::{self, code, StreamHeader};
@@ -296,6 +297,53 @@ fn worker_panics_are_supervised_and_reported() {
         1,
         "healthy stream must decode its packet: {lines:?}"
     );
+    daemon.shutdown();
+}
+
+/// A client that never stops streaming must still hear about a dead
+/// engine: the drop-oldest feed has to fail once nobody drains the ring, or
+/// the daemon reads and discards samples (counting ring drops) for as long
+/// as the client keeps sending and answers `worker_panic` only once it
+/// closes.
+#[test]
+fn a_dead_engine_ends_a_stream_that_keeps_sending() {
+    let mut cfg = test_config();
+    cfg.allow_fault_injection = true;
+    cfg.idle_deadline = Some(Duration::from_secs(20));
+    let daemon = Daemon::start(cfg).unwrap();
+
+    let sock = TcpStream::connect(daemon.ingest_addr()).expect("connect");
+    sock.set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut writer = sock.try_clone().unwrap();
+    let mut header = header_for("doomed-but-chatty");
+    header.fault_panic_span = Some(0);
+    let mut line = header.to_json_line();
+    line.push('\n');
+    writer.write_all(line.as_bytes()).unwrap();
+    // Packet 0 kills the only decode worker. The detection thread finds out
+    // when it hands that worker packet 1, so let the panic unwind first.
+    let packet = protocol::encode_cf32le(&one_packet_stream());
+    writer.write_all(&packet).unwrap();
+    std::thread::sleep(Duration::from_millis(300));
+    writer.write_all(&packet).unwrap();
+    // Then silence, one chunk every 2 ms, never closing: only a write error
+    // (the daemon hung up on us) stops this client.
+    let chatter = std::thread::spawn(move || {
+        let silence = protocol::encode_cf32le(&[Complex64::ZERO; 2048]);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while Instant::now() < deadline && writer.write_all(&silence).is_ok() {
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    });
+    let lines: Vec<String> = BufReader::new(sock).lines().map_while(Result::ok).collect();
+    chatter.join().unwrap();
+    assert_eq!(
+        terminal(&lines),
+        ("error".to_string(), code::WORKER_PANIC.to_string()),
+        "transcript: {lines:?}"
+    );
+    assert_eq!(daemon.health().snapshot().worker_panics, 1);
     daemon.shutdown();
 }
 

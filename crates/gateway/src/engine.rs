@@ -11,11 +11,11 @@
 //!   worker owns a receiver clone and reuses the batch
 //!   `ConcurrentReceiver::decode_round` path);
 //! * **feed** — [`StreamEngine::feed`] copies a chunk of samples into the
-//!   lock-free ring. Backpressure follows the configured
-//!   [`OverflowPolicy`]: `Block` spins until the detector frees a slot
+//!   blocking ring. Backpressure follows the configured
+//!   [`OverflowPolicy`]: `Block` parks until the detector frees a slot
 //!   (lossless replay), `DropOldest` displaces the oldest queued chunk and
 //!   counts it (the daemon's socket ingest — the TCP reader is never
-//!   blocked);
+//!   blocked); either way a feed fails once the detection thread is gone;
 //! * **drain** — [`StreamEngine::drain`] collects decoded packets *in
 //!   stream order* without blocking, so a serving loop can publish frames
 //!   while the stream is still flowing;
@@ -153,7 +153,7 @@ pub enum EngineError {
     /// A supervised thread panicked; the engine was torn down cleanly
     /// (every other thread joined) and the partial report preserved.
     WorkerPanic(Box<PanicReport>),
-    /// The engine configuration is invalid (e.g. zero channels).
+    /// The engine configuration is invalid (e.g. no source to serve).
     Config(String),
 }
 
@@ -203,6 +203,15 @@ impl std::fmt::Display for EngineClosed {
 
 impl std::error::Error for EngineClosed {}
 
+/// Resolves a `workers` setting: `0` means the available parallelism.
+pub(crate) fn resolve_workers(workers: usize) -> usize {
+    if workers == 0 {
+        std::thread::available_parallelism().map_or(1, |n| n.get())
+    } else {
+        workers
+    }
+}
+
 /// One live per-stream pipeline: ring → detector thread → decode worker
 /// pool → in-order reassembly. See the module docs for the lifecycle.
 pub struct StreamEngine {
@@ -240,7 +249,7 @@ impl StreamEngine {
     }
 
     /// As [`StreamEngine::spawn`], with an optional gate the detection
-    /// thread spins on before its first pop — lets tests stall the consumer
+    /// thread waits on before its first pop — lets tests stall the consumer
     /// deterministically to exercise the overflow policy.
     fn spawn_inner(
         config: &GatewayConfig,
@@ -250,14 +259,8 @@ impl StreamEngine {
         let mut detector = StreamDetector::new(config)?;
         let telemetry = Arc::new(EngineTelemetry::default());
         detector.set_telemetry(telemetry.detect.clone());
-        let workers = if config.workers == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            config.workers
-        };
-        let (mut ring_tx, ring_rx) = spsc_ring::<Chunk>(config.ring_slots.max(1));
+        let workers = resolve_workers(config.workers);
+        let (mut ring_tx, ring_rx) = spsc_ring::<Chunk>(config.ring_slots);
         ring_tx.set_telemetry(telemetry.ring.clone());
         let (result_tx, result_rx) = mpsc::channel::<Result<TimedPacket, FftError>>();
         let stats = Arc::new(EngineStats::default());
@@ -375,7 +378,8 @@ impl StreamEngine {
 
     /// Copies `samples` into the ring as one chunk, applying the overflow
     /// policy. Returns how many chunks the push displaced (always 0 under
-    /// [`OverflowPolicy::Block`]).
+    /// [`OverflowPolicy::Block`]), or [`EngineClosed`] under either policy
+    /// once the detection thread has stopped consuming.
     pub fn feed(&mut self, samples: &[Complex64]) -> Result<u64, EngineClosed> {
         if samples.is_empty() {
             return Ok(0);
@@ -387,9 +391,10 @@ impl StreamEngine {
             ingested_at: Instant::now(),
         };
         match self.policy {
-            OverflowPolicy::Block => producer.push(chunk).map(|()| 0).map_err(|_| EngineClosed),
-            OverflowPolicy::DropOldest => Ok(producer.force_push(chunk)),
+            OverflowPolicy::Block => producer.push(chunk).map(|()| 0),
+            OverflowPolicy::DropOldest => producer.force_push(chunk),
         }
+        .map_err(|_| EngineClosed)
     }
 
     /// Collects every packet decoded so far, in stream order, without
@@ -565,191 +570,13 @@ fn detection_loop(
     }
 }
 
-/// A sharded gateway: `K` independent 500 kHz channels, each served by its
-/// own [`StreamEngine`] (one detector thread plus a private decode worker
-/// pool), under one shared thread budget.
-///
-/// NetScatter's gateway listens to several adjacent 500 kHz channels at
-/// once (§5: three channels triple the device population). The channels
-/// are fully independent at the PHY level — separate detectors, separate
-/// noise-floor estimates, separate packet sequence numbers — so the shard
-/// boundary is exactly the channel boundary and no cross-channel
-/// synchronization exists anywhere on the hot path.
-///
-/// **Thread budget.** `config.workers` is interpreted as the *total*
-/// decode-worker budget across all channels (`0` resolves to the available
-/// parallelism, as for a single engine). Each channel receives its fair
-/// share, never less than one worker; the first `budget % channels`
-/// channels absorb the remainder. Each channel additionally owns its
-/// detection thread, mirroring how a multi-channel SDR frontend dedicates
-/// a DDC per channel.
-///
-/// The lifecycle mirrors [`StreamEngine`]: `spawn` → `feed`/`drain` (now
-/// channel-indexed) → `shutdown`, which returns per-channel
-/// [`GatewayReport`]s plus aggregate counters via
-/// [`crate::pipeline::MultiChannelReport`].
-pub struct MultiChannelEngine {
-    engines: Vec<StreamEngine>,
-    sample_rate_hz: f64,
-    started: Instant,
-}
-
-impl MultiChannelEngine {
-    /// Spawns `channels` independent per-channel engines for `config`,
-    /// splitting the worker budget as described on the type.
-    ///
-    /// Returns [`EngineError::Config`] when `channels` is zero.
-    pub fn spawn(
-        config: &GatewayConfig,
-        channels: usize,
-        sample_rate_hz: f64,
-    ) -> Result<Self, EngineError> {
-        if channels == 0 {
-            return Err(EngineError::Config(
-                "channel count must be at least 1".to_string(),
-            ));
-        }
-        let budget = if config.workers == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            config.workers
-        };
-        let mut engines = Vec::with_capacity(channels);
-        for channel in 0..channels {
-            let mut per_channel = config.clone();
-            per_channel.workers =
-                (budget / channels + usize::from(channel < budget % channels)).max(1);
-            engines.push(StreamEngine::spawn(&per_channel, sample_rate_hz)?);
-        }
-        Ok(Self {
-            engines,
-            sample_rate_hz,
-            started: Instant::now(),
-        })
-    }
-
-    /// Number of channels this engine was spawned with (≥ 1).
-    pub fn channels(&self) -> usize {
-        self.engines.len()
-    }
-
-    /// The per-channel ingest sample rate the engine was spawned with.
-    pub fn sample_rate_hz(&self) -> f64 {
-        self.sample_rate_hz
-    }
-
-    /// Decode workers serving `channel` (the shard's slice of the budget).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `channel` is out of range; validate against
-    /// [`Self::channels`] when the index comes from the wire.
-    pub fn channel_workers(&self, channel: usize) -> usize {
-        self.engines[channel].workers.len()
-    }
-
-    /// Live telemetry handle for `channel`'s engine; see
-    /// [`StreamEngine::telemetry`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `channel` is out of range; validate against
-    /// [`Self::channels`] when the index comes from the wire.
-    pub fn channel_telemetry(&self, channel: usize) -> Arc<EngineTelemetry> {
-        self.engines[channel].telemetry()
-    }
-
-    /// Feeds one chunk into `channel`'s ring, applying that channel's
-    /// overflow policy. Returns how many chunks the push displaced.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `channel` is out of range; validate against
-    /// [`Self::channels`] when the index comes from the wire.
-    pub fn feed(&mut self, channel: usize, samples: &[Complex64]) -> Result<u64, EngineClosed> {
-        self.engines[channel].feed(samples)
-    }
-
-    /// Collects `channel`'s packets decoded so far, in that channel's
-    /// stream order, without blocking.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `channel` is out of range.
-    pub fn drain(&mut self, channel: usize) -> Vec<DecodedPacket> {
-        self.engines[channel].drain()
-    }
-
-    /// Drains every channel, tagging each packet with its channel index.
-    /// Within one channel the packets are in stream order.
-    pub fn drain_all(&mut self) -> Vec<(usize, DecodedPacket)> {
-        let mut out = Vec::new();
-        for (channel, engine) in self.engines.iter_mut().enumerate() {
-            out.extend(engine.drain().into_iter().map(|p| (channel, p)));
-        }
-        out
-    }
-
-    /// Total samples consumed from all channel rings so far.
-    pub fn samples_processed(&self) -> u64 {
-        self.engines
-            .iter()
-            .map(StreamEngine::samples_processed)
-            .sum()
-    }
-
-    /// Shuts every channel down (closing rings, joining all detection and
-    /// worker threads) and returns the per-channel reports plus aggregate
-    /// counters. The first channel error — a supervised panic or decode
-    /// error — is returned after *all* channels are torn down, so no
-    /// thread outlives the call.
-    pub fn shutdown(self) -> Result<crate::pipeline::MultiChannelReport, EngineError> {
-        let mut reports = Vec::with_capacity(self.engines.len());
-        let mut first_error = None;
-        for engine in self.engines {
-            match engine.shutdown() {
-                Ok(report) => reports.push(report),
-                Err(e) => {
-                    if first_error.is_none() {
-                        first_error = Some(e);
-                    }
-                }
-            }
-        }
-        if let Some(e) = first_error {
-            return Err(e);
-        }
-        Ok(crate::pipeline::MultiChannelReport::new(
-            reports,
-            self.started.elapsed().as_secs_f64().max(1e-12),
-            self.sample_rate_hz,
-        ))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netscatter_phy::distributed::OnOffModulator;
+    use crate::stream_with_packets;
     use netscatter_phy::params::PhyProfile;
-    use netscatter_phy::preamble::PreambleBuilder;
     use std::sync::atomic::AtomicBool;
-
-    /// A stream with `count` ideal single-device packets at varying gaps.
-    fn stream_with_packets(bin: usize, bits: &[bool], count: usize) -> Vec<Complex64> {
-        let params = PhyProfile::default().modulation.chirp();
-        let mut pkt = PreambleBuilder::new(params, bin).build(0.0, 0.0, 1.0);
-        pkt.extend(OnOffModulator::new(params, bin).modulate_payload(bits, 0.0, 0.0, 1.0));
-        let mut stream = Vec::new();
-        for i in 0..count {
-            stream.extend(vec![Complex64::ZERO; 400 + 137 * i]);
-            stream.extend(&pkt);
-        }
-        stream.extend(vec![Complex64::ZERO; 200]);
-        stream
-    }
+    use std::time::Duration;
 
     #[test]
     fn shutdown_drains_every_in_flight_round() {
@@ -855,7 +682,7 @@ mod tests {
             if timed.len() == 3 {
                 break;
             }
-            std::thread::yield_now();
+            std::thread::sleep(Duration::from_millis(1));
         }
         for (i, t) in timed.iter().enumerate() {
             assert_eq!(t.packet.index, i);
@@ -956,100 +783,45 @@ mod tests {
     }
 
     #[test]
-    fn multi_channel_rejects_zero_channels() {
-        let cfg = GatewayConfig::new(PhyProfile::default(), vec![0], 4);
-        match MultiChannelEngine::spawn(&cfg, 0, 500e3) {
-            Err(EngineError::Config(message)) => {
-                assert!(message.contains("at least 1"), "{message}")
-            }
-            other => panic!("expected Config error, got {:?}", other.map(|_| ())),
-        }
-    }
-
-    #[test]
-    fn multi_channel_splits_the_worker_budget_fairly() {
-        let cfg = GatewayConfig {
-            workers: 5,
-            ..GatewayConfig::new(PhyProfile::default(), vec![0], 4)
-        };
-        let engine = MultiChannelEngine::spawn(&cfg, 3, 500e3).unwrap();
-        // 5 workers over 3 channels: 2 + 2 + 1, never less than one.
-        assert_eq!(engine.channels(), 3);
-        let split: Vec<usize> = (0..3).map(|c| engine.channel_workers(c)).collect();
-        assert_eq!(split, vec![2, 2, 1]);
-        assert!(engine.shutdown().is_ok());
-
-        // More channels than budgeted workers: every channel still gets one.
-        let engine = MultiChannelEngine::spawn(&cfg, 8, 500e3).unwrap();
-        assert!((0..8).all(|c| engine.channel_workers(c) == 1));
-        assert!(engine.shutdown().is_ok());
-    }
-
-    #[test]
-    fn channels_are_independent_and_reports_stay_per_channel() {
-        // Different packet populations per channel: each channel's report
-        // must carry exactly its own packets with its own sequence numbers,
-        // with nothing leaking across the shard boundary.
+    fn dead_engine_under_drop_oldest_refuses_the_feed() {
+        // Span 0 detonates the only decode worker; dispatching span 1 to it
+        // is how the detection thread finds out and stops consuming. From
+        // then on a drop-oldest feed must fail like a blocking one, not
+        // displace chunks into a ring nobody drains.
         let bits = vec![true, false, true, true];
         let cfg = GatewayConfig {
-            workers: 2,
-            ..GatewayConfig::new(PhyProfile::default(), vec![64, 192], bits.len())
-        };
-        let ch0 = stream_with_packets(64, &bits, 3);
-        let ch1 = stream_with_packets(192, &bits, 1);
-        let mut engine = MultiChannelEngine::spawn(&cfg, 2, 500e3).unwrap();
-        for chunk in ch0.chunks(900) {
-            engine.feed(0, chunk).unwrap();
-        }
-        for chunk in ch1.chunks(700) {
-            engine.feed(1, chunk).unwrap();
-        }
-        let report = engine.shutdown().unwrap();
-        assert_eq!(report.channels.len(), 2);
-        assert_eq!(report.channels[0].packets.len(), 3);
-        assert_eq!(report.channels[1].packets.len(), 1);
-        for (i, p) in report.channels[0].packets.iter().enumerate() {
-            assert_eq!(p.index, i, "per-channel sequence numbers restart at 0");
-            assert_eq!(p.round.bits_for(64).unwrap(), &bits[..]);
-        }
-        assert_eq!(
-            report.channels[1].packets[0].round.bits_for(192).unwrap(),
-            &bits[..]
-        );
-        assert_eq!(
-            report.samples_in,
-            (ch0.len() + ch1.len()) as u64,
-            "aggregate counters sum the shards"
-        );
-        assert_eq!(report.total_packets(), 4);
-        assert!(report.aggregate_samples_per_sec > 0.0);
-    }
-
-    #[test]
-    fn multi_channel_worker_panic_still_tears_down_every_channel() {
-        // Channel 0's worker detonates on its first span; channel 1 is
-        // healthy. Shutdown must join *all* threads across *all* channels
-        // before surfacing the panic as a typed error.
-        let bits = vec![true, false, true, false];
-        let cfg = GatewayConfig {
-            workers: 2,
+            ring_slots: 4,
+            workers: 1,
+            overflow: OverflowPolicy::DropOldest,
             fault_panic_span: Some(0),
             ..GatewayConfig::new(PhyProfile::default(), vec![64], bits.len())
         };
-        let stream = stream_with_packets(64, &bits, 1);
-        let mut engine = MultiChannelEngine::spawn(&cfg, 2, 500e3).unwrap();
-        for chunk in stream.chunks(800) {
-            let _ = engine.feed(0, chunk);
+        let packet = stream_with_packets(64, &bits, 1);
+        let mut engine = StreamEngine::spawn(&cfg, 500e3).unwrap();
+        // Paced feeds, so the 4-slot ring never displaces a chunk the
+        // detector has yet to see.
+        let feed_paced = |engine: &mut StreamEngine, samples: &[Complex64]| {
+            std::thread::sleep(Duration::from_millis(5));
+            engine.feed(samples)
+        };
+        for chunk in packet.chunks(1000) {
+            feed_paced(&mut engine, chunk).unwrap();
         }
-        // Channel 1 sees only silence (no span, so its fault hook never fires).
-        engine.feed(1, &vec![Complex64::ZERO; 4096]).unwrap();
-        match engine.shutdown() {
-            Err(EngineError::WorkerPanic(p)) => {
-                assert_eq!(p.role, "decode-worker");
-                assert!(p.message.contains("injected decode fault"), "{}", p.message);
-            }
-            other => panic!("expected WorkerPanic, got {:?}", other.map(|_| ())),
+        while !engine.workers[0].is_finished() {
+            feed_paced(&mut engine, &packet[..200]).unwrap(); // silence
         }
+        for chunk in packet.chunks(1000) {
+            let _ = feed_paced(&mut engine, chunk);
+        }
+        // Span 1 is on its way to the dead worker: the feed must start
+        // failing within a ring's worth of silence and a few chunks.
+        let refused =
+            (0..cfg.ring_slots + 8).any(|_| feed_paced(&mut engine, &packet[..200]).is_err());
+        assert!(refused, "a dead engine kept accepting chunks");
+        assert!(matches!(
+            engine.shutdown(),
+            Err(EngineError::WorkerPanic(p)) if p.role == "decode-worker"
+        ));
     }
 
     #[test]

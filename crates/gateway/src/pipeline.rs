@@ -5,11 +5,12 @@
 //! * [`StreamGateway`] — the synchronous, single-threaded facade: feed
 //!   chunks, get decoded packets back. This is the deterministic core the
 //!   equivalence tests pin against the batch receiver.
-//! * [`run_stream`] — the real-time topology, a run-to-completion session
-//!   over the reusable [`crate::engine::StreamEngine`]: the calling thread
-//!   pulls chunks from a [`StreamSource`] and feeds them through the
-//!   lock-free ring; the engine's detection thread locates packets in
-//!   stream order and `workers` decode threads handle them round-robin;
+//! * [`run_multi_stream`] — the real-time topology, a run-to-completion
+//!   session over one reusable [`crate::engine::StreamEngine`] per source
+//!   ([`run_stream`] is the one-source case): the calling thread pulls
+//!   chunks from each [`StreamSource`] and feeds them through that
+//!   engine's blocking ring; the engine's detection thread locates packets
+//!   in stream order and its decode workers handle them round-robin;
 //!   results are reassembled in packet order. The report carries the
 //!   measured throughput and the real-time factor (throughput over the
 //!   source's sample rate) — the number that says whether this gateway
@@ -22,12 +23,13 @@
 //! over to the streaming receiver.
 
 use crate::detect::{GatewayConfig, PacketSpan, StreamDetector};
-use crate::engine::{EngineError, MultiChannelEngine, StreamEngine};
+use crate::engine::{resolve_workers, EngineError, StreamEngine};
 use crate::source::StreamSource;
 use netscatter::receiver::{ConcurrentReceiver, DecodedRound};
 use netscatter_dsp::fft::FftError;
 use netscatter_dsp::Complex64;
 use netscatter_obs::HistogramSnapshot;
+use std::time::Instant;
 
 /// One decoded packet of the stream.
 #[derive(Debug, Clone, PartialEq)]
@@ -123,10 +125,9 @@ impl GatewayReport {
 /// The outcome of one multi-channel session: per-channel reports plus the
 /// aggregate counters a capacity planner actually reads.
 ///
-/// Produced by [`crate::engine::MultiChannelEngine::shutdown`] and
-/// [`run_multi_stream`]. The per-channel [`GatewayReport`]s keep their own
-/// packets, sequence numbers and throughput; the aggregate fields sum the
-/// shards over the *shared* wall-clock window, so
+/// Produced by [`run_multi_stream`]. The per-channel [`GatewayReport`]s
+/// keep their own packets, sequence numbers and throughput; the aggregate
+/// fields sum the shards over the *shared* wall-clock window, so
 /// [`MultiChannelReport::aggregate_samples_per_sec`] is the whole
 /// gateway's ingest capacity, not an average of the shards.
 #[derive(Debug, Clone)]
@@ -154,7 +155,7 @@ pub struct MultiChannelReport {
 impl MultiChannelReport {
     /// Assembles the aggregate view over per-channel reports measured in
     /// one shared wall-clock window of `elapsed_s` seconds.
-    pub(crate) fn new(channels: Vec<GatewayReport>, elapsed_s: f64, sample_rate_hz: f64) -> Self {
+    fn new(channels: Vec<GatewayReport>, elapsed_s: f64, sample_rate_hz: f64) -> Self {
         let samples_in: u64 = channels.iter().map(|r| r.samples_in).sum();
         let aggregate_samples_per_sec = samples_in as f64 / elapsed_s;
         let combined_rate = sample_rate_hz * channels.len() as f64;
@@ -266,42 +267,37 @@ pub(crate) fn decode_span(
 }
 
 /// Runs the full threaded pipeline over `source` until it is exhausted and
-/// returns the report. Deterministic for a deterministic source: the
-/// engine's detection thread runs in stream order, and decoded packets are
-/// reassembled by sequence number regardless of worker scheduling. The
-/// configured overflow policy applies; under the default
-/// [`crate::engine::OverflowPolicy::Block`] the session is lossless.
+/// returns the report: [`run_multi_stream`] with one channel. Deterministic
+/// for a deterministic source: the engine's detection thread runs in stream
+/// order, and decoded packets are reassembled by sequence number regardless
+/// of worker scheduling. The configured overflow policy applies; under the
+/// default [`crate::engine::OverflowPolicy::Block`] the session is lossless.
 pub fn run_stream(
     source: &mut dyn StreamSource,
     config: &GatewayConfig,
 ) -> Result<GatewayReport, EngineError> {
-    let mut engine = StreamEngine::spawn(config, source.sample_rate_hz())?;
-    let chunk_samples = config.chunk_samples.max(1);
-    let mut buf = vec![Complex64::ZERO; chunk_samples];
-    loop {
-        let got = source.fill(&mut buf);
-        if got == 0 {
-            break;
-        }
-        if engine.feed(&buf[..got]).is_err() {
-            break; // engine torn down under us; shutdown() reports why
-        }
-        if got < chunk_samples {
-            break; // short read = end of stream
-        }
-    }
-    engine.shutdown()
+    let mut report = run_channels(&mut [source], config)?;
+    Ok(report.channels.remove(0))
 }
 
 /// Runs the sharded pipeline over one source per channel until every
 /// source is exhausted, then returns the per-channel and aggregate report.
 ///
+/// NetScatter's gateway listens to several adjacent 500 kHz channels at
+/// once (§5: three channels triple the device population), and they are
+/// independent at the PHY level, so each channel gets its own
+/// [`StreamEngine`] and nothing is shared on the hot path. `config.workers`
+/// is the *total* decode-worker budget (`0` = the available parallelism):
+/// every channel gets its fair share, never less than one worker, on top of
+/// its own detection thread.
+///
 /// Sources are served round-robin, one chunk per channel per lap, so no
 /// channel's ring starves while another replays — the feed order a
 /// multi-channel frontend's DMA would produce. Each channel keeps the
-/// determinism of [`run_stream`]: detection runs in that channel's stream
-/// order and packets reassemble by sequence number, so per-channel results
-/// are bit-identical to a single-channel session over the same samples.
+/// determinism of [`run_stream`], so per-channel results are bit-identical
+/// to a single-channel session over the same samples. An engine error — a
+/// supervised panic or decode error — is returned only after *every*
+/// channel is torn down, so no thread outlives the call.
 ///
 /// The first source's sample rate is used for the aggregate real-time
 /// factor (NetScatter channels are homogeneous 500 kHz slices).
@@ -310,13 +306,41 @@ pub fn run_multi_stream(
     sources: &mut [Box<dyn StreamSource>],
     config: &GatewayConfig,
 ) -> Result<MultiChannelReport, EngineError> {
+    let mut sources: Vec<_> = sources
+        .iter_mut()
+        .map(|source| source.as_mut() as &mut dyn StreamSource)
+        .collect();
+    run_channels(&mut sources, config)
+}
+
+/// Decode workers for each of `channels` engines under a total `budget`:
+/// the fair share, never less than one, the first `budget % channels`
+/// channels absorbing the remainder.
+fn split_workers(budget: usize, channels: usize) -> impl Iterator<Item = usize> {
+    (0..channels)
+        .map(move |channel| (budget / channels + usize::from(channel < budget % channels)).max(1))
+}
+
+/// The one feed loop behind [`run_stream`] and [`run_multi_stream`].
+fn run_channels(
+    sources: &mut [&mut dyn StreamSource],
+    config: &GatewayConfig,
+) -> Result<MultiChannelReport, EngineError> {
     let Some(first) = sources.first() else {
         return Err(EngineError::Config(
             "multi-channel session needs at least one source".to_string(),
         ));
     };
     let sample_rate_hz = first.sample_rate_hz();
-    let mut engine = MultiChannelEngine::spawn(config, sources.len(), sample_rate_hz)?;
+    let started = Instant::now();
+    let mut engines = Vec::with_capacity(sources.len());
+    for workers in split_workers(resolve_workers(config.workers), sources.len()) {
+        let per_channel = GatewayConfig {
+            workers,
+            ..config.clone()
+        };
+        engines.push(StreamEngine::spawn(&per_channel, sample_rate_hz)?);
+    }
     let chunk_samples = config.chunk_samples.max(1);
     let mut buf = vec![Complex64::ZERO; chunk_samples];
     let mut live = vec![true; sources.len()];
@@ -327,7 +351,7 @@ pub fn run_multi_stream(
                 continue;
             }
             let got = source.fill(&mut buf);
-            let fed = got == 0 || engine.feed(channel, &buf[..got]).is_ok();
+            let fed = got == 0 || engines[channel].feed(&buf[..got]).is_ok();
             if got < chunk_samples || !fed {
                 // Short read = end of this channel's stream; a failed feed
                 // means that channel's engine was torn down (shutdown
@@ -337,30 +361,19 @@ pub fn run_multi_stream(
             }
         }
     }
-    engine.shutdown()
+    // Shut every engine down before surfacing the first error.
+    let reports: Vec<_> = engines.into_iter().map(StreamEngine::shutdown).collect();
+    let reports = reports.into_iter().collect::<Result<Vec<_>, _>>()?;
+    let elapsed_s = started.elapsed().as_secs_f64().max(1e-12);
+    Ok(MultiChannelReport::new(reports, elapsed_s, sample_rate_hz))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::source::ReplaySource;
-    use netscatter_phy::distributed::OnOffModulator;
+    use crate::stream_with_packets;
     use netscatter_phy::params::PhyProfile;
-    use netscatter_phy::preamble::PreambleBuilder;
-
-    /// A stream with `count` ideal single-device packets at varying gaps.
-    fn stream_with_packets(bin: usize, bits: &[bool], count: usize) -> Vec<Complex64> {
-        let params = PhyProfile::default().modulation.chirp();
-        let mut pkt = PreambleBuilder::new(params, bin).build(0.0, 0.0, 1.0);
-        pkt.extend(OnOffModulator::new(params, bin).modulate_payload(bits, 0.0, 0.0, 1.0));
-        let mut stream = Vec::new();
-        for i in 0..count {
-            stream.extend(vec![Complex64::ZERO; 400 + 137 * i]);
-            stream.extend(&pkt);
-        }
-        stream.extend(vec![Complex64::ZERO; 200]);
-        stream
-    }
 
     #[test]
     fn synchronous_gateway_decodes_every_packet() {
@@ -444,6 +457,47 @@ mod tests {
         assert_eq!(report.detected_rounds(), 5);
         assert!(report.aggregate_samples_per_sec > 0.0);
         assert!(report.aggregate_real_time_factor > 0.0);
+    }
+
+    #[test]
+    fn worker_budget_splits_fairly_and_never_below_one() {
+        // 5 workers over 3 channels: 2 + 2 + 1.
+        assert_eq!(split_workers(5, 3).collect::<Vec<_>>(), vec![2, 2, 1]);
+        assert_eq!(split_workers(6, 1).collect::<Vec<_>>(), vec![6]);
+        // More channels than budgeted workers: every channel still gets one.
+        assert!(split_workers(5, 8).eq([1; 8]));
+    }
+
+    #[test]
+    fn multi_stream_worker_panic_still_tears_down_every_channel() {
+        // Channel 0's worker detonates on its first span; channel 1 sees
+        // only silence (no span, so its fault hook never fires). The session
+        // must join *all* threads across *all* channels before surfacing
+        // the panic as a typed error.
+        let bits = vec![true, false, true, false];
+        let cfg = GatewayConfig {
+            chunk_samples: 800,
+            workers: 2,
+            fault_panic_span: Some(0),
+            ..GatewayConfig::new(PhyProfile::default(), vec![64], bits.len())
+        };
+        let mut sources: Vec<Box<dyn StreamSource>> = vec![
+            Box::new(ReplaySource::from_samples(
+                stream_with_packets(64, &bits, 1),
+                500e3,
+            )),
+            Box::new(ReplaySource::from_samples(
+                vec![Complex64::ZERO; 4096],
+                500e3,
+            )),
+        ];
+        match run_multi_stream(&mut sources, &cfg) {
+            Err(EngineError::WorkerPanic(p)) => {
+                assert_eq!(p.role, "decode-worker");
+                assert!(p.message.contains("injected decode fault"), "{}", p.message);
+            }
+            other => panic!("expected WorkerPanic, got {:?}", other.map(|_| ())),
+        }
     }
 
     #[test]

@@ -1,382 +1,207 @@
-//! A bounded lock-free ring buffer with per-slot sequence tickets.
+//! A bounded blocking queue for sample chunks.
 //!
 //! The gateway pipeline moves sample chunks from the producer thread (which
 //! owns the [`crate::source::StreamSource`] or the daemon's socket reader)
-//! to the detector without taking a lock on the hot path. The ring is a
-//! fixed array of slots, each carrying an atomic *sequence ticket*, plus two
-//! monotonically increasing counters, `tail` (push tickets) and `head` (pop
-//! tickets):
+//! to the detector through a `Mutex<VecDeque<T>>` and two condition
+//! variables: [`RingConsumer::pop`] parks on `not_empty`, a blocking
+//! [`RingProducer::push`] on `not_full`. Nobody spins, so an idle stream
+//! costs no CPU, and a chunk is thousands of samples, so one uncontended
+//! lock per hand-off is noise beside the copy that fills it.
 //!
-//! * slot `i % capacity` with `seq == i` is **free** and may be claimed by a
-//!   pusher holding ticket `i`; after writing the item the pusher publishes
-//!   `seq = i + 1`;
-//! * slot `i % capacity` with `seq == i + 1` is **published** and may be
-//!   claimed by a popper holding ticket `i`; after taking the item the
-//!   popper recycles the slot with `seq = i + capacity`.
-//!
-//! Tickets are claimed by compare-and-swap on `tail`/`head`, so a slot is
-//! only ever touched by the one thread that won its ticket — that is the
-//! entire safety argument for the two `unsafe` blocks below. Relative to a
-//! plain two-counter SPSC ring, the tickets buy one crucial extra freedom:
-//! **the producer may also pop**. That is what implements the gateway's
-//! drop-oldest backpressure policy ([`RingProducer::force_push`]): when the
-//! ring is full, the producer dequeues (and drops) the oldest chunk instead
-//! of blocking the socket reader, and the displacement is counted in a drop
-//! metric both halves can read. The consumer's pop CAS makes the concurrent
-//! producer-side displacement race-free.
-//!
-//! When its counterpart is not ready, a blocking side spins with
-//! [`std::thread::yield_now`] — the ring carries multi-kilobyte sample
-//! chunks, so the handoff rate is a few thousand per second and the spin is
-//! never hot. Dropping the producer closes the ring; the consumer drains
-//! whatever was already published and then observes the end of stream.
-
-use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::time::Instant;
+//! Every operation runs under that lock, so the producer may also pop: the
+//! drop-oldest policy ([`RingProducer::force_push`]) removes and counts the
+//! oldest chunk of a full ring instead of blocking the socket reader.
+//! Dropping the producer closes the ring (the consumer drains it, then sees
+//! the end of stream); dropping the consumer fails every later push, and
+//! one already parked on a full ring.
 
 use netscatter_obs::{Counter, Gauge, Histogram};
+use std::collections::VecDeque;
+use std::sync::{Arc, Condvar, LockResult, Mutex, MutexGuard, PoisonError};
+use std::time::Instant;
 
-/// Producer-side pressure telemetry for one ring.
-///
-/// Attached with [`RingProducer::set_telemetry`]; recording happens only
-/// on the producer (the single thread that feels backpressure), so every
-/// write is an uncontended relaxed atomic. The occupancy high-water mark
-/// answers "how close did this stream come to dropping?", and the wait
-/// histogram prices what the [`OverflowPolicy::Block`] policy actually
-/// cost the feeder.
+/// Producer-side pressure telemetry for one ring, shared out with
+/// [`RingProducer::set_telemetry`]. Only the producer (the one thread that
+/// feels backpressure) records, so every write is an uncontended relaxed
+/// atomic. The high-water mark answers "how close did this stream come to
+/// dropping?"; the wait histogram prices [`OverflowPolicy::Block`].
 #[derive(Debug, Default)]
 pub struct RingTelemetry {
     /// Highest queue depth observed immediately after a push.
     pub occupancy_hwm: Gauge,
-    /// Pushes that found every slot taken (then either waited — Block —
-    /// or displaced the oldest item — DropOldest).
+    /// Pushes that found every slot taken (then waited, or displaced).
     pub full_events: Counter,
-    /// Nanoseconds a blocking [`RingProducer::push`] spent waiting for a
-    /// free slot, one observation per full event.
+    /// Nanoseconds a blocking [`RingProducer::push`] waited for a free
+    /// slot, one observation per full event it outlasted.
     pub block_wait_ns: Histogram,
 }
 
 /// What the producer does when the ring is full.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum OverflowPolicy {
-    /// Spin until the consumer frees a slot (lossless; backpressure
-    /// propagates to the producer). The policy of [`crate::pipeline::run_stream`],
-    /// where the producer owns a replayable source and may simply wait.
+    /// Wait until the consumer frees a slot: lossless, and the policy of
+    /// [`crate::pipeline::run_stream`], whose replayable source can wait.
     #[default]
     Block,
-    /// Displace the oldest queued item and count it as dropped (lossy;
-    /// the producer never blocks). The policy of the daemon's socket
-    /// ingest, where blocking the reader would stall the TCP peer and
-    /// blow the kernel socket buffer instead.
+    /// Displace the oldest queued item and count it as dropped (lossy; the
+    /// producer never blocks). The policy of the daemon's socket ingest,
+    /// where blocking the reader would stall the TCP peer instead.
     DropOldest,
 }
 
-/// One slot: the sequence ticket that encodes whose turn it is, plus the
-/// item storage it guards.
-struct Slot<T> {
-    seq: AtomicUsize,
-    value: UnsafeCell<Option<T>>,
+/// Everything the lock guards.
+struct Queue<T> {
+    items: VecDeque<T>,
+    /// The producer is gone: `pop` ends the stream once `items` is empty.
+    closed: bool,
+    /// The consumer is gone: nobody will ever drain us, so pushes fail.
+    consumer_gone: bool,
+    /// Items displaced by [`RingProducer::force_push`] since creation.
+    dropped: u64,
 }
 
 /// Shared state of one ring.
-struct RingInner<T> {
-    slots: Box<[Slot<T>]>,
-    /// Next pop ticket. Claimed by CAS (consumer, or producer displacing).
-    head: AtomicUsize,
-    /// Next push ticket. Claimed by CAS.
-    tail: AtomicUsize,
-    /// Set when the producer is dropped or closes the stream explicitly.
-    closed: AtomicBool,
-    /// Items displaced by [`RingProducer::force_push`] since creation.
-    dropped: AtomicU64,
+struct Shared<T> {
+    queue: Mutex<Queue<T>>,
+    capacity: usize,
+    not_empty: Condvar,
+    not_full: Condvar,
 }
 
-// SAFETY: the ticket protocol documented on the module ensures a slot is
-// never accessed by two threads at once, so sharing the ring across threads
-// is sound whenever the items themselves may cross threads.
-unsafe impl<T: Send> Sync for RingInner<T> {}
-unsafe impl<T: Send> Send for RingInner<T> {}
-
-impl<T> RingInner<T> {
-    /// Occupied slots right now (approximate under concurrency: the two
-    /// counters are loaded independently — good enough for telemetry).
-    fn len(&self) -> usize {
-        let tail = self.tail.load(Ordering::Relaxed);
-        let head = self.head.load(Ordering::Relaxed);
-        tail.wrapping_sub(head)
-    }
-
-    /// Claims a push ticket and stores `item`; gives `item` back when the
-    /// ring is full at the moment of the attempt.
-    fn try_enqueue(&self, item: T) -> Result<(), T> {
-        let cap = self.slots.len();
-        let mut tail = self.tail.load(Ordering::Relaxed);
-        loop {
-            let slot = &self.slots[tail % cap];
-            let seq = slot.seq.load(Ordering::Acquire);
-            let dif = seq.wrapping_sub(tail) as isize;
-            if dif == 0 {
-                match self.tail.compare_exchange_weak(
-                    tail,
-                    tail.wrapping_add(1),
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => {
-                        // SAFETY: this thread won ticket `tail`, so until the
-                        // Release store below publishes `seq = tail + 1` no
-                        // other thread may touch this slot.
-                        unsafe { *slot.value.get() = Some(item) };
-                        slot.seq.store(tail.wrapping_add(1), Ordering::Release);
-                        return Ok(());
-                    }
-                    Err(t) => tail = t,
-                }
-            } else if dif < 0 {
-                // The slot still holds the item from one lap ago: full.
-                return Err(item);
-            } else {
-                tail = self.tail.load(Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Claims a pop ticket and takes the item; `None` when the ring is
-    /// empty at the moment of the attempt.
-    fn try_dequeue(&self) -> Option<T> {
-        let cap = self.slots.len();
-        let mut head = self.head.load(Ordering::Relaxed);
-        loop {
-            let slot = &self.slots[head % cap];
-            let seq = slot.seq.load(Ordering::Acquire);
-            let dif = seq.wrapping_sub(head.wrapping_add(1)) as isize;
-            if dif == 0 {
-                match self.head.compare_exchange_weak(
-                    head,
-                    head.wrapping_add(1),
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => {
-                        // SAFETY: this thread won ticket `head`, so it has
-                        // exclusive access to this published slot until the
-                        // Release store below recycles it for the producer.
-                        let item = unsafe { (*slot.value.get()).take() };
-                        slot.seq.store(head.wrapping_add(cap), Ordering::Release);
-                        return Some(item.expect("published slot holds an item"));
-                    }
-                    Err(h) => head = h,
-                }
-            } else if dif < 0 {
-                return None;
-            } else {
-                head = self.head.load(Ordering::Relaxed);
-            }
-        }
-    }
+/// Takes the guard out of a lock or wait result. No user code runs under
+/// the lock, so even a poisoned mutex guards a consistent queue.
+fn guard<G>(result: LockResult<G>) -> G {
+    result.unwrap_or_else(PoisonError::into_inner)
 }
 
 /// The producing half of a ring created by [`spsc_ring`].
 pub struct RingProducer<T> {
-    ring: Arc<RingInner<T>>,
-    telemetry: Option<Arc<RingTelemetry>>,
+    ring: Arc<Shared<T>>,
+    telemetry: Arc<RingTelemetry>,
 }
 
 /// The consuming half of a ring created by [`spsc_ring`].
 pub struct RingConsumer<T> {
-    ring: Arc<RingInner<T>>,
+    ring: Arc<Shared<T>>,
 }
 
-/// Creates a bounded lock-free ring with `capacity` slots (clamped to ≥ 2:
-/// with a single slot the push ticket `t + 1` would collide with the
-/// published ticket `t + 1` of the same slot and a full ring would look
-/// free). The two halves are a single-producer/single-consumer pair in
-/// ordinary use; the ticket protocol additionally lets the producer
-/// displace the oldest item on overflow ([`RingProducer::force_push`]).
+/// Creates a bounded blocking queue holding at most `capacity` items
+/// (clamped to ≥ 1) and returns its single-producer/single-consumer halves.
 pub fn spsc_ring<T: Send>(capacity: usize) -> (RingProducer<T>, RingConsumer<T>) {
-    let capacity = capacity.max(2);
-    let slots: Box<[Slot<T>]> = (0..capacity)
-        .map(|i| Slot {
-            seq: AtomicUsize::new(i),
-            value: UnsafeCell::new(None),
-        })
-        .collect();
-    let ring = Arc::new(RingInner {
-        slots,
-        head: AtomicUsize::new(0),
-        tail: AtomicUsize::new(0),
-        closed: AtomicBool::new(false),
-        dropped: AtomicU64::new(0),
+    let capacity = capacity.max(1);
+    let ring = Arc::new(Shared {
+        queue: Mutex::new(Queue {
+            items: VecDeque::with_capacity(capacity),
+            closed: false,
+            consumer_gone: false,
+            dropped: 0,
+        }),
+        capacity,
+        not_empty: Condvar::new(),
+        not_full: Condvar::new(),
     });
-    (
-        RingProducer {
-            ring: ring.clone(),
-            telemetry: None,
-        },
-        RingConsumer { ring },
-    )
+    let producer = RingProducer {
+        ring: ring.clone(),
+        telemetry: Arc::default(),
+    };
+    (producer, RingConsumer { ring })
 }
 
 impl<T: Send> RingProducer<T> {
-    /// Attaches pressure telemetry; subsequent pushes record into it.
-    /// Recording stays producer-thread-only, so attach before handing the
-    /// producer to the feeder.
+    /// Records pressure into `telemetry` from now on instead of the private
+    /// instance a new ring starts with; attach before the first push.
     pub fn set_telemetry(&mut self, telemetry: Arc<RingTelemetry>) {
-        self.telemetry = Some(telemetry);
+        self.telemetry = telemetry;
     }
 
-    /// Records a successful push (and the preceding wait, if any).
-    #[inline]
-    fn note_pushed(&self, wait_started: Option<Instant>) {
-        if let Some(t) = &self.telemetry {
-            t.occupancy_hwm.record_max(self.ring.len() as u64);
-            if let Some(started) = wait_started {
-                t.block_wait_ns.record_duration(started.elapsed());
-            }
-        }
+    /// Queues `item`, releases the lock and wakes a parked consumer.
+    fn enqueue(&self, mut queue: MutexGuard<'_, Queue<T>>, item: T) {
+        queue.items.push_back(item);
+        let depth = queue.items.len() as u64;
+        self.telemetry.occupancy_hwm.record_max(depth);
+        drop(queue);
+        self.ring.not_empty.notify_one();
     }
 
-    /// Pushes `item`, spinning while the ring is full. Returns the item back
-    /// if the consumer handle has been dropped (nobody will ever drain us).
+    /// Pushes `item`, parking while the ring is full. Gives the item back if
+    /// the consumer handle was dropped, before the call or while it waited.
     pub fn push(&self, item: T) -> Result<(), T> {
-        let mut item = item;
-        let mut wait_started = None;
-        loop {
-            match self.ring.try_enqueue(item) {
-                Ok(()) => {
-                    self.note_pushed(wait_started);
-                    return Ok(());
-                }
-                Err(back) => item = back,
+        let mut queue = guard(self.ring.queue.lock());
+        if queue.items.len() >= self.ring.capacity {
+            self.telemetry.full_events.incr();
+            let started = Instant::now();
+            queue = guard(self.ring.not_full.wait_while(queue, |q| {
+                q.items.len() >= self.ring.capacity && !q.consumer_gone
+            }));
+            if !queue.consumer_gone {
+                let waited = started.elapsed();
+                self.telemetry.block_wait_ns.record_duration(waited);
             }
-            // First full attempt on an instrumented ring: count the event
-            // and start the wait clock (off the hot path — we are blocked).
-            if wait_started.is_none() {
-                if let Some(t) = &self.telemetry {
-                    t.full_events.incr();
-                    wait_started = Some(Instant::now());
-                }
-            }
-            if Arc::strong_count(&self.ring) == 1 {
-                return Err(item);
-            }
-            std::thread::yield_now();
         }
+        if queue.consumer_gone {
+            return Err(item);
+        }
+        self.enqueue(queue, item);
+        Ok(())
     }
 
-    /// Pushes without blocking; gives the item back inside [`RingFull`] when
-    /// no slot is free.
-    pub fn try_push(&self, item: T) -> Result<(), RingFull<T>> {
-        match self.ring.try_enqueue(item) {
-            Ok(()) => {
-                self.note_pushed(None);
-                Ok(())
-            }
-            Err(back) => Err(RingFull(back)),
+    /// Pushes `item` without ever blocking — the drop-oldest policy: a full
+    /// ring gives up (and drops) its oldest item to make room. Returns how
+    /// many items that displaced (0 or 1; [`RingProducer::dropped`] totals
+    /// them), or the item back if the consumer handle was dropped.
+    pub fn force_push(&self, item: T) -> Result<u64, T> {
+        let mut queue = guard(self.ring.queue.lock());
+        if queue.consumer_gone {
+            return Err(item);
         }
-    }
-
-    /// Pushes `item`, displacing (and dropping) the oldest queued items as
-    /// needed instead of blocking — the ring's drop-oldest overflow policy.
-    /// Returns how many items were displaced (0 when a slot was free); the
-    /// same count accumulates in [`RingProducer::dropped`].
-    pub fn force_push(&self, item: T) -> u64 {
-        let mut displaced = 0u64;
-        let mut item = item;
-        loop {
-            match self.ring.try_enqueue(item) {
-                Ok(()) => {
-                    if displaced > 0 {
-                        self.ring.dropped.fetch_add(displaced, Ordering::Relaxed);
-                        if let Some(t) = &self.telemetry {
-                            t.full_events.incr();
-                        }
-                    }
-                    self.note_pushed(None);
-                    return displaced;
-                }
-                Err(back) => {
-                    item = back;
-                    // Dequeue-and-drop the oldest item; the consumer may win
-                    // the race and drain it first, in which case a slot is
-                    // now free anyway and the retry succeeds.
-                    if self.ring.try_dequeue().is_some() {
-                        displaced += 1;
-                    }
-                }
-            }
+        let mut oldest = None; // dropped on return, outside the lock
+        if queue.items.len() >= self.ring.capacity {
+            oldest = queue.items.pop_front();
+            queue.dropped += 1;
+            self.telemetry.full_events.incr();
         }
+        self.enqueue(queue, item);
+        Ok(u64::from(oldest.is_some()))
     }
 
     /// Items displaced by [`RingProducer::force_push`] since creation.
     pub fn dropped(&self) -> u64 {
-        self.ring.dropped.load(Ordering::Relaxed)
-    }
-
-    /// Marks the stream as finished. Also done implicitly on drop.
-    pub fn close(&self) {
-        self.ring.closed.store(true, Ordering::Release);
+        guard(self.ring.queue.lock()).dropped
     }
 }
 
 impl<T> Drop for RingProducer<T> {
     fn drop(&mut self) {
-        self.ring.closed.store(true, Ordering::Release);
+        guard(self.ring.queue.lock()).closed = true;
+        self.ring.not_empty.notify_one();
     }
 }
 
 impl<T: Send> RingConsumer<T> {
-    /// Pops the next item, spinning while the ring is empty. Returns `None`
-    /// once the producer has closed the ring *and* every published item has
-    /// been drained.
+    /// Pops the next item, parking while the ring is empty. Returns `None`
+    /// once the producer was dropped *and* every queued item is drained.
     pub fn pop(&self) -> Option<T> {
-        loop {
-            if let Some(item) = self.ring.try_dequeue() {
-                return Some(item);
-            }
-            if self.ring.closed.load(Ordering::Acquire) {
-                // Re-check emptiness after observing the close flag: the
-                // producer publishes items before closing, and the Acquire
-                // load above synchronizes with that publication order.
-                return self.ring.try_dequeue();
-            }
-            std::thread::yield_now();
-        }
-    }
-
-    /// Pops without blocking: `Ok(Some)` on an item, `Ok(None)` when closed
-    /// and drained, `Err(RingEmpty)` when currently empty but still open.
-    pub fn try_pop(&self) -> Result<Option<T>, RingEmpty> {
-        if let Some(item) = self.ring.try_dequeue() {
-            return Ok(Some(item));
-        }
-        if self.ring.closed.load(Ordering::Acquire) {
-            return Ok(self.ring.try_dequeue());
-        }
-        Err(RingEmpty)
-    }
-
-    /// Items displaced by [`RingProducer::force_push`] since creation.
-    pub fn dropped(&self) -> u64 {
-        self.ring.dropped.load(Ordering::Relaxed)
+        let queue = guard(self.ring.queue.lock());
+        let idle = |q: &mut Queue<T>| q.items.is_empty() && !q.closed;
+        let mut queue = guard(self.ring.not_empty.wait_while(queue, idle));
+        let item = queue.items.pop_front()?;
+        drop(queue);
+        self.ring.not_full.notify_one();
+        Some(item)
     }
 }
 
-/// The ring held no item at the moment of a [`RingConsumer::try_pop`], but
-/// the producer is still live.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RingEmpty;
-
-/// The ring had no free slot at the moment of a [`RingProducer::try_push`];
-/// carries the rejected item back to the caller.
-#[derive(Debug)]
-pub struct RingFull<T>(pub T);
+impl<T> Drop for RingConsumer<T> {
+    fn drop(&mut self) {
+        guard(self.ring.queue.lock()).consumer_gone = true;
+        self.ring.not_full.notify_one();
+    }
+}
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn items_arrive_in_order_across_threads() {
@@ -397,20 +222,24 @@ mod tests {
     }
 
     #[test]
-    fn close_without_items_ends_the_stream() {
-        let (tx, rx) = spsc_ring::<u8>(2);
-        tx.close();
-        assert_eq!(rx.pop(), None);
-    }
-
-    #[test]
-    fn try_pop_distinguishes_empty_from_closed() {
-        let (tx, rx) = spsc_ring::<u8>(2);
-        assert_eq!(rx.try_pop(), Err(RingEmpty));
-        tx.push(7).unwrap();
-        assert_eq!(rx.try_pop(), Ok(Some(7)));
-        drop(tx);
-        assert_eq!(rx.try_pop(), Ok(None));
+    fn capacity_one_ping_pong_loses_no_wakeup() {
+        // One slot each way: every push parks until the peer pops and every
+        // pop parks until the peer pushes, so a single lost wake-up in
+        // either direction hangs this test instead of passing it.
+        let (ping_tx, ping_rx) = spsc_ring::<u32>(1);
+        let (pong_tx, pong_rx) = spsc_ring::<u32>(1);
+        let echo = std::thread::spawn(move || {
+            while let Some(v) = ping_rx.pop() {
+                pong_tx.push(v).expect("main thread alive");
+            }
+        });
+        for i in 0..10_000u32 {
+            ping_tx.push(i).expect("echo thread alive");
+            assert_eq!(pong_rx.pop(), Some(i));
+        }
+        drop(ping_tx);
+        echo.join().unwrap();
+        assert_eq!(pong_rx.pop(), None);
     }
 
     #[test]
@@ -427,46 +256,79 @@ mod tests {
     }
 
     #[test]
+    fn parked_consumer_wakes_when_the_producer_drops() {
+        let (tx, rx) = spsc_ring::<u8>(2);
+        let consumer = std::thread::spawn(move || rx.pop());
+        std::thread::sleep(Duration::from_millis(50)); // let it park
+        drop(tx);
+        assert_eq!(consumer.join().unwrap(), None);
+    }
+
+    #[test]
     fn push_fails_once_the_consumer_is_gone() {
         let (tx, rx) = spsc_ring::<usize>(2);
         tx.push(1).unwrap();
         tx.push(2).unwrap();
         drop(rx);
         assert_eq!(tx.push(3), Err(3));
+        assert_eq!(tx.force_push(4), Err(4));
+        assert_eq!(tx.dropped(), 0, "a refused push displaces nothing");
     }
 
     #[test]
-    fn try_push_reports_a_full_ring_without_blocking() {
-        let (tx, rx) = spsc_ring::<usize>(2);
-        tx.try_push(0).unwrap();
-        tx.try_push(1).unwrap();
-        let RingFull(back) = tx.try_push(2).unwrap_err();
-        assert_eq!(back, 2);
-        assert_eq!(rx.pop(), Some(0));
-        tx.try_push(2).unwrap();
-        assert_eq!(rx.pop(), Some(1));
-        assert_eq!(rx.pop(), Some(2));
+    fn parked_producer_fails_when_the_consumer_drops_while_it_waits() {
+        let (mut tx, rx) = spsc_ring::<usize>(1);
+        let t = Arc::new(RingTelemetry::default());
+        tx.set_telemetry(t.clone());
+        tx.push(1).unwrap();
+        let producer = std::thread::spawn(move || tx.push(2));
+        // The full event is counted just before the producer parks.
+        while t.full_events.get() == 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        std::thread::sleep(Duration::from_millis(50));
+        drop(rx);
+        assert_eq!(producer.join().unwrap(), Err(2));
+        assert_eq!(t.block_wait_ns.snapshot().count(), 0);
     }
 
     #[test]
     fn force_push_displaces_the_oldest_and_counts_the_drops() {
         // The full-ring producer: with every slot taken, force_push drops
-        // the *oldest* queued item (never the incoming one), and the
-        // displacement is counted on both halves.
+        // the *oldest* queued item (never the incoming one) and counts it.
         let (tx, rx) = spsc_ring::<usize>(3);
         for i in 0..3 {
-            assert_eq!(tx.force_push(i), 0, "room left, nothing displaced");
+            assert_eq!(tx.force_push(i), Ok(0), "room left, nothing displaced");
         }
-        assert_eq!(tx.force_push(3), 1, "full ring displaces one");
-        assert_eq!(tx.force_push(4), 1);
+        assert_eq!(tx.force_push(3), Ok(1), "full ring displaces one");
+        assert_eq!(tx.force_push(4), Ok(1));
         assert_eq!(tx.dropped(), 2);
-        assert_eq!(rx.dropped(), 2);
         drop(tx);
         // The two oldest items (0, 1) are gone; the newest survive in order.
         assert_eq!(rx.pop(), Some(2));
         assert_eq!(rx.pop(), Some(3));
         assert_eq!(rx.pop(), Some(4));
         assert_eq!(rx.pop(), None);
+    }
+
+    #[test]
+    fn capacity_one_ring_holds_one_item_and_drops_oldest_at_depth_one() {
+        // Capacities 0 and 1 both mean one slot: the clamp lives here only.
+        for capacity in [0, 1] {
+            let (mut tx, rx) = spsc_ring::<usize>(capacity);
+            let t = Arc::new(RingTelemetry::default());
+            tx.set_telemetry(t.clone());
+            assert_eq!(tx.force_push(10), Ok(0));
+            assert_eq!(tx.force_push(11), Ok(1), "the second item displaces");
+            assert_eq!(tx.force_push(12), Ok(1));
+            assert_eq!(tx.dropped(), 2);
+            assert_eq!(t.occupancy_hwm.get(), 1);
+            assert_eq!(rx.pop(), Some(12));
+            tx.push(13).unwrap();
+            drop(tx);
+            assert_eq!(rx.pop(), Some(13));
+            assert_eq!(rx.pop(), None);
+        }
     }
 
     #[test]
@@ -479,8 +341,9 @@ mod tests {
         let producer = std::thread::spawn(move || {
             let mut displaced = 0u64;
             for i in 0..50_000u64 {
-                displaced += tx.force_push(i);
+                displaced += tx.force_push(i).expect("consumer alive");
             }
+            assert_eq!(tx.dropped(), displaced);
             displaced
         });
         let mut got = 0u64;
@@ -498,7 +361,6 @@ mod tests {
             50_000,
             "pops + drops must cover every push"
         );
-        assert_eq!(rx.dropped(), displaced);
     }
 
     #[test]
@@ -509,26 +371,37 @@ mod tests {
         tx.push(0).unwrap();
         tx.push(1).unwrap();
         assert_eq!(t.occupancy_hwm.get(), 2);
-        assert_eq!(tx.force_push(2), 0, "room left");
+        assert_eq!(tx.force_push(2), Ok(0), "room left");
         assert_eq!(t.occupancy_hwm.get(), 3);
         assert_eq!(t.full_events.get(), 0);
-        assert_eq!(tx.force_push(3), 1, "full ring displaces");
+        assert_eq!(tx.force_push(3), Ok(1), "full ring displaces");
         assert_eq!(t.full_events.get(), 1);
+        // A blocking push into the full ring waits for the consumer and
+        // times exactly that wait.
+        let consumer = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(20));
+            let first = rx.pop();
+            (first, rx)
+        });
+        tx.push(4).unwrap();
+        assert_eq!(t.full_events.get(), 2);
+        let wait = t.block_wait_ns.snapshot();
+        assert_eq!(wait.count(), 1);
+        assert!(wait.sum >= 10_000_000, "waited ~20 ms, saw {} ns", wait.sum);
+        assert_eq!(t.occupancy_hwm.get(), 3);
+        let (first, rx) = consumer.join().unwrap();
+        assert_eq!(first, Some(1));
         // Consumer gone + full ring: the blocking push counts the full
-        // event before giving up.
+        // event before giving up, and times no wait.
         drop(rx);
         assert_eq!(tx.push(9), Err(9));
-        assert_eq!(t.full_events.get(), 2);
-        assert_eq!(
-            t.block_wait_ns.snapshot().count(),
-            0,
-            "no successful waited push"
-        );
+        assert_eq!(t.full_events.get(), 3);
+        assert_eq!(t.block_wait_ns.snapshot().count(), 1);
     }
 
     #[test]
     fn undrained_items_are_dropped_cleanly() {
-        // An Arc payload would leak if slot drops were mishandled.
+        // An Arc payload would leak if queued items outlived the ring.
         let payload = Arc::new(42);
         let (tx, rx) = spsc_ring::<Arc<i32>>(4);
         tx.push(payload.clone()).unwrap();
@@ -544,7 +417,7 @@ mod tests {
         let (tx, rx) = spsc_ring::<Arc<i32>>(2);
         tx.push(payload.clone()).unwrap();
         tx.push(payload.clone()).unwrap();
-        assert_eq!(tx.force_push(payload.clone()), 1);
+        assert_eq!(tx.force_push(payload.clone()), Ok(1));
         drop(tx);
         drop(rx);
         assert_eq!(Arc::strong_count(&payload), 1);

@@ -12,7 +12,8 @@ use netscatter_coding::frame::FrameCodec;
 use netscatter_coding::CodingScheme;
 use netscatter_dsp::Complex64;
 use netscatter_gateway::{
-    run_stream, DecodedPacket, GatewayConfig, MultiChannelEngine, ReplaySource, StreamGateway,
+    run_multi_stream, run_stream, DecodedPacket, GatewayConfig, ReplaySource, StreamGateway,
+    StreamSource,
 };
 use netscatter_phy::distributed::OnOffModulator;
 use netscatter_phy::params::PhyProfile;
@@ -237,12 +238,11 @@ fn threaded_pipeline_is_bit_identical_to_batch_too() {
 
 #[test]
 fn multi_channel_path_is_bit_identical_to_batch_on_every_channel() {
-    // The sharded engine under *independently* randomized chunk schedules
-    // per channel: three channels carrying different rounds (different
-    // populations, offsets and impairments), each fed with its own
-    // one-sample-to-four-symbol chunk sizes, interleaved across channels.
-    // Every channel's anchors and frames must equal its own batch
-    // reference exactly — sharding adds no new numerics anywhere.
+    // The sharded session at a randomly drawn chunk size: three channels
+    // carrying different rounds (different populations, offsets,
+    // impairments and lengths), fed one chunk per channel per lap. Every
+    // channel's anchors and frames must equal its own batch reference
+    // exactly — sharding adds no new numerics anywhere.
     let mut rng = StdRng::seed_from_u64(0xD15C0);
     // One payload length across channels (the deployment's round length is
     // global); populations, offsets and impairments differ per channel.
@@ -261,29 +261,17 @@ fn multi_channel_path_is_bit_identical_to_batch_on_every_channel() {
     // Per-round batch references must use the same union config.
     let rx = ConcurrentReceiver::new(&PhyProfile::default()).unwrap();
     let cfg = GatewayConfig {
+        chunk_samples: rng.gen_range(1..=2048usize),
         workers: 3,
         ..GatewayConfig::new(PhyProfile::default(), bins.clone(), payload_bits)
     };
-    let mut engine = MultiChannelEngine::spawn(&cfg, rounds.len(), 500e3).unwrap();
-    let mut cursors = vec![0usize; rounds.len()];
-    let mut remaining = rounds.len();
-    while remaining > 0 {
-        for (channel, round) in rounds.iter().enumerate() {
-            let at = cursors[channel];
-            if at >= round.stream.len() {
-                continue;
-            }
-            let len = rng.gen_range(1..=2048usize).min(round.stream.len() - at);
-            engine
-                .feed(channel, &round.stream[at..at + len])
-                .expect("feed");
-            cursors[channel] += len;
-            if cursors[channel] >= round.stream.len() {
-                remaining -= 1;
-            }
-        }
-    }
-    let report = engine.shutdown().expect("clean shutdown");
+    let mut sources: Vec<Box<dyn StreamSource>> = rounds
+        .iter()
+        .map(|round| -> Box<dyn StreamSource> {
+            Box::new(ReplaySource::from_samples(round.stream.clone(), 500e3))
+        })
+        .collect();
+    let report = run_multi_stream(&mut sources, &cfg).expect("clean shutdown");
     assert_eq!(report.channels.len(), rounds.len());
     for (channel, (chan_report, round)) in report.channels.iter().zip(rounds.iter()).enumerate() {
         assert_eq!(

@@ -215,6 +215,12 @@ pub fn parse_stress_args(args: &[String]) -> Result<StressOptions, CliError> {
             "--ring-slots" => {
                 let v = value(&mut i, arg)?;
                 ring_slots = v.parse().map_err(|_| bad(arg, &v))?;
+                if ring_slots == 0 {
+                    return Err(CliError {
+                        message: "--ring-slots must be at least 1".into(),
+                        code: 2,
+                    });
+                }
             }
             "--cf32-dir" => cf32_dir = Some(value(&mut i, arg)?),
             "--chaos" => chaos = true,
@@ -883,6 +889,7 @@ mod tests {
         for bad in [
             vec!["--streams", "0"],
             vec!["--streams", "many"],
+            vec!["--ring-slots", "0"],
             vec!["--pace", "-1"],
             vec!["--arrival-rate", "0"],
             vec!["--frobnicate"],
