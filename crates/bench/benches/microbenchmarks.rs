@@ -1,10 +1,13 @@
 //! Micro-benchmarks of the receiver primitives, including the
 //! receiver-complexity claim of §3.1: the per-symbol decode cost is dominated
 //! by one dechirp + FFT and grows only marginally with the number of
-//! concurrent devices.
+//! concurrent devices — and the link layer's per-round frame decode at the
+//! geometry where it dominates the serving thread.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use netscatter::receiver::ConcurrentReceiver;
+use netscatter_coding::frame::FrameCodec;
+use netscatter_coding::CodingScheme;
 use netscatter_dsp::chirp::{ChirpParams, ChirpSynthesizer};
 use netscatter_dsp::fft::Fft;
 use netscatter_dsp::Complex64;
@@ -81,5 +84,37 @@ fn receiver_complexity_vs_devices(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, fft_and_dechirp, receiver_complexity_vs_devices);
+/// One coded 256-device round as the daemon's serving thread sees it: 256
+/// clean K=7 convolutional frames of 108 on-air bits (the repo benchmark's
+/// `coded256` geometry), each through `FrameCodec::decode_frame`.
+fn coding_decode(c: &mut Criterion) {
+    let mut group = c.benchmark_group("coding_decode");
+    group.sample_size(20);
+    let codec = FrameCodec::new(CodingScheme::Conv, 108).unwrap();
+    let frames: Vec<Vec<bool>> = (0..256usize)
+        .map(|device| {
+            let data: Vec<bool> = (0..codec.data_bits())
+                .map(|i| (device * 31 + i * 7) % 5 < 2)
+                .collect();
+            codec.encode_frame(device as u8, &data)
+        })
+        .collect();
+    group.bench_function(BenchmarkId::new("conv", 108), |b| {
+        b.iter(|| {
+            let ok = frames
+                .iter()
+                .filter(|frame| codec.decode_frame(black_box(frame)).crc_ok)
+                .count();
+            assert_eq!(ok, frames.len());
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    fft_and_dechirp,
+    receiver_complexity_vs_devices,
+    coding_decode
+);
 criterion_main!(benches);

@@ -210,20 +210,29 @@ fn write_number(out: &mut String, n: f64) {
 
 fn write_string(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
+    // Copy each maximal run that needs no escape in one `push_str`. Every
+    // byte that stops a run is ASCII (multi-byte UTF-8 is all >= 0x80), so
+    // `run` and `i + 1` are always char boundaries.
+    let mut run = 0;
+    for (i, &byte) in s.as_bytes().iter().enumerate() {
+        if byte >= 0x20 && byte != b'"' && byte != b'\\' {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        match byte {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
                 use fmt::Write as _;
-                let _ = write!(out, "\\u{:04x}", c as u32);
+                let _ = write!(out, "\\u{byte:04x}");
             }
-            c => out.push(c),
         }
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -625,6 +634,22 @@ mod tests {
         let original = Json::Str("tabs\there \\ slash \"q\" déjà ✓\u{1}".into());
         let text = original.to_string_pretty();
         assert_eq!(Json::parse(&text).unwrap(), original);
+        // The writer's exact bytes: an escape at the first, a middle and the
+        // last position, adjacent escapes, and multi-byte runs between them.
+        for (raw, written) in [
+            ("", r#""""#),
+            ("plain ✓ déjà", r#""plain ✓ déjà""#),
+            ("\"ab", r#""\"ab""#),
+            ("a\\b", r#""a\\b""#),
+            ("ab\n", r#""ab\n""#),
+            ("\t\r\n", r#""\t\r\n""#),
+            ("é\"\\\u{1}✓\u{1f}", r#""é\"\\\u0001✓\u001f""#),
+            ("\u{7f}\u{80}", "\"\u{7f}\u{80}\""),
+        ] {
+            let text = Json::Str(raw.into()).to_string_line();
+            assert_eq!(text, written, "{raw:?}");
+            assert_eq!(Json::parse(&text).unwrap().as_str(), Some(raw));
+        }
         // \u escapes parse too.
         assert_eq!(
             Json::parse("\"\\u0041\\u00e9\"").unwrap().as_str(),

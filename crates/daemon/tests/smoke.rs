@@ -278,8 +278,14 @@ fn shutdown_mid_stream_writes_an_incomplete_end_record() {
 
 #[test]
 fn coded_stream_reports_crc_verdicts_and_link_counters() {
-    // Hamming(7,4) at 70 on-air bits: 8 data bits per frame.
-    let codec = FrameCodec::new(CodingScheme::Hamming, 70).unwrap();
+    // Hamming(7,4) at 70 on-air bits carries 8 data bits per frame; the
+    // K=7 convolutional code at 108 carries 16, half of them padding.
+    coded_stream_case(CodingScheme::Hamming, 70);
+    coded_stream_case(CodingScheme::Conv, 108);
+}
+
+fn coded_stream_case(scheme: CodingScheme, payload_bits: usize) {
+    let codec = FrameCodec::new(scheme, payload_bits).unwrap();
     let data: Vec<bool> = BITS.to_vec();
     let coded = codec.encode_frame(5, &data);
 
@@ -304,14 +310,18 @@ fn coded_stream_reports_crc_verdicts_and_link_counters() {
     let daemon = Daemon::start(DaemonConfig::new(base)).unwrap();
     let mut header = header_for("coded");
     header.payload_bits = Some(coded.len());
-    header.coding = Some(CodingScheme::Hamming);
+    header.coding = Some(scheme);
     let lines =
         client::stream_samples(daemon.ingest_addr(), &header, &samples, Pace::RealTime).unwrap();
 
     // Every frame record carries the per-device CRC verdict and the
     // recovered data bits.
     let frames = lines_of_type(&lines, "frame");
-    assert_eq!(frames.len(), 3, "all three packets decode: {lines:?}");
+    assert_eq!(
+        frames.len(),
+        3,
+        "all three {scheme:?} packets decode: {lines:?}"
+    );
     for line in &frames {
         let doc = Json::parse(line).unwrap();
         let devices = doc.get("devices").and_then(Json::as_array).unwrap();
@@ -336,7 +346,7 @@ fn coded_stream_reports_crc_verdicts_and_link_counters() {
     // A coded header whose payload bits fit no frame geometry is rejected
     // up front as a bad header.
     let mut bad = header_for("badgeom");
-    bad.coding = Some(CodingScheme::Hamming); // payload_bits stays 8
+    bad.coding = Some(scheme); // payload_bits stays 8
     let lines = client::stream_bytes(daemon.ingest_addr(), &bad, b"", Pace::Unlimited).unwrap();
     let errors = lines_of_type(&lines, "error");
     assert_eq!(errors.len(), 1, "geometry mismatch must error: {lines:?}");
