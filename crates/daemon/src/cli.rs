@@ -238,7 +238,12 @@ pub fn parse_serve_args(args: &[String]) -> Result<ServeOptions, CliUsage> {
                     return Err(CliUsage::usage("--sample-rate must be positive"));
                 }
             }
-            "--chunk-samples" => opts.chunk_samples = num(arg, &value(&mut i, arg)?)?,
+            "--chunk-samples" => {
+                opts.chunk_samples = num(arg, &value(&mut i, arg)?)?;
+                if opts.chunk_samples == 0 {
+                    return Err(CliUsage::usage("--chunk-samples must be positive"));
+                }
+            }
             "--ring-slots" => {
                 opts.ring_slots = num(arg, &value(&mut i, arg)?)?;
                 if opts.ring_slots == 0 {
@@ -487,7 +492,8 @@ mod tests {
             vec!["--bins", "a,b"],
             vec!["--bins", "64,512"], // 512 is not a shift of a 2^9-bin chirp
             vec!["--payload-bits", "0"],
-            vec!["--ring-slots", "0"], // a ring holds at least one chunk
+            vec!["--ring-slots", "0"],    // a ring holds at least one chunk
+            vec!["--chunk-samples", "0"], // a chunk holds at least one sample
             vec!["--sample-rate", "-1"],
             vec!["--header-timeout", "-1"],
             vec!["--idle-timeout", "nope"],

@@ -53,7 +53,7 @@ pub use pipeline::{
     PipelineTelemetry, StreamGateway,
 };
 pub use ring::RingTelemetry;
-pub use source::{Cf32FileSource, PacedSource, ReplaySource, StreamSource};
+pub use source::{ReplaySource, StreamSource};
 
 /// A stream with `count` ideal single-device packets at varying gaps.
 #[cfg(test)]

@@ -174,26 +174,12 @@ impl MultiChannelReport {
         }
     }
 
-    /// Total decoded packets across all channels.
-    pub fn total_packets(&self) -> usize {
-        self.channels.iter().map(|r| r.packets.len()).sum()
-    }
-
     /// Total packets that detected at least one device, across channels.
     pub fn detected_rounds(&self) -> usize {
         self.channels
             .iter()
             .map(GatewayReport::detected_rounds)
             .sum()
-    }
-
-    /// Every channel's stage telemetry merged into one distribution.
-    pub fn merged_telemetry(&self) -> PipelineTelemetry {
-        let mut merged = PipelineTelemetry::default();
-        for channel in &self.channels {
-            merged.merge(&channel.telemetry);
-        }
-        merged
     }
 }
 
@@ -453,7 +439,6 @@ mod tests {
             assert_eq!(channel.truncated, reference.truncated);
         }
         assert_eq!(report.samples_in, (ch0.len() + ch1.len()) as u64);
-        assert_eq!(report.total_packets(), 5);
         assert_eq!(report.detected_rounds(), 5);
         assert!(report.aggregate_samples_per_sec > 0.0);
         assert!(report.aggregate_real_time_factor > 0.0);

@@ -2,32 +2,18 @@
 //!
 //! A [`StreamSource`] produces the continuous complex-baseband stream the
 //! gateway consumes — the role the SDR front-end plays for the paper's AP.
-//! Three families of implementations exist:
+//! Two implementations exist:
 //!
-//! * [`ReplaySource`] (here) — a deterministic in-memory / file replay used
-//!   by the equivalence tests and benches;
-//! * [`Cf32FileSource`] (here) — a buffered streaming reader over a `.cf32`
-//!   capture that never loads the file whole, so the daemon can replay
-//!   captures much larger than memory;
+//! * [`ReplaySource`] (here) — a deterministic in-memory replay used by the
+//!   equivalence tests and the experiments;
 //! * the live round synthesizer in the simulator crate
 //!   (`netscatter_sim::stream`), which replays channel-realized rounds as an
 //!   asynchronous stream with Poisson arrivals.
 //!
-//! [`PacedSource`] composes over any of them, throttling delivery to the
-//! source's sample rate so a replay behaves like a live radio.
+//! `.cf32` captures reach the gateway over the daemon's socket
+//! (`netscatter_daemon::protocol::Cf32Decoder`), not through a source.
 
 use netscatter_dsp::Complex64;
-use std::io::{BufReader, Read};
-
-/// Bytes per complex sample in the `.cf32` layout (two little-endian f32s).
-const CF32_SAMPLE_BYTES: usize = 8;
-
-/// Decodes one interleaved little-endian `f32` I/Q sample.
-fn cf32_sample(bytes: &[u8]) -> Complex64 {
-    let re = f32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]) as f64;
-    let im = f32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]) as f64;
-    Complex64::new(re, im)
-}
 
 /// A pull-based source of contiguous baseband samples.
 ///
@@ -63,42 +49,6 @@ impl ReplaySource {
         }
     }
 
-    /// Reads an interleaved little-endian `f32` I/Q capture (the common SDR
-    /// `.cf32` layout) and replays it at `sample_rate_hz`. Trailing partial
-    /// samples (a truncated capture) are ignored.
-    ///
-    /// The file is streamed through [`Cf32FileSource`]'s [`BufReader`] and
-    /// converted incrementally — peak memory is the sample vector alone,
-    /// not the sample vector plus a second full byte copy as with a
-    /// whole-file read (a 50% overhead on top of the f32→f64 widening for
-    /// large captures).
-    pub fn read_cf32le(path: &std::path::Path, sample_rate_hz: f64) -> std::io::Result<Self> {
-        let mut file = Cf32FileSource::open(path, sample_rate_hz)?;
-        let expected = file.expected_samples();
-        let mut samples = Vec::with_capacity(expected);
-        let mut buf = vec![Complex64::ZERO; 1 << 14];
-        loop {
-            let got = file.fill(&mut buf);
-            samples.extend_from_slice(&buf[..got]);
-            if got < buf.len() {
-                break;
-            }
-        }
-        file.take_error().map_or(Ok(()), Err)?;
-        Ok(Self::from_samples(samples, sample_rate_hz))
-    }
-
-    /// Writes `samples` as an interleaved little-endian `f32` I/Q file that
-    /// [`Self::read_cf32le`] round-trips.
-    pub fn write_cf32le(path: &std::path::Path, samples: &[Complex64]) -> std::io::Result<()> {
-        let mut bytes = Vec::with_capacity(samples.len() * 8);
-        for s in samples {
-            bytes.extend_from_slice(&(s.re as f32).to_le_bytes());
-            bytes.extend_from_slice(&(s.im as f32).to_le_bytes());
-        }
-        std::fs::write(path, bytes)
-    }
-
     /// Total number of samples the replay will produce.
     pub fn len(&self) -> usize {
         self.samples.len()
@@ -116,152 +66,6 @@ impl StreamSource for ReplaySource {
         out[..n].copy_from_slice(&self.samples[self.cursor..self.cursor + n]);
         self.cursor += n;
         n
-    }
-
-    fn sample_rate_hz(&self) -> f64 {
-        self.sample_rate_hz
-    }
-}
-
-/// Wraps a source and paces delivery at its own sample rate, emulating a
-/// radio front-end that produces samples in real time: after handing out a
-/// chunk, [`StreamSource::fill`] sleeps until the wall clock reaches the
-/// instant the chunk's last sample would have arrived over the air.
-///
-/// Deadlines are absolute — anchored at the first fill — so sleep jitter
-/// never accumulates drift, and a consumer that falls behind real time
-/// simply stops sleeping until it catches back up. The multi-channel
-/// sustained-ingest measurements in the perf snapshot use this to ask the
-/// deployment question directly: how many 500 kHz channels does the
-/// sharded gateway keep up with at radio rate?
-#[derive(Debug)]
-pub struct PacedSource<S> {
-    inner: S,
-    delivered: u64,
-    started: Option<std::time::Instant>,
-}
-
-impl<S: StreamSource> PacedSource<S> {
-    /// Paces `inner` at its reported [`StreamSource::sample_rate_hz`].
-    pub fn new(inner: S) -> Self {
-        Self {
-            inner,
-            delivered: 0,
-            started: None,
-        }
-    }
-}
-
-impl<S: StreamSource> StreamSource for PacedSource<S> {
-    fn fill(&mut self, out: &mut [Complex64]) -> usize {
-        let started = *self.started.get_or_insert_with(std::time::Instant::now);
-        let n = self.inner.fill(out);
-        self.delivered += n as u64;
-        let rate = self.inner.sample_rate_hz();
-        if n > 0 && rate > 0.0 {
-            let deadline = std::time::Duration::from_secs_f64(self.delivered as f64 / rate);
-            let elapsed = started.elapsed();
-            if deadline > elapsed {
-                std::thread::sleep(deadline - elapsed);
-            }
-        }
-        n
-    }
-
-    fn sample_rate_hz(&self) -> f64 {
-        self.inner.sample_rate_hz()
-    }
-}
-
-/// A streaming `.cf32` file source: reads lazily through a [`BufReader`]
-/// during [`StreamSource::fill`], so replaying a capture costs constant
-/// memory regardless of the file size. The daemon's replay feeders use this
-/// to push arbitrarily large captures over TCP.
-#[derive(Debug)]
-pub struct Cf32FileSource {
-    reader: BufReader<std::fs::File>,
-    sample_rate_hz: f64,
-    /// Samples implied by the file length at open time (informational).
-    expected_samples: usize,
-    /// Byte scratch a fill reads into before converting.
-    scratch: Vec<u8>,
-    /// Carry of a partial trailing sample between fills.
-    carry: [u8; CF32_SAMPLE_BYTES],
-    carry_len: usize,
-    /// Set at EOF or on the first I/O error (fills return 0 from then on).
-    done: bool,
-    /// The I/O error that ended the stream early, if any.
-    error: Option<std::io::Error>,
-}
-
-impl Cf32FileSource {
-    /// Opens `path` for streaming replay at `sample_rate_hz`.
-    pub fn open(path: &std::path::Path, sample_rate_hz: f64) -> std::io::Result<Self> {
-        let file = std::fs::File::open(path)?;
-        let expected_samples = file
-            .metadata()
-            .map(|m| m.len() as usize / CF32_SAMPLE_BYTES)
-            .unwrap_or(0);
-        Ok(Self {
-            reader: BufReader::with_capacity(1 << 16, file),
-            sample_rate_hz,
-            expected_samples,
-            scratch: Vec::new(),
-            carry: [0u8; CF32_SAMPLE_BYTES],
-            carry_len: 0,
-            done: false,
-            error: None,
-        })
-    }
-
-    /// Samples implied by the file length when the source was opened.
-    pub fn expected_samples(&self) -> usize {
-        self.expected_samples
-    }
-
-    /// Takes the I/O error that ended the stream early, if one occurred
-    /// ([`StreamSource::fill`] has no error channel, so a read failure is
-    /// surfaced as end-of-stream plus this flag).
-    pub fn take_error(&mut self) -> Option<std::io::Error> {
-        self.error.take()
-    }
-}
-
-impl StreamSource for Cf32FileSource {
-    fn fill(&mut self, out: &mut [Complex64]) -> usize {
-        if self.done || out.is_empty() {
-            return 0;
-        }
-        let want = out.len() * CF32_SAMPLE_BYTES;
-        self.scratch.resize(want, 0);
-        self.scratch[..self.carry_len].copy_from_slice(&self.carry[..self.carry_len]);
-        let mut have = self.carry_len;
-        while have < want {
-            match self.reader.read(&mut self.scratch[have..want]) {
-                Ok(0) => {
-                    self.done = true;
-                    break;
-                }
-                Ok(n) => have += n,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => {
-                    self.error = Some(e);
-                    self.done = true;
-                    break;
-                }
-            }
-        }
-        let samples = have / CF32_SAMPLE_BYTES;
-        for (slot, bytes) in out[..samples]
-            .iter_mut()
-            .zip(self.scratch[..samples * CF32_SAMPLE_BYTES].chunks_exact(CF32_SAMPLE_BYTES))
-        {
-            *slot = cf32_sample(bytes);
-        }
-        let rem = have - samples * CF32_SAMPLE_BYTES;
-        self.carry[..rem].copy_from_slice(&self.scratch[samples * CF32_SAMPLE_BYTES..have]);
-        self.carry_len = rem;
-        samples
     }
 
     fn sample_rate_hz(&self) -> f64 {
@@ -288,89 +92,5 @@ mod tests {
         assert_eq!(buf[..2], samples[8..]);
         assert_eq!(src.fill(&mut buf), 0);
         assert_eq!(src.sample_rate_hz(), 500e3);
-    }
-
-    #[test]
-    fn paced_source_holds_delivery_to_the_sample_rate() {
-        // 2000 samples at 100 kHz = 20 ms of air time: the paced wrapper
-        // must take at least that long and still deliver every sample in
-        // order, while the raw replay finishes effectively instantly.
-        let samples: Vec<Complex64> = (0..2000).map(|i| Complex64::new(i as f64, 0.0)).collect();
-        let mut src = PacedSource::new(ReplaySource::from_samples(samples.clone(), 100e3));
-        assert_eq!(src.sample_rate_hz(), 100e3);
-        let start = std::time::Instant::now();
-        let mut got = Vec::new();
-        let mut buf = vec![Complex64::ZERO; 512];
-        loop {
-            let n = src.fill(&mut buf);
-            got.extend_from_slice(&buf[..n]);
-            if n < buf.len() {
-                break;
-            }
-        }
-        assert!(
-            start.elapsed() >= std::time::Duration::from_millis(20),
-            "paced replay ran faster than real time: {:?}",
-            start.elapsed()
-        );
-        assert_eq!(got, samples);
-        assert_eq!(src.fill(&mut buf), 0, "exhausted source stays exhausted");
-    }
-
-    #[test]
-    fn cf32_file_source_streams_large_files_identically_to_replay() {
-        // A "large" capture relative to every internal buffer: ~1.5M
-        // samples (12 MB) with a truncated trailing partial sample, read
-        // through fill sizes that are never a multiple of the 64 KiB
-        // BufReader capacity, so carries and buffer refills all trigger.
-        let n = 1_500_000usize;
-        let samples: Vec<Complex64> = (0..n)
-            .map(|i| Complex64::new((i % 8191) as f64 / 8191.0, -((i % 127) as f64) / 127.0))
-            .collect();
-        let path = std::env::temp_dir().join("netscatter_gateway_cf32_large_test.cf32");
-        ReplaySource::write_cf32le(&path, &samples).unwrap();
-        // Truncate mid-sample: append 5 stray bytes.
-        {
-            use std::io::Write;
-            let mut f = std::fs::OpenOptions::new()
-                .append(true)
-                .open(&path)
-                .unwrap();
-            f.write_all(&[1, 2, 3, 4, 5]).unwrap();
-        }
-
-        let whole = ReplaySource::read_cf32le(&path, 500e3).unwrap();
-        let mut streaming = Cf32FileSource::open(&path, 500e3).unwrap();
-        assert_eq!(streaming.expected_samples(), n); // 5 stray bytes < one sample
-        let mut got = Vec::new();
-        let mut buf = vec![Complex64::ZERO; 4097];
-        loop {
-            let k = streaming.fill(&mut buf);
-            got.extend_from_slice(&buf[..k]);
-            if k < buf.len() {
-                break;
-            }
-        }
-        let _ = std::fs::remove_file(&path);
-        assert!(streaming.take_error().is_none());
-        assert_eq!(got.len(), n);
-        assert_eq!(whole.len(), n);
-        assert_eq!(got, whole.samples);
-        assert_eq!(streaming.fill(&mut buf), 0, "done source stays done");
-    }
-
-    #[test]
-    fn cf32_files_round_trip() {
-        let samples: Vec<Complex64> = (0..257)
-            .map(|i| Complex64::new(i as f64 / 31.0, -(i as f64) / 17.0))
-            .collect();
-        let path = std::env::temp_dir().join("netscatter_gateway_cf32_test.cf32");
-        ReplaySource::write_cf32le(&path, &samples).unwrap();
-        let replay = ReplaySource::read_cf32le(&path, 250e3).unwrap();
-        let _ = std::fs::remove_file(&path);
-        assert_eq!(replay.len(), samples.len());
-        for (a, b) in replay.samples.iter().zip(&samples) {
-            assert!((a.re - b.re).abs() < 1e-6 && (a.im - b.im).abs() < 1e-6);
-        }
     }
 }

@@ -1,28 +1,23 @@
 //! Performance snapshot for CI: runs the registered `perf` experiment
-//! (decode path, quick-mode sweeps, sample-level network rounds, streaming
-//! gateway, link-layer codecs) plus the registered `latency` experiment
-//! (per-stage and ingest→emit latency quantiles under paced replay),
-//! prints their reports, and writes `BENCH_decode.json` +
-//! `BENCH_network.json` + `BENCH_stream.json` + `BENCH_coding.json` +
-//! `BENCH_latency.json` through the schema-versioned `ExperimentResult`
-//! JSON sink so the perf trajectory of all five pipelines is tracked from
-//! PR to PR.
+//! (decode path, quick-mode sweeps, sample-level network rounds, link-layer
+//! codecs), prints its report, and writes `BENCH_decode.json` +
+//! `BENCH_network.json` + `BENCH_coding.json` through the schema-versioned
+//! `ExperimentResult` JSON sink so the perf trajectory of the three kernel
+//! tables is tracked from PR to PR. End-to-end stream numbers come from
+//! `benchmark/`, not from here.
 //!
 //! Usage: `perf_snapshot [--out <path>] [--network-out <path>]
-//! [--stream-out <path>] [--coding-out <path>] [--latency-out <path>]
-//! [--format text|json] [--seed N]` (defaults `BENCH_decode.json` /
-//! `BENCH_network.json` / `BENCH_stream.json` / `BENCH_coding.json` /
-//! `BENCH_latency.json`, text report).
+//! [--coding-out <path>] [--format text|json] [--seed N]` (defaults
+//! `BENCH_decode.json` / `BENCH_network.json` / `BENCH_coding.json`, text
+//! report).
 //! The other universal experiment flags are accepted; ones the `perf`
 //! experiment does not read (e.g. `--threads`) produce a stderr note.
 
 use netscatter_sim::cli::{parse_flags_or_exit, warn_unused_fields};
 use netscatter_sim::experiment::{render, OutputFormat};
-use netscatter_sim::experiments::{find, latency_bench_result, perf_bench_results};
-use netscatter_sim::Scenario;
+use netscatter_sim::experiments::{find, perf_bench_results};
 
-const USAGE: &str =
-    "perf_snapshot — CI perf snapshot (the registered `perf` + `latency` experiments)
+const USAGE: &str = "perf_snapshot — CI perf snapshot (the registered `perf` experiment)
 
 USAGE:
   perf_snapshot [flags]
@@ -30,9 +25,7 @@ USAGE:
 FLAGS:
   --out <PATH>            BENCH_decode.json path (default: BENCH_decode.json)
   --network-out <PATH>    BENCH_network.json path (default: BENCH_network.json)
-  --stream-out <PATH>     BENCH_stream.json path (default: BENCH_stream.json)
   --coding-out <PATH>     BENCH_coding.json path (default: BENCH_coding.json)
-  --latency-out <PATH>    BENCH_latency.json path (default: BENCH_latency.json)
   --seed <N>              deployment seed (default: 42)
   --format <text|json>    stdout report sink (default: text);
                           the BENCH artifacts are always JSON
@@ -43,9 +36,7 @@ does not read (e.g. --threads) produce a stderr note.";
 fn main() {
     let mut out_path = String::from("BENCH_decode.json");
     let mut network_out_path = String::from("BENCH_network.json");
-    let mut stream_out_path = String::from("BENCH_stream.json");
     let mut coding_out_path = String::from("BENCH_coding.json");
-    let mut latency_out_path = String::from("BENCH_latency.json");
     // Split the snapshot-specific flags off, then hand the rest to the
     // shared experiment-flag parser (which handles --help and rejects
     // unknown flags / unknown --format values with a usage error rather
@@ -64,9 +55,7 @@ fn main() {
         match raw[i].as_str() {
             "--out" => out_path = take_value(&mut i),
             "--network-out" => network_out_path = take_value(&mut i),
-            "--stream-out" => stream_out_path = take_value(&mut i),
             "--coding-out" => coding_out_path = take_value(&mut i),
-            "--latency-out" => latency_out_path = take_value(&mut i),
             other => shared.push(other.to_string()),
         }
         i += 1;
@@ -84,28 +73,11 @@ fn main() {
     let result = exp.run(&opts.scenario);
     print!("{}", render(exp, &result, opts.format));
 
-    // The latency snapshot runs the registered `latency` experiment at the
-    // same operating point as the perf stream section (10 rounds/s
-    // arrivals, 0.5 s streams, 8192-sample chunks) — paced replay, so the
-    // quantiles answer the deployment question, not the saturated one.
-    let latency_exp = find("latency").expect("latency experiment is registered");
-    let latency_scenario = Scenario::builder()
-        .seed(opts.scenario.seed)
-        .arrival_rate(10.0)
-        .stream_secs(0.5)
-        .chunk_samples(8192)
-        .build();
-    let latency_result = latency_exp.run(&latency_scenario);
-    print!("{}", render(latency_exp, &latency_result, opts.format));
-
-    let (decode, network, stream, coding) = perf_bench_results(&result);
-    let latency = latency_bench_result(&latency_result);
+    let (decode, network, coding) = perf_bench_results(&result);
     for (artifact, path) in [
         (decode, &out_path),
         (network, &network_out_path),
-        (stream, &stream_out_path),
         (coding, &coding_out_path),
-        (latency, &latency_out_path),
     ] {
         if let Err(e) = std::fs::write(path, artifact.to_json().to_string_pretty()) {
             eprintln!("failed to write {path}: {e}");

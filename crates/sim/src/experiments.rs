@@ -38,7 +38,7 @@ use std::fmt::Write as _;
 pub use crate::scenario::Scale;
 
 /// The registered experiments, in the order `netscatter list` prints them.
-static REGISTRY: [&dyn Experiment; 17] = [
+static REGISTRY: [&dyn Experiment; 16] = [
     &Table1,
     &Fig04,
     &Fig08,
@@ -54,7 +54,6 @@ static REGISTRY: [&dyn Experiment; 17] = [
     &AnalysisCapacity,
     &Gateway,
     &Goodput,
-    &Latency,
     &Perf,
 ];
 
@@ -1131,8 +1130,8 @@ impl Experiment for AnalysisCapacity {
 // ---------------------------------------------------------------------------
 // Streaming gateway
 
-/// The network sizes the gateway experiment and the stream perf snapshot
-/// report (clamped to the scenario's population).
+/// The network sizes the gateway experiment reports (clamped to the
+/// scenario's population).
 const GATEWAY_SIZES: [usize; 3] = [16, 64, 256];
 
 /// Aggregate outcome of one streaming-gateway session, scored against the
@@ -1301,28 +1300,7 @@ fn run_gateway_stream(
     stream_secs: f64,
     trial_seed: u64,
 ) -> GatewayOutcome {
-    run_gateway_session(dep, n, model, scenario, stream_secs, trial_seed, false)
-}
-
-/// [`run_gateway_stream`] with an explicit pacing mode. `paced` wraps every
-/// channel's replay in a [`netscatter_gateway::PacedSource`], so sources
-/// deliver at radio rate (500 ksps each) instead of as fast as the pipeline
-/// drains: the measured aggregate then answers "how many channels does the
-/// gateway sustain in real time" rather than "how fast can it chew a
-/// capture" — the two multi-channel numbers the perf snapshot tracks.
-#[allow(clippy::too_many_arguments)]
-fn run_gateway_session(
-    dep: &crate::deployment::Deployment,
-    n: usize,
-    model: &crate::fullround::ChannelModel,
-    scenario: &Scenario,
-    stream_secs: f64,
-    trial_seed: u64,
-    paced: bool,
-) -> GatewayOutcome {
-    use netscatter_gateway::{
-        run_multi_stream, GatewayConfig, PacedSource, ReplaySource, StreamSource,
-    };
+    use netscatter_gateway::{run_multi_stream, GatewayConfig, ReplaySource, StreamSource};
 
     let channels = scenario.channels.max(1);
     let streams: Vec<ChannelStream> = (0..channels as u64)
@@ -1349,29 +1327,21 @@ fn run_gateway_session(
     // is deterministic and identical — only the clock varies, and on a
     // shared runner interference is strictly additive, so the max is the
     // least-biased estimate of the uncontended pipeline capability).
-    // Paced sessions burn stream_secs of wall time each and are pinned to
-    // the radio rate anyway, so one session suffices.
-    let repeats = if paced { 1 } else { 5 };
-    let mut reports: Vec<_> = (0..repeats)
+    let report = (0..5)
         .map(|_| {
             let mut sources: Vec<Box<dyn StreamSource>> = streams
                 .iter()
                 .map(|chan| {
-                    let replay =
-                        ReplaySource::from_samples(chan.samples.clone(), chan.sample_rate_hz);
-                    if paced {
-                        Box::new(PacedSource::new(replay)) as Box<dyn StreamSource>
-                    } else {
-                        Box::new(replay) as Box<dyn StreamSource>
-                    }
+                    Box::new(ReplaySource::from_samples(
+                        chan.samples.clone(),
+                        chan.sample_rate_hz,
+                    )) as Box<dyn StreamSource>
                 })
                 .collect();
             run_multi_stream(&mut sources, &config).expect("gateway stream decodes")
         })
-        .collect();
-    reports
-        .sort_by(|a, b| f64::total_cmp(&a.aggregate_samples_per_sec, &b.aggregate_samples_per_sec));
-    let report = reports.swap_remove(reports.len() - 1);
+        .max_by(|a, b| f64::total_cmp(&a.aggregate_samples_per_sec, &b.aggregate_samples_per_sec))
+        .expect("five sessions ran");
 
     let mut total = ChannelScore::default();
     for (chan_report, chan) in report.channels.iter().zip(streams.iter()) {
@@ -1555,258 +1525,6 @@ impl Experiment for Gateway {
             last_n,
             result.scalar("msamples_per_sec").expect("scalar"),
             result.scalar("real_time_factor").expect("scalar")
-        );
-        out
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Pipeline latency
-
-/// The stage names the `latency` experiment reports, indexing the
-/// `stage` column of its table: end-to-end ingest→emit first, then the
-/// per-stage breakdown in pipeline order.
-pub const LATENCY_STAGES: [&str; 5] = [
-    "ingest_to_emit",
-    "ring_block_wait",
-    "gate_to_anchor",
-    "queue_wait",
-    "decode",
-];
-
-/// One size point of the latency experiment: the in-process ingest→emit
-/// distribution measured at the drain side, plus the engine's own
-/// per-stage telemetry snapshot.
-struct LatencyOutcome {
-    e2e: netscatter_obs::HistogramSnapshot,
-    stages: netscatter_gateway::PipelineTelemetry,
-}
-
-/// Replays one pre-synthesized channel through a [`StreamEngine`] at
-/// radio rate (chunks fed on the stream clock, like an SDR front-end
-/// would) and measures ingest→emit latency per emitted packet via
-/// [`StreamEngine::drain_timed`], draining on a fine poll so the
-/// measurement reflects the pipeline, not the drain cadence.
-fn run_latency_session(
-    chan: &ChannelStream,
-    scenario: &Scenario,
-    dep_profile: netscatter_phy::params::PhyProfile,
-) -> LatencyOutcome {
-    use netscatter_gateway::{GatewayConfig, StreamEngine};
-    use std::time::{Duration, Instant};
-
-    let config = GatewayConfig {
-        chunk_samples: scenario.chunk_samples,
-        workers: scenario.threads,
-        detection_floor_fraction: Some(chan.detection_floor_fraction),
-        ..GatewayConfig::new(
-            dep_profile,
-            chan.assigned_bins.clone(),
-            scenario.payload_bits,
-        )
-    };
-    let mut engine =
-        StreamEngine::spawn(&config, chan.sample_rate_hz).expect("latency engine spawns");
-    let e2e = netscatter_obs::Histogram::new();
-    let chunk = scenario.chunk_samples.max(1);
-    let chunk_period = Duration::from_secs_f64(chunk as f64 / chan.sample_rate_hz);
-    let start = Instant::now();
-    for (i, samples) in chan.samples.chunks(chunk).enumerate() {
-        // Pace each chunk onto the stream clock, draining while waiting so
-        // emit timestamps are captured promptly.
-        let due = start + chunk_period * i as u32;
-        loop {
-            for t in engine.drain_timed() {
-                e2e.record_duration(t.ingested_at.elapsed());
-            }
-            let Some(wait) = due.checked_duration_since(Instant::now()) else {
-                break;
-            };
-            std::thread::sleep(wait.min(Duration::from_micros(500)));
-        }
-        engine
-            .feed(samples)
-            .expect("latency engine accepts samples");
-    }
-    // Let in-flight spans finish decoding: a 256-device decode runs tens
-    // of milliseconds, so keep draining until a full quiet window passes
-    // with nothing emitted (bounded, so a stuck engine cannot hang the
-    // bench).
-    let quiet_window = Duration::from_millis(200);
-    let flush_deadline = Instant::now() + Duration::from_secs(2);
-    let mut last_emit = Instant::now();
-    while last_emit.elapsed() < quiet_window && Instant::now() < flush_deadline {
-        std::thread::sleep(Duration::from_millis(5));
-        let drained = engine.drain_timed();
-        if !drained.is_empty() {
-            last_emit = Instant::now();
-            for t in drained {
-                e2e.record_duration(t.ingested_at.elapsed());
-            }
-        }
-    }
-    let report = engine.shutdown().expect("latency engine shuts down");
-    LatencyOutcome {
-        e2e: e2e.snapshot(),
-        stages: report.telemetry,
-    }
-}
-
-/// Pipeline latency: per-stage p50/p95/p99 through the streaming gateway
-/// under real-time paced replay, plus the in-process ingest→emit
-/// end-to-end distribution.
-pub struct Latency;
-
-impl Experiment for Latency {
-    fn id(&self) -> &'static str {
-        "latency"
-    }
-
-    fn title(&self) -> &'static str {
-        "Pipeline latency: per-stage and ingest→emit p50/p95/p99 under paced replay"
-    }
-
-    fn scenario_fields(&self) -> &'static [&'static str] {
-        &[
-            "devices",
-            "placement",
-            "channel",
-            "fidelity",
-            "scale",
-            "seed",
-            "threads",
-            "payload_bits",
-            "arrival_rate",
-            "stream_secs",
-            "chunk_samples",
-        ]
-    }
-
-    fn run(&self, scenario: &Scenario) -> ExperimentResult {
-        /// Stream-length cap under quick scale (each size point burns its
-        /// stream length in wall time — the replay is radio-rate paced).
-        const QUICK_STREAM_SECS_CAP: f64 = 0.25;
-        let dep = scenario.deployment();
-        let model = gateway_channel_model(scenario);
-        let stream_secs = if scenario.scale == Scale::Quick {
-            scenario.stream_secs.min(QUICK_STREAM_SECS_CAP)
-        } else {
-            scenario.stream_secs
-        };
-        let mut sizes: Vec<usize> = GATEWAY_SIZES
-            .into_iter()
-            .filter(|&n| n <= scenario.devices)
-            .collect();
-        if sizes.last() != Some(&scenario.devices) {
-            sizes.push(scenario.devices);
-        }
-        let mc = scenario.monte_carlo();
-        let mut result = ExperimentResult::new(self.id(), self.title(), scenario);
-        result.scenario.stream_secs = stream_secs;
-        let mut t = Table::new(
-            "latency",
-            &[
-                ("devices", ""),
-                ("stage", ""),
-                ("count", ""),
-                ("p50_ms", "ms"),
-                ("p95_ms", "ms"),
-                ("p99_ms", "ms"),
-            ],
-        );
-        let mut detect = Table::new(
-            "detect_samples",
-            &[
-                ("devices", ""),
-                ("count", ""),
-                ("p50_samples", ""),
-                ("p95_samples", ""),
-                ("p99_samples", ""),
-            ],
-        );
-        let mut last: Option<LatencyOutcome> = None;
-        for &n in &sizes {
-            let chan = synthesize_gateway_channel(
-                &dep,
-                n,
-                &model,
-                scenario,
-                stream_secs,
-                mc.derive(n as u64).seed ^ 0x1A7E,
-            );
-            let outcome = run_latency_session(&chan, scenario, dep.config.profile);
-            let ns_stages = [
-                &outcome.e2e,
-                &outcome.stages.ring_block_wait_ns,
-                &outcome.stages.detect_gate_to_anchor_ns,
-                &outcome.stages.queue_wait_ns,
-                &outcome.stages.decode_ns,
-            ];
-            for (stage, h) in ns_stages.into_iter().enumerate() {
-                t.push_row(vec![
-                    n as f64,
-                    stage as f64,
-                    h.count() as f64,
-                    h.quantile(0.5) / 1e6,
-                    h.quantile(0.95) / 1e6,
-                    h.quantile(0.99) / 1e6,
-                ]);
-            }
-            let ds = &outcome.stages.detect_gate_to_anchor_samples;
-            detect.push_row(vec![
-                n as f64,
-                ds.count() as f64,
-                ds.quantile(0.5),
-                ds.quantile(0.95),
-                ds.quantile(0.99),
-            ]);
-            last = Some(outcome);
-        }
-        result.tables.push(t);
-        result.tables.push(detect);
-        let last = last.expect("at least one network size");
-        result.scalars.push(("stream_secs".into(), stream_secs));
-        result
-            .scalars
-            .push(("p50_ingest_to_emit_ms".into(), last.e2e.quantile(0.5) / 1e6));
-        result.scalars.push((
-            "p99_ingest_to_emit_ms".into(),
-            last.e2e.quantile(0.99) / 1e6,
-        ));
-        result
-    }
-
-    fn render_text(&self, result: &ExperimentResult) -> String {
-        let mut out = format!(
-            "Pipeline latency ({} synthesis, {:.2} s paced stream, {} rounds/s arrivals)\n  N     stage            count   p50[ms]   p95[ms]   p99[ms]\n",
-            fidelity_tag(result.scenario.fidelity),
-            result.scalar("stream_secs").unwrap_or(f64::NAN),
-            result.scenario.arrival_rate,
-        );
-        let t = result.table("latency").expect("latency table");
-        for row in &t.rows {
-            let stage = LATENCY_STAGES.get(row[1] as usize).copied().unwrap_or("?");
-            let _ = writeln!(
-                out,
-                "  {:4.0}  {:15}  {:5.0}  {:8.3}  {:8.3}  {:8.3}",
-                row[0], stage, row[2], row[3], row[4], row[5]
-            );
-        }
-        let d = result.table("detect_samples").expect("detect table");
-        for row in &d.rows {
-            let _ = writeln!(
-                out,
-                "  detect lock at {:.0} devices: p50 {:.0} / p95 {:.0} / p99 {:.0} samples ({:.0} spans)",
-                row[0], row[2], row[3], row[4], row[1]
-            );
-        }
-        let last_n = t.rows.last().map(|r| r[0]).unwrap_or(0.0);
-        let _ = writeln!(
-            out,
-            "ingest->emit at {:.0} devices: p50 {:.3} ms, p99 {:.3} ms",
-            last_n,
-            result.scalar("p50_ingest_to_emit_ms").expect("scalar"),
-            result.scalar("p99_ingest_to_emit_ms").expect("scalar")
         );
         out
     }
@@ -2260,24 +1978,6 @@ impl Experiment for Goodput {
 /// Payload symbols per round timed by the perf snapshot.
 pub const PERF_PAYLOAD_SYMBOLS: usize = 16;
 
-/// Msamples/s the PR 5 gateway recorded in `BENCH_stream.json` at
-/// [`GATEWAY_SIZES`] = {16, 64, 256} devices — the CI snapshot taken while
-/// preamble sync still ran a zero-padded transform per candidate symbol
-/// (before the chirp-bank comb) and before the measurement isolated replay
-/// from synthesis. The `speedup_vs_pre_refactor`
-/// scalar divides today's 64-device single-channel replay session (the
-/// `multi_channel` table's k = 1 row — same population, same 10 rounds/s
-/// expected occupancy) by the middle entry.
-pub const PRE_REFACTOR_STREAM_MSPS: [f64; 3] = [6.86, 6.77, 5.41];
-
-/// Channel counts the multi-channel perf section sweeps.
-const PERF_CHANNEL_COUNTS: [usize; 3] = [1, 2, 4];
-
-/// Device population for the multi-channel perf section (the middle
-/// [`GATEWAY_SIZES`] point, so the single-channel row is directly
-/// comparable to the stream table).
-const PERF_CHANNEL_DEVICES: usize = 64;
-
 /// Median wall-time of `samples` timed invocations of `f`, in seconds.
 fn median_secs(samples: usize, mut f: impl FnMut()) -> f64 {
     use std::time::Instant;
@@ -2399,108 +2099,7 @@ impl Experiment for Perf {
             ]);
         }
 
-        // 4. Streaming-gateway throughput: the full producer → ring →
-        //    detector → worker pipeline over a sample-level office stream,
-        //    at {16, 64, 256} devices. Msamples/s and the real-time factor
-        //    land in BENCH_stream.json. 0.5 s streams keep the measured
-        //    window well clear of timer noise, and 8192-sample chunks (an
-        //    SDR DMA-buffer-sized feed, vs the 2048 the smoke tests use)
-        //    are the throughput operating point: on one core every chunk
-        //    handoff is a context switch, so quartering the per-sample
-        //    handoff count is worth ~30% of pipeline throughput.
-        let stream_scenario = Scenario::builder()
-            .seed(scenario.seed)
-            .arrival_rate(10.0)
-            .stream_secs(0.5)
-            .chunk_samples(8192)
-            .build();
-        let stream_model = ChannelModel::office();
-        let mut stream = Table::new(
-            "stream",
-            &[
-                ("devices", ""),
-                ("msamples_per_sec", "Msps"),
-                ("real_time_factor", ""),
-            ],
-        );
-        for n_devices in GATEWAY_SIZES {
-            let outcome = run_gateway_stream(
-                &dep,
-                n_devices,
-                &stream_model,
-                &stream_scenario,
-                stream_scenario.stream_secs,
-                scenario.seed ^ n_devices as u64,
-            );
-            stream.push_row(vec![
-                n_devices as f64,
-                outcome.msamples_per_sec,
-                outcome.real_time_factor,
-            ]);
-        }
-
-        // 4b. Multi-channel sharding at {1, 2, 4} × 500 kHz channels, two
-        //     pacing modes per point. Saturated replay (sources feed as
-        //     fast as the pipeline drains) measures the CPU-bound decode
-        //     ceiling — on a single-core runner the aggregate stays flat as
-        //     channels contend for the same core, and the table records
-        //     that honestly. Real-time-paced replay (each source throttled
-        //     to 500 ksps like a radio front-end) measures sustained
-        //     ingest: the aggregate grows with K for as long as the shards
-        //     keep every channel's real-time factor at 1, which is the
-        //     NetScatter deployment question — how many channels does one
-        //     AP serve at radio rate?
-        let mut multi = Table::new(
-            "multi_channel",
-            &[
-                ("channels", ""),
-                ("msamples_per_sec", "Msps"),
-                ("real_time_factor", ""),
-                ("paced_msamples_per_sec", "Msps"),
-                ("paced_real_time_factor", ""),
-            ],
-        );
-        let mut saturated_by_k = Vec::new();
-        let mut paced_by_k = Vec::new();
-        for channels in PERF_CHANNEL_COUNTS {
-            let multi_scenario = Scenario::builder()
-                .seed(scenario.seed)
-                .arrival_rate(10.0)
-                .stream_secs(0.5)
-                .chunk_samples(8192)
-                .channels(channels)
-                .build();
-            let trial_seed = scenario.seed ^ (channels as u64).rotate_left(17);
-            let saturated = run_gateway_session(
-                &dep,
-                PERF_CHANNEL_DEVICES,
-                &stream_model,
-                &multi_scenario,
-                multi_scenario.stream_secs,
-                trial_seed,
-                false,
-            );
-            let paced = run_gateway_session(
-                &dep,
-                PERF_CHANNEL_DEVICES,
-                &stream_model,
-                &multi_scenario,
-                multi_scenario.stream_secs,
-                trial_seed,
-                true,
-            );
-            multi.push_row(vec![
-                channels as f64,
-                saturated.msamples_per_sec,
-                saturated.real_time_factor,
-                paced.msamples_per_sec,
-                paced.real_time_factor,
-            ]);
-            saturated_by_k.push(saturated.msamples_per_sec);
-            paced_by_k.push(paced.msamples_per_sec);
-        }
-
-        // 5. Link-layer codec throughput for BENCH_coding.json: frame
+        // 4. Link-layer codec throughput for BENCH_coding.json: frame
         //    encode and decode over clean frames at each scheme's minimum
         //    geometry, amortized over a 256-frame batch, reported in
         //    Msymbols/s of on-air payload symbols (one bit per on-off-keyed
@@ -2558,7 +2157,7 @@ impl Experiment for Perf {
             ]);
         }
 
-        // 6. Quick-mode sweep wall-times: the Fig. 15b Monte-Carlo sweep and
+        // 5. Quick-mode sweep wall-times: the Fig. 15b Monte-Carlo sweep and
         //    the Fig. 17 network sweep, both through the sharded/parallel
         //    layer.
         let t = Instant::now();
@@ -2569,39 +2168,13 @@ impl Experiment for Perf {
         let fig17_ms = t.elapsed().as_secs_f64() * 1e3;
         assert!(fig15_report.contains("Fig. 15b") && fig17_report.contains("Fig. 17"));
 
-        // Speedup of today's 64-device single-channel replay session over
-        // the pre-refactor 64-device BENCH row. The per-row stream table
-        // above tracks the trajectory but its rows carry different Poisson
-        // occupancy realizations, so the scalar pins the one directly
-        // comparable point instead of a noisy row-wise minimum.
-        let speedup_vs_pre_refactor = saturated_by_k[0] / PRE_REFACTOR_STREAM_MSPS[1];
-
         let mut result = ExperimentResult::new(self.id(), self.title(), scenario);
         result.tables.push(decode);
         result.tables.push(network);
-        result.tables.push(stream);
-        result.tables.push(multi);
         result.tables.push(coding);
         result.scalars.push((
             "payload_symbols_per_round".into(),
             PERF_PAYLOAD_SYMBOLS as f64,
-        ));
-        result
-            .scalars
-            .push(("single_channel_msamples_per_sec".into(), saturated_by_k[0]));
-        result
-            .scalars
-            .push(("speedup_vs_pre_refactor".into(), speedup_vs_pre_refactor));
-        // Aggregate sustained-ingest scaling from 1 → 2 channels (paced
-        // sources), and the saturated-replay counterpart that exposes the
-        // single-core ceiling when both land on one CPU.
-        result.scalars.push((
-            "channel_scaling_1_to_2".into(),
-            paced_by_k[1] / paced_by_k[0],
-        ));
-        result.scalars.push((
-            "saturated_channel_scaling_1_to_2".into(),
-            saturated_by_k[1] / saturated_by_k[0],
         ));
         result
             .scalars
@@ -2636,20 +2209,6 @@ impl Experiment for Perf {
                 row[0], row[1], row[2]
             );
         }
-        for row in &result.table("stream").expect("stream table").rows {
-            let _ = writeln!(
-                out,
-                "  gateway[{:>3.0} devices]: {:.2} Msamples/s = {:.2}x real time",
-                row[0], row[1], row[2]
-            );
-        }
-        for row in &result.table("multi_channel").expect("multi table").rows {
-            let _ = writeln!(
-                out,
-                "  sharded[{:.0} ch]: saturated {:.2} Msamples/s ({:.2}x), real-time paced {:.2} Msamples/s ({:.2}x)",
-                row[0], row[1], row[2], row[3], row[4]
-            );
-        }
         for row in &result.table("coding").expect("coding table").rows {
             let scheme = CodingScheme::ALL
                 .get(row[0] as usize)
@@ -2661,19 +2220,6 @@ impl Experiment for Perf {
                 row[2], row[3], row[4]
             );
         }
-        let _ = writeln!(
-            out,
-            "  single-channel speedup vs pre-refactor snapshot (64 devices): {:.2}x",
-            result.scalar("speedup_vs_pre_refactor").expect("scalar")
-        );
-        let _ = writeln!(
-            out,
-            "  1->2 channel aggregate scaling: {:.2}x paced, {:.2}x saturated",
-            result.scalar("channel_scaling_1_to_2").expect("scalar"),
-            result
-                .scalar("saturated_channel_scaling_1_to_2")
-                .expect("scalar")
-        );
         let _ = writeln!(
             out,
             "  fig15b quick sweep: {:.0} ms",
@@ -2688,21 +2234,14 @@ impl Experiment for Perf {
     }
 }
 
-/// Splits a [`Perf`] result into the four CI artifacts — `BENCH_decode`
+/// Splits a [`Perf`] result into the three CI artifacts — `BENCH_decode`
 /// (decode pipeline + sweep wall-times), `BENCH_network` (sample-level
-/// round throughput), `BENCH_stream` (streaming-gateway throughput,
-/// real-time factor, multi-channel scaling and the pre-refactor speedup
-/// scalar) and `BENCH_coding` (per-codec frame encode/decode Msymbols/s) —
-/// each a self-contained schema-versioned [`ExperimentResult`] for the
-/// JSON sink.
+/// round throughput) and `BENCH_coding` (per-codec frame encode/decode
+/// Msymbols/s) — each a self-contained schema-versioned
+/// [`ExperimentResult`] for the JSON sink.
 pub fn perf_bench_results(
     perf: &ExperimentResult,
-) -> (
-    ExperimentResult,
-    ExperimentResult,
-    ExperimentResult,
-    ExperimentResult,
-) {
+) -> (ExperimentResult, ExperimentResult, ExperimentResult) {
     let mut decode = ExperimentResult::new(
         "bench_decode",
         "Decode-pipeline perf snapshot (BENCH_decode)",
@@ -2736,28 +2275,6 @@ pub fn perf_bench_results(
         "payload_symbols_per_round".into(),
         perf.scalar("payload_symbols_per_round").expect("scalar"),
     ));
-    let mut stream = ExperimentResult::new(
-        "bench_stream",
-        "Streaming-gateway perf snapshot (BENCH_stream)",
-        &perf.scenario,
-    );
-    stream.source.clone_from(&perf.source);
-    stream
-        .tables
-        .push(perf.table("stream").expect("stream table").clone());
-    stream
-        .tables
-        .push(perf.table("multi_channel").expect("multi table").clone());
-    for name in [
-        "single_channel_msamples_per_sec",
-        "speedup_vs_pre_refactor",
-        "channel_scaling_1_to_2",
-        "saturated_channel_scaling_1_to_2",
-    ] {
-        stream
-            .scalars
-            .push((name.into(), perf.scalar(name).expect("perf scalar")));
-    }
     let mut coding = ExperimentResult::new(
         "bench_coding",
         "Link-layer codec perf snapshot (BENCH_coding)",
@@ -2767,40 +2284,7 @@ pub fn perf_bench_results(
     coding
         .tables
         .push(perf.table("coding").expect("coding table").clone());
-    (decode, network, stream, coding)
-}
-
-/// Wraps a [`Latency`] result as the fifth CI artifact — `BENCH_latency`
-/// (per-stage and ingest→emit latency quantiles under paced replay at
-/// {16, 64, 256} devices), a self-contained schema-versioned
-/// [`ExperimentResult`] for the JSON sink. CI gates on its
-/// `p99_ingest_to_emit_ms` scalar against the committed baseline.
-pub fn latency_bench_result(latency: &ExperimentResult) -> ExperimentResult {
-    let mut bench = ExperimentResult::new(
-        "bench_latency",
-        "Pipeline-latency perf snapshot (BENCH_latency)",
-        &latency.scenario,
-    );
-    bench.source.clone_from(&latency.source);
-    bench
-        .tables
-        .push(latency.table("latency").expect("latency table").clone());
-    bench.tables.push(
-        latency
-            .table("detect_samples")
-            .expect("detect table")
-            .clone(),
-    );
-    for name in [
-        "stream_secs",
-        "p50_ingest_to_emit_ms",
-        "p99_ingest_to_emit_ms",
-    ] {
-        bench
-            .scalars
-            .push((name.into(), latency.scalar(name).expect("latency scalar")));
-    }
-    bench
+    (decode, network, coding)
 }
 
 // ---------------------------------------------------------------------------
@@ -2974,7 +2458,6 @@ mod tests {
                 "analysis_capacity",
                 "gateway",
                 "goodput",
-                "latency",
                 "perf",
             ]
         );
@@ -3031,7 +2514,7 @@ mod tests {
     fn gateway_experiment_decodes_an_analytical_stream() {
         // Analytical fidelity: ideal radios, no noise — every offered round
         // must come back decoded with zero bit errors, and the structured
-        // result must carry the throughput columns BENCH_stream consumes.
+        // result must carry the throughput columns.
         let scenario = Scenario::builder()
             .scale(Scale::Quick)
             .devices(16)

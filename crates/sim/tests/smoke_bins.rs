@@ -107,7 +107,6 @@ fn netscatter_list_enumerates_all_former_drivers() {
         "analysis_capacity",
         "gateway",
         "goodput",
-        "latency",
         "perf",
     ] {
         assert!(listing.contains(id), "list is missing {id}:\n{listing}");
@@ -137,7 +136,6 @@ fn netscatter_run_emits_schema_versioned_json_for_every_driver() {
         "analysis_capacity",
         "gateway",
         "goodput",
-        "latency",
     ] {
         let stdout = run(exe, &["run", id, "--quick", "--format", "json"]);
         let doc = Json::parse(&stdout).unwrap_or_else(|e| panic!("{id}: invalid JSON: {e}"));
@@ -221,14 +219,10 @@ fn perf_snapshot_writes_schema_versioned_bench_json() {
     use netscatter::json::Json;
     let out = std::env::temp_dir().join("netscatter_perf_snapshot_test.json");
     let net_out = std::env::temp_dir().join("netscatter_perf_snapshot_net_test.json");
-    let stream_out = std::env::temp_dir().join("netscatter_perf_snapshot_stream_test.json");
     let coding_out = std::env::temp_dir().join("netscatter_perf_snapshot_coding_test.json");
-    let latency_out = std::env::temp_dir().join("netscatter_perf_snapshot_latency_test.json");
     let _ = std::fs::remove_file(&out);
     let _ = std::fs::remove_file(&net_out);
-    let _ = std::fs::remove_file(&stream_out);
     let _ = std::fs::remove_file(&coding_out);
-    let _ = std::fs::remove_file(&latency_out);
     run(
         env!("CARGO_BIN_EXE_perf_snapshot"),
         &[
@@ -236,12 +230,8 @@ fn perf_snapshot_writes_schema_versioned_bench_json() {
             out.to_str().unwrap(),
             "--network-out",
             net_out.to_str().unwrap(),
-            "--stream-out",
-            stream_out.to_str().unwrap(),
             "--coding-out",
             coding_out.to_str().unwrap(),
-            "--latency-out",
-            latency_out.to_str().unwrap(),
         ],
     );
     for (path, experiment, table, rate_column) in [
@@ -252,7 +242,6 @@ fn perf_snapshot_writes_schema_versioned_bench_json() {
             "network",
             "device_symbols_per_sec",
         ),
-        (&stream_out, "bench_stream", "stream", "msamples_per_sec"),
     ] {
         let text = std::fs::read_to_string(path).expect("snapshot file written");
         let doc = Json::parse(&text).expect("BENCH artifact is valid JSON");
@@ -273,43 +262,6 @@ fn perf_snapshot_writes_schema_versioned_bench_json() {
         );
         let rows = t.get("rows").and_then(Json::as_array).expect("rows");
         assert_eq!(rows.len(), 3, "{experiment}: 16/64/256-device rows");
-    }
-    // BENCH_stream additionally carries the multi-channel sharding table
-    // ({1, 2, 4} channels, saturated + real-time-paced aggregates) and the
-    // scaling/speedup scalars the CI gate reads.
-    {
-        let text = std::fs::read_to_string(&stream_out).expect("stream snapshot");
-        let doc = Json::parse(&text).expect("BENCH_stream is valid JSON");
-        let tables = doc.get("tables").and_then(Json::as_array).expect("tables");
-        let multi = &tables[1];
-        assert_eq!(
-            multi.get("name").and_then(Json::as_str),
-            Some("multi_channel")
-        );
-        let rows = multi.get("rows").and_then(Json::as_array).expect("rows");
-        assert_eq!(rows.len(), 3, "1/2/4-channel rows");
-        for (row, expected_k) in rows.iter().zip([1.0, 2.0, 4.0]) {
-            let row = row.as_array().expect("row array");
-            assert_eq!(row[0].as_f64(), Some(expected_k));
-            for cell in &row[1..] {
-                assert!(cell.as_f64().unwrap() > 0.0, "non-positive rate in {row:?}");
-            }
-        }
-        let scalars = doc.get("scalars").expect("scalars object");
-        let scalar = |name: &str| {
-            scalars
-                .get(name)
-                .and_then(Json::as_f64)
-                .unwrap_or_else(|| panic!("BENCH_stream lacks scalar {name}"))
-        };
-        assert!(scalar("single_channel_msamples_per_sec") > 0.0);
-        assert!(scalar("speedup_vs_pre_refactor") > 0.0);
-        // Real-time-paced sources deliver at 500 ksps each, so doubling
-        // the channels must grow the sustained aggregate materially even
-        // on a single-core runner (the saturated counterpart may stay
-        // flat there — that one is recorded, not gated).
-        assert!(scalar("channel_scaling_1_to_2") > 1.5);
-        assert!(scalar("saturated_channel_scaling_1_to_2") > 0.0);
     }
     // BENCH_coding carries one row per FEC scheme (hamming/rs/conv/
     // fountain) with positive encode and decode Msymbols/s.
@@ -348,57 +300,6 @@ fn perf_snapshot_writes_schema_versioned_bench_json() {
             assert!(enc > 0.0 && dec > 0.0, "non-positive codec rate in {row:?}");
         }
     }
-    // BENCH_latency carries the per-stage quantile table (five stages per
-    // device count) plus the p99 ingest->emit scalar the CI gate reads.
-    {
-        let text = std::fs::read_to_string(&latency_out).expect("latency snapshot");
-        let doc = Json::parse(&text).expect("BENCH_latency is valid JSON");
-        assert_eq!(doc.get("schema_version").and_then(Json::as_u64), Some(1));
-        assert_eq!(
-            doc.get("experiment").and_then(Json::as_str),
-            Some("bench_latency")
-        );
-        let tables = doc.get("tables").and_then(Json::as_array).expect("tables");
-        let t = &tables[0];
-        assert_eq!(t.get("name").and_then(Json::as_str), Some("latency"));
-        let columns = t.get("columns").and_then(Json::as_array).expect("columns");
-        for name in ["devices", "stage", "count", "p50_ms", "p95_ms", "p99_ms"] {
-            assert!(
-                columns
-                    .iter()
-                    .any(|c| c.get("name").and_then(Json::as_str) == Some(name)),
-                "BENCH_latency is missing the {name} column"
-            );
-        }
-        let rows = t.get("rows").and_then(Json::as_array).expect("rows");
-        assert_eq!(rows.len(), 15, "5 stages x 16/64/256-device rows");
-        // The end-to-end row (stage 0) at every size saw packets and its
-        // quantiles are ordered.
-        for row in rows {
-            let row = row.as_array().expect("row array");
-            let (stage, count) = (row[1].as_f64().unwrap(), row[2].as_f64().unwrap());
-            let (p50, p95, p99) = (
-                row[3].as_f64().unwrap(),
-                row[4].as_f64().unwrap(),
-                row[5].as_f64().unwrap(),
-            );
-            assert!(p50 <= p95 && p95 <= p99, "unordered quantiles in {row:?}");
-            if stage == 0.0 {
-                assert!(count > 0.0, "no ingest->emit packets in {row:?}");
-                assert!(p99 > 0.0, "zero ingest->emit p99 in {row:?}");
-            }
-        }
-        assert_eq!(
-            tables[1].get("name").and_then(Json::as_str),
-            Some("detect_samples")
-        );
-        let scalars = doc.get("scalars").expect("scalars object");
-        let p99 = scalars
-            .get("p99_ingest_to_emit_ms")
-            .and_then(Json::as_f64)
-            .expect("BENCH_latency lacks the p99 scalar");
-        assert!(p99 > 0.0, "non-positive p99 ingest->emit latency");
-    }
     // Unknown --format values are rejected with a usage error, not
     // silently defaulted.
     let bad = spawn(
@@ -409,9 +310,7 @@ fn perf_snapshot_writes_schema_versioned_bench_json() {
     assert!(String::from_utf8_lossy(&bad.stderr).contains("--format"));
     let _ = std::fs::remove_file(&out);
     let _ = std::fs::remove_file(&net_out);
-    let _ = std::fs::remove_file(&stream_out);
     let _ = std::fs::remove_file(&coding_out);
-    let _ = std::fs::remove_file(&latency_out);
 }
 
 #[test]
