@@ -50,17 +50,20 @@
 //! stream's last-recorded decode throughput — the sharded gateway's
 //! whole-AP processing rate.
 //!
-//! Grammar guarantee (locked by the exposition lint test): every line
-//! after the header is `name value` or `name{label="v",…} value`, names
-//! are `[a-z_][a-z0-9_]*`, label values escape `\`, `"` and newlines, the
-//! value is always parseable as `f64`, bucket lines are cumulative and
-//! monotone with ascending `le` bounds, and the `le="+Inf"` bucket equals
-//! the histogram's `_count`.
+//! Grammar guarantee (enforced by [`lint`], which the exposition lint test
+//! runs on a synthetic registry and `netscatter stress` on every live
+//! scrape): every line after the header is `name value` or
+//! `name{label="v",…} value`, names are `[a-z_][a-z0-9_]*`, label values
+//! escape `\`, `"` and newlines, the value is always parseable as `f64`,
+//! bucket lines are cumulative and monotone with ascending `le` bounds, the
+//! `le="+Inf"` bucket equals the histogram's `_count`, and every histogram
+//! carries exactly the pinned quantile set, ordered p50 ≤ p95 ≤ p99.
 
 use crate::registry::{DaemonHealth, StreamRegistry};
 use netscatter_gateway::PipelineTelemetry;
 use netscatter_obs::hist::bucket_upper;
 use netscatter_obs::HistogramSnapshot;
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// The version line heading every metrics document.
@@ -338,6 +341,162 @@ fn escape_label(name: &str) -> String {
     name.replace('\\', "\\\\")
         .replace('"', "\\\"")
         .replace('\n', "\\n")
+}
+
+/// The quantile labels every histogram block carries, in document order.
+const PINNED_QUANTILES: [&str; 3] = ["0.5", "0.95", "0.99"];
+
+/// Parses `name{key="value",…}` into the metric name and its labels with
+/// escapes resolved; `None` when the series violates the grammar.
+#[inline] // with `lint`, see there
+fn parse_series(series: &str) -> Option<(&str, Vec<(&str, String)>)> {
+    let (name, mut rest) = match series.split_once('{') {
+        None => (series, ""),
+        Some((name, labels)) => (name, labels.strip_suffix('}')?),
+    };
+    let mut chars = name.chars();
+    let first = chars.next()?;
+    if !(first.is_ascii_lowercase() || first == '_')
+        || !chars.all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_')
+        || (rest.is_empty() && series.contains('{'))
+    {
+        return None; // bad name, or `name{}`
+    }
+    let mut labels = Vec::new();
+    while !rest.is_empty() {
+        let (key, after_eq) = rest.split_once("=\"")?;
+        if key.is_empty() || !key.chars().all(|c| c.is_ascii_lowercase() || c == '_') {
+            return None;
+        }
+        // The value runs to the first unescaped quote.
+        let mut value = String::new();
+        let mut iter = after_eq.char_indices();
+        let end = loop {
+            match iter.next()? {
+                (_, '\\') => match iter.next()?.1 {
+                    escaped @ ('\\' | '"' | 'n') => value.push(escaped),
+                    _ => return None,
+                },
+                (i, '"') => break i,
+                (_, c) => value.push(c),
+            }
+        };
+        labels.push((key, value));
+        rest = &after_eq[end + 1..];
+        if !rest.is_empty() {
+            // More pairs follow a comma; a trailing comma is an error.
+            rest = rest.strip_prefix(',').filter(|more| !more.is_empty())?;
+        }
+    }
+    Some((name, labels))
+}
+
+/// Checks `doc` against the grammar and histogram invariants the module
+/// docs promise and returns one message per violation (empty = clean): the
+/// header and `build_info` lines, every series and value well-formed, and
+/// per histogram — `le` bounds ascending, buckets cumulative, closed by a
+/// `le="+Inf"` bucket equal to `_count`, exactly the pinned quantiles,
+/// ordered, finite and non-negative.
+///
+/// `#[inline]` so the validator is compiled into its callers (the lint
+/// test, `netscatter stress`) and not into this crate's objects: the daemon
+/// never calls it, and `netscatterd`'s machine code stays what it is without.
+#[inline]
+pub fn lint(doc: &str) -> Vec<String> {
+    // Histogram lines grouped by (metric, labels other than le/quantile),
+    // each group in document order.
+    type Key = (String, String);
+    let mut buckets: BTreeMap<Key, Vec<(String, u64)>> = BTreeMap::new();
+    let mut counts: BTreeMap<Key, u64> = BTreeMap::new();
+    let mut quantiles: BTreeMap<Key, Vec<(String, f64)>> = BTreeMap::new();
+    let mut failures = Vec::new();
+    let mut lines = doc.lines();
+    if lines.next() != Some(METRICS_HEADER) {
+        failures.push(format!("first line is not {METRICS_HEADER:?}"));
+    }
+    let mut build_info = false;
+    for line in lines {
+        let Some((series, value)) = line.rsplit_once(' ') else {
+            failures.push(format!("no value separator in {line:?}"));
+            continue;
+        };
+        let Ok(number) = value.parse::<f64>() else {
+            failures.push(format!("value does not parse as f64 in {line:?}"));
+            continue;
+        };
+        let Some((name, labels)) = parse_series(series) else {
+            failures.push(format!("series violates the grammar in {line:?}"));
+            continue;
+        };
+        build_info |= name == "netscatterd_build_info";
+        let label = |wanted: &str| labels.iter().find(|(k, _)| *k == wanted);
+        let key = |metric: &str| {
+            let rest: Vec<String> = labels
+                .iter()
+                .filter(|(k, _)| !matches!(*k, "le" | "quantile"))
+                .map(|(k, v)| format!("{k}={v}"))
+                .collect();
+            (metric.to_string(), rest.join(","))
+        };
+        if let Some((_, q)) = label("quantile") {
+            quantiles
+                .entry(key(name))
+                .or_default()
+                .push((q.clone(), number));
+        } else if let Some(base) = name.strip_suffix("_bucket") {
+            match (label("le"), value.parse::<u64>()) {
+                (Some((_, le)), Ok(n)) => {
+                    buckets.entry(key(base)).or_default().push((le.clone(), n))
+                }
+                _ => failures.push(format!("bucket line needs le and an integer in {line:?}")),
+            }
+        } else if let Some(base) = name.strip_suffix("_count") {
+            match value.parse::<u64>() {
+                Ok(n) => {
+                    counts.insert(key(base), n);
+                }
+                Err(_) => failures.push(format!("_count is not an integer in {line:?}")),
+            }
+        }
+    }
+    if !build_info {
+        failures.push("no netscatterd_build_info line".to_string());
+    }
+    for (key, group) in &buckets {
+        let (inf, finite) = group.split_last().expect("groups are created non-empty");
+        if inf.0 != "+Inf" {
+            failures.push(format!("{key:?}: buckets not closed by le=\"+Inf\""));
+        }
+        let (mut prev_le, mut prev_cum) = (f64::NEG_INFINITY, 0u64);
+        for (le, cum) in finite {
+            // A NaN or unparsable bound fails the ascending comparison.
+            let le: f64 = le.parse().unwrap_or(f64::NAN);
+            if le.partial_cmp(&prev_le) != Some(std::cmp::Ordering::Greater) {
+                failures.push(format!("{key:?}: le bounds not ascending"));
+            }
+            if *cum < prev_cum {
+                failures.push(format!("{key:?}: buckets not cumulative"));
+            }
+            (prev_le, prev_cum) = (le, *cum);
+        }
+        if inf.1 < prev_cum || counts.get(key) != Some(&inf.1) {
+            failures.push(format!("{key:?}: +Inf bucket must equal _count"));
+        }
+        if !quantiles.contains_key(key) {
+            failures.push(format!("{key:?}: histogram without quantile lines"));
+        }
+    }
+    for (key, qs) in &quantiles {
+        if !qs.iter().map(|(q, _)| q.as_str()).eq(PINNED_QUANTILES) {
+            failures.push(format!("{key:?}: quantile set not pinned to p50/p95/p99"));
+        } else if !qs.windows(2).all(|w| w[0].1 <= w[1].1) {
+            failures.push(format!("{key:?}: quantiles out of order: {qs:?}"));
+        }
+        if !qs.iter().all(|(_, v)| v.is_finite() && *v >= 0.0) {
+            failures.push(format!("{key:?}: non-finite or negative quantile: {qs:?}"));
+        }
+    }
+    failures
 }
 
 #[cfg(test)]

@@ -56,9 +56,9 @@ use std::time::{Duration, Instant};
 /// How long blocked accepts/reads sleep before re-checking the shutdown
 /// flag — the bound on shutdown latency, and the cadence at which a
 /// serving thread notices fresh socket bytes after an idle read. Held at
-/// 1 ms: the daemon_ingest bench bounds the per-connection serving
-/// overhead, and a coarser tick (the original 20 ms) dominates short
-/// streams' end-to-end latency.
+/// 1 ms: the benchmark's `churn64` workload (`serve.connect_ready_ms`)
+/// bounds the per-connection serving overhead, and a coarser tick (the
+/// original 20 ms) dominates short streams' end-to-end latency.
 const POLL_TICK: Duration = Duration::from_millis(1);
 
 /// Most bytes the end-of-stream drain will consume before giving up and

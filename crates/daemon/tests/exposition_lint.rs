@@ -1,81 +1,14 @@
 //! Exposition-format lint for the metrics-v2 document.
 //!
-//! The metrics endpoint promises a machine-parseable grammar — every line
-//! after the header is `name value` or `name{label="v",…} value` — plus
-//! histogram invariants: cumulative `_bucket` lines that rise
-//! monotonically to a `le="+Inf"` bucket equal to `_count`, ascending
-//! `le` bounds, and pinned `quantile="0.5"/"0.95"/"0.99"` lines ordered
-//! p50 ≤ p95 ≤ p99. This test renders a document from a registry exercised
-//! across channels, retirement and hostile names, and validates the whole
-//! grammar with a hand-rolled parser (no regex dependency).
+//! The grammar and histogram invariants the endpoint promises are one
+//! function, [`metrics::lint`] (`netscatter stress` runs it on live
+//! scrapes). Here it runs on a document rendered from a registry exercised
+//! across channels, retirement and hostile names, and a table of
+//! hand-broken documents proves each rule bites.
 
-use netscatter_daemon::metrics;
+use netscatter_daemon::metrics::{self, lint};
 use netscatter_daemon::registry::{DaemonHealth, StreamRegistry};
-use std::collections::BTreeMap;
 use std::time::Duration;
-
-/// Parses `name{key="value",…}` into (name, rendered label list). Returns
-/// `None` when the grammar is violated.
-fn parse_series(series: &str) -> Option<(String, Vec<(String, String)>)> {
-    let (name, labels) = match series.split_once('{') {
-        None => (series, ""),
-        Some((name, rest)) => (name, rest.strip_suffix('}')?),
-    };
-    let mut chars = name.chars();
-    let first = chars.next()?;
-    if !(first.is_ascii_lowercase() || first == '_') {
-        return None;
-    }
-    if !chars.all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_') {
-        return None;
-    }
-    let mut pairs = Vec::new();
-    if labels.is_empty() {
-        if series.contains('{') {
-            return None; // `name{}` is not in the grammar
-        }
-        return Some((name.to_string(), pairs));
-    }
-    // Split key="value" pairs on commas that sit outside quotes.
-    let mut rest = labels;
-    while !rest.is_empty() {
-        let (key, after_eq) = rest.split_once("=\"")?;
-        if key.is_empty() || !key.chars().all(|c| c.is_ascii_lowercase() || c == '_') {
-            return None;
-        }
-        // The value runs to the first unescaped quote.
-        let mut value = String::new();
-        let mut iter = after_eq.char_indices();
-        let mut end = None;
-        while let Some((i, c)) = iter.next() {
-            match c {
-                '\\' => {
-                    let (_, escaped) = iter.next()?;
-                    if !matches!(escaped, '\\' | '"' | 'n') {
-                        return None;
-                    }
-                    value.push(escaped);
-                }
-                '"' => {
-                    end = Some(i);
-                    break;
-                }
-                '\n' => return None,
-                _ => value.push(c),
-            }
-        }
-        let end = end?;
-        pairs.push((key.to_string(), value));
-        rest = &after_eq[end + 1..];
-        match rest.strip_prefix(',') {
-            Some(more) if !more.is_empty() => rest = more,
-            Some(_) => return None, // trailing comma
-            None if rest.is_empty() => break,
-            None => return None,
-        }
-    }
-    Some((name.to_string(), pairs))
-}
 
 /// A registry worked hard enough to exercise every metric family:
 /// several channels, recorded rates/frames/latencies, a retired stream,
@@ -107,108 +40,57 @@ fn exercised_registry() -> (StreamRegistry, DaemonHealth) {
 fn every_line_obeys_the_exposition_grammar() {
     let (reg, health) = exercised_registry();
     let doc = metrics::render(&reg, &health, 12.5);
-    let mut lines = doc.lines();
-    assert_eq!(lines.next(), Some(metrics::METRICS_HEADER));
-    for line in lines {
-        let (series, value) = line
-            .rsplit_once(' ')
-            .unwrap_or_else(|| panic!("no value separator in {line:?}"));
-        assert!(
-            value.parse::<f64>().is_ok(),
-            "value does not parse as f64 in {line:?}"
-        );
-        let parsed = parse_series(series);
-        assert!(parsed.is_some(), "series violates the grammar in {line:?}");
-    }
+    // The document must hold what the histogram rules check, or an empty
+    // one would pass vacuously.
+    assert!(doc.contains("_bucket{") && doc.contains("quantile=\"0.99\""));
+    assert_eq!(lint(&doc), Vec::<String>::new());
 }
 
 #[test]
-fn bucket_lines_are_cumulative_monotone_and_closed_by_inf() {
-    let (reg, health) = exercised_registry();
-    let doc = metrics::render(&reg, &health, 1.0);
-    // Group bucket lines by (metric, labels-without-le), preserving order.
-    let mut groups: BTreeMap<(String, String), Vec<(String, u64)>> = BTreeMap::new();
-    let mut counts: BTreeMap<(String, String), u64> = BTreeMap::new();
-    for line in doc.lines().skip(1) {
-        let (series, value) = line.rsplit_once(' ').unwrap();
-        let (name, labels) = parse_series(series).unwrap();
-        let key_labels: Vec<String> = labels
-            .iter()
-            .filter(|(k, _)| k != "le")
-            .map(|(k, v)| format!("{k}={v}"))
-            .collect();
-        if let Some(base) = name.strip_suffix("_bucket") {
-            let le = labels
-                .iter()
-                .find(|(k, _)| k == "le")
-                .map(|(_, v)| v.clone())
-                .expect("bucket line without le label");
-            groups
-                .entry((base.to_string(), key_labels.join(",")))
-                .or_default()
-                .push((le, value.parse::<u64>().unwrap()));
-        } else if let Some(base) = name.strip_suffix("_count") {
-            counts.insert(
-                (base.to_string(), key_labels.join(",")),
-                value.parse::<u64>().unwrap(),
-            );
-        }
+fn lint_names_every_way_a_document_can_break() {
+    let reg = StreamRegistry::new();
+    let s = reg.register("a");
+    for k in 0..20 {
+        s.record_frame_latency(Duration::from_micros(3 + 40 * k));
     }
-    assert!(!groups.is_empty(), "no histogram bucket lines in the doc");
-    for (key, buckets) in &groups {
-        let (inf, finite) = buckets.split_last().expect("empty bucket group");
-        assert_eq!(inf.0, "+Inf", "{key:?} must close with le=\"+Inf\"");
-        let mut prev_le = f64::NEG_INFINITY;
-        let mut prev_cum = 0u64;
-        for (le, cum) in finite {
-            let le: f64 = le.parse().unwrap_or_else(|_| panic!("bad le {le:?}"));
-            assert!(le > prev_le, "{key:?}: le bounds not ascending");
-            assert!(*cum >= prev_cum, "{key:?}: buckets not cumulative");
-            prev_le = le;
-            prev_cum = *cum;
-        }
-        assert!(inf.1 >= prev_cum, "{key:?}: +Inf below the last bucket");
-        let count = counts
-            .get(key)
-            .unwrap_or_else(|| panic!("{key:?} has buckets but no _count line"));
-        assert_eq!(inf.1, *count, "{key:?}: +Inf bucket must equal _count");
-    }
-}
-
-#[test]
-fn quantile_lines_are_pinned_and_ordered() {
-    let (reg, health) = exercised_registry();
-    let doc = metrics::render(&reg, &health, 1.0);
-    // Collect quantile lines per (metric, labels-without-quantile).
-    let mut groups: BTreeMap<(String, String), BTreeMap<String, f64>> = BTreeMap::new();
-    for line in doc.lines().skip(1) {
-        let (series, value) = line.rsplit_once(' ').unwrap();
-        let (name, labels) = parse_series(series).unwrap();
-        if let Some((_, q)) = labels.iter().find(|(k, _)| k == "quantile") {
-            let key_labels: Vec<String> = labels
-                .iter()
-                .filter(|(k, _)| k != "quantile")
-                .map(|(k, v)| format!("{k}={v}"))
-                .collect();
-            groups
-                .entry((name.clone(), key_labels.join(",")))
-                .or_default()
-                .insert(q.clone(), value.parse::<f64>().unwrap());
-        }
-    }
-    assert!(!groups.is_empty(), "no quantile lines in the doc");
-    for (key, qs) in &groups {
-        // Exactly the pinned quantile set, in p50 ≤ p95 ≤ p99 order.
-        let expected: Vec<&str> = vec!["0.5", "0.95", "0.99"];
-        let got: Vec<&str> = qs.keys().map(String::as_str).collect();
-        assert_eq!(got, expected, "{key:?}: quantile set not pinned");
+    let clean = metrics::render(&reg, &DaemonHealth::new(), 1.0);
+    assert_eq!(lint(&clean), Vec::<String>::new());
+    let p50 = "netscatterd_frame_latency_seconds{quantile=\"0.5\"} ";
+    let p50_value = clean.split(p50).nth(1).unwrap().lines().next().unwrap();
+    for (from, to, needle) in [
+        (
+            metrics::METRICS_HEADER,
+            "# netscatterd metrics v1",
+            "first line",
+        ),
+        ("netscatterd_streams_total 1", "Bad-Name 1", "grammar"),
+        ("{stream=\"a\"} ", "{stream=\"a\",} ", "grammar"),
+        (
+            "netscatterd_streams_total 1",
+            "netscatterd_streams_total one",
+            "f64",
+        ),
+        (
+            "netscatterd_frame_latency_seconds_bucket{le=\"+Inf\"} 20",
+            "netscatterd_frame_latency_seconds_bucket{le=\"+Inf\"} 21",
+            "+Inf bucket must equal _count",
+        ),
+        (
+            &format!("{p50}{p50_value}\n"),
+            "",
+            "quantile set not pinned",
+        ),
+        (
+            &format!("{p50}{p50_value}"),
+            &format!("{p50}9"),
+            "out of order",
+        ),
+    ] {
+        assert!(clean.contains(from), "fixture lacks {from:?}");
+        let failures = lint(&clean.replacen(from, to, 1));
         assert!(
-            qs["0.5"] <= qs["0.95"] && qs["0.95"] <= qs["0.99"],
-            "{key:?}: quantiles out of order: {qs:?}"
-        );
-        assert!(
-            qs.values().all(|v| v.is_finite() && *v >= 0.0),
-            "{key:?}: non-finite or negative quantile: {qs:?}"
+            failures.iter().any(|f| f.contains(needle)),
+            "{from:?} -> {to:?} must be reported as {needle:?}, got {failures:?}"
         );
     }
 }

@@ -87,11 +87,11 @@ fn terminal(lines: &[String]) -> (String, String) {
 /// Regression bound for the serve loop's poll tick: connect → header →
 /// `ready` must complete in single-digit milliseconds. The old 20 ms
 /// accept/read tick put a 20.5 ms floor under every connection (~1000× the
-/// decode cost of a short stream, per the `daemon_ingest` bench); with the
-/// 1 ms tick the median setup latency sits well under the 15 ms asserted
-/// here, so a tick regression fails this test instead of only drifting the
-/// bench trend line. Median of 5 connections, so one scheduler hiccup on a
-/// loaded CI box cannot flake the bound.
+/// decode cost of a short stream); with the 1 ms tick the median setup
+/// latency sits well under the 15 ms asserted here, so a tick regression
+/// fails this test instead of only drifting `churn64`
+/// `serve.connect_ready_ms` in the benchmark. Median of 5 connections, so
+/// one scheduler hiccup on a loaded CI box cannot flake the bound.
 #[test]
 fn connection_setup_latency_stays_under_the_poll_tick_bound() {
     let daemon = Daemon::start(test_config()).unwrap();

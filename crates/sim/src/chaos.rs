@@ -9,8 +9,9 @@
 //!
 //! The harness fails unless *all* of the following hold:
 //!
-//! * the daemon survives the whole matrix (it keeps serving, and its
-//!   metrics endpoint still answers afterwards);
+//! * the daemon survives the whole matrix (it keeps serving, its metrics
+//!   endpoint still answers afterwards, and its panic counters rose by
+//!   exactly the one injected decode fault);
 //! * every healthy stream — including the ragged-split one, whose writes
 //!   are deliberately never sample-aligned — stays bit-identical to the
 //!   batch pipeline's decode with zero ring drops;
@@ -30,8 +31,8 @@
 
 use crate::deployment::{Deployment, DeploymentConfig};
 use crate::stress::{
-    check_metrics, records_of, score_healthy, stream_config, synthesize, StressOptions,
-    SynthStream, DEPLOYMENT_SEED,
+    check_metrics, metric_value, records_of, score_healthy, stream_config, synthesize,
+    StressOptions, SynthStream, DEPLOYMENT_SEED,
 };
 use netscatter::json::Json;
 use netscatter_daemon::client::{self, connect_with_retry, RetryPolicy};
@@ -326,16 +327,7 @@ fn ragged_upload(addr: &str, seed: u64, stream: &SynthStream) -> Result<Vec<Stri
     let sock = chaos_connect(addr, seed).map_err(|e| format!("connect failed: {e}"))?;
     let reader = {
         let clone = sock.try_clone().map_err(|e| e.to_string())?;
-        std::thread::spawn(move || {
-            let mut lines = Vec::new();
-            for line in BufReader::new(clone).lines() {
-                match line {
-                    Ok(l) => lines.push(l),
-                    Err(_) => break,
-                }
-            }
-            lines
-        })
+        std::thread::spawn(move || drain_lines(&clone))
     };
     let mut sock = sock;
     let mut line = stream.header.to_json_line();
@@ -377,18 +369,9 @@ fn worker_panic(addr: &str, seed: u64, stream: &SynthStream) -> FaultOutcome {
     let mut detail = String::new();
     match chaos_connect(addr, seed) {
         Ok(sock) => {
-            let reader = sock.try_clone().map(|clone| {
-                std::thread::spawn(move || {
-                    let mut lines = Vec::new();
-                    for line in BufReader::new(clone).lines() {
-                        match line {
-                            Ok(l) => lines.push(l),
-                            Err(_) => break,
-                        }
-                    }
-                    lines
-                })
-            });
+            let reader = sock
+                .try_clone()
+                .map(|clone| std::thread::spawn(move || drain_lines(&clone)));
             let mut sock = sock;
             let mut header = stream.header.clone();
             header.fault_panic_span = Some(0);
@@ -524,6 +507,31 @@ fn await_quiescence(metrics_addr: &str) -> (String, Vec<String>) {
     }
 }
 
+/// Compares the daemon's health counters before and after the matrix
+/// (deltas, so a long-lived `--connect` daemon stays valid): the one
+/// injected decode fault is the only worker panic, no serving thread
+/// panicked, and the admission / header-deadline counters are exported.
+fn check_health_deltas(before: &str, after: &str) -> Vec<String> {
+    let mut failures = Vec::new();
+    for (name, injected) in [
+        ("worker_panics", Some(1.0)),
+        ("serve_panics", Some(0.0)),
+        ("conns_rejected", None),
+        ("header_timeouts", None),
+    ] {
+        let read = |doc: &str| metric_value(doc, &format!("netscatterd_{name}_total "));
+        match (read(before), read(after), injected) {
+            (Some(b), Some(a), Some(want)) if a - b != want => failures.push(format!(
+                "netscatterd_{name}_total rose by {} over the matrix, expected {want}",
+                a - b
+            )),
+            (Some(_), Some(_), _) => {}
+            _ => failures.push(format!("metrics lack netscatterd_{name}_total")),
+        }
+    }
+    failures
+}
+
 /// Runs the chaos harness; returns the process exit code (0 = pass).
 pub fn run_chaos(opts: &StressOptions) -> i32 {
     let deployment = Deployment::generate(
@@ -574,6 +582,18 @@ pub fn run_chaos(opts: &StressOptions) -> i32 {
         (None, Some(d)) => d.ingest_addr().to_string(),
         (None, None) => unreachable!("no daemon"),
     };
+
+    let metrics_addr = match (&local, &opts.metrics_addr) {
+        (_, Some(addr)) => Some(addr.clone()),
+        (Some(d), None) => d.metrics_addr().map(|a| a.to_string()),
+        (None, None) => None,
+    };
+    // The health counters before the matrix; a failed scrape reads as
+    // missing counters in `check_health_deltas`.
+    let metrics_before = metrics_addr
+        .as_deref()
+        .and_then(|addr| client::fetch_metrics(addr).ok())
+        .unwrap_or_default();
 
     let seed = opts.seed;
     let mut failures: Vec<String> = Vec::new();
@@ -742,13 +762,9 @@ pub fn run_chaos(opts: &StressOptions) -> i32 {
     }
 
     // Survival, consistency, leaks: the metrics endpoint must still
-    // answer, parse cleanly, report every scored stream, and show zero
-    // active serving threads once the grace period ends.
-    let metrics_addr = match (&local, &opts.metrics_addr) {
-        (_, Some(addr)) => Some(addr.clone()),
-        (Some(d), None) => d.metrics_addr().map(|a| a.to_string()),
-        (None, None) => None,
-    };
+    // answer, parse cleanly, report every scored stream, show zero active
+    // serving threads once the grace period ends, and have counted the
+    // injected panic and nothing else.
     match metrics_addr {
         Some(addr) => {
             let (doc, leaks) = await_quiescence(&addr);
@@ -757,6 +773,7 @@ pub fn run_chaos(opts: &StressOptions) -> i32 {
                 failures.push(format!("no metrics document from {addr}"));
             } else {
                 failures.extend(check_metrics(&doc, &served_names));
+                failures.extend(check_health_deltas(&metrics_before, &doc));
             }
         }
         None => failures.push(

@@ -100,7 +100,8 @@ fn coding_names() -> Vec<&'static str> {
         .collect()
 }
 
-/// Options shared by `run`, `sweep` and `perf_snapshot`.
+/// Options shared by `run` and `sweep` (and, for the scenario flags,
+/// `stress`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunOptions {
     /// The scenario assembled from the flags.
@@ -259,8 +260,7 @@ fn find_experiment(id: &str) -> Result<&'static dyn Experiment, CliError> {
 }
 
 /// Warns (stderr) when a flag sets a field the experiment never reads.
-/// Shared by `run`, `sweep` and `perf_snapshot`.
-pub fn warn_unused_fields(exp: &dyn Experiment, opts: &RunOptions) {
+fn warn_unused_fields(exp: &dyn Experiment, opts: &RunOptions) {
     let defaults = Scenario::default();
     let default_fields = defaults.fields();
     for ((name, value), (_, default)) in opts.scenario.fields().iter().zip(&default_fields) {
@@ -470,23 +470,6 @@ pub fn main_with_args(args: &[String]) -> i32 {
     }
 }
 
-/// Parses standalone-binary flags or exits: prints `help` and exits 0 on
-/// `--help`, prints the error and exits with its code on failure (the
-/// `perf_snapshot` entry).
-pub fn parse_flags_or_exit(args: &[String], help: &str) -> RunOptions {
-    match parse_flags(args, false) {
-        Ok(opts) => opts,
-        Err(e) if e.code == 0 => {
-            println!("{help}");
-            std::process::exit(0);
-        }
-        Err(e) => {
-            eprintln!("{}", e.message);
-            std::process::exit(e.code);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -685,6 +668,7 @@ mod tests {
             vec!["--seed", "many"],
             vec!["--fidelity", "vibes"],
             vec!["--format", "yaml"],
+            vec!["--payload-bits", "0"],
             vec!["--set", "devices=1,2"], // grid not allowed outside sweep
         ] {
             let err = parse_flags(&args(&bad), false).unwrap_err();

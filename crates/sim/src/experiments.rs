@@ -1,18 +1,18 @@
 //! The registered experiment drivers — one per table/figure/analysis of the
-//! paper's evaluation, plus the CI perf snapshot.
+//! paper's evaluation, plus the `perf` kernel-timing snapshot.
 //!
 //! Every driver implements [`Experiment`]: `run` maps a
 //! [`Scenario`] to a structured [`ExperimentResult`] (named numeric tables
 //! plus named scalars), and `render_text` reproduces the pre-redesign text
 //! report byte-for-byte from that structure — pinned by the golden parity
-//! tests in `tests/golden_parity.rs`. The unified `netscatter` CLI drives
-//! [`registry`]; the Criterion benches time the same drivers through the
-//! string-returning compatibility wrappers ([`fig04`], [`fig17`], …).
+//! tests in `tests/golden_parity.rs`. [`registry`] / [`find`] are the one
+//! way in: the `netscatter` CLI, the examples and the tests all go
+//! through them.
 
 use crate::ber::{max_tolerable_power_difference_db_sharded, near_far_ber_sharded, NearFarConfig};
 use crate::deployment::Deployment;
 use crate::experiment::{Experiment, ExperimentResult, Table};
-use crate::montecarlo::{available_threads, parallel_map, MonteCarlo};
+use crate::montecarlo::{parallel_map, MonteCarlo};
 use crate::network::{
     lora_backscatter_metrics_with, netscatter_metrics_with, Fidelity, NetScatterVariant,
     SchemeMetrics,
@@ -1994,7 +1994,7 @@ fn median_secs(samples: usize, mut f: impl FnMut()) -> f64 {
     times[times.len() / 2]
 }
 
-/// CI perf snapshot: times the steady-state decode path, the quick-mode
+/// Perf snapshot: times the steady-state decode path, the quick-mode
 /// experiment sweeps, and the sample-level network simulator. Timing values
 /// vary run to run, so this is the one registered experiment without a
 /// golden parity pin.
@@ -2099,7 +2099,7 @@ impl Experiment for Perf {
             ]);
         }
 
-        // 4. Link-layer codec throughput for BENCH_coding.json: frame
+        // 4. Link-layer codec throughput: frame
         //    encode and decode over clean frames at each scheme's minimum
         //    geometry, amortized over a 256-frame batch, reported in
         //    Msymbols/s of on-air payload symbols (one bit per on-off-keyed
@@ -2160,13 +2160,18 @@ impl Experiment for Perf {
         // 5. Quick-mode sweep wall-times: the Fig. 15b Monte-Carlo sweep and
         //    the Fig. 17 network sweep, both through the sharded/parallel
         //    layer.
-        let t = Instant::now();
-        let fig15_report = fig15(Scale::Quick, scenario.seed);
-        let fig15_ms = t.elapsed().as_secs_f64() * 1e3;
-        let t = Instant::now();
-        let fig17_report = fig17(Scale::Quick, scenario.seed);
-        let fig17_ms = t.elapsed().as_secs_f64() * 1e3;
-        assert!(fig15_report.contains("Fig. 15b") && fig17_report.contains("Fig. 17"));
+        let quick = Scenario::builder()
+            .scale(Scale::Quick)
+            .seed(scenario.seed)
+            .build();
+        let [fig15_ms, fig17_ms] = [(&Fig15 as &dyn Experiment, "Fig. 15b"), (&Fig17, "Fig. 17")]
+            .map(|(exp, heading)| {
+                let t = Instant::now();
+                let report = exp.render_text(&exp.run(&quick));
+                let ms = t.elapsed().as_secs_f64() * 1e3;
+                assert!(report.contains(heading), "{} report", exp.id());
+                ms
+            });
 
         let mut result = ExperimentResult::new(self.id(), self.title(), scenario);
         result.tables.push(decode);
@@ -2188,7 +2193,7 @@ impl Experiment for Perf {
     }
 
     fn render_text(&self, result: &ExperimentResult) -> String {
-        let mut out = String::from("perf_snapshot (quick mode)\n");
+        let mut out = String::from("perf (quick mode)\n");
         let spectrum = result.scalar("padded_spectrum_ns").expect("scalar");
         let lattice = result.scalar("lattice_spectrum_ns").expect("scalar");
         let _ = writeln!(
@@ -2234,207 +2239,36 @@ impl Experiment for Perf {
     }
 }
 
-/// Splits a [`Perf`] result into the three CI artifacts — `BENCH_decode`
-/// (decode pipeline + sweep wall-times), `BENCH_network` (sample-level
-/// round throughput) and `BENCH_coding` (per-codec frame encode/decode
-/// Msymbols/s) — each a self-contained schema-versioned
-/// [`ExperimentResult`] for the JSON sink.
-pub fn perf_bench_results(
-    perf: &ExperimentResult,
-) -> (ExperimentResult, ExperimentResult, ExperimentResult) {
-    let mut decode = ExperimentResult::new(
-        "bench_decode",
-        "Decode-pipeline perf snapshot (BENCH_decode)",
-        &perf.scenario,
-    );
-    decode.source.clone_from(&perf.source);
-    decode
-        .tables
-        .push(perf.table("decode").expect("decode table").clone());
-    for name in [
-        "payload_symbols_per_round",
-        "padded_spectrum_ns",
-        "lattice_spectrum_ns",
-        "fig15b_quick_ms",
-        "fig17_quick_ms",
-    ] {
-        decode
-            .scalars
-            .push((name.into(), perf.scalar(name).expect("perf scalar")));
-    }
-    let mut network = ExperimentResult::new(
-        "bench_network",
-        "Sample-level network perf snapshot (BENCH_network)",
-        &perf.scenario,
-    );
-    network.source.clone_from(&perf.source);
-    network
-        .tables
-        .push(perf.table("network").expect("network table").clone());
-    network.scalars.push((
-        "payload_symbols_per_round".into(),
-        perf.scalar("payload_symbols_per_round").expect("scalar"),
-    ));
-    let mut coding = ExperimentResult::new(
-        "bench_coding",
-        "Link-layer codec perf snapshot (BENCH_coding)",
-        &perf.scenario,
-    );
-    coding.source.clone_from(&perf.source);
-    coding
-        .tables
-        .push(perf.table("coding").expect("coding table").clone());
-    (decode, network, coding)
-}
-
-// ---------------------------------------------------------------------------
-// String-returning compatibility wrappers (benches, examples, tests)
-
-fn render_for(exp: &dyn Experiment, scenario: &Scenario) -> String {
-    exp.render_text(&exp.run(scenario))
-}
-
-fn scenario_at(scale: Scale, seed: u64) -> Scenario {
-    Scenario::builder().scale(scale).seed(seed).build()
-}
-
-/// Table 1 as the pre-redesign text report.
-pub fn table1() -> String {
-    render_for(&Table1, &Scenario::default())
-}
-
-/// Fig. 4 as the pre-redesign text report.
-pub fn fig04(scale: Scale, seed: u64) -> String {
-    render_for(&Fig04, &scenario_at(scale, seed))
-}
-
-/// Fig. 8 as the pre-redesign text report.
-pub fn fig08() -> String {
-    render_for(&Fig08, &Scenario::default())
-}
-
-/// Fig. 9 as the pre-redesign text report.
-pub fn fig09(scale: Scale, seed: u64) -> String {
-    render_for(&Fig09, &scenario_at(scale, seed))
-}
-
-/// Fig. 12 as the pre-redesign text report.
-pub fn fig12(scale: Scale, seed: u64) -> String {
-    fig12_with_threads(scale, seed, available_threads())
-}
-
-/// [`fig12`] with an explicit worker-thread bound. The report is the same
-/// string at every `threads` value — the property the determinism tests
-/// pin down.
-pub fn fig12_with_threads(scale: Scale, seed: u64, threads: usize) -> String {
-    let scenario = Scenario::builder()
-        .scale(scale)
-        .seed(seed)
-        .threads(threads)
-        .build();
-    render_for(&Fig12, &scenario)
-}
-
-/// Fig. 14 as the pre-redesign text report.
-pub fn fig14(scale: Scale, seed: u64) -> String {
-    render_for(&Fig14, &scenario_at(scale, seed))
-}
-
-/// Fig. 15 as the pre-redesign text report.
-pub fn fig15(scale: Scale, seed: u64) -> String {
-    render_for(&Fig15, &scenario_at(scale, seed))
-}
-
-/// Fig. 16 as the pre-redesign text report.
-pub fn fig16() -> String {
-    render_for(&Fig16, &Scenario::default())
-}
-
-/// Fig. 17 as the pre-redesign text report (analytical fidelity).
-pub fn fig17(scale: Scale, seed: u64) -> String {
-    fig17_fidelity(scale, seed, Fidelity::Analytical, available_threads())
-}
-
-/// [`fig17`] at an explicit fidelity and worker-thread bound. The report is
-/// byte-identical at every `threads` value.
-pub fn fig17_fidelity(scale: Scale, seed: u64, fidelity: Fidelity, threads: usize) -> String {
-    let scenario = Scenario::builder()
-        .scale(scale)
-        .seed(seed)
-        .fidelity(fidelity)
-        .threads(threads)
-        .build();
-    render_for(&Fig17, &scenario)
-}
-
-/// Fig. 18 as the pre-redesign text report (analytical fidelity).
-pub fn fig18(scale: Scale, seed: u64) -> String {
-    fig18_fidelity(scale, seed, Fidelity::Analytical, available_threads())
-}
-
-/// [`fig18`] at an explicit fidelity and worker-thread bound.
-pub fn fig18_fidelity(scale: Scale, seed: u64, fidelity: Fidelity, threads: usize) -> String {
-    let scenario = Scenario::builder()
-        .scale(scale)
-        .seed(seed)
-        .fidelity(fidelity)
-        .threads(threads)
-        .build();
-    render_for(&Fig18, &scenario)
-}
-
-/// Fig. 19 as the pre-redesign text report (analytical fidelity).
-pub fn fig19(scale: Scale, seed: u64) -> String {
-    fig19_fidelity(scale, seed, Fidelity::Analytical, available_threads())
-}
-
-/// [`fig19`] at an explicit fidelity and worker-thread bound.
-pub fn fig19_fidelity(scale: Scale, seed: u64, fidelity: Fidelity, threads: usize) -> String {
-    let scenario = Scenario::builder()
-        .scale(scale)
-        .seed(seed)
-        .fidelity(fidelity)
-        .threads(threads)
-        .build();
-    render_for(&Fig19, &scenario)
-}
-
-/// The Choir analysis as the pre-redesign text report.
-pub fn analysis_choir() -> String {
-    render_for(&AnalysisChoir, &Scenario::default())
-}
-
-/// The capacity analysis as the pre-redesign text report.
-pub fn analysis_capacity() -> String {
-    render_for(&AnalysisCapacity, &Scenario::default())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The text report of experiment `id` at quick scale.
+    fn report(id: &str, seed: u64) -> String {
+        let exp = find(id).expect("registered id");
+        let scenario = Scenario::builder().scale(Scale::Quick).seed(seed).build();
+        exp.render_text(&exp.run(&scenario))
+    }
+
     #[test]
     fn all_reports_are_nonempty_and_contain_headline_rows() {
-        assert!(table1().contains("500"));
-        assert!(fig04(Scale::Quick, 1).contains("backscatter p99"));
-        assert!(fig08().contains("SKIP=2"));
-        assert!(fig09(Scale::Quick, 1).lines().count() >= 9);
-        assert!(fig12(Scale::Quick, 1).contains("SNR"));
-        assert!(fig14(Scale::Quick, 1).contains("Fig. 14b"));
-        assert!(fig15(Scale::Quick, 1).contains("Doppler"));
-        assert!(fig16().contains("-10"));
-        assert!(analysis_choir().contains("P(shift collision)"));
-        assert!(analysis_capacity().contains("gain"));
+        assert!(report("table1", 1).contains("500"));
+        assert!(report("fig04", 1).contains("backscatter p99"));
+        assert!(report("fig08", 1).contains("SKIP=2"));
+        assert!(report("fig09", 1).lines().count() >= 9);
+        assert!(report("fig12", 1).contains("SNR"));
+        assert!(report("fig14", 1).contains("Fig. 14b"));
+        assert!(report("fig15", 1).contains("Doppler"));
+        assert!(report("fig16", 1).contains("-10"));
+        assert!(report("analysis_choir", 1).contains("P(shift collision)"));
+        assert!(report("analysis_capacity", 1).contains("gain"));
     }
 
     #[test]
     fn network_figures_report_positive_gains() {
-        let f17 = fig17(Scale::Quick, 2);
-        let f18 = fig18(Scale::Quick, 2);
-        let f19 = fig19(Scale::Quick, 2);
-        assert!(f17.contains("PHY-rate gain"));
-        assert!(f18.contains("link-layer gains"));
-        assert!(f19.contains("latency reductions"));
+        assert!(report("fig17", 2).contains("PHY-rate gain"));
+        assert!(report("fig18", 2).contains("link-layer gains"));
+        assert!(report("fig19", 2).contains("latency reductions"));
     }
 
     #[test]

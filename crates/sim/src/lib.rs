@@ -34,7 +34,7 @@
 //!   recharge dead time between rounds, and thermal noise over the idle
 //!   gaps.
 //! * [`experiments`] — the registered drivers, one per table/figure of the
-//!   paper plus the CI perf snapshot. The `netscatter` CLI binary in
+//!   paper plus the `perf` kernel snapshot. The `netscatter` CLI binary in
 //!   `src/bin/` is a thin wrapper around [`experiments::registry`].
 //! * [`stress`] — the `netscatter stress` harness: N simultaneous
 //!   synthesized TCP ingest streams driven at a `netscatterd` daemon
@@ -49,8 +49,8 @@
 //!   terminal records with machine-readable codes, bit-identical healthy
 //!   decodes, admission rejects, no leaked serving threads.
 //! * [`cli`] — the unified `netscatter` command-line interface
-//!   (`list` / `run` / `sweep` / `serve` / `stress`) and the flag parsing
-//!   `perf_snapshot` shares with it.
+//!   (`list` / `run` / `sweep` / `serve` / `stress`) and the scenario flag
+//!   parsing `stress` shares with it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

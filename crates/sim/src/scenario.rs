@@ -30,11 +30,11 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
-/// Scale of an experiment run: `Quick` for benches/tests/CI, `Full` for the
+/// Scale of an experiment run: `Quick` for tests and CI, `Full` for the
 /// figure-quality runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Scale {
-    /// Reduced trial counts for CI and Criterion.
+    /// Reduced trial counts for CI and tests.
     Quick,
     /// Paper-scale trial counts.
     Full,
@@ -314,7 +314,15 @@ impl Scenario {
                     n => n,
                 };
             }
-            "payload_bits" => self.payload_bits = int(name, value)?,
+            "payload_bits" => {
+                let payload_bits = int::<usize>(name, value)?;
+                if payload_bits == 0 {
+                    // An empty payload zeroes every rate the headline gains
+                    // divide by, and the daemon refuses a zero-bit header.
+                    return Err("payload_bits expects a positive integer, got \"0\"".into());
+                }
+                self.payload_bits = payload_bits;
+            }
             "arrival_rate" => {
                 self.arrival_rate =
                     positive_f64(name, value)?.clamp(MIN_STREAM_PARAM, MAX_ARRIVAL_RATE_HZ);
@@ -537,9 +545,9 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Payload bits per device per round.
+    /// Payload bits per device per round (clamped to ≥ 1).
     pub fn payload_bits(mut self, payload_bits: usize) -> Self {
-        self.0.payload_bits = payload_bits;
+        self.0.payload_bits = payload_bits.max(1);
         self
     }
 
@@ -616,6 +624,11 @@ mod tests {
             Scenario::builder().devices(0).build().devices,
             1,
             "devices clamp to >= 1"
+        );
+        assert_eq!(
+            Scenario::builder().payload_bits(0).build().payload_bits,
+            1,
+            "payload_bits clamp to >= 1"
         );
         assert_eq!(s.placement, Placement::Hall);
         assert_eq!(s.channel, ChannelProfile::Outdoor);
@@ -738,6 +751,7 @@ mod tests {
             ("stream_secs", "inf"),
             ("chunk_samples", "0"),
             ("chunk_samples", "big"),
+            ("payload_bits", "0"),
         ] {
             assert!(s.set_field(field, bad).is_err(), "{field}={bad}");
         }

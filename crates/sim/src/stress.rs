@@ -10,9 +10,10 @@
 //! 2. **backpressure** — at the default real-time pacing the drop-oldest
 //!    ring must not drop a single chunk (`ring_dropped == 0` in every end
 //!    record);
-//! 3. **metrics** — the daemon's metrics endpoint must report every
-//!    stream with a positive `Msamples/s`, every line parsing as
-//!    `name value` / `name{stream="…"} value`.
+//! 3. **metrics** — the daemon's metrics endpoint must answer mid-stress
+//!    and afterwards with a document that passes
+//!    [`netscatter_daemon::metrics::lint`], and afterwards report every
+//!    stream with a positive `Msamples/s`.
 //!
 //! Each stream is an independent [`crate::stream::RoundArrivalSource`]
 //! replay (Poisson round arrivals from the sample-level simulator), so the
@@ -475,15 +476,15 @@ pub(crate) fn records_of<'a>(lines: &'a [String], kind: &str) -> Vec<&'a String>
 }
 
 /// The value of the metrics line starting with `prefix`, if present.
-fn metric_value(doc: &str, prefix: &str) -> Option<f64> {
+pub(crate) fn metric_value(doc: &str, prefix: &str) -> Option<f64> {
     doc.lines()
         .find(|l| l.starts_with(prefix))
         .and_then(|l| l.rsplit(' ').next())
         .and_then(|v| v.parse().ok())
 }
 
-/// Validates the metrics document: header line, the v2 `build_info`
-/// line, every line `name value` / `name{label="…"} value`, a positive
+/// Validates the metrics document: the v2 grammar and histogram
+/// invariants ([`netscatter_daemon::metrics::lint`]), then a positive
 /// `msamples_per_sec`, the right channel tag, the link-layer
 /// `frames_ok` / `frames_failed_crc` counters and the ingest→emit
 /// frame-latency histogram for every `(name, channel)` stream in
@@ -491,21 +492,7 @@ fn metric_value(doc: &str, prefix: &str) -> Option<f64> {
 /// Msamples/s) for every channel the fleet used plus the whole-daemon
 /// aggregate rate. Returns the failures.
 pub(crate) fn check_metrics(doc: &str, streams: &[(String, usize)]) -> Vec<String> {
-    let mut failures = Vec::new();
-    if !doc.starts_with(netscatter_daemon::metrics::METRICS_HEADER) {
-        failures.push("metrics document lacks the schema header".to_string());
-    }
-    if metric_value(doc, "netscatterd_build_info{").is_none() {
-        failures.push("metrics lack the build_info line".to_string());
-    }
-    for line in doc.lines().skip(1) {
-        let Some(value) = line.rsplit(' ').next() else {
-            continue;
-        };
-        if value.parse::<f64>().is_err() {
-            failures.push(format!("unparsable metrics line {line:?}"));
-        }
-    }
+    let mut failures = netscatter_daemon::metrics::lint(doc);
     for (name, channel) in streams {
         let prefix = format!("netscatterd_stream_msamples_per_sec{{stream=\"{name}\"}} ");
         match metric_value(doc, &prefix) {
@@ -758,13 +745,27 @@ pub fn run_stress(opts: &StressOptions) -> i32 {
             })
         })
         .collect();
+    // Metrics: the in-process daemon's port, or --metrics-addr. One scrape
+    // while the fleet is streaming — the endpoint must answer mid-load
+    // with a well-formed document — and the full check once it is done.
+    let metrics_addr = match (&local, &opts.metrics_addr) {
+        (_, Some(addr)) => Some(addr.clone()),
+        (Some(d), None) => d.metrics_addr().map(|a| a.to_string()),
+        (None, None) => None,
+    };
+    let mut failures: Vec<String> = Vec::new();
+    if let Some(addr) = &metrics_addr {
+        match client::fetch_metrics(addr) {
+            Ok(doc) => failures.extend(check_metrics(&doc, &[])),
+            Err(e) => failures.push(format!("mid-stress metrics fetch from {addr} failed: {e}")),
+        }
+    }
     let transcripts: Vec<std::io::Result<Vec<String>>> = uploads
         .into_iter()
         .map(|h| h.join().expect("upload thread"))
         .collect();
 
     // Score each stream: bit identity, drops, truth.
-    let mut failures: Vec<String> = Vec::new();
     let mut served_names: Vec<(String, usize)> = Vec::new();
     for (stream, transcript) in streams.iter().zip(&transcripts) {
         let lines = match transcript {
@@ -782,12 +783,6 @@ pub fn run_stress(opts: &StressOptions) -> i32 {
         }
     }
 
-    // Metrics: the in-process daemon's port, or --metrics-addr.
-    let metrics_addr = match (&local, &opts.metrics_addr) {
-        (_, Some(addr)) => Some(addr.clone()),
-        (Some(d), None) => d.metrics_addr().map(|a| a.to_string()),
-        (None, None) => None,
-    };
     match metrics_addr {
         Some(addr) => match client::fetch_metrics(&addr) {
             Ok(doc) => {

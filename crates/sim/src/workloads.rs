@@ -1,9 +1,5 @@
-//! Shared synthetic workloads for benches and the CI perf snapshot.
-//!
-//! The `decode_throughput` criterion bench and the `perf_snapshot` binary
-//! time the same workload — a fully superposed concurrent round — so the
-//! construction lives here once; if the bin-spacing rule or the bit pattern
-//! changes, both consumers keep measuring the same thing.
+//! The synthetic workload the `perf` experiment's `decode` table times: a
+//! fully superposed concurrent round of ideal devices.
 
 use netscatter_dsp::Complex64;
 use netscatter_phy::distributed::OnOffModulator;

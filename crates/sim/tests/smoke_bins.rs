@@ -6,6 +6,8 @@
 //! parsing (`--quick`, `--seed`, `--threads`, `--fidelity`, `--format`),
 //! not just the underlying `experiments::*` calls.
 
+use netscatter_sim::experiments::registry;
+use netscatter_sim::ExperimentResult;
 use std::process::{Command, Output};
 
 fn spawn(exe: &str, args: &[&str]) -> Output {
@@ -36,6 +38,21 @@ const NETSCATTER: &str = env!("CARGO_BIN_EXE_netscatter");
 /// `netscatter run <id> [flags]`, asserting success and a report.
 fn run_experiment(id: &str, flags: &[&str]) -> String {
     run(NETSCATTER, &[&["run", id], flags].concat())
+}
+
+/// A `--format json` document read back through the library's own reader,
+/// which validates the schema version, the scenario and the table layout.
+fn parse_result(text: &str) -> ExperimentResult {
+    let doc = netscatter::json::Json::parse(text).expect("valid JSON");
+    ExperimentResult::from_json(&doc).expect("schema-valid result")
+}
+
+/// Column `name` of table `table`.
+fn column(result: &ExperimentResult, table: &str, name: &str) -> Vec<f64> {
+    let t = result
+        .table(table)
+        .unwrap_or_else(|| panic!("no {table} table"));
+    t.column(name).unwrap_or_else(|| panic!("no {name} column"))
 }
 
 /// One test per paper table/figure, named after its experiment id.
@@ -71,6 +88,14 @@ fn network_figs_run_at_sample_fidelity() {
     for id in ["fig17", "fig18", "fig19"] {
         run_experiment(id, &["--quick", "--fidelity", "sample"]);
     }
+    // The structured sink records the fidelity it ran at.
+    let stdout = run_experiment(
+        "fig17",
+        &["--quick", "--fidelity", "sample", "--format", "json"],
+    );
+    let result = parse_result(&stdout);
+    assert_eq!(result.scenario.fidelity_name(), "sample");
+    assert!(!column(&result, "phy_rate", "n").is_empty(), "no data rows");
 }
 
 #[test]
@@ -91,24 +116,8 @@ fn shims_accept_the_universal_seed_and_threads_flags() {
 fn netscatter_list_enumerates_all_former_drivers() {
     let exe = env!("CARGO_BIN_EXE_netscatter");
     let listing = run(exe, &["list"]);
-    for id in [
-        "table1",
-        "fig04",
-        "fig08",
-        "fig09",
-        "fig12",
-        "fig14",
-        "fig15",
-        "fig16",
-        "fig17",
-        "fig18",
-        "fig19",
-        "analysis_choir",
-        "analysis_capacity",
-        "gateway",
-        "goodput",
-        "perf",
-    ] {
+    // (`registry_covers_all_former_drivers_plus_the_gateway` pins the ids.)
+    for id in registry().iter().map(|e| e.id()) {
         assert!(listing.contains(id), "list is missing {id}:\n{listing}");
     }
 }
@@ -117,26 +126,10 @@ fn netscatter_list_enumerates_all_former_drivers() {
 fn netscatter_run_emits_schema_versioned_json_for_every_driver() {
     use netscatter::json::Json;
     let exe = env!("CARGO_BIN_EXE_netscatter");
-    // Every registered experiment except `perf` (covered by the snapshot
-    // test below, where its JSON artifacts are exercised): run at quick
-    // scale and validate the structured output parses and is stamped.
-    for id in [
-        "table1",
-        "fig04",
-        "fig08",
-        "fig09",
-        "fig12",
-        "fig14",
-        "fig15",
-        "fig16",
-        "fig17",
-        "fig18",
-        "fig19",
-        "analysis_choir",
-        "analysis_capacity",
-        "gateway",
-        "goodput",
-    ] {
+    // Every registered experiment except `perf` (its artifact has a test
+    // of its own below): run at quick scale and validate the structured
+    // output parses and is stamped.
+    for id in registry().iter().map(|e| e.id()).filter(|&id| id != "perf") {
         let stdout = run(exe, &["run", id, "--quick", "--format", "json"]);
         let doc = Json::parse(&stdout).unwrap_or_else(|e| panic!("{id}: invalid JSON: {e}"));
         assert_eq!(
@@ -152,6 +145,28 @@ fn netscatter_run_emits_schema_versioned_json_for_every_driver() {
                 .is_empty(),
             "{id}: no tables"
         );
+        // Every size row of the default gateway stream offers and decodes
+        // rounds; every goodput row carries sane fractions.
+        let result = parse_result(&stdout);
+        if id == "gateway" {
+            assert!(column(&result, "stream", "rounds_offered")
+                .iter()
+                .all(|&v| v >= 1.0));
+            assert!(column(&result, "stream", "rounds_decoded")
+                .iter()
+                .all(|&v| v >= 1.0));
+            assert!(column(&result, "stream", "msamples_per_sec")
+                .iter()
+                .all(|&v| v > 0.0));
+        }
+        if id == "goodput" {
+            assert!(column(&result, "goodput", "code_rate")
+                .iter()
+                .all(|&v| v > 0.0 && v <= 1.0));
+            assert!(column(&result, "goodput", "goodput_frac")
+                .iter()
+                .all(|&v| (0.0..=1.0).contains(&v)));
+        }
     }
 }
 
@@ -215,102 +230,54 @@ fn netscatter_rejects_unknown_experiments_and_flags() {
 }
 
 #[test]
-fn perf_snapshot_writes_schema_versioned_bench_json() {
-    use netscatter::json::Json;
-    let out = std::env::temp_dir().join("netscatter_perf_snapshot_test.json");
-    let net_out = std::env::temp_dir().join("netscatter_perf_snapshot_net_test.json");
-    let coding_out = std::env::temp_dir().join("netscatter_perf_snapshot_coding_test.json");
+fn run_perf_writes_one_schema_versioned_bench_artifact() {
+    let out = std::env::temp_dir().join("netscatter_bench_perf_test.json");
     let _ = std::fs::remove_file(&out);
-    let _ = std::fs::remove_file(&net_out);
-    let _ = std::fs::remove_file(&coding_out);
-    run(
-        env!("CARGO_BIN_EXE_perf_snapshot"),
-        &[
-            "--out",
-            out.to_str().unwrap(),
-            "--network-out",
-            net_out.to_str().unwrap(),
-            "--coding-out",
-            coding_out.to_str().unwrap(),
-        ],
-    );
-    for (path, experiment, table, rate_column) in [
-        (&out, "bench_decode", "decode", "symbols_per_sec"),
-        (
-            &net_out,
-            "bench_network",
-            "network",
-            "device_symbols_per_sec",
-        ),
+    let args = [
+        "run",
+        "perf",
+        "--format",
+        "json",
+        "--out",
+        out.to_str().unwrap(),
+    ];
+    let written = spawn(NETSCATTER, &args);
+    assert!(written.status.success(), "{written:?}");
+    let text = std::fs::read_to_string(&out).expect("artifact written");
+    let _ = std::fs::remove_file(&out);
+    let result = parse_result(&text);
+    assert_eq!(result.experiment, "perf");
+    let names: Vec<&str> = result.tables.iter().map(|t| t.name.as_str()).collect();
+    assert_eq!(names, ["decode", "network", "coding"]);
+    // 16/64/256-device rows with a positive rate each; one row per FEC
+    // scheme (hamming/rs/conv/fountain) with a code rate in (0, 1] and
+    // positive encode and decode Msymbols/s.
+    for (table, rate_column) in [
+        ("decode", "symbols_per_sec"),
+        ("network", "device_symbols_per_sec"),
     ] {
-        let text = std::fs::read_to_string(path).expect("snapshot file written");
-        let doc = Json::parse(&text).expect("BENCH artifact is valid JSON");
-        assert_eq!(doc.get("schema_version").and_then(Json::as_u64), Some(1));
-        assert_eq!(
-            doc.get("experiment").and_then(Json::as_str),
-            Some(experiment)
-        );
-        let tables = doc.get("tables").and_then(Json::as_array).expect("tables");
-        let t = &tables[0];
-        assert_eq!(t.get("name").and_then(Json::as_str), Some(table));
-        let columns = t.get("columns").and_then(Json::as_array).expect("columns");
+        let rates = column(&result, table, rate_column);
+        assert_eq!(rates.len(), 3, "{rate_column}: {rates:?}");
+        assert!(rates.iter().all(|&v| v > 0.0), "{rate_column}: {rates:?}");
+    }
+    let code_rates = column(&result, "coding", "code_rate");
+    assert_eq!(code_rates.len(), 4, "one row per FEC scheme");
+    assert!(code_rates.iter().all(|&v| v > 0.0 && v <= 1.0));
+    for name in ["encode_msymbols_per_sec", "decode_msymbols_per_sec"] {
         assert!(
-            columns
-                .iter()
-                .any(|c| c.get("name").and_then(Json::as_str) == Some(rate_column)),
-            "{experiment} is missing the {rate_column} column"
+            column(&result, "coding", name).iter().all(|&v| v > 0.0),
+            "{name}"
         );
-        let rows = t.get("rows").and_then(Json::as_array).expect("rows");
-        assert_eq!(rows.len(), 3, "{experiment}: 16/64/256-device rows");
     }
-    // BENCH_coding carries one row per FEC scheme (hamming/rs/conv/
-    // fountain) with positive encode and decode Msymbols/s.
-    {
-        let text = std::fs::read_to_string(&coding_out).expect("coding snapshot");
-        let doc = Json::parse(&text).expect("BENCH_coding is valid JSON");
-        assert_eq!(
-            doc.get("experiment").and_then(Json::as_str),
-            Some("bench_coding")
-        );
-        let tables = doc.get("tables").and_then(Json::as_array).expect("tables");
-        let t = &tables[0];
-        assert_eq!(t.get("name").and_then(Json::as_str), Some("coding"));
-        let columns = t.get("columns").and_then(Json::as_array).expect("columns");
-        for name in ["encode_msymbols_per_sec", "decode_msymbols_per_sec"] {
-            assert!(
-                columns
-                    .iter()
-                    .any(|c| c.get("name").and_then(Json::as_str) == Some(name)),
-                "BENCH_coding is missing the {name} column"
-            );
-        }
-        let rows = t.get("rows").and_then(Json::as_array).expect("rows");
-        assert_eq!(rows.len(), 4, "one row per FEC scheme");
-        for row in rows {
-            let row = row.as_array().expect("row array");
-            let (rate, enc, dec) = (
-                row[2].as_f64().unwrap(),
-                row[3].as_f64().unwrap(),
-                row[4].as_f64().unwrap(),
-            );
-            assert!(
-                rate > 0.0 && rate <= 1.0,
-                "code rate out of range in {row:?}"
-            );
-            assert!(enc > 0.0 && dec > 0.0, "non-positive codec rate in {row:?}");
-        }
+    for name in [
+        "payload_symbols_per_round",
+        "padded_spectrum_ns",
+        "lattice_spectrum_ns",
+        "fig15b_quick_ms",
+        "fig17_quick_ms",
+    ] {
+        assert!(result.scalar(name).unwrap_or(0.0) > 0.0, "scalar {name}");
     }
-    // Unknown --format values are rejected with a usage error, not
-    // silently defaulted.
-    let bad = spawn(
-        env!("CARGO_BIN_EXE_perf_snapshot"),
-        &["--format", "xml", "--out", out.to_str().unwrap()],
-    );
-    assert_eq!(bad.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&bad.stderr).contains("--format"));
-    let _ = std::fs::remove_file(&out);
-    let _ = std::fs::remove_file(&net_out);
-    let _ = std::fs::remove_file(&coding_out);
 }
 
 #[test]
@@ -348,9 +315,9 @@ fn gateway_runs_at_both_fidelities_and_sweeps() {
             Some("gateway")
         );
     }
-    // A sweep over chunk sizes: one result per grid point, and the decoded
-    // payload statistics must be chunk-size invariant even though the
-    // timing columns are not.
+    // A sweep over channel counts and chunk sizes: one result per grid
+    // point, and at each channel count the decoded payload statistics must
+    // be chunk-size invariant even though the timing columns are not.
     let stdout = run(
         exe,
         &[
@@ -366,6 +333,8 @@ fn gateway_runs_at_both_fidelities_and_sweeps() {
             "--arrival-rate",
             "30",
             "--set",
+            "channels=1,2",
+            "--set",
             "chunk_samples=500,4096",
             "--format",
             "json",
@@ -376,7 +345,23 @@ fn gateway_runs_at_both_fidelities_and_sweeps() {
         .get("results")
         .and_then(Json::as_array)
         .expect("results");
-    assert_eq!(results.len(), 2);
+    assert_eq!(results.len(), 4);
+    // The sharding axis reaches the recorded scenario, and the sharded
+    // engine decodes at every point.
+    let parsed: Vec<ExperimentResult> = results
+        .iter()
+        .map(|r| ExperimentResult::from_json(r).expect("schema-valid result"))
+        .collect();
+    let channels: Vec<usize> = parsed.iter().map(|r| r.scenario.channels).collect();
+    assert_eq!(channels, [1, 1, 2, 2]);
+    for r in &parsed {
+        assert!(column(r, "stream", "rounds_decoded")
+            .iter()
+            .all(|&v| v >= 1.0));
+        assert!(column(r, "stream", "msamples_per_sec")
+            .iter()
+            .all(|&v| v > 0.0));
+    }
     let decoded: Vec<String> = results
         .iter()
         .map(|r| {
@@ -396,10 +381,12 @@ fn gateway_runs_at_both_fidelities_and_sweeps() {
                 .join(";")
         })
         .collect();
-    assert_eq!(
-        decoded[0], decoded[1],
-        "decode statistics must not depend on the chunk size"
-    );
+    for pair in decoded.chunks(2) {
+        assert_eq!(
+            pair[0], pair[1],
+            "decode statistics must not depend on the chunk size"
+        );
+    }
 }
 
 #[test]

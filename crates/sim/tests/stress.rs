@@ -2,7 +2,7 @@
 //! against an in-process daemon must pass all three gates (bit identity,
 //! zero drops, complete metrics) and exit 0.
 
-use netscatter_sim::stress::{parse_stress_args, run_stress};
+use netscatter_sim::stress::{parse_stress_args, run_stress, stress_main};
 
 fn args(list: &[&str]) -> Vec<String> {
     list.iter().map(|s| s.to_string()).collect()
@@ -93,4 +93,20 @@ fn stress_connect_against_a_dead_address_fails_cleanly() {
         1,
         "unreachable daemon is a failure, not a panic"
     );
+}
+
+#[test]
+fn chaos_matrix_passes_against_the_in_process_daemon() {
+    // Nine fault kinds beside a healthy fleet, the admission check on a
+    // side daemon, the leak check and the panic-counter deltas. The
+    // injected decode-worker panic prints its backtrace on stderr.
+    let code = stress_main(&args(&[
+        "--chaos",
+        "--streams",
+        "2",
+        "--seed",
+        "42",
+        "--quiet",
+    ]));
+    assert_eq!(code, 0, "chaos harness must pass");
 }

@@ -4,12 +4,15 @@
 //! Run with `cargo run --example rate_and_latency --release` (add `--quick`
 //! for a shorter sweep).
 
-use netscatter_sim::experiments::{fig17, fig18, fig19, Scale};
+use netscatter_sim::experiments::find;
+use netscatter_sim::{Scale, Scenario};
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let scale = if quick { Scale::Quick } else { Scale::Full };
-    println!("{}", fig17(scale, 42));
-    println!("{}", fig18(scale, 42));
-    println!("{}", fig19(scale, 42));
+    let scenario = Scenario::builder().scale(scale).seed(42).build();
+    for id in ["fig17", "fig18", "fig19"] {
+        let exp = find(id).expect("registered experiment");
+        println!("{}", exp.render_text(&exp.run(&scenario)));
+    }
 }
