@@ -1,7 +1,7 @@
 //! Ideal rate adaptation for single-user LoRa backscatter.
 //!
 //! §4.4: "we measure the signal strength from each of the backscatter
-//! devices and compute the bitrate using the SNR table in [4]; this is the
+//! devices and compute the bitrate using the SNR table in \[4\]; this is the
 //! ideal performance a single-user LoRa backscatter design achieves with
 //! rate adaptation." The candidate configurations are the (BW, SF) pairs a
 //! 500 kHz channel admits; the highest-bitrate configuration whose

@@ -7,7 +7,7 @@
 //! The decoder runs the 64-state trellis as 32 radix-2 butterflies per
 //! step: butterfly `j` joins predecessors `2j` and `2j + 1` to next-states
 //! `j` (input 0) and `j + 32` (input 1). Every edge's Hamming branch cost
-//! is looked up in a table built at compile time ([`BRANCH_COST`]), the
+//! is looked up in a table built at compile time (`BRANCH_COST`), the
 //! add-compare-select is straight-line integer arithmetic over fixed-size
 //! arrays (no data-dependent branch, so the compiler vectorises it), and
 //! each step's 64 survivor decisions are packed into one `u64` that the

@@ -59,7 +59,7 @@
 //! `le="+Inf"` bucket equals the histogram's `_count`, and every histogram
 //! carries exactly the pinned quantile set, ordered p50 ≤ p95 ≤ p99.
 
-use crate::registry::{DaemonHealth, StreamRegistry};
+use crate::registry::{Counter, DaemonHealth, StreamRegistry, HEALTH_COUNTERS, STREAM_COUNTERS};
 use netscatter_gateway::PipelineTelemetry;
 use netscatter_obs::hist::bucket_upper;
 use netscatter_obs::HistogramSnapshot;
@@ -79,7 +79,6 @@ const NS_PER_SEC: f64 = 1e9;
 pub fn render(registry: &StreamRegistry, health: &DaemonHealth, uptime_seconds: f64) -> String {
     let streams = registry.snapshot();
     let retired = registry.retired();
-    let h = health.snapshot();
     let mut out = String::new();
     let _ = writeln!(out, "{METRICS_HEADER}");
     let _ = writeln!(
@@ -101,27 +100,16 @@ pub fn render(registry: &StreamRegistry, health: &DaemonHealth, uptime_seconds: 
     let _ = writeln!(out, "netscatterd_streams_retired_total {}", retired.streams);
     // Monotone totals: live table plus everything folded out of retired
     // streams, so retirement never regresses a `*_total` line.
-    let rounds: u64 = streams.iter().map(|s| s.rounds).sum::<u64>() + retired.rounds;
-    let false_alarms: u64 =
-        streams.iter().map(|s| s.false_alarms).sum::<u64>() + retired.false_alarms;
-    let dropped: u64 = streams.iter().map(|s| s.ring_dropped).sum::<u64>() + retired.ring_dropped;
-    let frames_ok: u64 = streams.iter().map(|s| s.frames_ok).sum::<u64>() + retired.frames_ok;
-    let frames_failed: u64 =
-        streams.iter().map(|s| s.frames_failed_crc).sum::<u64>() + retired.frames_failed_crc;
-    let _ = writeln!(out, "netscatterd_rounds_decoded_total {rounds}");
-    let _ = writeln!(out, "netscatterd_false_alarms_total {false_alarms}");
-    let _ = writeln!(out, "netscatterd_frames_ok_total {frames_ok}");
-    let _ = writeln!(out, "netscatterd_frames_failed_crc_total {frames_failed}");
-    let _ = writeln!(out, "netscatterd_ring_dropped_total {dropped}");
-    let _ = writeln!(out, "netscatterd_conns_rejected_total {}", h.conns_rejected);
-    let _ = writeln!(
-        out,
-        "netscatterd_header_timeouts_total {}",
-        h.header_timeouts
-    );
-    let _ = writeln!(out, "netscatterd_idle_timeouts_total {}", h.idle_timeouts);
-    let _ = writeln!(out, "netscatterd_serve_panics_total {}", h.serve_panics);
-    let _ = writeln!(out, "netscatterd_worker_panics_total {}", h.worker_panics);
+    let mut totals = retired.counters;
+    for s in &streams {
+        totals += s.counters;
+    }
+    for (counter, stem) in exported_counters() {
+        let _ = writeln!(out, "netscatterd_{stem}_total {}", totals[counter]);
+    }
+    for &(counter, stem) in HEALTH_COUNTERS {
+        let _ = writeln!(out, "netscatterd_{stem}_total {}", health.get(counter));
+    }
     // Daemon-wide ingest→emit frame latency: every stream's histogram
     // (live table and retired fold) merged into one.
     let mut frame_latency = retired.frame_latency;
@@ -165,7 +153,10 @@ pub fn render(registry: &StreamRegistry, health: &DaemonHealth, uptime_seconds: 
         let _ = writeln!(
             out,
             "netscatterd_channel_samples_total{{channel=\"{channel}\"}} {}",
-            on_channel().map(|s| s.samples_in).sum::<u64>() + folded.map_or(0, |f| f.samples_in)
+            on_channel()
+                .map(|s| s.counters[Counter::SamplesIn])
+                .sum::<u64>()
+                + folded.map_or(0, |f| f.samples_in)
         );
         let _ = writeln!(
             out,
@@ -195,7 +186,7 @@ pub fn render(registry: &StreamRegistry, health: &DaemonHealth, uptime_seconds: 
         let _ = writeln!(
             out,
             "netscatterd_stream_samples_total{{stream=\"{label}\"}} {}",
-            s.samples_in
+            s.counters[Counter::SamplesIn]
         );
         let _ = writeln!(
             out,
@@ -207,31 +198,13 @@ pub fn render(registry: &StreamRegistry, health: &DaemonHealth, uptime_seconds: 
             "netscatterd_stream_real_time_factor{{stream=\"{label}\"}} {:.4}",
             s.real_time_factor
         );
-        let _ = writeln!(
-            out,
-            "netscatterd_stream_rounds_decoded{{stream=\"{label}\"}} {}",
-            s.rounds
-        );
-        let _ = writeln!(
-            out,
-            "netscatterd_stream_false_alarms{{stream=\"{label}\"}} {}",
-            s.false_alarms
-        );
-        let _ = writeln!(
-            out,
-            "netscatterd_stream_frames_ok{{stream=\"{label}\"}} {}",
-            s.frames_ok
-        );
-        let _ = writeln!(
-            out,
-            "netscatterd_stream_frames_failed_crc{{stream=\"{label}\"}} {}",
-            s.frames_failed_crc
-        );
-        let _ = writeln!(
-            out,
-            "netscatterd_stream_ring_dropped{{stream=\"{label}\"}} {}",
-            s.ring_dropped
-        );
+        for (counter, stem) in exported_counters() {
+            let _ = writeln!(
+                out,
+                "netscatterd_stream_{stem}{{stream=\"{label}\"}} {}",
+                s.counters[counter]
+            );
+        }
         write_histogram(
             &mut out,
             "netscatterd_stream_frame_latency_seconds",
@@ -241,6 +214,14 @@ pub fn render(registry: &StreamRegistry, health: &DaemonHealth, uptime_seconds: 
         );
     }
     out
+}
+
+/// The [`STREAM_COUNTERS`] rows that carry a metric stem, in table order:
+/// what the daemon-wide `*_total` block and each per-stream block list.
+fn exported_counters() -> impl Iterator<Item = (Counter, &'static str)> {
+    STREAM_COUNTERS
+        .iter()
+        .filter_map(|&(counter, _, stem)| Some((counter, stem?)))
 }
 
 /// Writes one channel's per-stage latency rollup: the four nanosecond
@@ -502,6 +483,7 @@ pub fn lint(doc: &str) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::HealthCounter;
     use std::time::Duration;
 
     #[test]
@@ -518,8 +500,8 @@ mod tests {
         b.record_rates(2e6, 4.0);
         b.set_inactive();
         let health = DaemonHealth::new();
-        DaemonHealth::bump(&health.conns_rejected);
-        DaemonHealth::bump(&health.worker_panics);
+        health.bump(HealthCounter::ConnsRejected);
+        health.bump(HealthCounter::WorkerPanics);
 
         let doc = render(&reg, &health, 1.25);
         assert!(doc.starts_with(METRICS_HEADER));

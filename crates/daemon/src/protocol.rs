@@ -20,11 +20,12 @@
 //! command-line defaults, so a bare `{"stream":"x"}` header is valid
 //! against a daemon started with `--bins`/`--payload-bits`.
 
+use crate::registry::{StreamSnapshot, STREAM_COUNTERS};
 use netscatter::json::Json;
 use netscatter_coding::frame::FrameOutcome;
 use netscatter_coding::CodingScheme;
 use netscatter_dsp::Complex64;
-use netscatter_gateway::{DecodedPacket, GatewayReport};
+use netscatter_gateway::DecodedPacket;
 
 /// The only ingest sample format this daemon speaks.
 pub const FORMAT_CF32LE: &str = "cf32le";
@@ -96,9 +97,9 @@ pub struct StreamHeader {
     pub channel: Option<usize>,
     /// Link-layer coding scheme the stream's payload bits carry. When set,
     /// the daemon frame-decodes every device's bits (CRC-16 verdict plus
-    /// recovered data in each `frame` record, `frames_ok` /
-    /// `frames_failed_crc` counters in `end` records and metrics). `None`
-    /// is the seed behavior: raw bits, no framing.
+    /// recovered data in each `frame` record, and the CRC counters in `end`
+    /// records and metrics advance). `None` is the seed behavior: raw bits,
+    /// no framing.
     pub coding: Option<CodingScheme>,
     /// Chaos hook: ask the engine's decode worker to panic on this span
     /// index. Honored only when the daemon runs with
@@ -366,45 +367,30 @@ pub fn frame_json(stream: &str, packet: &DecodedPacket, outcomes: Option<&[Frame
     ])
 }
 
-/// The final `end` summary of an ingest connection. `frames`, `rounds` and
-/// `false_alarms` are the connection's running totals (the report only
-/// carries packets not already published); `frames_ok` /
-/// `frames_failed_crc` are the link-layer CRC verdicts over every decoded
-/// device frame (both zero on uncoded streams). `code` says how the stream
-/// ended ([`code::EOF`], [`code::SHUTDOWN`] or [`code::IDLE_TIMEOUT`]);
-/// `complete` is `true` only for a clean [`code::EOF`]. `trailing_bytes`
-/// counts the bytes of a dangling partial cf32 sample the stream ended on
-/// — a client that splits writes off sample boundaries and dies mid-sample
-/// sees its leftover counted here, never silently dropped.
-#[allow(clippy::too_many_arguments)]
-pub fn end_json(
-    stream: &str,
-    frames: u64,
-    rounds: u64,
-    false_alarms: u64,
-    frames_ok: u64,
-    frames_failed_crc: u64,
-    report: &GatewayReport,
-    end_code: &str,
-    trailing_bytes: usize,
-) -> Json {
-    Json::object(vec![
+/// The final `end` summary of an ingest connection: the stream's last
+/// registry snapshot, one field per [`STREAM_COUNTERS`] row in table
+/// order — the same values the metrics endpoint reports, by construction.
+/// `code` says how the stream ended ([`code::EOF`], [`code::SHUTDOWN`],
+/// [`code::IDLE_TIMEOUT`] or [`code::PEER_RESET`]); `complete` is `true`
+/// only for a clean [`code::EOF`]. The link-layer CRC counters stay zero on
+/// uncoded streams, and `trailing_bytes` is never silently dropped: a
+/// client that splits writes off sample boundaries and dies mid-sample sees
+/// its leftover counted there.
+pub fn end_json(snapshot: &StreamSnapshot, end_code: &str) -> Json {
+    let mut fields = vec![
         ("type", Json::Str("end".to_string())),
-        ("stream", Json::Str(stream.to_string())),
+        ("stream", Json::Str(snapshot.name.clone())),
         ("code", Json::Str(end_code.to_string())),
         ("complete", Json::Bool(end_code == code::EOF)),
-        ("frames", Json::Num(frames as f64)),
-        ("rounds", Json::Num(rounds as f64)),
-        ("false_alarms", Json::Num(false_alarms as f64)),
-        ("frames_ok", Json::Num(frames_ok as f64)),
-        ("frames_failed_crc", Json::Num(frames_failed_crc as f64)),
-        ("samples_in", Json::Num(report.samples_in as f64)),
-        ("truncated", Json::Num(report.truncated as f64)),
-        ("trailing_bytes", Json::Num(trailing_bytes as f64)),
-        ("ring_dropped", Json::Num(report.ring_dropped as f64)),
-        ("samples_per_sec", Json::Num(report.samples_per_sec)),
-        ("real_time_factor", Json::Num(report.real_time_factor)),
-    ])
+    ];
+    fields.extend(
+        STREAM_COUNTERS
+            .iter()
+            .map(|&(counter, key, _)| (key, Json::Num(snapshot.counters[counter] as f64))),
+    );
+    fields.push(("samples_per_sec", Json::Num(snapshot.samples_per_sec)));
+    fields.push(("real_time_factor", Json::Num(snapshot.real_time_factor)));
+    Json::object(fields)
 }
 
 /// An `error` record: the stream is being torn down; `code` is the

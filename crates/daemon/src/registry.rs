@@ -5,6 +5,11 @@
 //! serving thread holds while decoding; the registry's own mutex guards
 //! only the stream list (taken on register and on snapshot).
 //!
+//! The counters themselves are named once, in [`STREAM_COUNTERS`] (per
+//! stream) and [`HEALTH_COUNTERS`] (daemon-wide): the `end` record and the
+//! metrics document are both written by walking those tables, so they
+//! cannot disagree on a name, an order or a value.
+//!
 //! The registry is bounded: a daemon that serves short-lived connections
 //! forever would otherwise grow one stats block per connection without
 //! limit. Finished streams beyond the retention cap are *retired* — their
@@ -25,6 +30,87 @@ use std::time::Duration;
 /// per-stream block.
 pub const DEFAULT_METRICS_RETENTION: usize = 64;
 
+/// One per-stream counter; the discriminant indexes a [`StreamCounters`]
+/// block and follows [`STREAM_COUNTERS`] order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Counter {
+    /// NDJSON frame records published.
+    Frames,
+    /// Frames that decoded at least one device.
+    Rounds,
+    /// Frames that decoded zero devices (energy-gate false alarms).
+    FalseAlarms,
+    /// Link-layer device frames that passed their CRC-16 (coded streams).
+    FramesOk,
+    /// Link-layer device frames that failed their CRC-16 (coded streams).
+    FramesFailedCrc,
+    /// Samples accepted from the socket (samples inside chunks the ring
+    /// later displaced included; `RingDropped` counts those chunks).
+    SamplesIn,
+    /// Packets lost to the stream ending mid-packet.
+    Truncated,
+    /// Bytes of a dangling partial cf32 sample the stream ended on.
+    TrailingBytes,
+    /// Chunks displaced by the ring's drop-oldest backpressure.
+    RingDropped,
+}
+
+/// Every per-stream counter as `(counter, end-record key, metric stem)`,
+/// in `end`-record (and metrics-document) order. A stem `s` exports the
+/// counter as `netscatterd_<s>_total` daemon-wide and
+/// `netscatterd_stream_<s>{stream=…}` per stream; `None` keeps it out of
+/// those two blocks. The atomic block, its snapshot, the retired fold, the
+/// `end` record and both counter loops of [`crate::metrics::render`] all
+/// walk this table: a new counter is one [`Counter`] variant, one row
+/// here, and the call that records it.
+pub const STREAM_COUNTERS: &[(Counter, &str, Option<&str>)] = &[
+    (Counter::Frames, "frames", None),
+    (Counter::Rounds, "rounds", Some("rounds_decoded")),
+    (Counter::FalseAlarms, "false_alarms", Some("false_alarms")),
+    (Counter::FramesOk, "frames_ok", Some("frames_ok")),
+    (
+        Counter::FramesFailedCrc,
+        "frames_failed_crc",
+        Some("frames_failed_crc"),
+    ),
+    // Exported as the `samples_total` stream and channel lines instead.
+    (Counter::SamplesIn, "samples_in", None),
+    (Counter::Truncated, "truncated", None),
+    (Counter::TrailingBytes, "trailing_bytes", None),
+    (Counter::RingDropped, "ring_dropped", Some("ring_dropped")),
+];
+
+const N_STREAM: usize = STREAM_COUNTERS.len();
+
+// A block is indexed by discriminant and walked by table position.
+const _: () = {
+    let mut i = 0;
+    while i < N_STREAM {
+        assert!(STREAM_COUNTERS[i].0 as usize == i);
+        i += 1;
+    }
+};
+
+/// One plain value of every per-stream counter: a stream's snapshot, or a
+/// sum of them (`+=`).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StreamCounters([u64; N_STREAM]);
+
+impl std::ops::Index<Counter> for StreamCounters {
+    type Output = u64;
+    fn index(&self, counter: Counter) -> &u64 {
+        &self.0[counter as usize]
+    }
+}
+
+impl std::ops::AddAssign for StreamCounters {
+    fn add_assign(&mut self, other: Self) {
+        for (sum, n) in self.0.iter_mut().zip(other.0) {
+            *sum += n;
+        }
+    }
+}
+
 /// Live counters of one ingest stream. Rates are stored as `f64` bit
 /// patterns so the whole block stays lock-free.
 #[derive(Debug)]
@@ -32,14 +118,7 @@ pub struct StreamStats {
     name: String,
     channel: usize,
     active: AtomicBool,
-    samples_in: AtomicU64,
-    frames: AtomicU64,
-    rounds: AtomicU64,
-    false_alarms: AtomicU64,
-    frames_ok: AtomicU64,
-    frames_failed_crc: AtomicU64,
-    truncated: AtomicU64,
-    ring_dropped: AtomicU64,
+    counters: [AtomicU64; N_STREAM],
     samples_per_sec: AtomicU64,
     real_time_factor: AtomicU64,
     /// Ingest→NDJSON-emit latency of every published frame, nanoseconds.
@@ -57,14 +136,7 @@ impl StreamStats {
             name,
             channel,
             active: AtomicBool::new(true),
-            samples_in: AtomicU64::new(0),
-            frames: AtomicU64::new(0),
-            rounds: AtomicU64::new(0),
-            false_alarms: AtomicU64::new(0),
-            frames_ok: AtomicU64::new(0),
-            frames_failed_crc: AtomicU64::new(0),
-            truncated: AtomicU64::new(0),
-            ring_dropped: AtomicU64::new(0),
+            counters: Default::default(),
             samples_per_sec: AtomicU64::new(0f64.to_bits()),
             real_time_factor: AtomicU64::new(0f64.to_bits()),
             frame_latency: Histogram::new(),
@@ -92,38 +164,48 @@ impl StreamStats {
         self.active.load(Ordering::Acquire)
     }
 
+    fn add(&self, counter: Counter) {
+        self.counters[counter as usize].fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn set(&self, counter: Counter, total: u64) {
+        self.counters[counter as usize].store(total, Ordering::Relaxed);
+    }
+
     /// Updates the ingest totals (absolute values, not increments — the
     /// serving loop reads them off its engine).
     pub fn record_ingest(&self, samples_in: u64, ring_dropped: u64) {
-        self.samples_in.store(samples_in, Ordering::Relaxed);
-        self.ring_dropped.store(ring_dropped, Ordering::Relaxed);
+        self.set(Counter::SamplesIn, samples_in);
+        self.set(Counter::RingDropped, ring_dropped);
     }
 
     /// Counts one published frame; a decode with zero detected devices is
     /// a false alarm of the energy gate, not a round.
     pub fn record_frame(&self, devices_detected: usize) {
-        self.frames.fetch_add(1, Ordering::Relaxed);
-        if devices_detected > 0 {
-            self.rounds.fetch_add(1, Ordering::Relaxed);
+        self.add(Counter::Frames);
+        self.add(if devices_detected > 0 {
+            Counter::Rounds
         } else {
-            self.false_alarms.fetch_add(1, Ordering::Relaxed);
-        }
+            Counter::FalseAlarms
+        });
     }
 
-    /// Counts one link-layer frame decode on a coded stream: a CRC-clean
-    /// frame lands in `frames_ok`, a failed one in `frames_failed_crc`.
-    /// Uncoded streams never call this, so both counters stay zero.
+    /// Counts one link-layer frame decode on a coded stream by its CRC
+    /// verdict. Uncoded streams never call this, so both counters stay
+    /// zero.
     pub fn record_link_frame(&self, crc_ok: bool) {
-        if crc_ok {
-            self.frames_ok.fetch_add(1, Ordering::Relaxed);
+        self.add(if crc_ok {
+            Counter::FramesOk
         } else {
-            self.frames_failed_crc.fetch_add(1, Ordering::Relaxed);
-        }
+            Counter::FramesFailedCrc
+        });
     }
 
-    /// Records packets lost to the stream ending mid-packet.
-    pub fn record_truncated(&self, truncated: u64) {
-        self.truncated.store(truncated, Ordering::Relaxed);
+    /// Records what the stream's end left undecoded: packets cut off
+    /// mid-air and the bytes of a dangling partial sample.
+    pub fn record_end(&self, truncated: u64, trailing_bytes: u64) {
+        self.set(Counter::Truncated, truncated);
+        self.set(Counter::TrailingBytes, trailing_bytes);
     }
 
     /// Updates the measured processing rates.
@@ -161,14 +243,9 @@ impl StreamStats {
             name: self.name.clone(),
             channel: self.channel,
             active: self.is_active(),
-            samples_in: self.samples_in.load(Ordering::Relaxed),
-            frames: self.frames.load(Ordering::Relaxed),
-            rounds: self.rounds.load(Ordering::Relaxed),
-            false_alarms: self.false_alarms.load(Ordering::Relaxed),
-            frames_ok: self.frames_ok.load(Ordering::Relaxed),
-            frames_failed_crc: self.frames_failed_crc.load(Ordering::Relaxed),
-            truncated: self.truncated.load(Ordering::Relaxed),
-            ring_dropped: self.ring_dropped.load(Ordering::Relaxed),
+            counters: StreamCounters(std::array::from_fn(|i| {
+                self.counters[i].load(Ordering::Relaxed)
+            })),
             samples_per_sec: f64::from_bits(self.samples_per_sec.load(Ordering::Relaxed)),
             real_time_factor: f64::from_bits(self.real_time_factor.load(Ordering::Relaxed)),
             frame_latency: self.frame_latency.snapshot(),
@@ -186,22 +263,8 @@ pub struct StreamSnapshot {
     pub channel: usize,
     /// Whether the connection is still being served.
     pub active: bool,
-    /// Samples accepted from the socket so far.
-    pub samples_in: u64,
-    /// NDJSON frame records published.
-    pub frames: u64,
-    /// Frames that decoded at least one device.
-    pub rounds: u64,
-    /// Frames that decoded zero devices (energy-gate false alarms).
-    pub false_alarms: u64,
-    /// Link-layer device frames that passed their CRC-16 (coded streams).
-    pub frames_ok: u64,
-    /// Link-layer device frames that failed their CRC-16 (coded streams).
-    pub frames_failed_crc: u64,
-    /// Packets lost to the stream ending mid-packet.
-    pub truncated: u64,
-    /// Chunks displaced by the ring's drop-oldest backpressure.
-    pub ring_dropped: u64,
+    /// Every [`STREAM_COUNTERS`] counter.
+    pub counters: StreamCounters,
     /// Measured processing throughput, samples per second.
     pub samples_per_sec: f64,
     /// Throughput over the stream's sample rate (≥ 1 = keeping up).
@@ -213,22 +276,36 @@ pub struct StreamSnapshot {
     pub stages: PipelineTelemetry,
 }
 
+/// One daemon-wide fault or admission counter.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum HealthCounter {
+    /// Connections refused by the `--max-conns` admission cap.
+    ConnsRejected,
+    /// Connections cut because the header did not arrive in time.
+    HeaderTimeouts,
+    /// Streams ended because ingest went idle past the deadline.
+    IdleTimeouts,
+    /// Serving threads that panicked (caught; the daemon kept running).
+    ServePanics,
+    /// Engine worker/detector panics supervised into clean stream errors.
+    WorkerPanics,
+}
+
+/// Every health counter with its metric stem
+/// (`netscatterd_<stem>_total`), in metrics-document order.
+pub const HEALTH_COUNTERS: &[(HealthCounter, &str)] = &[
+    (HealthCounter::ConnsRejected, "conns_rejected"),
+    (HealthCounter::HeaderTimeouts, "header_timeouts"),
+    (HealthCounter::IdleTimeouts, "idle_timeouts"),
+    (HealthCounter::ServePanics, "serve_panics"),
+    (HealthCounter::WorkerPanics, "worker_panics"),
+];
+
 /// Daemon-wide fault and admission counters, shared between the accept
 /// loop, the serving threads and the metrics endpoint. All monotonic —
 /// they never reset while the daemon lives.
 #[derive(Debug, Default)]
-pub struct DaemonHealth {
-    /// Connections refused by the `--max-conns` admission cap.
-    pub conns_rejected: AtomicU64,
-    /// Connections cut because the header did not arrive in time.
-    pub header_timeouts: AtomicU64,
-    /// Streams ended because ingest went idle past the deadline.
-    pub idle_timeouts: AtomicU64,
-    /// Serving threads that panicked (caught; the daemon kept running).
-    pub serve_panics: AtomicU64,
-    /// Engine worker/detector panics supervised into clean stream errors.
-    pub worker_panics: AtomicU64,
-}
+pub struct DaemonHealth([AtomicU64; HEALTH_COUNTERS.len()]);
 
 impl DaemonHealth {
     /// A zeroed counter block.
@@ -236,36 +313,15 @@ impl DaemonHealth {
         Self::default()
     }
 
-    /// Bumps `counter` by one (convenience for call sites).
-    pub fn bump(counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
+    /// Bumps `counter` by one.
+    pub fn bump(&self, counter: HealthCounter) {
+        self.0[counter as usize].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// A point-in-time copy of every counter.
-    pub fn snapshot(&self) -> HealthSnapshot {
-        HealthSnapshot {
-            conns_rejected: self.conns_rejected.load(Ordering::Relaxed),
-            header_timeouts: self.header_timeouts.load(Ordering::Relaxed),
-            idle_timeouts: self.idle_timeouts.load(Ordering::Relaxed),
-            serve_panics: self.serve_panics.load(Ordering::Relaxed),
-            worker_panics: self.worker_panics.load(Ordering::Relaxed),
-        }
+    /// The current value of `counter`.
+    pub fn get(&self, counter: HealthCounter) -> u64 {
+        self.0[counter as usize].load(Ordering::Relaxed)
     }
-}
-
-/// A point-in-time copy of the daemon's fault/admission counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct HealthSnapshot {
-    /// Connections refused by the admission cap.
-    pub conns_rejected: u64,
-    /// Header-deadline expirations.
-    pub header_timeouts: u64,
-    /// Idle-ingest-deadline expirations.
-    pub idle_timeouts: u64,
-    /// Caught serving-thread panics.
-    pub serve_panics: u64,
-    /// Supervised engine panics.
-    pub worker_panics: u64,
 }
 
 /// Counters and latency histograms folded out of retired streams. The
@@ -276,22 +332,8 @@ pub struct HealthSnapshot {
 pub struct RetiredTotals {
     /// Streams retired from the table.
     pub streams: u64,
-    /// Samples ingested by retired streams.
-    pub samples_in: u64,
-    /// Frames published by retired streams.
-    pub frames: u64,
-    /// Rounds decoded by retired streams.
-    pub rounds: u64,
-    /// Energy-gate false alarms on retired streams.
-    pub false_alarms: u64,
-    /// CRC-clean link frames on retired streams.
-    pub frames_ok: u64,
-    /// CRC-failed link frames on retired streams.
-    pub frames_failed_crc: u64,
-    /// Truncated packets on retired streams.
-    pub truncated: u64,
-    /// Ring drops on retired streams.
-    pub ring_dropped: u64,
+    /// Every counter, summed over the retired streams.
+    pub counters: StreamCounters,
     /// Merged ingest→emit latency of every retired stream's frames.
     pub frame_latency: HistogramSnapshot,
     /// Per-channel fold of retired streams, keyed by RF channel.
@@ -314,18 +356,11 @@ pub struct ChannelRetired {
 impl RetiredTotals {
     fn fold(&mut self, snap: &StreamSnapshot) {
         self.streams += 1;
-        self.samples_in += snap.samples_in;
-        self.frames += snap.frames;
-        self.rounds += snap.rounds;
-        self.false_alarms += snap.false_alarms;
-        self.frames_ok += snap.frames_ok;
-        self.frames_failed_crc += snap.frames_failed_crc;
-        self.truncated += snap.truncated;
-        self.ring_dropped += snap.ring_dropped;
+        self.counters += snap.counters;
         self.frame_latency.merge(&snap.frame_latency);
         let ch = self.channels.entry(snap.channel).or_default();
         ch.streams += 1;
-        ch.samples_in += snap.samples_in;
+        ch.samples_in += snap.counters[Counter::SamplesIn];
         ch.frame_latency.merge(&snap.frame_latency);
         ch.stages.merge(&snap.stages);
     }
@@ -499,24 +534,31 @@ mod tests {
         s.record_link_frame(true);
         s.record_link_frame(true);
         s.record_link_frame(false);
-        s.record_truncated(1);
+        s.record_end(1, 5);
         s.record_rates(2e6, 4.0);
         s.set_inactive();
         let snap = &reg.snapshot()[0];
+        for &(counter, end_key, _) in STREAM_COUNTERS {
+            let want = match counter {
+                Counter::Frames => 2,
+                Counter::Rounds => 1,
+                Counter::FalseAlarms => 1,
+                Counter::FramesOk => 2,
+                Counter::FramesFailedCrc => 1,
+                Counter::SamplesIn => 1000,
+                Counter::Truncated => 1,
+                Counter::TrailingBytes => 5,
+                Counter::RingDropped => 3,
+            };
+            assert_eq!(snap.counters[counter], want, "{end_key}");
+        }
         assert_eq!(
             *snap,
             StreamSnapshot {
                 name: "x".to_string(),
                 channel: 0,
                 active: false,
-                samples_in: 1000,
-                frames: 2,
-                rounds: 1,
-                false_alarms: 1,
-                frames_ok: 2,
-                frames_failed_crc: 1,
-                truncated: 1,
-                ring_dropped: 3,
+                counters: snap.counters,
                 samples_per_sec: 2e6,
                 real_time_factor: 4.0,
                 ..StreamSnapshot::default()
@@ -558,9 +600,9 @@ mod tests {
         assert_eq!(reg.total_streams(), 6);
         let retired = reg.retired();
         assert_eq!(retired.streams, 3);
-        assert_eq!(retired.samples_in, 300);
-        assert_eq!(retired.rounds, 3);
-        assert_eq!(retired.ring_dropped, 3);
+        assert_eq!(retired.counters[Counter::SamplesIn], 300);
+        assert_eq!(retired.counters[Counter::Rounds], 3);
+        assert_eq!(retired.counters[Counter::RingDropped], 3);
         assert_eq!(retired.frame_latency.count(), 3);
         // Per-channel fold follows the streams' channel tags (0, 1, 0).
         assert_eq!(retired.channels[&0].streams, 2);

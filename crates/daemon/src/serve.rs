@@ -39,7 +39,9 @@
 //! threads are then joined.
 
 use crate::protocol::{self, code, Cf32Decoder, StreamHeader, SAMPLE_BYTES};
-use crate::registry::{DaemonHealth, StreamRegistry, StreamStats, DEFAULT_METRICS_RETENTION};
+use crate::registry::{
+    Counter, DaemonHealth, HealthCounter, StreamRegistry, StreamStats, DEFAULT_METRICS_RETENTION,
+};
 use crate::{metrics, DecodedPacket};
 use netscatter::json::Json;
 use netscatter_coding::frame::FrameCodec;
@@ -270,7 +272,7 @@ fn accept_loop(
         match listener.accept() {
             Ok((sock, _)) => {
                 if config.max_conns > 0 && conns.len() >= config.max_conns {
-                    DaemonHealth::bump(&health.conns_rejected);
+                    health.bump(HealthCounter::ConnsRejected);
                     olog::warn(
                         "netscatterd::serve",
                         "connection rejected at --max-conns capacity",
@@ -318,7 +320,7 @@ fn serve_isolated(
         let _ = serve_connection(sock, config, registry, health, shutdown, &slot);
     }));
     if result.is_err() {
-        DaemonHealth::bump(&health.serve_panics);
+        health.bump(HealthCounter::ServePanics);
         olog::error(
             "netscatterd::serve",
             "serving thread panicked; connection closed, daemon continues",
@@ -470,7 +472,7 @@ fn serve_connection(
             return Ok(());
         }
         HeaderRead::TimedOut => {
-            DaemonHealth::bump(&health.header_timeouts);
+            health.bump(HealthCounter::HeaderTimeouts);
             olog::warn(
                 "netscatterd::serve",
                 "no header line within the deadline; closing connection",
@@ -595,16 +597,6 @@ pub(crate) fn bin_range_error(bins: &[usize], profile: &PhyProfile) -> Option<St
     ))
 }
 
-/// Running frame tallies of one connection.
-#[derive(Default)]
-struct Tally {
-    frames: u64,
-    rounds: u64,
-    false_alarms: u64,
-    frames_ok: u64,
-    frames_failed_crc: u64,
-}
-
 /// Publishes decoded packets as `frame` records and counts them. On a
 /// coded stream every device's bits are frame-decoded first, so each
 /// record carries the per-device CRC verdict and the link-layer counters
@@ -614,21 +606,12 @@ struct Tally {
 /// shutdown report arrive untimed and skip the histogram.
 fn publish(
     sock: &mut TcpStream,
-    name: &str,
     packets: Vec<(DecodedPacket, Option<Instant>)>,
     stats: &StreamStats,
     codec: Option<&FrameCodec>,
-    tally: &mut Tally,
 ) -> std::io::Result<()> {
     for (packet, ingested_at) in packets {
-        let devices = packet.round.devices.len();
-        stats.record_frame(devices);
-        tally.frames += 1;
-        if devices > 0 {
-            tally.rounds += 1;
-        } else {
-            tally.false_alarms += 1;
-        }
+        stats.record_frame(packet.round.devices.len());
         let outcomes = codec.map(|c| {
             packet
                 .round
@@ -637,19 +620,12 @@ fn publish(
                 .map(|d| c.decode_frame(&d.bits))
                 .collect::<Vec<_>>()
         });
-        if let Some(outcomes) = &outcomes {
-            for out in outcomes {
-                stats.record_link_frame(out.crc_ok);
-                if out.crc_ok {
-                    tally.frames_ok += 1;
-                } else {
-                    tally.frames_failed_crc += 1;
-                }
-            }
+        for out in outcomes.iter().flatten() {
+            stats.record_link_frame(out.crc_ok);
         }
         write_record(
             sock,
-            &protocol::frame_json(name, &packet, outcomes.as_deref()),
+            &protocol::frame_json(stats.name(), &packet, outcomes.as_deref()),
         )?;
         if let Some(t0) = ingested_at {
             stats.record_frame_latency(t0.elapsed());
@@ -732,7 +708,6 @@ fn serve_stream(
     // the ring and trip drop-oldest. Samples accumulate here and are fed
     // in full chunks; the sub-chunk tail is flushed at end of stream.
     let mut pending: Vec<netscatter_dsp::Complex64> = Vec::with_capacity(2 * chunk);
-    let mut tally = Tally::default();
     let mut end_code = code::SHUTDOWN;
     let mut last_data = Instant::now();
     loop {
@@ -768,7 +743,7 @@ fn serve_stream(
                 // Idle-ingest deadline: a stalled (but open) connection is
                 // drained and ended rather than parked forever.
                 if idle_deadline.is_some_and(|d| last_data.elapsed() >= d) {
-                    DaemonHealth::bump(&health.idle_timeouts);
+                    health.bump(HealthCounter::IdleTimeouts);
                     olog::warn(
                         "netscatterd::serve",
                         "ingest idle past deadline; draining stream",
@@ -788,14 +763,7 @@ fn serve_stream(
         stats.record_ingest(engine.samples_fed(), engine.ring_dropped());
         let sps = engine.samples_processed() as f64 / started.elapsed().as_secs_f64().max(1e-9);
         stats.record_rates(sps, sps / rate);
-        publish(
-            sock,
-            &name,
-            timed(engine.drain_timed()),
-            stats,
-            codec,
-            &mut tally,
-        )?;
+        publish(sock, timed(engine.drain_timed()), stats, codec)?;
     }
 
     // Drain whatever the client had already sent when the loop broke (a
@@ -824,27 +792,19 @@ fn serve_stream(
     let samples_fed = engine.samples_fed();
     // The final in-flight packets are still timed at this point; the
     // shutdown report strips timestamps, so drain once more first.
-    publish(
-        sock,
-        &name,
-        timed(engine.drain_timed()),
-        stats,
-        codec,
-        &mut tally,
-    )?;
+    publish(sock, timed(engine.drain_timed()), stats, codec)?;
     match engine.shutdown() {
         Ok(mut report) => {
             publish(
                 sock,
-                &name,
                 untimed(std::mem::take(&mut report.packets)),
                 stats,
                 codec,
-                &mut tally,
             )?;
             stats.record_ingest(samples_fed, report.ring_dropped);
-            stats.record_truncated(report.truncated as u64);
+            stats.record_end(report.truncated as u64, decoder.pending_bytes() as u64);
             stats.record_rates(report.samples_per_sec, report.real_time_factor);
+            let end = stats.snapshot();
             olog::info(
                 "netscatterd::serve",
                 "stream ended",
@@ -852,31 +812,18 @@ fn serve_stream(
                     ("span", span.into()),
                     ("stream", name.as_str().into()),
                     ("code", end_code.into()),
-                    ("frames", tally.frames.into()),
-                    ("rounds", tally.rounds.into()),
+                    ("frames", end.counters[Counter::Frames].into()),
+                    ("rounds", end.counters[Counter::Rounds].into()),
                     ("ring_dropped", report.ring_dropped.into()),
                 ],
             );
-            write_record(
-                sock,
-                &protocol::end_json(
-                    &name,
-                    tally.frames,
-                    tally.rounds,
-                    tally.false_alarms,
-                    tally.frames_ok,
-                    tally.frames_failed_crc,
-                    &report,
-                    end_code,
-                    decoder.pending_bytes(),
-                ),
-            )?;
+            write_record(sock, &protocol::end_json(&end, end_code))?;
         }
         Err(EngineError::WorkerPanic(panic)) => {
             // Supervised engine panic: publish everything decoded before
             // the failure, then the typed error record. The daemon and its
             // other streams keep running.
-            DaemonHealth::bump(&health.worker_panics);
+            health.bump(HealthCounter::WorkerPanics);
             let mut report = panic.report;
             olog::error(
                 "netscatterd::serve",
@@ -890,11 +837,9 @@ fn serve_stream(
             );
             publish(
                 sock,
-                &name,
                 untimed(std::mem::take(&mut report.packets)),
                 stats,
                 codec,
-                &mut tally,
             )?;
             stats.record_ingest(samples_fed, report.ring_dropped);
             write_record(

@@ -7,7 +7,7 @@
 //! hand-broken documents proves each rule bites.
 
 use netscatter_daemon::metrics::{self, lint};
-use netscatter_daemon::registry::{DaemonHealth, StreamRegistry};
+use netscatter_daemon::registry::{DaemonHealth, HealthCounter, StreamRegistry};
 use std::time::Duration;
 
 /// A registry worked hard enough to exercise every metric family:
@@ -32,7 +32,7 @@ fn exercised_registry() -> (StreamRegistry, DaemonHealth) {
     live.record_frame(1);
     live.record_frame_latency(Duration::from_millis(2));
     let health = DaemonHealth::new();
-    DaemonHealth::bump(&health.idle_timeouts);
+    health.bump(HealthCounter::IdleTimeouts);
     (reg, health)
 }
 
@@ -44,6 +44,18 @@ fn every_line_obeys_the_exposition_grammar() {
     // one would pass vacuously.
     assert!(doc.contains("_bucket{") && doc.contains("quantile=\"0.99\""));
     assert_eq!(lint(&doc), Vec::<String>::new());
+}
+
+/// Names, order and number formatting of every line are the endpoint's
+/// contract with scrapers: the document renders byte for byte as it did
+/// when the golden was captured.
+#[test]
+fn rendered_document_matches_the_committed_golden() {
+    let (reg, health) = exercised_registry();
+    assert_eq!(
+        metrics::render(&reg, &health, 12.5),
+        include_str!("golden/metrics_v2.txt")
+    );
 }
 
 #[test]

@@ -11,6 +11,7 @@
 use netscatter_daemon::protocol::{
     code, encode_cf32le, quantize_cf32, Cf32Decoder, StreamHeader, SAMPLE_BYTES,
 };
+use netscatter_daemon::registry::HealthCounter;
 use netscatter_daemon::{Daemon, DaemonConfig};
 use netscatter_dsp::Complex64;
 use netscatter_gateway::GatewayConfig;
@@ -236,13 +237,13 @@ fn out_of_range_bins_are_refused_before_an_engine_is_spawned() {
             "message must name the bin and the range: {record}"
         );
     }
-    assert_eq!(daemon.health().snapshot().worker_panics, 0);
+    assert_eq!(daemon.health().get(HealthCounter::WorkerPanics), 0);
 
     // The highest valid shift is accepted, and the real population decodes.
     let lines = exchange(vec![BIN, num_bins - 1]);
     assert!(lines[0].contains("\"ready\""), "{lines:?}");
     let frames = lines.iter().filter(|l| l.contains("\"type\":\"frame\""));
     assert_eq!(frames.count(), 1, "{lines:?}");
-    assert_eq!(daemon.health().snapshot().worker_panics, 0);
+    assert_eq!(daemon.health().get(HealthCounter::WorkerPanics), 0);
     daemon.shutdown();
 }

@@ -7,6 +7,7 @@
 
 use netscatter::json::Json;
 use netscatter_daemon::protocol::{self, code, StreamHeader};
+use netscatter_daemon::registry::HealthCounter;
 use netscatter_daemon::{Daemon, DaemonConfig};
 use netscatter_dsp::Complex64;
 use netscatter_gateway::GatewayConfig;
@@ -136,7 +137,7 @@ fn silent_connections_hit_the_header_deadline() {
         terminal(&lines),
         ("error".to_string(), code::HEADER_TIMEOUT.to_string())
     );
-    assert_eq!(daemon.health().snapshot().header_timeouts, 1);
+    assert_eq!(daemon.health().get(HealthCounter::HeaderTimeouts), 1);
     daemon.shutdown();
 }
 
@@ -189,7 +190,7 @@ fn stalled_ingest_hits_the_idle_deadline() {
     let end = Json::parse(lines.last().unwrap()).unwrap();
     assert!(matches!(end.get("complete"), Some(Json::Bool(false))));
     assert_eq!(end.get("trailing_bytes").and_then(Json::as_u64), Some(3));
-    assert_eq!(daemon.health().snapshot().idle_timeouts, 1);
+    assert_eq!(daemon.health().get(HealthCounter::IdleTimeouts), 1);
     daemon.shutdown();
 }
 
@@ -224,7 +225,7 @@ fn overloaded_connections_are_rejected_then_slots_reaped() {
         terminal(&lines),
         ("error".to_string(), code::OVERLOADED.to_string())
     );
-    assert_eq!(daemon.health().snapshot().conns_rejected, 1);
+    assert_eq!(daemon.health().get(HealthCounter::ConnsRejected), 1);
 
     // Release the slot; the accept loop must reap the finished thread and
     // admit a new stream — before the reap-on-tick fix, dead threads
@@ -272,7 +273,7 @@ fn worker_panics_are_supervised_and_reported() {
         terminal(&lines),
         ("error".to_string(), code::WORKER_PANIC.to_string())
     );
-    assert_eq!(daemon.health().snapshot().worker_panics, 1);
+    assert_eq!(daemon.health().get(HealthCounter::WorkerPanics), 1);
 
     // The stream is not leaked as active…
     let deadline = Instant::now() + Duration::from_secs(20);
@@ -343,7 +344,7 @@ fn a_dead_engine_ends_a_stream_that_keeps_sending() {
         ("error".to_string(), code::WORKER_PANIC.to_string()),
         "transcript: {lines:?}"
     );
-    assert_eq!(daemon.health().snapshot().worker_panics, 1);
+    assert_eq!(daemon.health().get(HealthCounter::WorkerPanics), 1);
     daemon.shutdown();
 }
 

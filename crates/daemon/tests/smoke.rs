@@ -334,8 +334,23 @@ fn coded_stream_case(scheme: CodingScheme, payload_bits: usize) {
         );
     }
 
-    // The end record and metrics carry the link-layer counters.
-    let end = Json::parse(lines_of_type(&lines, "end")[0]).unwrap();
+    // The end record and metrics carry the link-layer counters; the line
+    // itself is pinned key for key (only the two measured rates vary).
+    let end_line = lines_of_type(&lines, "end")[0];
+    let (counters, rates) = end_line.split_once("\"samples_per_sec\":").unwrap();
+    assert_eq!(
+        counters,
+        format!(
+            "{{\"type\":\"end\",\"stream\":\"coded\",\"code\":\"eof\",\"complete\":true,\
+             \"frames\":3,\"rounds\":3,\"false_alarms\":0,\"frames_ok\":3,\"frames_failed_crc\":0,\
+             \"samples_in\":{},\"truncated\":0,\"trailing_bytes\":0,\"ring_dropped\":0,",
+            samples.len()
+        )
+    );
+    let (sps, rtf) = rates.split_once(",\"real_time_factor\":").unwrap();
+    let rtf = rtf.strip_suffix('}').unwrap();
+    assert!(sps.parse::<f64>().unwrap() > 0.0 && rtf.parse::<f64>().unwrap() > 0.0);
+    let end = Json::parse(end_line).unwrap();
     assert_eq!(end.get("frames_ok").and_then(Json::as_u64), Some(3));
     assert_eq!(end.get("frames_failed_crc").and_then(Json::as_u64), Some(0));
     let doc = client::fetch_metrics(daemon.metrics_addr().unwrap()).unwrap();

@@ -5,7 +5,7 @@
 //! and provides exactly the primitives the chirp-spread-spectrum (CSS)
 //! physical layer and the receiver need:
 //!
-//! * [`Complex64`](complex::Complex64) — complex baseband samples.
+//! * [`complex::Complex64`] — complex baseband samples.
 //! * [`fft`] — an iterative radix-2 FFT/IFFT with reusable plans and
 //!   zero-padded transforms (the paper's receiver zero-pads to achieve
 //!   sub-FFT-bin peak resolution, §3.2.3).

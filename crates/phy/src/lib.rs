@@ -7,9 +7,6 @@
 //!
 //! * [`params`] — modulation configurations (bandwidth, spreading factor),
 //!   the derived rates/durations, and the Table 1 sensitivity model.
-//! * [`lora`] — classic single-user CSS modulation (LoRa-style): one device
-//!   conveys `SF` bits per symbol through its choice of cyclic shift. Used
-//!   by the LoRa-backscatter baseline.
 //! * [`distributed`] — NetScatter's distributed CSS coding primitive: the
 //!   per-symbol ON-OFF-keyed cyclic-shift modulator and the single-FFT
 //!   concurrent demodulator with zero-padded sub-bin resolution.
@@ -18,24 +15,16 @@
 //!   estimation (§3.3.1).
 //! * [`packet`] — link-layer framing: payload serialization, CRC-8, and the
 //!   symbol counts used by the end-to-end rate/latency accounting.
-//! * [`ask`] — the AP's ASK-modulated downlink (160 kbps) and the tag's
-//!   envelope-detector demodulation of it.
-//! * [`aggregation`] — bandwidth aggregation across an integer number of
-//!   chirp bandwidths decoded with one larger FFT (§3.1).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod aggregation;
-pub mod ask;
 pub mod distributed;
-pub mod lora;
 pub mod packet;
 pub mod params;
 pub mod preamble;
 
 pub use distributed::{ConcurrentDemodulator, OnOffModulator, SymbolDecision};
-pub use lora::{LoraDemodulator, LoraModulator};
 pub use packet::{LinkPacket, PacketTiming};
 pub use params::{ModulationConfig, PhyProfile};
 pub use preamble::{PreambleBuilder, PreambleDetector, PREAMBLE_DOWNCHIRPS, PREAMBLE_UPCHIRPS};

@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 
 /// Minimum demodulation SNR (dB) of CSS at a given spreading factor,
 /// following the SemTech SX1276 datasheet figures the paper's rate-adaptation
-/// baseline uses (§4.4, reference [4]).
+/// baseline uses (§4.4, reference \[4\]).
 pub fn required_snr_db(spreading_factor: u32) -> f64 {
     match spreading_factor {
         5 => -2.5,

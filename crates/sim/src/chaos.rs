@@ -3,8 +3,8 @@
 //!
 //! Runs a mixed fleet against a live `netscatterd`: the usual healthy
 //! synthesized streams (scored for bit identity exactly like plain
-//! `stress`) plus one misbehaving connection per fault kind in
-//! [`FaultKind`]. The attack schedule is a pure function of `--seed`, so
+//! `stress`) plus one misbehaving connection per fault kind
+//! (`FaultKind`). The attack schedule is a pure function of `--seed`, so
 //! a failing CI run reproduces locally byte for byte.
 //!
 //! The harness fails unless *all* of the following hold:
@@ -37,6 +37,7 @@ use crate::stress::{
 use netscatter::json::Json;
 use netscatter_daemon::client::{self, connect_with_retry, RetryPolicy};
 use netscatter_daemon::protocol::{self, code, StreamHeader};
+use netscatter_daemon::registry::{HealthCounter, HEALTH_COUNTERS};
 use netscatter_daemon::{Daemon, DaemonConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -262,7 +263,7 @@ fn mid_stream_stall(addr: &str, seed: u64, stream: &SynthStream) -> FaultOutcome
         Ok(mut sock) => {
             let mut line = stream.header.to_json_line();
             line.push('\n');
-            let bytes = protocol::encode_cf32le(&stream.samples);
+            let bytes = protocol::encode_cf32le(&stream.rendered.samples);
             let prefix = &bytes[..bytes.len() / 3 / 8 * 8];
             if let Err(e) = sock.write_all(line.as_bytes()).and(sock.write_all(prefix)) {
                 failures.push(format!("{label}: upload failed: {e}"));
@@ -299,7 +300,7 @@ fn abrupt_disconnect(
         Ok(mut sock) => {
             let mut line = stream.header.to_json_line();
             line.push('\n');
-            let bytes = protocol::encode_cf32le(&stream.samples);
+            let bytes = protocol::encode_cf32le(&stream.rendered.samples);
             let cut = cut.min(bytes.len());
             if let Err(e) = sock
                 .write_all(line.as_bytes())
@@ -333,7 +334,7 @@ fn ragged_upload(addr: &str, seed: u64, stream: &SynthStream) -> Result<Vec<Stri
     let mut line = stream.header.to_json_line();
     line.push('\n');
     sock.write_all(line.as_bytes()).map_err(|e| e.to_string())?;
-    let bytes = protocol::encode_cf32le(&stream.samples);
+    let bytes = protocol::encode_cf32le(&stream.rendered.samples);
     let rate = stream.header.sample_rate_hz.unwrap_or(500e3);
     let bytes_per_sec = rate * 8.0;
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed_caf3);
@@ -380,7 +381,7 @@ fn worker_panic(addr: &str, seed: u64, stream: &SynthStream) -> FaultOutcome {
             // The daemon tears the stream down as soon as the panic
             // cascades, so mid-upload write errors are expected.
             let _ = sock.write_all(line.as_bytes());
-            let bytes = protocol::encode_cf32le(&stream.samples);
+            let bytes = protocol::encode_cf32le(&stream.rendered.samples);
             for chunk in bytes.chunks(1 << 14) {
                 if sock.write_all(chunk).is_err() {
                     break;
@@ -510,15 +511,15 @@ fn await_quiescence(metrics_addr: &str) -> (String, Vec<String>) {
 /// Compares the daemon's health counters before and after the matrix
 /// (deltas, so a long-lived `--connect` daemon stays valid): the one
 /// injected decode fault is the only worker panic, no serving thread
-/// panicked, and the admission / header-deadline counters are exported.
+/// panicked, and every other [`HEALTH_COUNTERS`] line is exported.
 fn check_health_deltas(before: &str, after: &str) -> Vec<String> {
     let mut failures = Vec::new();
-    for (name, injected) in [
-        ("worker_panics", Some(1.0)),
-        ("serve_panics", Some(0.0)),
-        ("conns_rejected", None),
-        ("header_timeouts", None),
-    ] {
+    for &(counter, name) in HEALTH_COUNTERS {
+        let injected = match counter {
+            HealthCounter::WorkerPanics => Some(1.0),
+            HealthCounter::ServePanics => Some(0.0),
+            _ => None,
+        };
         let read = |doc: &str| metric_value(doc, &format!("netscatterd_{name}_total "));
         match (read(before), read(after), injected) {
             (Some(b), Some(a), Some(want)) if a - b != want => failures.push(format!(
@@ -535,7 +536,7 @@ fn check_health_deltas(before: &str, after: &str) -> Vec<String> {
 /// Runs the chaos harness; returns the process exit code (0 = pass).
 pub fn run_chaos(opts: &StressOptions) -> i32 {
     let deployment = Deployment::generate(
-        DeploymentConfig::office(opts.devices.max(16)),
+        DeploymentConfig::office(opts.scenario.devices.max(16)),
         &mut StdRng::seed_from_u64(DEPLOYMENT_SEED),
     );
 
@@ -595,7 +596,7 @@ pub fn run_chaos(opts: &StressOptions) -> i32 {
         .and_then(|addr| client::fetch_metrics(addr).ok())
         .unwrap_or_default();
 
-    let seed = opts.seed;
+    let seed = opts.scenario.seed;
     let mut failures: Vec<String> = Vec::new();
 
     // Launch everything concurrently: the healthy fleet through the
@@ -606,7 +607,7 @@ pub fn run_chaos(opts: &StressOptions) -> i32 {
         .map(|s| {
             let addr = ingest.clone();
             let header = s.header.clone();
-            let samples = s.samples.clone();
+            let samples = s.rendered.samples.clone();
             let pace = if opts.pace == 0.0 {
                 client::Pace::Unlimited
             } else {
@@ -658,7 +659,7 @@ pub fn run_chaos(opts: &StressOptions) -> i32 {
                 scope.spawn(|| slow_header(&ingest, seed ^ 4, &StreamHeader::named("chaos-slow"))),
                 scope.spawn(|| mid_stream_stall(&ingest, seed ^ 5, &stall)),
                 scope.spawn(|| {
-                    let bytes = protocol::encode_cf32le(&disconnect.samples).len();
+                    let bytes = protocol::encode_cf32le(&disconnect.rendered.samples).len();
                     abrupt_disconnect(
                         &ingest,
                         seed ^ 6,
@@ -669,7 +670,7 @@ pub fn run_chaos(opts: &StressOptions) -> i32 {
                 }),
                 scope.spawn(|| {
                     // Mid-round *and* mid-sample: the cut is odd on purpose.
-                    let bytes = protocol::encode_cf32le(&kill.samples).len();
+                    let bytes = protocol::encode_cf32le(&kill.rendered.samples).len();
                     abrupt_disconnect(
                         &ingest,
                         seed ^ 7,

@@ -2,7 +2,7 @@
 //!
 //! Every table/figure/analysis driver of the evaluation implements
 //! [`Experiment`]: a named, registered unit that maps a
-//! [`Scenario`](crate::scenario::Scenario) to a structured
+//! [`crate::scenario::Scenario`] to a structured
 //! [`ExperimentResult`]. Results are plain data — named tables of numeric
 //! rows plus named scalars, stamped with the scenario, a `schema_version`
 //! and the source revision — so downstream tooling (sweeps, regression

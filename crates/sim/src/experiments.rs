@@ -659,19 +659,21 @@ impl Experiment for Fig16 {
 /// the scenario's placement/devices/seed) and the x-axis sizes, clamped to
 /// the scenario's device count.
 fn network_sweep(scenario: &Scenario) -> (Deployment, Vec<usize>) {
-    let dep = scenario.deployment();
-    let base: Vec<usize> = match scenario.scale {
-        Scale::Quick => vec![1, 64, 256],
-        Scale::Full => vec![1, 16, 32, 64, 96, 128, 160, 192, 224, 256],
+    let base: &[usize] = match scenario.scale {
+        Scale::Quick => &[1, 64, 256],
+        Scale::Full => &[1, 16, 32, 64, 96, 128, 160, 192, 224, 256],
     };
-    let mut sizes: Vec<usize> = base
-        .into_iter()
-        .filter(|&n| n <= scenario.devices)
-        .collect();
-    if sizes.last() != Some(&scenario.devices) {
-        sizes.push(scenario.devices);
+    (scenario.deployment(), sizes_up_to(base, scenario.devices))
+}
+
+/// The entries of `base` (ascending) that fit a population of `devices`,
+/// closed by the population itself when `base` does not end on it.
+fn sizes_up_to(base: &[usize], devices: usize) -> Vec<usize> {
+    let mut sizes: Vec<usize> = base.iter().copied().filter(|&n| n <= devices).collect();
+    if sizes.last() != Some(&devices) {
+        sizes.push(devices);
     }
-    (dep, sizes)
+    sizes
 }
 
 /// One network size of the Fig. 17–19 sweep: all five schemes' metrics.
@@ -1159,131 +1161,6 @@ struct GatewayOutcome {
     real_time_factor: f64,
 }
 
-/// One channel's synthesized stream plus everything scoring needs.
-struct ChannelStream {
-    /// The pre-rendered sample stream (taken by the replay source).
-    samples: Vec<netscatter_dsp::Complex64>,
-    /// Ground-truth rounds the synthesizer put on the air.
-    truth: crate::stream::StreamTruth,
-    /// Samples per full round, for truth/packet pairing.
-    round_samples: u64,
-    /// The synthesizer's matched detection floor.
-    detection_floor_fraction: f64,
-    /// The population's assigned bins.
-    assigned_bins: Vec<usize>,
-    /// Channel sample rate in Hz.
-    sample_rate_hz: f64,
-}
-
-/// Renders one channel's `stream_secs` Poisson-arrival stream up front, so
-/// the pipeline measurement below replays pre-synthesized samples and the
-/// reported throughput is the *gateway's*, not the synthesizer's.
-fn synthesize_gateway_channel(
-    dep: &crate::deployment::Deployment,
-    n: usize,
-    model: &crate::fullround::ChannelModel,
-    scenario: &Scenario,
-    stream_secs: f64,
-    seed: u64,
-) -> ChannelStream {
-    use crate::stream::{ArrivalConfig, RoundArrivalSource};
-    use netscatter_gateway::StreamSource;
-
-    let mut source = RoundArrivalSource::new(
-        dep,
-        n,
-        model,
-        ArrivalConfig {
-            rate_hz: scenario.arrival_rate,
-            stream_secs,
-            payload_bits: scenario.payload_bits,
-        },
-        seed,
-    );
-    let mut samples = Vec::with_capacity(source.total_samples() as usize);
-    let mut buf = vec![netscatter_dsp::Complex64::ZERO; 1 << 16];
-    loop {
-        let got = source.fill(&mut buf);
-        samples.extend_from_slice(&buf[..got]);
-        if got < buf.len() {
-            break;
-        }
-    }
-    ChannelStream {
-        samples,
-        truth: source.truth(),
-        round_samples: source.round_samples(),
-        detection_floor_fraction: source.detection_floor_fraction(),
-        assigned_bins: source.assigned_bins().to_vec(),
-        sample_rate_hz: source.sample_rate_hz(),
-    }
-}
-
-/// Raw per-channel scoring tallies, summable across channels.
-#[derive(Default)]
-struct ChannelScore {
-    rounds_offered: usize,
-    rounds_decoded: usize,
-    false_alarms: usize,
-    transmitted_devices: usize,
-    delivered_devices: usize,
-    transmitted_bits: usize,
-    error_bits: usize,
-}
-
-/// Scores one channel's decoded packets against its synthesis truth: pair
-/// each offered round with the decoded packet whose start lies within half
-/// a round of the truth start (both sequences are monotonic in stream
-/// order).
-fn score_gateway_channel(
-    packets: &[netscatter_gateway::DecodedPacket],
-    channel: &ChannelStream,
-) -> ChannelScore {
-    let rounds = channel.truth.lock().expect("truth lock");
-    let mut score = ChannelScore {
-        rounds_offered: rounds.len(),
-        ..ChannelScore::default()
-    };
-    let mut matched = vec![false; packets.len()];
-    for round in rounds.iter() {
-        let packet = packets.iter().enumerate().find(|(_, p)| {
-            p.start_sample.abs_diff(round.start_sample) < channel.round_samples / 2
-                && !p.round.devices.is_empty()
-        });
-        if let Some((i, _)) = packet {
-            matched[i] = true;
-            score.rounds_decoded += 1;
-        }
-        for (device, sent) in round.sent.iter().enumerate() {
-            let Some(bits) = sent else { continue };
-            score.transmitted_devices += 1;
-            score.transmitted_bits += bits.len();
-            let decoded = packet.and_then(|(_, p)| p.round.bits_for(channel.assigned_bins[device]));
-            match decoded {
-                Some(decoded) => {
-                    let errors = decoded.iter().zip(bits).filter(|(a, b)| a != b).count()
-                        + bits.len().saturating_sub(decoded.len());
-                    score.error_bits += errors;
-                    if errors == 0 && decoded.len() == bits.len() {
-                        score.delivered_devices += 1;
-                    }
-                }
-                // A missed round (or missed device) loses every bit.
-                None => score.error_bits += bits.len(),
-            }
-        }
-    }
-    // A false alarm is any emitted packet that corresponds to no offered
-    // round: an energy-gate trigger that decoded to zero devices, or a
-    // spurious non-empty decode matching no truth start.
-    score.false_alarms = packets
-        .iter()
-        .enumerate()
-        .filter(|(i, p)| !matched[*i] || p.round.devices.is_empty())
-        .count();
-    score
-}
-
 /// Runs one streaming-gateway session over `scenario.channels` independent
 /// channels: each channel synthesizes its own `stream_secs` stream of
 /// Poisson round arrivals for the first `n` devices of `dep` (its own
@@ -1300,15 +1177,21 @@ fn run_gateway_stream(
     stream_secs: f64,
     trial_seed: u64,
 ) -> GatewayOutcome {
+    use crate::stream::{ArrivalConfig, RenderedStream, RoundArrivalSource, StreamScore};
     use netscatter_gateway::{run_multi_stream, GatewayConfig, ReplaySource, StreamSource};
 
     let channels = scenario.channels.max(1);
-    let streams: Vec<ChannelStream> = (0..channels as u64)
+    let arrivals = ArrivalConfig {
+        rate_hz: scenario.arrival_rate,
+        stream_secs,
+        payload_bits: scenario.payload_bits,
+    };
+    let streams: Vec<RenderedStream> = (0..channels as u64)
         .map(|c| {
             // Channel 0 keeps the single-channel trial seed; others derive
             // disjoint arrival realizations from it.
             let seed = trial_seed ^ c.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            synthesize_gateway_channel(dep, n, model, scenario, stream_secs, seed)
+            RoundArrivalSource::new(dep, n, model, arrivals, seed).render()
         })
         .collect();
     let config = GatewayConfig {
@@ -1343,16 +1226,9 @@ fn run_gateway_stream(
         .max_by(|a, b| f64::total_cmp(&a.aggregate_samples_per_sec, &b.aggregate_samples_per_sec))
         .expect("five sessions ran");
 
-    let mut total = ChannelScore::default();
-    for (chan_report, chan) in report.channels.iter().zip(streams.iter()) {
-        let score = score_gateway_channel(&chan_report.packets, chan);
-        total.rounds_offered += score.rounds_offered;
-        total.rounds_decoded += score.rounds_decoded;
-        total.false_alarms += score.false_alarms;
-        total.transmitted_devices += score.transmitted_devices;
-        total.delivered_devices += score.delivered_devices;
-        total.transmitted_bits += score.transmitted_bits;
-        total.error_bits += score.error_bits;
+    let mut total = StreamScore::default();
+    for (chan_report, chan) in report.channels.iter().zip(&streams) {
+        total.tally(chan, &chan_report.packets);
     }
     GatewayOutcome {
         rounds_offered: total.rounds_offered,
@@ -1444,13 +1320,7 @@ impl Experiment for Gateway {
         } else {
             scenario.stream_secs
         };
-        let mut sizes: Vec<usize> = GATEWAY_SIZES
-            .into_iter()
-            .filter(|&n| n <= scenario.devices)
-            .collect();
-        if sizes.last() != Some(&scenario.devices) {
-            sizes.push(scenario.devices);
-        }
+        let sizes = sizes_up_to(&GATEWAY_SIZES, scenario.devices);
         let mc = scenario.monte_carlo();
         let mut result = ExperimentResult::new(self.id(), self.title(), scenario);
         result.scenario.stream_secs = stream_secs;
@@ -1773,13 +1643,7 @@ impl Experiment for Goodput {
         let mc = scenario.monte_carlo();
         let trials = scenario.scale.pick(2, 8);
         let rounds = scenario.scale.pick(2, 6);
-        let mut sizes: Vec<usize> = GATEWAY_SIZES
-            .into_iter()
-            .filter(|&n| n <= scenario.devices)
-            .collect();
-        if sizes.last() != Some(&scenario.devices) {
-            sizes.push(scenario.devices);
-        }
+        let sizes = sizes_up_to(&GATEWAY_SIZES, scenario.devices);
         let mut result = ExperimentResult::new(self.id(), self.title(), scenario);
         let mut t = Table::new(
             "goodput",

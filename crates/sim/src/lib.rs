@@ -21,12 +21,11 @@
 //!   shard layout, one RNG stream per shard (`seed ⊕ shard`), worker threads
 //!   via `std::thread::scope`; results are bit-identical for a given seed at
 //!   any thread count.
-//! * [`scenario`] — the typed [`Scenario`](scenario::Scenario) builder:
+//! * [`scenario`] — the typed [`scenario::Scenario`] builder:
 //!   population, placement, channel stack, fidelity, scheme, seed, threads
 //!   and scale as one composable value, settable by name for sweeps.
-//! * [`experiment`] — the [`Experiment`](experiment::Experiment) trait, the
-//!   structured serde-serializable
-//!   [`ExperimentResult`](experiment::ExperimentResult) (schema-versioned
+//! * [`experiment`] — the [`experiment::Experiment`] trait, the structured
+//!   serde-serializable [`experiment::ExperimentResult`] (schema-versioned
 //!   tables + scalars) and the text/JSON/CSV sinks.
 //! * [`stream`] — the live stream synthesizer feeding the streaming
 //!   gateway (`netscatter_gateway`): rounds from the sample-level simulator

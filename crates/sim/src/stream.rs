@@ -20,7 +20,7 @@ use crate::fullround::{ChannelModel, FullRoundNetwork};
 use netscatter_coding::frame::FrameCodec;
 use netscatter_coding::CodingScheme;
 use netscatter_dsp::Complex64;
-use netscatter_gateway::StreamSource;
+use netscatter_gateway::{DecodedPacket, StreamSource};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::{Arc, Mutex};
@@ -217,6 +217,112 @@ impl RoundArrivalSource {
                 start_sample: self.produced,
                 sent,
             });
+    }
+}
+
+/// A stream rendered to its end up front — so whatever replays it measures
+/// the gateway, not the synthesizer — plus everything decoding and scoring
+/// it takes.
+#[derive(Debug, Clone)]
+pub struct RenderedStream {
+    /// Every sample the source produced.
+    pub samples: Vec<Complex64>,
+    /// The rounds the source put on the air, in stream order.
+    pub truth: Vec<StreamRoundTruth>,
+    /// [`RoundArrivalSource::assigned_bins`].
+    pub assigned_bins: Vec<usize>,
+    /// [`RoundArrivalSource::detection_floor_fraction`].
+    pub detection_floor_fraction: f64,
+    /// [`RoundArrivalSource::round_samples`].
+    pub round_samples: u64,
+    /// The stream's sample rate in Hz.
+    pub sample_rate_hz: f64,
+}
+
+impl RoundArrivalSource {
+    /// Drains the source into a [`RenderedStream`].
+    pub fn render(mut self) -> RenderedStream {
+        let mut samples = Vec::with_capacity(self.total_samples as usize);
+        let mut buf = vec![Complex64::ZERO; 1 << 16];
+        loop {
+            let got = self.fill(&mut buf);
+            samples.extend_from_slice(&buf[..got]);
+            if got < buf.len() {
+                break;
+            }
+        }
+        let truth = self.truth.lock().expect("truth lock").clone();
+        RenderedStream {
+            samples,
+            truth,
+            assigned_bins: self.assigned_bins().to_vec(),
+            detection_floor_fraction: self.detection_floor_fraction(),
+            round_samples: self.round_samples,
+            sample_rate_hz: self.sample_rate_hz,
+        }
+    }
+}
+
+/// Tallies of decoded packets scored against stream truth, summed over
+/// every stream handed to [`StreamScore::tally`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StreamScore {
+    /// Rounds the synthesizer put on the air.
+    pub rounds_offered: usize,
+    /// Offered rounds matched by a decoded packet with ≥ 1 device.
+    pub rounds_decoded: usize,
+    /// Emitted packets matching no offered round: energy-gate triggers
+    /// that decoded to zero devices, plus non-empty decodes at positions
+    /// where nothing was transmitted.
+    pub false_alarms: usize,
+    /// Device-rounds transmitted.
+    pub transmitted_devices: usize,
+    /// Device-rounds decoded error-free.
+    pub delivered_devices: usize,
+    /// Payload bits transmitted.
+    pub transmitted_bits: usize,
+    /// Payload bits decoded wrong or not at all (a missed round or device
+    /// loses every bit it carried).
+    pub error_bits: usize,
+}
+
+impl StreamScore {
+    /// Adds `stream`'s score: each offered round pairs with the first
+    /// non-empty packet starting within half a round of its true start
+    /// (both sequences are monotonic in stream order); its payload is then
+    /// compared device by device on the assigned bins.
+    pub fn tally(&mut self, stream: &RenderedStream, packets: &[DecodedPacket]) {
+        self.rounds_offered += stream.truth.len();
+        let mut matched = vec![false; packets.len()];
+        for round in &stream.truth {
+            let packet = packets.iter().enumerate().find(|(_, p)| {
+                p.start_sample.abs_diff(round.start_sample) < stream.round_samples / 2
+                    && !p.round.devices.is_empty()
+            });
+            if let Some((i, _)) = packet {
+                matched[i] = true;
+                self.rounds_decoded += 1;
+            }
+            for (device, sent) in round.sent.iter().enumerate() {
+                let Some(bits) = sent else { continue };
+                self.transmitted_devices += 1;
+                self.transmitted_bits += bits.len();
+                let decoded =
+                    packet.and_then(|(_, p)| p.round.bits_for(stream.assigned_bins[device]));
+                match decoded {
+                    Some(decoded) => {
+                        let errors = decoded.iter().zip(bits).filter(|(a, b)| a != b).count()
+                            + bits.len().saturating_sub(decoded.len());
+                        self.error_bits += errors;
+                        if errors == 0 && decoded.len() == bits.len() {
+                            self.delivered_devices += 1;
+                        }
+                    }
+                    None => self.error_bits += bits.len(),
+                }
+            }
+        }
+        self.false_alarms += matched.iter().filter(|&&hit| !hit).count();
     }
 }
 

@@ -30,15 +30,16 @@
 use crate::cli::{parse_flags, CliError};
 use crate::deployment::{Deployment, DeploymentConfig};
 use crate::fullround::ChannelModel;
-use crate::stream::{ArrivalConfig, RoundArrivalSource, StreamRoundTruth};
+use crate::scenario::Scenario;
+use crate::stream::{ArrivalConfig, RenderedStream, RoundArrivalSource, StreamScore};
 use netscatter::json::Json;
 use netscatter_coding::frame::FrameCodec;
 use netscatter_coding::CodingScheme;
 use netscatter_daemon::client::{self, Pace};
 use netscatter_daemon::protocol::{self, StreamHeader};
+use netscatter_daemon::registry::STREAM_COUNTERS;
 use netscatter_daemon::{Daemon, DaemonConfig};
-use netscatter_dsp::Complex64;
-use netscatter_gateway::{DecodedPacket, GatewayConfig, StreamGateway, StreamSource};
+use netscatter_gateway::{DecodedPacket, GatewayConfig, StreamGateway};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -129,32 +130,21 @@ pub struct StressOptions {
     pub expect_max_conns: usize,
     /// Suppress per-stream report lines.
     pub quiet: bool,
-    /// Base trial seed (stream `i` is seeded `seed + i`).
-    pub seed: u64,
-    /// Devices per round.
-    pub devices: usize,
-    /// Payload bits per device per round.
-    pub payload_bits: usize,
-    /// Link-layer coding scheme the streams carry.
-    pub coding: CodingScheme,
-    /// Round arrival rate in rounds per second.
-    pub rate_hz: f64,
-    /// Stream duration in seconds.
-    pub stream_secs: f64,
-    /// Ring chunk size in samples.
-    pub chunk_samples: usize,
-    /// RF channels the fleet is spread over (stream `i` tags channel
-    /// `i % channels`); the metrics check then demands a schema-complete
-    /// per-channel rollup for every channel used.
-    pub channels: usize,
-    /// Decode workers per stream (0 = all cores).
-    pub workers: usize,
+    /// The shared-parser fields the harness reads: `seed` (stream `i` is
+    /// seeded `seed + i`), `devices`, `payload_bits`, `coding`,
+    /// `arrival_rate`, `stream_secs`, `chunk_samples`, `channels` (stream
+    /// `i` tags channel `i % channels`, and the metrics check demands a
+    /// schema-complete rollup for every channel used) and `threads`
+    /// (decode workers per stream, 0 = all cores).
+    pub scenario: Scenario,
 }
 
-/// Splits the stress-specific flags out of `args`, then runs the remainder
-/// through the shared experiment flag parser ([`crate::cli::parse_flags`])
-/// so `--seed`, `--devices`, `--arrival-rate`, … mean exactly what they
-/// mean everywhere else in the CLI.
+/// Splits the stress-specific flags out of `args`, then runs the shared
+/// flags the harness reads through the experiment flag parser
+/// ([`crate::cli::parse_flags`]) so `--seed`, `--devices`,
+/// `--arrival-rate`, … mean exactly what they mean everywhere else in the
+/// CLI. A shared flag the harness would ignore (`--fidelity`, `--out`, …)
+/// is a usage error like any other unknown argument.
 pub fn parse_stress_args(args: &[String]) -> Result<StressOptions, CliError> {
     let mut streams = 4usize;
     let mut connect = None;
@@ -236,28 +226,20 @@ pub fn parse_stress_args(args: &[String]) -> Result<StressOptions, CliError> {
                     code: 0,
                 })
             }
+            "--seed" | "--devices" | "--payload-bits" | "--coding" | "--arrival-rate"
+            | "--stream-secs" | "--chunk-samples" | "--channels" | "--threads" => {
+                shared.push(arg.to_string());
+                shared.push(value(&mut i, arg)?);
+            }
             other => {
-                shared.push(other.to_string());
-                if matches!(
-                    other,
-                    "--seed"
-                        | "--devices"
-                        | "--payload-bits"
-                        | "--coding"
-                        | "--arrival-rate"
-                        | "--stream-secs"
-                        | "--chunk-samples"
-                        | "--channels"
-                        | "--threads"
-                ) {
-                    shared.push(value(&mut i, other)?);
-                }
+                return Err(CliError {
+                    message: format!("unknown argument: {other}"),
+                    code: 2,
+                })
             }
         }
         i += 1;
     }
-    let opts = parse_flags(&shared, false)?;
-    let s = opts.scenario;
     Ok(StressOptions {
         streams,
         connect,
@@ -268,15 +250,7 @@ pub fn parse_stress_args(args: &[String]) -> Result<StressOptions, CliError> {
         chaos,
         expect_max_conns,
         quiet,
-        seed: s.seed,
-        devices: s.devices,
-        payload_bits: s.payload_bits,
-        coding: s.coding,
-        rate_hz: s.arrival_rate,
-        stream_secs: s.stream_secs,
-        chunk_samples: s.chunk_samples,
-        channels: s.channels,
-        workers: s.threads,
+        scenario: parse_flags(&shared, false)?.scenario,
     })
 }
 
@@ -284,65 +258,46 @@ pub fn parse_stress_args(args: &[String]) -> Result<StressOptions, CliError> {
 pub(crate) struct SynthStream {
     pub(crate) name: String,
     pub(crate) header: StreamHeader,
-    /// The f32-quantized samples — exactly what crosses the wire.
-    pub(crate) samples: Vec<Complex64>,
-    pub(crate) truth: Vec<StreamRoundTruth>,
-    pub(crate) bins: Vec<usize>,
-    pub(crate) round_samples: u64,
+    /// The stream; its samples are f32-quantized — exactly what crosses the
+    /// wire.
+    pub(crate) rendered: RenderedStream,
 }
 
-/// Synthesizes stream `i`: drains a [`RoundArrivalSource`] seeded
-/// `seed + i` into a buffer and quantizes it through the wire's f32
-/// precision, so the batch reference decodes the same numbers the daemon
-/// receives.
+/// Synthesizes stream `i`: renders a [`RoundArrivalSource`] seeded
+/// `seed + i` and quantizes it through the wire's f32 precision, so the
+/// batch reference decodes the same numbers the daemon receives.
 pub(crate) fn synthesize(deployment: &Deployment, opts: &StressOptions, i: usize) -> SynthStream {
-    let model = ChannelModel::pristine();
-    let mut source = RoundArrivalSource::new(
+    let s = &opts.scenario;
+    let mut rendered = RoundArrivalSource::new(
         deployment,
-        opts.devices,
-        &model,
+        s.devices,
+        &ChannelModel::pristine(),
         ArrivalConfig {
-            rate_hz: opts.rate_hz,
-            stream_secs: opts.stream_secs,
-            payload_bits: opts.payload_bits,
+            rate_hz: s.arrival_rate,
+            stream_secs: s.stream_secs,
+            payload_bits: s.payload_bits,
         },
-        opts.seed + i as u64,
+        s.seed + i as u64,
     )
-    .with_coding(opts.coding)
+    .with_coding(s.coding)
     // The flag parser validated the scheme × payload_bits geometry.
-    .expect("coding geometry validated at parse time");
-    let truth = source.truth();
-    let bins = source.assigned_bins().to_vec();
-    let floor = source.detection_floor_fraction();
-    let rate = source.sample_rate_hz();
-    let round_samples = source.round_samples();
-    let mut samples = Vec::with_capacity(source.total_samples() as usize);
-    let mut buf = vec![Complex64::ZERO; opts.chunk_samples.max(1)];
-    loop {
-        let got = source.fill(&mut buf);
-        samples.extend_from_slice(&buf[..got]);
-        if got < buf.len() {
-            break;
-        }
-    }
+    .expect("coding geometry validated at parse time")
+    .render();
+    rendered.samples = protocol::quantize_cf32(&rendered.samples);
     let name = format!("stress{i}");
-    let truth = truth.lock().expect("truth lock").clone();
     SynthStream {
         header: StreamHeader {
             name: name.clone(),
-            sample_rate_hz: Some(rate),
-            bins: Some(bins.clone()),
-            payload_bits: Some(opts.payload_bits),
-            detection_floor: Some(floor),
-            channel: Some(i % opts.channels.max(1)),
-            coding: (opts.coding != CodingScheme::None).then_some(opts.coding),
+            sample_rate_hz: Some(rendered.sample_rate_hz),
+            bins: Some(rendered.assigned_bins.clone()),
+            payload_bits: Some(s.payload_bits),
+            detection_floor: Some(rendered.detection_floor_fraction),
+            channel: Some(i % s.channels.max(1)),
+            coding: (s.coding != CodingScheme::None).then_some(s.coding),
             fault_panic_span: None,
         },
         name,
-        samples: protocol::quantize_cf32(&samples),
-        truth,
-        bins,
-        round_samples,
+        rendered,
     }
 }
 
@@ -355,12 +310,12 @@ pub(crate) fn stream_config(
 ) -> GatewayConfig {
     let mut cfg = GatewayConfig::new(
         deployment.config.profile,
-        stream.bins.clone(),
-        opts.payload_bits,
+        stream.rendered.assigned_bins.clone(),
+        opts.scenario.payload_bits,
     );
-    cfg.chunk_samples = opts.chunk_samples;
+    cfg.chunk_samples = opts.scenario.chunk_samples;
     cfg.ring_slots = opts.ring_slots;
-    cfg.workers = opts.workers;
+    cfg.workers = opts.scenario.threads;
     cfg.detection_floor_fraction = stream.header.detection_floor;
     cfg
 }
@@ -379,15 +334,15 @@ pub(crate) fn batch_reference(
     let cfg = stream_config(deployment, stream, opts);
     let mut gw = StreamGateway::new(&cfg).map_err(|e| e.to_string())?;
     let mut packets = Vec::new();
-    for chunk in stream.samples.chunks(cfg.chunk_samples) {
+    for chunk in stream.rendered.samples.chunks(cfg.chunk_samples) {
         packets.extend(gw.feed(chunk).map_err(|e| e.to_string())?);
     }
     gw.finish();
     // On a coded fleet the reference records carry the same per-device
     // frame verdicts the daemon's must.
-    let codec = match opts.coding {
+    let codec = match opts.scenario.coding {
         CodingScheme::None => None,
-        scheme => Some(FrameCodec::new(scheme, opts.payload_bits)?),
+        scheme => Some(FrameCodec::new(scheme, opts.scenario.payload_bits)?),
     };
     let frames = packets
         .iter()
@@ -415,52 +370,6 @@ pub(crate) fn assigned_name(lines: &[String], requested: &str) -> String {
         .unwrap_or_else(|| requested.to_string())
 }
 
-/// Ground-truth score of one stream's decode.
-#[derive(Debug, Default)]
-struct TruthScore {
-    rounds_sent: usize,
-    rounds_found: usize,
-    bits_sent: usize,
-    bit_errors: usize,
-}
-
-/// Scores decoded packets against the recorded round truth: a round is
-/// found when a packet starts within half a round of its true start; its
-/// payload is then compared device by device on the assigned bins.
-fn score_truth(stream: &SynthStream, packets: &[DecodedPacket]) -> TruthScore {
-    let mut score = TruthScore {
-        rounds_sent: stream.truth.len(),
-        ..TruthScore::default()
-    };
-    let tolerance = (stream.round_samples / 2).max(1);
-    for round in &stream.truth {
-        let hit = packets
-            .iter()
-            .min_by_key(|p| (p.start_sample as i64 - round.start_sample as i64).unsigned_abs());
-        let Some(packet) = hit.filter(|p| {
-            (p.start_sample as i64 - round.start_sample as i64).unsigned_abs() < tolerance
-        }) else {
-            // A missed round: every bit it carried counts against us.
-            score.bits_sent += round.sent.iter().flatten().map(Vec::len).sum::<usize>();
-            score.bit_errors += round.sent.iter().flatten().map(Vec::len).sum::<usize>();
-            continue;
-        };
-        score.rounds_found += 1;
-        for (device, sent) in round.sent.iter().enumerate() {
-            let Some(sent) = sent else { continue };
-            score.bits_sent += sent.len();
-            match packet.round.bits_for(stream.bins[device]) {
-                Some(decoded) => {
-                    score.bit_errors += sent.iter().zip(decoded).filter(|(a, b)| a != b).count()
-                        + sent.len().saturating_sub(decoded.len());
-                }
-                None => score.bit_errors += sent.len(),
-            }
-        }
-    }
-    score
-}
-
 /// Extracts the records of `kind` from a stream's NDJSON transcript.
 pub(crate) fn records_of<'a>(lines: &'a [String], kind: &str) -> Vec<&'a String> {
     lines
@@ -485,9 +394,9 @@ pub(crate) fn metric_value(doc: &str, prefix: &str) -> Option<f64> {
 
 /// Validates the metrics document: the v2 grammar and histogram
 /// invariants ([`netscatter_daemon::metrics::lint`]), then a positive
-/// `msamples_per_sec`, the right channel tag, the link-layer
-/// `frames_ok` / `frames_failed_crc` counters and the ingest→emit
-/// frame-latency histogram for every `(name, channel)` stream in
+/// `msamples_per_sec`, the right channel tag, every exported
+/// [`STREAM_COUNTERS`] line and the ingest→emit frame-latency histogram
+/// for every `(name, channel)` stream in
 /// `streams`, and a schema-complete rollup (stream count, samples total,
 /// Msamples/s) for every channel the fleet used plus the whole-daemon
 /// aggregate rate. Returns the failures.
@@ -508,15 +417,14 @@ pub(crate) fn check_metrics(doc: &str, streams: &[(String, usize)]) -> Vec<Strin
             )),
             None => failures.push(format!("metrics lack a channel tag for stream {name}")),
         }
-        // Frame counters are part of the per-stream schema even for
-        // uncoded streams (both pinned at 0 there).
-        for metric in [
-            "netscatterd_stream_frames_ok",
-            "netscatterd_stream_frames_failed_crc",
-        ] {
-            let prefix = format!("{metric}{{stream=\"{name}\"}} ");
+        // Every exported counter is part of the per-stream schema — the
+        // link-frame ones even for uncoded streams (pinned at 0 there).
+        for stem in STREAM_COUNTERS.iter().filter_map(|&(_, _, stem)| stem) {
+            let prefix = format!("netscatterd_stream_{stem}{{stream=\"{name}\"}} ");
             if metric_value(doc, &prefix).is_none() {
-                failures.push(format!("metrics lack {metric} for stream {name}"));
+                failures.push(format!(
+                    "metrics lack netscatterd_stream_{stem} for stream {name}"
+                ));
             }
         }
         // The v2 schema adds an ingest→emit latency histogram per stream;
@@ -621,7 +529,7 @@ pub(crate) fn score_healthy(
     // uncoded streams must report both counters pinned at 0.
     match (frames_ok, frames_failed) {
         (Some(ok), Some(failed)) => {
-            if opts.coding == CodingScheme::None {
+            if opts.scenario.coding == CodingScheme::None {
                 if ok != 0 || failed != 0 {
                     failures.push(format!(
                         "stream {name}: uncoded stream reported link frames ({ok} ok, {failed} bad)"
@@ -641,15 +549,16 @@ pub(crate) fn score_healthy(
             "stream {name}: end record lacks frames_ok/frames_failed_crc"
         )),
     }
-    let score = score_truth(stream, &packets);
+    let mut score = StreamScore::default();
+    score.tally(&stream.rendered, &packets);
     let report_line = format!(
         "stream {name}: {} samples, {} frames, rounds {}/{}, bit errors {}/{}, ring drops {}",
-        stream.samples.len(),
+        stream.rendered.samples.len(),
         got.len(),
-        score.rounds_found,
-        score.rounds_sent,
-        score.bit_errors,
-        score.bits_sent,
+        score.rounds_decoded,
+        score.rounds_offered,
+        score.error_bits,
+        score.transmitted_bits,
         if dropped == u64::MAX {
             "?".to_string()
         } else {
@@ -669,7 +578,7 @@ pub fn run_stress(opts: &StressOptions) -> i32 {
         return crate::chaos::run_chaos(opts);
     }
     let deployment = Deployment::generate(
-        DeploymentConfig::office(opts.devices.max(16)),
+        DeploymentConfig::office(opts.scenario.devices.max(16)),
         &mut StdRng::seed_from_u64(DEPLOYMENT_SEED),
     );
 
@@ -715,7 +624,8 @@ pub fn run_stress(opts: &StressOptions) -> i32 {
             let mut paths = Vec::new();
             for s in &streams {
                 let path = dir.join(format!("{}.cf32", s.name));
-                if let Err(e) = std::fs::write(&path, protocol::encode_cf32le(&s.samples)) {
+                if let Err(e) = std::fs::write(&path, protocol::encode_cf32le(&s.rendered.samples))
+                {
                     eprintln!("stress: cannot write {}: {e}", path.display());
                     return 1;
                 }
@@ -733,7 +643,7 @@ pub fn run_stress(opts: &StressOptions) -> i32 {
         .map(|(s, capture)| {
             let addr = ingest.clone();
             let header = s.header.clone();
-            let samples = s.samples.clone();
+            let samples = s.rendered.samples.clone();
             let pace = if opts.pace == 0.0 {
                 Pace::Unlimited
             } else {
@@ -854,17 +764,17 @@ mod tests {
         ]))
         .expect("flags parse");
         assert_eq!(opts.streams, 6);
-        assert_eq!(opts.seed, 7);
-        assert_eq!(opts.rate_hz, 25.0);
+        assert_eq!(opts.scenario.seed, 7);
+        assert_eq!(opts.scenario.arrival_rate, 25.0);
         assert_eq!(opts.pace, 0.0);
         assert!(opts.quiet);
         // Stress defaults override the Scenario defaults…
-        assert_eq!(opts.devices, 8);
-        assert_eq!(opts.payload_bits, 8);
-        assert_eq!(opts.stream_secs, 0.5);
+        assert_eq!(opts.scenario.devices, 8);
+        assert_eq!(opts.scenario.payload_bits, 8);
+        assert_eq!(opts.scenario.stream_secs, 0.5);
         // …and the user's flags override the stress defaults.
         let opts = parse_stress_args(&args(&["--devices", "4"])).unwrap();
-        assert_eq!(opts.devices, 4);
+        assert_eq!(opts.scenario.devices, 4);
     }
 
     #[test]
@@ -892,63 +802,95 @@ mod tests {
             let err = parse_stress_args(&args(&bad)).unwrap_err();
             assert_eq!(err.code, 2, "{bad:?}");
         }
+        // Shared-parser flags the harness would silently ignore are named
+        // in the refusal.
+        for bad in [
+            vec!["--fidelity", "sample"],
+            vec!["--placement", "hall"],
+            vec!["--channel", "outdoor"],
+            vec!["--scheme", "netscatter"],
+            vec!["--quick"],
+            vec!["--paper"],
+            vec!["--format", "json"],
+            vec!["--out", "x.json"],
+        ] {
+            let err = parse_stress_args(&args(&bad)).unwrap_err();
+            assert_eq!(err.code, 2, "{bad:?}");
+            assert!(err.message.contains(bad[0]), "{bad:?}: {}", err.message);
+        }
         assert_eq!(parse_stress_args(&args(&["--help"])).unwrap_err().code, 0);
     }
 
     #[test]
     fn truth_scoring_counts_found_rounds_and_missed_bits() {
-        let stream = SynthStream {
-            name: "t".into(),
-            header: StreamHeader::named("t"),
+        use crate::stream::StreamRoundTruth;
+        let round_at = |start_sample| StreamRoundTruth {
+            start_sample,
+            sent: vec![Some(vec![true, false]), None],
+        };
+        let stream = RenderedStream {
             samples: Vec::new(),
-            truth: vec![
-                StreamRoundTruth {
-                    start_sample: 1000,
-                    sent: vec![Some(vec![true, false]), None],
-                },
-                StreamRoundTruth {
-                    start_sample: 50_000,
-                    sent: vec![Some(vec![true, true]), None],
-                },
-            ],
-            bins: vec![3, 9],
+            truth: vec![round_at(1000), round_at(50_000), round_at(90_000)],
+            assigned_bins: vec![3, 9],
+            detection_floor_fraction: 0.0,
             round_samples: 400,
+            sample_rate_hz: 500e3,
         };
-        // One packet near the first round, nothing near the second.
-        let round = netscatter::receiver::DecodedRound {
-            devices: vec![netscatter::receiver::DecodedDevice {
-                chirp_bin: 3,
-                preamble_power: 1.0,
-                bits: vec![true, true],
-            }],
+        let packet = |index, start_sample, bits: Option<Vec<bool>>| DecodedPacket {
+            index,
+            start_sample,
+            round: netscatter::receiver::DecodedRound {
+                devices: bits
+                    .into_iter()
+                    .map(|bits| netscatter::receiver::DecodedDevice {
+                        chirp_bin: 3,
+                        preamble_power: 1.0,
+                        bits,
+                    })
+                    .collect(),
+            },
         };
-        let packets = vec![DecodedPacket {
-            index: 0,
-            start_sample: 1010,
-            round,
-        }];
-        let score = score_truth(&stream, &packets);
-        assert_eq!(score.rounds_sent, 2);
-        assert_eq!(score.rounds_found, 1);
-        assert_eq!(score.bits_sent, 4);
-        // One bit wrong in the found round, both bits of the missed round.
-        assert_eq!(score.bit_errors, 3);
+        // A decode near the first round with one bit wrong, nothing near
+        // the second, and at the third an empty decode that lies nearer the
+        // true start than the real one: the round pairs with the decode
+        // that carries devices, the empty one is a false alarm.
+        let packets = vec![
+            packet(0, 1010, Some(vec![true, true])),
+            packet(1, 90_002, None),
+            packet(2, 90_050, Some(vec![true, false])),
+        ];
+        let mut score = StreamScore::default();
+        score.tally(&stream, &packets);
+        assert_eq!(
+            score,
+            StreamScore {
+                rounds_offered: 3,
+                rounds_decoded: 2,
+                false_alarms: 1,
+                transmitted_devices: 3,
+                delivered_devices: 1,
+                transmitted_bits: 6,
+                // One bit of the first round, both bits of the missed one.
+                error_bits: 3,
+            }
+        );
     }
 
     #[test]
     fn coding_flag_parses_and_validates_frame_geometry() {
         let opts =
             parse_stress_args(&args(&["--coding", "conv", "--payload-bits", "108"])).unwrap();
-        assert_eq!(opts.coding, CodingScheme::Conv);
-        assert_eq!(opts.payload_bits, 108);
+        assert_eq!(opts.scenario.coding, CodingScheme::Conv);
+        assert_eq!(opts.scenario.payload_bits, 108);
         // The default stays uncoded ("none" spells it out explicitly).
         assert_eq!(
-            parse_stress_args(&args(&[])).unwrap().coding,
+            parse_stress_args(&args(&[])).unwrap().scenario.coding,
             CodingScheme::None
         );
         assert_eq!(
             parse_stress_args(&args(&["--coding", "none"]))
                 .unwrap()
+                .scenario
                 .coding,
             CodingScheme::None
         );
@@ -963,9 +905,9 @@ mod tests {
     #[test]
     fn channels_flag_spreads_the_fleet_over_shards() {
         let opts = parse_stress_args(&args(&["--streams", "4", "--channels", "2"])).unwrap();
-        assert_eq!(opts.channels, 2);
+        assert_eq!(opts.scenario.channels, 2);
         let deployment = Deployment::generate(
-            DeploymentConfig::office(opts.devices.max(16)),
+            DeploymentConfig::office(opts.scenario.devices.max(16)),
             &mut StdRng::seed_from_u64(DEPLOYMENT_SEED),
         );
         let tags: Vec<usize> = (0..4)
@@ -988,19 +930,25 @@ mod tests {
              netscatterd_channel_msamples_per_sec{{channel=\"0\"}} 1.5\n\
              netscatterd_stream_msamples_per_sec{{stream=\"a\"}} 1.5\n\
              netscatterd_stream_channel{{stream=\"a\"}} 0\n\
+             netscatterd_stream_rounds_decoded{{stream=\"a\"}} 0\n\
+             netscatterd_stream_false_alarms{{stream=\"a\"}} 0\n\
              netscatterd_stream_frames_ok{{stream=\"a\"}} 0\n\
              netscatterd_stream_frames_failed_crc{{stream=\"a\"}} 0\n\
+             netscatterd_stream_ring_dropped{{stream=\"a\"}} 0\n\
              netscatterd_stream_frame_latency_seconds_count{{stream=\"a\"}} 0\n",
             netscatter_daemon::metrics::METRICS_HEADER
         );
         assert!(check_metrics(&doc, &[("a".to_string(), 0)]).is_empty());
         let fails = check_metrics(&doc, &[("a".to_string(), 0), ("b".to_string(), 0)]);
-        assert_eq!(fails.len(), 5, "{fails:?}");
+        assert_eq!(fails.len(), 8, "{fails:?}");
         assert!(fails[0].contains("lack stream b"));
         assert!(fails[1].contains("channel tag for stream b"));
-        assert!(fails[2].contains("frames_ok for stream b"));
-        assert!(fails[3].contains("frames_failed_crc for stream b"));
-        assert!(fails[4].contains("frame latency histogram for stream b"));
+        assert!(fails[2].contains("rounds_decoded for stream b"));
+        assert!(fails[3].contains("false_alarms for stream b"));
+        assert!(fails[4].contains("frames_ok for stream b"));
+        assert!(fails[5].contains("frames_failed_crc for stream b"));
+        assert!(fails[6].contains("ring_dropped for stream b"));
+        assert!(fails[7].contains("frame latency histogram for stream b"));
         // The v2 build_info line is part of the schema.
         let fails = check_metrics(
             &doc.replace("netscatterd_build_info{version=\"0.0.0\"} 1\n", ""),
