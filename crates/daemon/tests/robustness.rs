@@ -301,6 +301,32 @@ fn worker_panics_are_supervised_and_reported() {
     daemon.shutdown();
 }
 
+/// Any cf32le client can send a NaN or an Inf; one such sample in the idle
+/// stream used to deafen the energy gate (and poison the noise floor) for
+/// the rest of the connection. The packet behind it must still be found.
+#[test]
+fn a_non_finite_sample_does_not_deafen_the_stream() {
+    let daemon = Daemon::start(test_config()).unwrap();
+    for (name, bad) in [("nan", f64::NAN), ("inf", f64::INFINITY)] {
+        let mut stream = vec![Complex64::ZERO; 3000];
+        stream[500] = Complex64::new(bad, 0.0);
+        stream.extend(one_packet_stream());
+        let mut payload = header_for(name).to_json_line().into_bytes();
+        payload.push(b'\n');
+        payload.extend_from_slice(&protocol::encode_cf32le(&stream));
+        let lines = raw_exchange(daemon.ingest_addr(), &payload, true);
+        assert_eq!(terminal(&lines), ("end".to_string(), code::EOF.to_string()));
+        assert!(lines.last().unwrap().contains("\"complete\":true"));
+        let frames: Vec<_> = lines
+            .iter()
+            .filter(|l| l.contains("\"type\":\"frame\""))
+            .collect();
+        let found = matches!(frames[..], [f] if f.contains("\"start_sample\":3500"));
+        assert!(found, "{name}: {lines:?}");
+    }
+    daemon.shutdown();
+}
+
 /// A client that never stops streaming must still hear about a dead
 /// engine: the drop-oldest feed has to fail once nobody drains the ring, or
 /// the daemon reads and discards samples (counting ring drops) for as long

@@ -1,14 +1,12 @@
 //! Chirp-bank correlation: the streaming gateway's preamble-sync evaluator.
 //!
 //! The NetScatter receiver detects packets by correlating the incoming
-//! stream against the known preamble chirps (§3.3.1). [`ChirpBank`]
-//! correlates a single symbol against **every** cyclic-shift chirp template
-//! at once: dechirping a symbol and taking a critically-sampled FFT yields,
-//! in bin `b`, exactly the lag-0 cross-correlation against the shift-`b`
-//! chirp template (the correlation theorem specialized to the chirp
-//! alphabet, §3.1/§3.3.1) — the paper's "single FFT operation" that scores
-//! all concurrent devices. [`shift_template`] builds one such template
-//! explicitly; it is the oracle the bank's tests compare against.
+//! stream against the known preamble chirps (§3.3.1). [`ChirpBank`] scores
+//! a symbol against **every** cyclic-shift chirp template with the paper's
+//! "single FFT operation" (§3.1), and a run of one-sample-apart windows
+//! with one transform plus a rank-one update per slide. [`shift_template`]
+//! builds one template explicitly; it is the oracle the bank's tests
+//! compare against.
 
 use crate::chirp::{ChirpParams, ChirpSynthesizer};
 use crate::complex::Complex64;
@@ -78,15 +76,7 @@ impl ChirpBank {
         symbol: &[Complex64],
         out: &mut Vec<Complex64>,
     ) -> Result<(), FftError> {
-        let n = self.fft.size();
-        if symbol.len() != n {
-            return Err(FftError::LengthMismatch {
-                expected: n,
-                actual: symbol.len(),
-            });
-        }
-        self.synth.dechirp_into(symbol, out);
-        self.fft.forward_in_place(out)
+        self.bank_into(symbol, false, out)
     }
 
     /// As [`Self::upchirp_bank_into`] but against the downchirp shift
@@ -96,6 +86,15 @@ impl ChirpBank {
         symbol: &[Complex64],
         out: &mut Vec<Complex64>,
     ) -> Result<(), FftError> {
+        self.bank_into(symbol, true, out)
+    }
+
+    fn bank_into(
+        &self,
+        symbol: &[Complex64],
+        down: bool,
+        out: &mut Vec<Complex64>,
+    ) -> Result<(), FftError> {
         let n = self.fft.size();
         if symbol.len() != n {
             return Err(FftError::LengthMismatch {
@@ -103,8 +102,68 @@ impl ChirpBank {
                 actual: symbol.len(),
             });
         }
-        self.synth.dechirp_down_into(symbol, out);
+        if down {
+            self.synth.dechirp_down_into(symbol, out);
+        } else {
+            self.synth.dechirp_into(symbol, out);
+        }
         self.fft.forward_in_place(out)
+    }
+
+    /// Correlates **every** `n`-sample window of `samples` against all
+    /// shift templates (downchirp ones when `down`) with one transform.
+    /// Window `c` starts at `samples[c]`, so `n + C − 1` samples hold `C`
+    /// of them; `visit(c, spectrum)` sees each once, in order.
+    ///
+    /// Window 0 goes through the bank into `spec`. Against the
+    /// `n`-periodic reference the whole run dechirps to one sequence
+    /// `y[j] = samples[j]·conj(ref[j mod n])`, and sliding its `n`-point
+    /// spectrum `S` by a sample is the rank-one update
+    /// `S[m] += (y[c+n] − y[c])·e^{-j2πmc/n}`. Window `c` dechirped on its
+    /// own is `y` times a tone of `±c` bins, so its bank output is `S`
+    /// read `c` bins down (upchirp) or up (downchirp) —
+    /// [`SlidingSpectrum::power`] does that. A non-finite sample stays in
+    /// `S` for the rest of the run.
+    pub fn sliding_bank_into(
+        &self,
+        samples: &[Complex64],
+        down: bool,
+        spec: &mut Vec<Complex64>,
+        mut visit: impl FnMut(usize, SlidingSpectrum<'_>),
+    ) -> Result<(), FftError> {
+        let n = self.fft.size();
+        self.bank_into(&samples[..n.min(samples.len())], down, spec)?;
+        let reference = if down {
+            self.synth.baseline_upchirp()
+        } else {
+            self.synth.baseline_downchirp()
+        };
+        visit(0, SlidingSpectrum { spec, turn: 0 });
+        for (c, (&leaving, &entering)) in samples.iter().zip(&samples[n..]).enumerate() {
+            self.fft
+                .add_impulse(spec, c, (entering - leaving) * reference[c % n]);
+            let turn = if down { (c + 1) % n } else { n - (c + 1) % n };
+            visit(c + 1, SlidingSpectrum { spec, turn });
+        }
+        Ok(())
+    }
+}
+
+/// One window's correlations out of [`ChirpBank::sliding_bank_into`].
+#[derive(Debug)]
+pub struct SlidingSpectrum<'a> {
+    spec: &'a [Complex64],
+    turn: usize,
+}
+
+impl SlidingSpectrum<'_> {
+    /// Correlation power against the shift-`bin` template (`bin` taken
+    /// modulo `n`): `|X[bin]|²` of the `*_bank_into` output `X` of this
+    /// window alone. (The two differ by a phase, so only the power is
+    /// offered.)
+    #[inline]
+    pub fn power(&self, bin: usize) -> f64 {
+        self.spec[(bin + self.turn) & (self.spec.len() - 1)].norm_sqr()
     }
 }
 

@@ -219,6 +219,35 @@ impl Fft {
         Ok(())
     }
 
+    /// Adds the transform of a lone impulse `value` at sample index `at` to
+    /// `spec`: `spec[m] += value · e^{-j2π·m·at/size}`, every factor read
+    /// from the plan's table (nothing accumulates) — the rank-one update a
+    /// sliding transform makes per one-sample slide. `size ≥ 4`.
+    pub(crate) fn add_impulse(&self, spec: &mut [Complex64], at: usize, value: Complex64) {
+        let (half, quarter) = (self.size / 2, self.size / 4);
+        assert!(quarter > 0 && spec.len() == self.size);
+        // A quarter turn of `m` multiplies the factor by `(-j)^at`, so one
+        // table read and one product serve four bins.
+        let turn = [Complex64::ONE, -Complex64::I, -Complex64::ONE, Complex64::I][at % 4];
+        let half_turn = if at % 2 == 0 { 1.0 } else { -1.0 };
+        let (lo, hi) = spec.split_at_mut(half);
+        let (q0, q1) = lo.split_at_mut(quarter);
+        let (q2, q3) = hi.split_at_mut(quarter);
+        let mut k = 0;
+        for (((s0, s1), s2), s3) in q0.iter_mut().zip(q1).zip(q2).zip(q3) {
+            // `k = m·at mod size` (a power of two); the table holds the
+            // first half turn and the second is its negative.
+            let w = self.twiddles[k & (half - 1)];
+            let p = value * if k < half { w } else { -w };
+            let r = p * turn;
+            *s0 += p;
+            *s1 += r;
+            *s2 += p * half_turn;
+            *s3 += r * half_turn;
+            k = (k + at) & (self.size - 1);
+        }
+    }
+
     fn check_len(&self, buf: &[Complex64]) -> Result<(), FftError> {
         if buf.len() != self.size {
             Err(FftError::LengthMismatch {

@@ -237,4 +237,40 @@ proptest! {
             "bin {}: {:?} != {:?}", bin, bins[bin], direct
         );
     }
+
+    /// Every candidate of a sliding pass reads, bin for bin, what the bank
+    /// gives for that candidate's own window.
+    #[test]
+    fn sliding_bank_matches_per_window_bank(
+        pool in prop::collection::vec(arb_complex(), 512 + 23),
+        sf in 0usize..3,
+        candidates in 1usize..=24,
+        down_sel in 0u8..2,
+    ) {
+        let down = down_sel == 1;
+        let n = [32usize, 64, 512][sf];
+        let bank = ChirpBank::new(ChirpParams::new(500e3, n.trailing_zeros()).unwrap()).unwrap();
+        let samples = &pool[..n + candidates - 1];
+        let peak = samples.iter().map(|s| s.abs()).fold(0.0, f64::max);
+        let (mut spec, mut own) = (Vec::new(), Vec::new());
+        let mut seen = 0;
+        bank.sliding_bank_into(samples, down, &mut spec, |c, sliding| {
+            assert_eq!(c, seen);
+            seen += 1;
+            if down {
+                bank.downchirp_bank_into(&samples[c..c + n], &mut own).unwrap();
+            } else {
+                bank.upchirp_bank_into(&samples[c..c + n], &mut own).unwrap();
+            }
+            for (bin, want) in own.iter().enumerate() {
+                let got = sliding.power(bin).sqrt();
+                assert!(
+                    (got - want.abs()).abs() < 1e-9 * n as f64 * peak,
+                    "n {n} down {down} candidate {c} bin {bin}: {got} != {}", want.abs()
+                );
+            }
+        }).unwrap();
+        prop_assert_eq!(seen, candidates);
+        prop_assert!(bank.sliding_bank_into(&samples[..n - 1], down, &mut spec, |_, _| ()).is_err());
+    }
 }

@@ -7,7 +7,8 @@
 //! 1. **Energy gate** (`Hunting`) — a sliding [`GATE_WINDOW`]-sample power
 //!    average is compared against a gate derived from a running noise-floor
 //!    estimate. Cheap (one multiply-add per sample), so the idle stream
-//!    costs almost nothing.
+//!    costs almost nothing. A window sum that is not finite (a NaN or
+//!    Inf sample) restarts the window and leaves the floor alone.
 //! 2. **Preamble sync** (`Syncing`) — around the gated onset, the packet
 //!    start is located by cross-correlating candidate offsets against the
 //!    *assigned-bin comb over the up/down preamble structure*: each
@@ -17,11 +18,14 @@
 //!    the summed *per-device minimum* of the two measurements wins.
 //!
 //!    The comb is evaluated by `netscatter_dsp::correlator::ChirpBank`:
-//!    dechirp each candidate symbol and take one critically-sampled
-//!    `n`-point FFT — bin `b` *is* the correlation against the shift-`b`
-//!    template, so one transform scores every device at once (the paper's
-//!    single FFT for all concurrent transmissions), at a cost independent
-//!    of the population size. This is exactly the quantity a padded-
+//!    dechirp a symbol and take one critically-sampled `n`-point FFT —
+//!    bin `b` *is* the correlation against the shift-`b` template, so one
+//!    transform scores every device at once (the paper's single FFT for
+//!    all concurrent transmissions), at a cost independent of the
+//!    population size. Candidates are one sample apart, so each preamble
+//!    symbol is transformed once and every further candidate is a rank-one
+//!    slide of that spectrum (`ChirpBank::sliding_bank_into`; DESIGN.md →
+//!    *Preamble-sync evaluator*). This is exactly the quantity a padded-
 //!    spectrum comb measures at the integer assigned bins of the dechirped
 //!    symbols; a test pins the two against each other. Each comb
 //!    ingredient kills one ambiguity a blind dechirp-sharpness metric
@@ -70,6 +74,7 @@
 use netscatter::receiver::ConcurrentReceiver;
 use netscatter_dsp::correlator::ChirpBank;
 use netscatter_dsp::fft::FftError;
+use netscatter_dsp::units::db_to_linear;
 use netscatter_dsp::{kernels, Complex64};
 use netscatter_obs::{Counter, Histogram};
 use netscatter_phy::params::PhyProfile;
@@ -221,18 +226,20 @@ pub struct StreamDetector {
     /// All-shifts chirp correlation (dechirp + critically-sampled FFT) —
     /// the sync comb's evaluator.
     bank: ChirpBank,
-    /// Bank-output scratch (one symbol's correlations against all shifts).
+    /// Bank-output scratch (one symbol's correlations against all shifts,
+    /// slid from candidate to candidate).
     spec: Vec<Complex64>,
     /// Comb values per sync candidate (scratch).
     combs: Vec<f64>,
     /// The assigned cyclic shifts the sync comb samples.
     bins: Vec<usize>,
-    /// Per-bin upchirp-comb accumulator of one candidate (sync scratch).
-    up_acc: Vec<f64>,
-    /// Per-bin downchirp-comb accumulator of one candidate (sync scratch).
-    down_acc: Vec<f64>,
+    /// Upchirp- and downchirp-comb accumulators, each candidate-major ×
+    /// device (sync scratch).
+    acc: [Vec<f64>; 2],
     payload_symbols: usize,
     energy_gate_factor: f64,
+    /// [`EDGE_ANCHOR_DB`] as a linear power ratio.
+    edge_anchor_factor: f64,
     /// Rolling stream window; `window[0]` is absolute index `window_start`.
     window: Vec<Complex64>,
     /// Per-sample `|x|²` aligned with `window` (gate/anchor scratch, kept
@@ -286,10 +293,10 @@ impl StreamDetector {
             spec: Vec::new(),
             combs: Vec::new(),
             bins: config.assigned_bins.clone(),
-            up_acc: Vec::new(),
-            down_acc: Vec::new(),
+            acc: [Vec::new(), Vec::new()],
             payload_symbols: config.payload_symbols,
-            energy_gate_factor: netscatter_dsp::units::db_to_linear(config.energy_gate_db),
+            energy_gate_factor: db_to_linear(config.energy_gate_db),
+            edge_anchor_factor: db_to_linear(EDGE_ANCHOR_DB),
             window: Vec::new(),
             powers: Vec::new(),
             window_start: 0,
@@ -395,6 +402,13 @@ impl StreamDetector {
                             self.run_len = GATE_WINDOW;
                         }
                         self.scan += 1;
+                        if !self.sliding_sum.is_finite() {
+                            // A NaN or Inf sample would never leave the
+                            // sliding sum (`NaN − NaN`) and would poison the
+                            // floor: start the gate window over behind it.
+                            self.sliding_sum = 0.0;
+                            self.run_len = 0;
+                        }
                         if self.run_len < GATE_WINDOW {
                             continue;
                         }
@@ -506,39 +520,35 @@ impl StreamDetector {
     /// `candidates` packet starts from `comb_lo` on: average assigned-bin
     /// correlation power over the six upchirps, average mirrored-bin power
     /// over the two downchirps, summed per-device minimum of the two (see
-    /// the module docs for why both combs are needed). Per candidate and
-    /// preamble symbol, one critically-sampled FFT of the dechirped symbol
-    /// scores every assigned shift at once.
+    /// the module docs for why both combs are needed). Each preamble symbol
+    /// is transformed once, for the first candidate; every further
+    /// candidate is a one-sample slide of that spectrum.
     fn combs_bank(&mut self, comb_lo: u64, candidates: usize, n: usize) {
         let devices = self.bins.len();
-        self.combs.clear();
-        for c in 0..candidates {
-            let at = (comb_lo - self.window_start) as usize + c;
-            self.up_acc.clear();
-            self.up_acc.resize(devices, 0.0);
-            self.down_acc.clear();
-            self.down_acc.resize(devices, 0.0);
-            for s in 0..PREAMBLE_UPCHIRPS {
-                self.bank
-                    .upchirp_bank_into(&self.window[at + s * n..at + (s + 1) * n], &mut self.spec)
-                    .expect("sync window is one symbol long");
-                for (acc, &bin) in self.up_acc.iter_mut().zip(&self.bins) {
-                    *acc += self.spec[bin].norm_sqr();
-                }
-            }
-            for s in 0..PREAMBLE_DOWNCHIRPS {
-                let o = at + (PREAMBLE_UPCHIRPS + s) * n;
-                self.bank
-                    .downchirp_bank_into(&self.window[o..o + n], &mut self.spec)
-                    .expect("sync window is one symbol long");
-                for (acc, &bin) in self.down_acc.iter_mut().zip(&self.bins) {
-                    // A shift-`a` downchirp dechirps to the mirrored bin
-                    // `(n − a) mod n`.
-                    *acc += self.spec[(n - bin) % n].norm_sqr();
-                }
-            }
-            self.combs.push(Self::comb_of(&self.up_acc, &self.down_acc));
+        let at = (comb_lo - self.window_start) as usize;
+        for acc in &mut self.acc {
+            acc.clear();
+            acc.resize(candidates * devices, 0.0);
         }
+        for s in 0..PREAMBLE_SYMBOLS {
+            let down = s >= PREAMBLE_UPCHIRPS;
+            let acc = &mut self.acc[usize::from(down)];
+            let covered = &self.window[at + s * n..at + (s + 1) * n + candidates - 1];
+            self.bank
+                .sliding_bank_into(covered, down, &mut self.spec, |c, spectrum| {
+                    for (acc, &bin) in acc[c * devices..].iter_mut().zip(&self.bins) {
+                        // A shift-`a` downchirp dechirps to the mirrored
+                        // bin `(n − a) mod n`.
+                        *acc += spectrum.power(if down { n - bin } else { bin });
+                    }
+                })
+                .expect("sync range covers the symbol");
+        }
+        self.combs.clear();
+        self.combs.extend((0..candidates).map(|c| {
+            let of = c * devices..(c + 1) * devices;
+            Self::comb_of(&self.acc[0][of.clone()], &self.acc[1][of])
+        }));
     }
 
     /// The summed per-device minimum of the normalized up/down comb powers.
@@ -557,8 +567,7 @@ impl StreamDetector {
     /// when nothing crosses (weak aggregate; the comb is then sharp on its
     /// own and the anchor is moot).
     fn edge_anchor(&self, lo: u64, hi: u64) -> u64 {
-        let threshold = (self.noise_floor * netscatter_dsp::units::db_to_linear(EDGE_ANCHOR_DB))
-            .max(GATE_EPSILON);
+        let threshold = (self.noise_floor * self.edge_anchor_factor).max(GATE_EPSILON);
         (lo..=hi)
             .find(|&abs| self.power(abs) > threshold)
             .unwrap_or(hi)
@@ -737,78 +746,122 @@ mod tests {
     fn fast_comb_paths_agree_with_padded_spectrum_reference() {
         use netscatter_phy::distributed::{ConcurrentDemodulator, DemodWorkspace};
 
-        // Three devices, impaired superposed packet at a known offset: the
-        // bank comb and the per-candidate padded-spectrum comb must agree
-        // on every candidate within fp tolerance.
+        // Impaired superposed packets at a known offset: the bank comb and
+        // the per-candidate padded-spectrum comb must agree on every
+        // candidate within fp tolerance. Rows: three devices; 256 bins at
+        // full SKIP-2 occupancy over the widest range; a window that starts
+        // mid-stream with the range inside it; a single candidate.
         let profile = PhyProfile::default();
         let params = profile.modulation.chirp();
         let n = params.num_bins();
-        let bins = vec![100usize, 102, 250];
-        let cfg = config(bins.clone(), 4);
-        let mut det = StreamDetector::new(&cfg).unwrap();
-
+        let dense: Vec<usize> = (0..n / 2).map(|d| 2 * d).collect();
         let offset = 300usize;
-        let mut stream = vec![Complex64::ZERO; offset];
-        let mut body = vec![Complex64::ZERO; cfg.packet_samples()];
-        for (i, &bin) in bins.iter().enumerate() {
-            let pkt = PreambleBuilder::new(params, bin).build(
-                0.05 * i as f64,
-                30.0 * i as f64,
-                0.6 + 0.2 * i as f64,
-            );
-            for (acc, s) in body.iter_mut().zip(pkt.iter()) {
-                *acc += *s;
-            }
-        }
-        stream.extend_from_slice(&body);
-        stream.extend(vec![Complex64::ZERO; 64]);
+        for (bins, window_start, comb_lo, candidates) in [
+            (vec![100usize, 102, 250], 0u64, offset - 5, 11usize),
+            (dense.clone(), 0, offset - 12, 24),
+            (vec![100, 102, 250], 77_000, offset - 4, 9),
+            (dense, 12_345, offset, 1),
+        ] {
+            let cfg = config(bins.clone(), 4);
+            let mut det = StreamDetector::new(&cfg).unwrap();
 
-        // Load the stream as the detector's window directly.
-        det.window = stream.clone();
-        netscatter_dsp::kernels::power_into(&det.window, &mut det.powers);
-        det.window_start = 0;
-
-        let comb_lo = offset as u64 - 5;
-        let candidates = 11usize;
-        det.combs_bank(comb_lo, candidates, n);
-        let bank = det.combs.clone();
-
-        // Reference: the per-candidate padded-spectrum comb.
-        let demod = ConcurrentDemodulator::new(params, profile.zero_padding).unwrap();
-        let mut ws = DemodWorkspace::new();
-        let mut reference = Vec::new();
-        for c in 0..candidates {
-            let at = comb_lo as usize + c;
-            let mut up = vec![0.0f64; bins.len()];
-            let mut down = vec![0.0f64; bins.len()];
-            for s in 0..PREAMBLE_UPCHIRPS {
-                let spec = demod
-                    .padded_spectrum_into(&stream[at + s * n..at + (s + 1) * n], &mut ws)
-                    .unwrap();
-                for (acc, &bin) in up.iter_mut().zip(&bins) {
-                    *acc += demod.device_power_at(spec, bin as f64, 0.0).0;
+            let mut stream = vec![Complex64::ZERO; offset];
+            let mut body = vec![Complex64::ZERO; cfg.packet_samples()];
+            for (i, &bin) in bins.iter().enumerate() {
+                let i = (i % 3) as f64;
+                let pkt =
+                    PreambleBuilder::new(params, bin).build(0.05 * i, 30.0 * i, 0.6 + 0.2 * i);
+                for (acc, s) in body.iter_mut().zip(pkt.iter()) {
+                    *acc += *s;
                 }
             }
-            for s in 0..PREAMBLE_DOWNCHIRPS {
-                let o = at + (PREAMBLE_UPCHIRPS + s) * n;
-                let spec = demod
-                    .padded_spectrum_downchirp_into(&stream[o..o + n], &mut ws)
-                    .unwrap();
-                for (acc, &bin) in down.iter_mut().zip(&bins) {
-                    *acc += demod.device_power_at(spec, ((n - bin) % n) as f64, 0.0).0;
-                }
-            }
-            reference.push(StreamDetector::comb_of(&up, &down));
-        }
+            stream.extend_from_slice(&body);
+            stream.extend(vec![Complex64::ZERO; 64]);
 
-        let scale = reference.iter().cloned().fold(0.0f64, f64::max);
-        for c in 0..candidates {
-            assert!(
-                (bank[c] - reference[c]).abs() < 1e-9 * scale,
-                "bank comb {c}: {} != {}",
-                bank[c],
-                reference[c]
-            );
+            // Load the stream as the detector's window directly.
+            det.window = stream.clone();
+            netscatter_dsp::kernels::power_into(&det.window, &mut det.powers);
+            det.window_start = window_start;
+
+            det.combs_bank(window_start + comb_lo as u64, candidates, n);
+            let bank = det.combs.clone();
+            assert_eq!(bank.len(), candidates);
+
+            // Reference: the per-candidate padded-spectrum comb.
+            let demod = ConcurrentDemodulator::new(params, profile.zero_padding).unwrap();
+            let mut ws = DemodWorkspace::new();
+            let mut reference = Vec::new();
+            for c in 0..candidates {
+                let at = comb_lo + c;
+                let mut up = vec![0.0f64; bins.len()];
+                let mut down = vec![0.0f64; bins.len()];
+                for s in 0..PREAMBLE_UPCHIRPS {
+                    let spec = demod
+                        .padded_spectrum_into(&stream[at + s * n..at + (s + 1) * n], &mut ws)
+                        .unwrap();
+                    for (acc, &bin) in up.iter_mut().zip(&bins) {
+                        *acc += demod.device_power_at(spec, bin as f64, 0.0).0;
+                    }
+                }
+                for s in 0..PREAMBLE_DOWNCHIRPS {
+                    let o = at + (PREAMBLE_UPCHIRPS + s) * n;
+                    let spec = demod
+                        .padded_spectrum_downchirp_into(&stream[o..o + n], &mut ws)
+                        .unwrap();
+                    for (acc, &bin) in down.iter_mut().zip(&bins) {
+                        *acc += demod.device_power_at(spec, ((n - bin) % n) as f64, 0.0).0;
+                    }
+                }
+                reference.push(StreamDetector::comb_of(&up, &down));
+            }
+
+            let scale = reference.iter().cloned().fold(0.0f64, f64::max);
+            for c in 0..candidates {
+                assert!(
+                    (bank[c] - reference[c]).abs() < 1e-9 * scale,
+                    "{} bins, bank comb {c} of {candidates}: {} != {}",
+                    bins.len(),
+                    bank[c],
+                    reference[c]
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_non_finite_sample_costs_at_most_its_own_round() {
+        // One NaN or Inf sample — in the idle stream, inside the first
+        // packet's sync range, or inside its payload — may lose that
+        // round; the gate, the floor and the next packet's lock survive.
+        let bits = [true, false, true, true];
+        let cfg = config(vec![100], bits.len());
+        let (first, second) = (3_000usize, 3_000 + 3 * cfg.packet_samples());
+        for bad in [f64::NAN, f64::INFINITY] {
+            for at in [500, first + 2, first + 9 * 512 + 77] {
+                let mut stream: Vec<Complex64> = (0..second + cfg.packet_samples() + 300)
+                    .map(|t| Complex64::cis(0.37 * (t * t % 1009) as f64) * 0.01)
+                    .collect();
+                for start in [first, second] {
+                    for (acc, s) in stream[start..].iter_mut().zip(packet(100, &bits)) {
+                        *acc += s;
+                    }
+                }
+                stream[at] = Complex64::new(bad, 0.0);
+                let mut det = StreamDetector::new(&cfg).unwrap();
+                let mut spans = Vec::new();
+                for chunk in stream.chunks(1000) {
+                    det.push(chunk, &mut spans);
+                }
+                det.finish();
+                let starts: Vec<u64> = spans.iter().map(|s| s.start_sample).collect();
+                assert_eq!(
+                    starts.last(),
+                    Some(&(second as u64)),
+                    "{bad} at {at}: {starts:?}"
+                );
+                assert!(det.noise_floor().is_finite(), "{bad} at {at}");
+                assert_eq!(det.truncated(), 0, "{bad} at {at}");
+            }
         }
     }
 

@@ -1882,8 +1882,10 @@ impl Experiment for Perf {
         use crate::fullround::{ChannelModel, FullRoundNetwork};
         use crate::workloads::build_concurrent_round;
         use netscatter::receiver::ConcurrentReceiver;
+        use netscatter_dsp::correlator::ChirpBank;
         use netscatter_phy::distributed::{ConcurrentDemodulator, DemodWorkspace, OnOffModulator};
         use netscatter_phy::params::PhyProfile;
+        use netscatter_phy::preamble::{PREAMBLE_SYMBOLS, PREAMBLE_UPCHIRPS};
         use std::time::Instant;
 
         let profile = PhyProfile::default();
@@ -1907,6 +1909,31 @@ impl Experiment for Perf {
                 }
             });
             per_batch / batch as f64 * 1e9
+        });
+
+        // 1b. The sync comb's kernel: nine candidate offsets of a 256-device
+        //     preamble, every assigned bin read per candidate — slid as one
+        //     `n + 8`-sample run per symbol (one transform), and as nine
+        //     `n`-sample runs (one bank pass each). CI gates the ratio.
+        let bank = ChirpBank::new(params).expect("profile chirp is valid");
+        let (preamble, comb_bins) = build_concurrent_round(&profile, 256, 1);
+        let n = params.num_bins();
+        let mut spec = Vec::new();
+        let [chirp_bank_sliding_us, chirp_bank_per_candidate_us] = [n + 8, n].map(|run| {
+            let per_batch = median_secs(9, || {
+                let mut acc = 0.0;
+                for s in (0..PREAMBLE_SYMBOLS).cycle().take(16 * PREAMBLE_SYMBOLS) {
+                    let down = s >= PREAMBLE_UPCHIRPS;
+                    for samples in preamble[s * n..(s + 1) * n + 8].windows(run) {
+                        bank.sliding_bank_into(samples, down, &mut spec, |_, spectrum| {
+                            acc += comb_bins.iter().map(|&b| spectrum.power(b)).sum::<f64>();
+                        })
+                        .expect("a run covers one symbol");
+                    }
+                }
+                std::hint::black_box(acc);
+            });
+            per_batch / 16.0 * 1e6
         });
 
         // 2. Full-round decode throughput (symbols/sec) vs device count.
@@ -2041,18 +2068,18 @@ impl Experiment for Perf {
         result.tables.push(decode);
         result.tables.push(network);
         result.tables.push(coding);
-        result.scalars.push((
-            "payload_symbols_per_round".into(),
-            PERF_PAYLOAD_SYMBOLS as f64,
-        ));
-        result
-            .scalars
-            .push(("padded_spectrum_ns".into(), padded_spectrum_ns));
-        result
-            .scalars
-            .push(("lattice_spectrum_ns".into(), lattice_spectrum_ns));
-        result.scalars.push(("fig15b_quick_ms".into(), fig15_ms));
-        result.scalars.push(("fig17_quick_ms".into(), fig17_ms));
+        result.scalars.extend(
+            [
+                ("payload_symbols_per_round", PERF_PAYLOAD_SYMBOLS as f64),
+                ("padded_spectrum_ns", padded_spectrum_ns),
+                ("lattice_spectrum_ns", lattice_spectrum_ns),
+                ("chirp_bank_sliding_us", chirp_bank_sliding_us),
+                ("chirp_bank_per_candidate_us", chirp_bank_per_candidate_us),
+                ("fig15b_quick_ms", fig15_ms),
+                ("fig17_quick_ms", fig17_ms),
+            ]
+            .map(|(name, value)| (name.to_string(), value)),
+        );
         result
     }
 
@@ -2063,6 +2090,15 @@ impl Experiment for Perf {
         let _ = writeln!(
             out,
             "  padded_spectrum: {spectrum:.0} ns per symbol spectrum ({lattice:.0} ns on the 2^SF lattice)"
+        );
+        let sliding = result.scalar("chirp_bank_sliding_us").expect("scalar");
+        let per_candidate = result
+            .scalar("chirp_bank_per_candidate_us")
+            .expect("scalar");
+        let _ = writeln!(
+            out,
+            "  sync comb (9 candidates, 256 bins): {sliding:.0} us sliding, {per_candidate:.0} us per-candidate (ratio {:.2})",
+            sliding / per_candidate
         );
         for row in &result.table("decode").expect("decode table").rows {
             let _ = writeln!(

@@ -273,6 +273,8 @@ fn run_perf_writes_one_schema_versioned_bench_artifact() {
         "payload_symbols_per_round",
         "padded_spectrum_ns",
         "lattice_spectrum_ns",
+        "chirp_bank_sliding_us",
+        "chirp_bank_per_candidate_us",
         "fig15b_quick_ms",
         "fig17_quick_ms",
     ] {
