@@ -5,15 +5,12 @@
 //! of one tenth of a bin. Backscatter devices synthesize only a few MHz, so
 //! their offsets are ~90× smaller and the whole population collapses into a
 //! fraction of one bin — Choir cannot tell them apart. This module generates
-//! the Fig. 4 CDFs and the scaling limits.
+//! the Fig. 4 CDFs.
 
 use netscatter_channel::impairments::ImpairmentModel;
 use netscatter_dsp::chirp::ChirpParams;
 use netscatter_dsp::stats::EmpiricalCdf;
 use rand::Rng;
-
-/// Choir's fractional-bin resolution (one tenth of an FFT bin).
-pub const CHOIR_FRACTION_RESOLUTION: f64 = 0.1;
 
 /// Simulates the per-packet FFT-bin deviation (`ΔFFTbin`) of a population of
 /// devices, as plotted in Fig. 4: each sample is the absolute bin offset a
@@ -34,25 +31,6 @@ pub fn fft_bin_variation_cdf<R: Rng + ?Sized>(
         }
     }
     EmpiricalCdf::from_samples(samples)
-}
-
-/// Number of distinguishable devices Choir can support for a population whose
-/// FFT-bin offsets span `bin_spread` bins: the number of distinct
-/// tenth-of-a-bin cells the population can occupy.
-pub fn distinguishable_devices(bin_spread: f64) -> usize {
-    (bin_spread / CHOIR_FRACTION_RESOLUTION).floor().max(0.0) as usize
-}
-
-/// Probability that `num_devices` concurrent devices all occupy distinct
-/// fractional cells when `cells` cells are usable (generalized birthday
-/// argument; the paper's 10-cell case is `cells = 10`).
-pub fn distinct_cell_probability(num_devices: usize, cells: usize) -> f64 {
-    if num_devices > cells {
-        return 0.0;
-    }
-    (0..num_devices)
-        .map(|i| (cells - i) as f64 / cells as f64)
-        .product()
 }
 
 #[cfg(test)]
@@ -87,25 +65,5 @@ mod tests {
             radios.quantile(0.9)
         );
         assert!(radios.quantile(0.5) > tags.quantile(0.5) * 5.0);
-    }
-
-    #[test]
-    fn distinguishable_device_count_collapses_for_backscatter() {
-        // Radios spanning ±9 kHz ≈ 18+ bins give Choir plenty of cells;
-        // backscatter spanning a third of a bin gives at most 3.
-        assert!(distinguishable_devices(10.0) >= 100);
-        assert!(distinguishable_devices(0.33) <= 3);
-        assert_eq!(distinguishable_devices(0.0), 0);
-    }
-
-    #[test]
-    fn distinct_cell_probability_matches_choir_numbers() {
-        // §2.2: with 10 cells and 5 devices the all-distinct probability is ~30%.
-        assert!((distinct_cell_probability(5, 10) - 0.3024).abs() < 1e-4);
-        assert_eq!(distinct_cell_probability(11, 10), 0.0);
-        assert_eq!(distinct_cell_probability(0, 10), 1.0);
-        // With only 3 usable cells (backscatter), even 4 devices always collide.
-        assert_eq!(distinct_cell_probability(4, 3), 0.0);
-        assert!(distinct_cell_probability(3, 3) < 0.23);
     }
 }

@@ -17,5 +17,5 @@ pub mod choir;
 pub mod rate_adaptation;
 pub mod tdma;
 
-pub use rate_adaptation::{best_bitrate_bps, RateAdaptation};
+pub use rate_adaptation::RateAdaptation;
 pub use tdma::{LoraBackscatterNetwork, LoraScheme};

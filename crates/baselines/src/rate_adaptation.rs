@@ -40,7 +40,7 @@ fn candidates() -> Vec<ModulationConfig> {
 /// The best achievable single-user LoRa bitrate (bps) for a device received
 /// at `rssi_dbm`, or `None` if even the most robust configuration cannot
 /// decode it.
-pub fn best_bitrate_bps(rssi_dbm: f64) -> Option<f64> {
+fn best_bitrate_bps(rssi_dbm: f64) -> Option<f64> {
     candidates()
         .into_iter()
         .filter(|c| rssi_dbm >= c.sensitivity_dbm())

@@ -38,15 +38,6 @@ impl LoraScheme {
             query_bits: 28,
         }
     }
-
-    /// Stable human/CLI-facing name of the scheme variant, as accepted by
-    /// the experiment API's scenario parser.
-    pub fn label(&self) -> &'static str {
-        match self.adaptation {
-            RateAdaptation::Fixed => "lora-fixed",
-            RateAdaptation::Ideal => "lora-adapted",
-        }
-    }
 }
 
 /// Result of serving one device once.

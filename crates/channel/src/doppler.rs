@@ -9,11 +9,10 @@
 //! provided.
 
 use netscatter_dsp::units::SPEED_OF_LIGHT;
-use netscatter_dsp::Complex64;
 
 /// One-way Doppler shift in hertz for a radial speed (m/s) at a carrier
 /// frequency (Hz).
-pub fn doppler_shift_hz(speed_mps: f64, carrier_hz: f64) -> f64 {
+fn doppler_shift_hz(speed_mps: f64, carrier_hz: f64) -> f64 {
     speed_mps / SPEED_OF_LIGHT * carrier_hz
 }
 
@@ -21,22 +20,6 @@ pub fn doppler_shift_hz(speed_mps: f64, carrier_hz: f64) -> f64 {
 /// moving tag shifts both the illuminating wave and the reflected wave.
 pub fn backscatter_doppler_shift_hz(speed_mps: f64, carrier_hz: f64) -> f64 {
     2.0 * doppler_shift_hz(speed_mps, carrier_hz)
-}
-
-/// Applies a frequency shift of `shift_hz` to a baseband signal sampled at
-/// `sample_rate_hz`, returning the shifted copy.
-pub fn apply_frequency_shift(
-    signal: &[Complex64],
-    shift_hz: f64,
-    sample_rate_hz: f64,
-) -> Vec<Complex64> {
-    signal
-        .iter()
-        .enumerate()
-        .map(|(n, s)| {
-            *s * Complex64::cis(2.0 * std::f64::consts::PI * shift_hz * n as f64 / sample_rate_hz)
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -72,22 +55,6 @@ mod tests {
     #[test]
     fn zero_speed_gives_zero_shift() {
         assert_eq!(doppler_shift_hz(0.0, 900e6), 0.0);
-        let sig = vec![Complex64::ONE; 8];
-        assert_eq!(apply_frequency_shift(&sig, 0.0, 500e3), sig);
-    }
-
-    #[test]
-    fn frequency_shift_moves_tone_bin() {
-        // A DC signal shifted by 2 bins of a 64-point FFT lands in bin 2.
-        let n = 64;
-        let fs = 64.0;
-        let sig = vec![Complex64::ONE; n];
-        let shifted = apply_frequency_shift(&sig, 2.0, fs);
-        let spec = netscatter_dsp::fft::fft(&shifted).unwrap();
-        let peak = (0..n)
-            .max_by(|&a, &b| spec[a].abs().total_cmp(&spec[b].abs()))
-            .unwrap();
-        assert_eq!(peak, 2);
     }
 
     #[test]

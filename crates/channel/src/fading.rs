@@ -1,5 +1,5 @@
-//! Small-scale fading: block fading per packet and a temporal process that
-//! reproduces the SNR variation the paper measures in a busy office.
+//! Small-scale fading: a temporal process that reproduces the SNR variation
+//! the paper measures in a busy office.
 //!
 //! Fig. 9 of the paper plots the CDF of per-device SNR variation over 30
 //! minutes while people walk around; the observed deviations stay within
@@ -8,52 +8,7 @@
 //! same character: temporally correlated, zero-mean in dB, bounded spread.
 
 use crate::noise::standard_normal;
-use netscatter_dsp::units::{db_to_linear, linear_to_db};
 use rand::Rng;
-
-/// Per-packet block fading models for the backscatter channel gain.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum BlockFading {
-    /// No fading: the channel gain is always exactly the median.
-    None,
-    /// Rayleigh fading: power gain is exponentially distributed with unit
-    /// mean (no line-of-sight component).
-    Rayleigh,
-    /// Rician fading with the given K-factor (linear ratio of line-of-sight
-    /// to scattered power). Indoor line-of-sight links are typically K ≈ 3–10.
-    Rician {
-        /// Ratio of specular to diffuse power (linear).
-        k_factor: f64,
-    },
-}
-
-impl BlockFading {
-    /// Draws a linear *power* gain with unit mean.
-    pub fn sample_power_gain<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        match *self {
-            BlockFading::None => 1.0,
-            BlockFading::Rayleigh => {
-                // |h|^2 with h complex Gaussian: exponential(1).
-                let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-                -u.ln()
-            }
-            BlockFading::Rician { k_factor } => {
-                let k = k_factor.max(0.0);
-                // h = sqrt(K/(K+1)) + CN(0, 1/(K+1)); power normalized to unit mean.
-                let sigma = (1.0 / (2.0 * (k + 1.0))).sqrt();
-                let los = (k / (k + 1.0)).sqrt();
-                let re = los + sigma * standard_normal(rng);
-                let im = sigma * standard_normal(rng);
-                re * re + im * im
-            }
-        }
-    }
-
-    /// Draws a power gain expressed in dB.
-    pub fn sample_power_gain_db<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        linear_to_db(self.sample_power_gain(rng))
-    }
-}
 
 /// A first-order Gauss–Markov process over the *dB-domain* SNR deviation of
 /// one device, modelling slow environmental fading (people moving, doors
@@ -88,16 +43,6 @@ impl TemporalFading {
         Self::new(1.8, 0.95)
     }
 
-    /// Current SNR deviation from the median, in dB.
-    pub fn deviation_db(&self) -> f64 {
-        self.state_db
-    }
-
-    /// Current deviation as a linear power factor.
-    pub fn power_factor(&self) -> f64 {
-        db_to_linear(self.state_db)
-    }
-
     /// Advances the process by one step and returns the new deviation in dB.
     pub fn step<R: Rng + ?Sized>(&mut self, rng: &mut R) -> f64 {
         let innovation = (1.0 - self.correlation * self.correlation).sqrt() * self.sigma_db;
@@ -114,51 +59,9 @@ impl TemporalFading {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netscatter_dsp::stats::{mean, std_dev};
+    use netscatter_dsp::stats::{mean, variance};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    #[test]
-    fn no_fading_is_unit_gain() {
-        let mut rng = StdRng::seed_from_u64(1);
-        for _ in 0..10 {
-            assert_eq!(BlockFading::None.sample_power_gain(&mut rng), 1.0);
-        }
-        assert_eq!(BlockFading::None.sample_power_gain_db(&mut rng), 0.0);
-    }
-
-    #[test]
-    fn rayleigh_power_gain_has_unit_mean() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let samples: Vec<f64> = (0..50_000)
-            .map(|_| BlockFading::Rayleigh.sample_power_gain(&mut rng))
-            .collect();
-        assert!((mean(&samples) - 1.0).abs() < 0.03);
-        // Exponential(1) has unit variance too.
-        assert!((netscatter_dsp::stats::variance(&samples) - 1.0).abs() < 0.1);
-    }
-
-    #[test]
-    fn rician_power_gain_has_unit_mean_and_less_variance_than_rayleigh() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let fading = BlockFading::Rician { k_factor: 6.0 };
-        let samples: Vec<f64> = (0..50_000)
-            .map(|_| fading.sample_power_gain(&mut rng))
-            .collect();
-        assert!((mean(&samples) - 1.0).abs() < 0.03);
-        assert!(netscatter_dsp::stats::variance(&samples) < 0.5);
-    }
-
-    #[test]
-    fn rician_with_zero_k_behaves_like_rayleigh() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let fading = BlockFading::Rician { k_factor: 0.0 };
-        let samples: Vec<f64> = (0..50_000)
-            .map(|_| fading.sample_power_gain(&mut rng))
-            .collect();
-        assert!((mean(&samples) - 1.0).abs() < 0.03);
-        assert!((netscatter_dsp::stats::variance(&samples) - 1.0).abs() < 0.12);
-    }
 
     #[test]
     fn temporal_fading_stationary_statistics() {
@@ -168,7 +71,7 @@ mod tests {
         let _ = process.series(&mut rng, 1000);
         let series = process.series(&mut rng, 50_000);
         assert!(mean(&series).abs() < 0.15);
-        assert!((std_dev(&series) - 2.0).abs() < 0.15);
+        assert!((variance(&series).sqrt() - 2.0).abs() < 0.15);
     }
 
     #[test]
@@ -191,15 +94,5 @@ mod tests {
         let series = process.series(&mut rng, 30_000);
         let within = series.iter().filter(|v| v.abs() <= 5.0).count() as f64 / series.len() as f64;
         assert!(within > 0.98, "only {within} of samples within ±5 dB");
-    }
-
-    #[test]
-    fn power_factor_matches_db_state() {
-        let mut process = TemporalFading::new(1.0, 0.5);
-        assert_eq!(process.deviation_db(), 0.0);
-        assert!((process.power_factor() - 1.0).abs() < 1e-12);
-        let mut rng = StdRng::seed_from_u64(8);
-        let db = process.step(&mut rng);
-        assert!((process.power_factor() - db_to_linear(db)).abs() < 1e-12);
     }
 }

@@ -50,29 +50,6 @@ impl Room {
     pub fn contains(&self, p: &Position) -> bool {
         p.x >= self.min.x && p.x <= self.max.x && p.y >= self.min.y && p.y <= self.max.y
     }
-
-    /// Room centre.
-    pub fn center(&self) -> Position {
-        Position::new(
-            (self.min.x + self.max.x) / 2.0,
-            (self.min.y + self.max.y) / 2.0,
-        )
-    }
-
-    /// Room width (x extent) in metres.
-    pub fn width(&self) -> f64 {
-        self.max.x - self.min.x
-    }
-
-    /// Room depth (y extent) in metres.
-    pub fn depth(&self) -> f64 {
-        self.max.y - self.min.y
-    }
-
-    /// Floor area in square metres.
-    pub fn area(&self) -> f64 {
-        self.width() * self.depth()
-    }
 }
 
 /// A floorplan: a set of rooms on a grid. The number of interior walls
@@ -105,11 +82,6 @@ impl Floorplan {
         Self { rooms }
     }
 
-    /// The rooms of the floorplan.
-    pub fn rooms(&self) -> &[Room] {
-        &self.rooms
-    }
-
     /// Total bounding extent of the floorplan (width, depth) in metres.
     pub fn extent(&self) -> (f64, f64) {
         let mut w = 0.0f64;
@@ -122,7 +94,7 @@ impl Floorplan {
     }
 
     /// Index of the room containing a point, if any.
-    pub fn room_of(&self, p: &Position) -> Option<usize> {
+    fn room_of(&self, p: &Position) -> Option<usize> {
         self.rooms.iter().position(|r| r.contains(p))
     }
 
@@ -171,16 +143,12 @@ mod tests {
         assert!(room.contains(&Position::new(3.0, 5.0)));
         assert!(room.contains(&Position::new(1.0, 2.0)));
         assert!(!room.contains(&Position::new(0.5, 5.0)));
-        assert_eq!(room.width(), 4.0);
-        assert_eq!(room.depth(), 6.0);
-        assert_eq!(room.area(), 24.0);
-        assert_eq!(room.center(), Position::new(3.0, 5.0));
     }
 
     #[test]
     fn office_grid_builds_expected_rooms() {
         let plan = Floorplan::office_grid(4, 3, 5.0, 6.0);
-        assert_eq!(plan.rooms().len(), 12);
+        assert_eq!(plan.rooms.len(), 12);
         assert_eq!(plan.extent(), (20.0, 18.0));
         assert_eq!(plan.room_of(&Position::new(0.5, 0.5)), Some(0));
         assert_eq!(plan.room_of(&Position::new(19.5, 17.5)), Some(11));

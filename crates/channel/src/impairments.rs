@@ -66,7 +66,7 @@ impl HardwareDelayModel {
 
     /// Draws one packet's delay for a device whose mean delay is `mean_s`:
     /// the device's static delay plus small per-packet jitter.
-    pub fn sample_around<R: Rng + ?Sized>(&self, rng: &mut R, mean_s: f64) -> f64 {
+    fn sample_around<R: Rng + ?Sized>(&self, rng: &mut R, mean_s: f64) -> f64 {
         (mean_s + self.jitter_sigma_s * standard_normal(rng)).clamp(0.0, self.max_s)
     }
 }
@@ -90,7 +90,7 @@ impl CfoModel {
     /// implementation) with a ±25 ppm crystal: static offsets of at most
     /// ±75 Hz plus a small per-packet drift, matching the < 150 Hz spread of
     /// Fig. 14(a).
-    pub fn backscatter_tag() -> Self {
+    fn backscatter_tag() -> Self {
         Self {
             crystal_tolerance_ppm: 25.0,
             synthesized_frequency_hz: 3e6,
@@ -101,7 +101,7 @@ impl CfoModel {
     /// An active LoRa radio synthesizing its 900 MHz carrier from a ±10 ppm
     /// crystal: static offsets of up to ±9 kHz — many FFT bins — which is the
     /// diversity Choir relies on (§2.2).
-    pub fn active_radio_900mhz() -> Self {
+    fn active_radio_900mhz() -> Self {
         Self {
             crystal_tolerance_ppm: 10.0,
             synthesized_frequency_hz: 900e6,
@@ -110,13 +110,13 @@ impl CfoModel {
     }
 
     /// Maximum static offset magnitude in hertz implied by the tolerance.
-    pub fn max_static_offset_hz(&self) -> f64 {
+    fn max_static_offset_hz(&self) -> f64 {
         self.crystal_tolerance_ppm * 1e-6 * self.synthesized_frequency_hz
     }
 
     /// Draws the static (per-device) frequency offset in hertz, uniformly
     /// within the crystal tolerance.
-    pub fn sample_device_offset<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+    fn sample_device_offset<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         let max = self.max_static_offset_hz();
         if max == 0.0 {
             0.0
@@ -126,7 +126,7 @@ impl CfoModel {
     }
 
     /// Draws the per-packet drift around the device's static offset, in hertz.
-    pub fn sample_packet_drift<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+    fn sample_packet_drift<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         self.per_packet_drift_hz * standard_normal(rng)
     }
 }

@@ -5,13 +5,12 @@
 //! building; this crate supplies the simulated equivalents of everything the
 //! radio environment contributed to those measurements:
 //!
-//! * [`noise`] — complex AWGN at a calibrated thermal noise floor, and
-//!   SNR-controlled noise injection.
+//! * [`noise`] — complex AWGN at a given noise power.
 //! * [`pathloss`] — log-distance path loss with wall attenuation and
 //!   log-normal shadowing, plus the *round-trip* backscatter link budget
 //!   (AP → tag → AP) and the one-way downlink budget used by the tag's
 //!   envelope detector.
-//! * [`fading`] — block fading and a temporal fading process that reproduces
+//! * [`fading`] — a temporal fading process that reproduces
 //!   the SNR variance the paper measures over 30 minutes of people walking
 //!   around an office (Fig. 9).
 //! * [`multipath`] — tapped-delay-line multipath with an exponential power
@@ -40,5 +39,5 @@ pub mod pathloss;
 
 pub use geometry::Position;
 pub use impairments::{CfoModel, DeviceImpairments, HardwareDelayModel, ImpairmentModel};
-pub use noise::{add_awgn_snr, AwgnChannel};
+pub use noise::AwgnChannel;
 pub use pathloss::{IndoorPathLoss, LinkBudget};

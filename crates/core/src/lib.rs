@@ -72,7 +72,7 @@ pub mod prelude {
     pub use crate::allocator::{CyclicShiftAllocator, ShiftAssignment};
     pub use crate::association::AssociationManager;
     pub use crate::device::{BackscatterDevice, DeviceConfig, TransmitDecision};
-    pub use crate::power::{BackscatterGain, EnergyModel, SwitchNetwork};
+    pub use crate::power::BackscatterGain;
     pub use crate::protocol::{NetworkProtocol, RoundOutcome, RoundTiming};
     pub use crate::query::{AssociationResponse, QueryMessage};
     pub use crate::receiver::{ConcurrentReceiver, DecodedRound};

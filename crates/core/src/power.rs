@@ -1,4 +1,4 @@
-//! Backscatter power control and the tag energy model.
+//! Backscatter power control.
 //!
 //! A backscatter tag "transmits" by switching its antenna between two
 //! impedances; the radiated power is proportional to `|Γ₀ − Γ₁|² / 4`, the
@@ -8,31 +8,9 @@
 //! power gains — the paper's hardware provides 0, −4 and −10 dB — which is
 //! what the fine-grained self-aware power adjustment uses to keep concurrent
 //! devices inside the receiver's dynamic range.
-//!
-//! The module also carries the IC power budget of §4.1 (45.2 µW total) so the
-//! simulator can report per-round energy.
 
-use netscatter_dsp::units::{db_to_linear, linear_to_db};
+use netscatter_dsp::units::db_to_linear;
 use serde::{Deserialize, Serialize};
-
-/// Reflection coefficient of a load `Z` against a (real) antenna impedance
-/// `Z₀ₐ`: `Γ = (Z − Zₐ) / (Z + Zₐ)`. Purely resistive loads are assumed,
-/// which is what the paper's three-resistor switch network uses.
-pub fn reflection_coefficient(load_ohms: f64, antenna_ohms: f64) -> f64 {
-    if load_ohms.is_infinite() {
-        return 1.0;
-    }
-    (load_ohms - antenna_ohms) / (load_ohms + antenna_ohms)
-}
-
-/// Backscatter power gain (linear) of switching between two loads:
-/// `|Γ₀ − Γ₁|² / 4`. Equal to 1 (0 dB) when switching between a short and an
-/// open circuit.
-pub fn backscatter_power_gain(load0_ohms: f64, load1_ohms: f64, antenna_ohms: f64) -> f64 {
-    let g0 = reflection_coefficient(load0_ohms, antenna_ohms);
-    let g1 = reflection_coefficient(load1_ohms, antenna_ohms);
-    (g0 - g1) * (g0 - g1) / 4.0
-}
 
 /// The three discrete backscatter power gains the paper's switch network
 /// provides (§3.2.3, Fig. 16).
@@ -89,115 +67,9 @@ impl BackscatterGain {
     }
 }
 
-/// A switch network built from a set of selectable load impedances, modelling
-/// Fig. 7(b): the strongest setting switches between the two extreme loads,
-/// weaker settings switch from intermediate loads.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SwitchNetwork {
-    /// Antenna impedance in ohms.
-    pub antenna_ohms: f64,
-    /// Selectable load impedances in ohms, one per power setting. Each
-    /// setting switches between this load and an open circuit.
-    pub loads_ohms: Vec<f64>,
-}
-
-impl SwitchNetwork {
-    /// A three-level network calibrated so the settings land close to the
-    /// paper's 0 / −4 / −10 dB gains with a 50 Ω antenna.
-    pub fn paper_default() -> Self {
-        // Switching between an open circuit (Γ = +1) and a load Z gives
-        // gain |1 - Γ(Z)|² / 4; Z = 0 Ω -> 0 dB, larger Z -> weaker.
-        Self {
-            antenna_ohms: 50.0,
-            loads_ohms: vec![0.0, 27.0, 92.0],
-        }
-    }
-
-    /// The power gain (linear) of setting `index` (switching between the
-    /// selected load and an open circuit). Returns `None` for an invalid
-    /// index.
-    pub fn gain_linear(&self, index: usize) -> Option<f64> {
-        self.loads_ohms
-            .get(index)
-            .map(|z| backscatter_power_gain(*z, f64::INFINITY, self.antenna_ohms))
-    }
-
-    /// The power gain in dB of setting `index`.
-    pub fn gain_db(&self, index: usize) -> Option<f64> {
-        self.gain_linear(index).map(linear_to_db)
-    }
-
-    /// Number of power settings.
-    pub fn num_settings(&self) -> usize {
-        self.loads_ohms.len()
-    }
-}
-
-/// The IC power budget of the paper's 65 nm ASIC design (§4.1), in watts.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct EnergyModel {
-    /// Envelope detector power draw.
-    pub envelope_detector_w: f64,
-    /// Baseband processor power draw.
-    pub baseband_w: f64,
-    /// Chirp generator power draw.
-    pub chirp_generator_w: f64,
-    /// Switch network power draw (including the 3 MHz offset clock).
-    pub switch_network_w: f64,
-}
-
-impl Default for EnergyModel {
-    fn default() -> Self {
-        Self {
-            envelope_detector_w: 1.0e-6,
-            baseband_w: 5.7e-6,
-            chirp_generator_w: 36.0e-6,
-            switch_network_w: 2.5e-6,
-        }
-    }
-}
-
-impl EnergyModel {
-    /// Total power draw in watts (paper: 45.2 µW).
-    pub fn total_w(&self) -> f64 {
-        self.envelope_detector_w + self.baseband_w + self.chirp_generator_w + self.switch_network_w
-    }
-
-    /// Energy in joules consumed by a tag that is active for
-    /// `active_seconds`.
-    pub fn energy_j(&self, active_seconds: f64) -> f64 {
-        self.total_w() * active_seconds.max(0.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn reflection_coefficients_at_extremes() {
-        assert!((reflection_coefficient(0.0, 50.0) + 1.0).abs() < 1e-12);
-        assert!((reflection_coefficient(f64::INFINITY, 50.0) - 1.0).abs() < 1e-12);
-        assert!(reflection_coefficient(50.0, 50.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn short_to_open_switching_gives_0db() {
-        let g = backscatter_power_gain(0.0, f64::INFINITY, 50.0);
-        assert!((g - 1.0).abs() < 1e-12);
-        assert!(linear_to_db(g).abs() < 1e-9);
-    }
-
-    #[test]
-    fn intermediate_impedances_reduce_gain_monotonically() {
-        // Fig. 7(a): moving Z0 away from 0 Ω lowers the gain monotonically.
-        let mut last = 1.0;
-        for z in [0.0, 10.0, 25.0, 50.0, 100.0, 400.0] {
-            let g = backscatter_power_gain(z, f64::INFINITY, 50.0);
-            assert!(g <= last + 1e-12, "gain should not increase with Z0");
-            last = g;
-        }
-    }
 
     #[test]
     fn enum_gains_match_paper_levels() {
@@ -221,37 +93,5 @@ mod tests {
         );
         assert_eq!(BackscatterGain::Full.stronger(), None);
         assert_eq!(BackscatterGain::ALL.len(), 3);
-    }
-
-    #[test]
-    fn paper_switch_network_approximates_target_gains() {
-        let network = SwitchNetwork::paper_default();
-        assert_eq!(network.num_settings(), 3);
-        let g0 = network.gain_db(0).unwrap();
-        let g1 = network.gain_db(1).unwrap();
-        let g2 = network.gain_db(2).unwrap();
-        assert!(
-            g0.abs() < 0.01,
-            "strongest setting should be ≈0 dB, got {g0}"
-        );
-        assert!(
-            (g1 - (-4.0)).abs() < 1.0,
-            "middle setting should be ≈-4 dB, got {g1}"
-        );
-        assert!(
-            (g2 - (-10.0)).abs() < 1.0,
-            "weak setting should be ≈-10 dB, got {g2}"
-        );
-        assert!(network.gain_db(3).is_none());
-    }
-
-    #[test]
-    fn energy_model_totals_45_2_microwatts() {
-        let model = EnergyModel::default();
-        assert!((model.total_w() - 45.2e-6).abs() < 1e-9);
-        // One 48-symbol packet at SF9/500 kHz lasts 49.2 ms -> ~2.2 µJ.
-        let e = model.energy_j(48.0 * 1.024e-3);
-        assert!((e - 45.2e-6 * 0.049152).abs() < 1e-9);
-        assert_eq!(model.energy_j(-1.0), 0.0);
     }
 }

@@ -39,15 +39,6 @@ impl RoundTiming {
     pub fn total_s(&self) -> f64 {
         self.query_s + self.preamble_s + self.payload_s
     }
-
-    /// Fraction of the round spent on useful payload.
-    pub fn payload_efficiency(&self) -> f64 {
-        if self.total_s() == 0.0 {
-            0.0
-        } else {
-            self.payload_s / self.total_s()
-        }
-    }
 }
 
 /// Outcome of one round as seen by the AP.
@@ -63,27 +54,6 @@ pub struct RoundOutcome {
     pub correct_bits: usize,
     /// Total payload bits transmitted across all scheduled devices.
     pub transmitted_bits: usize,
-}
-
-impl RoundOutcome {
-    /// Bit error rate across the round (errors / transmitted bits); 0 when no
-    /// bits were transmitted.
-    pub fn bit_error_rate(&self) -> f64 {
-        if self.transmitted_bits == 0 {
-            0.0
-        } else {
-            1.0 - self.correct_bits as f64 / self.transmitted_bits as f64
-        }
-    }
-
-    /// Fraction of scheduled devices that were detected and decoded cleanly.
-    pub fn delivery_ratio(&self) -> f64 {
-        if self.scheduled == 0 {
-            0.0
-        } else {
-            self.decoded_clean as f64 / self.scheduled as f64
-        }
-    }
 }
 
 /// Aggregate network metrics over one or more rounds, matching the three
@@ -127,11 +97,6 @@ impl NetworkProtocol {
         self.rounds.push((timing, outcome));
     }
 
-    /// Number of rounds recorded.
-    pub fn rounds_recorded(&self) -> usize {
-        self.rounds.len()
-    }
-
     /// Aggregate metrics over all recorded rounds. Returns `None` if no
     /// rounds have been recorded.
     pub fn metrics(&self) -> Option<NetworkMetrics> {
@@ -172,7 +137,6 @@ mod tests {
         assert!((timing.preamble_s - 8.192e-3).abs() < 1e-9);
         assert!((timing.payload_s - 40.96e-3).abs() < 1e-9);
         assert!((timing.total_s() - (2.0e-4 + 8.192e-3 + 40.96e-3)).abs() < 1e-9);
-        assert!(timing.payload_efficiency() > 0.8);
     }
 
     #[test]
@@ -184,21 +148,6 @@ mod tests {
         let timing = RoundTiming::netscatter(&profile, &query, 40);
         assert!(timing.query_s < 0.015);
         assert!(timing.query_s < timing.payload_s + timing.preamble_s);
-    }
-
-    #[test]
-    fn outcome_rates() {
-        let o = RoundOutcome {
-            scheduled: 10,
-            detected: 9,
-            decoded_clean: 8,
-            correct_bits: 390,
-            transmitted_bits: 400,
-        };
-        assert!((o.bit_error_rate() - 0.025).abs() < 1e-12);
-        assert!((o.delivery_ratio() - 0.8).abs() < 1e-12);
-        assert_eq!(RoundOutcome::default().bit_error_rate(), 0.0);
-        assert_eq!(RoundOutcome::default().delivery_ratio(), 0.0);
     }
 
     #[test]
@@ -221,7 +170,6 @@ mod tests {
             );
         }
         let m = protocol.metrics().unwrap();
-        assert_eq!(protocol.rounds_recorded(), 3);
         // PHY rate: 256 devices × ~976 bps ≈ 250 kbps.
         assert!((m.phy_rate_bps - 250_000.0).abs() < 1_000.0);
         // Link-layer rate is lower but the same order.

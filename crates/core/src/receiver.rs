@@ -110,12 +110,6 @@ impl ConcurrentReceiver {
         self.detector.search_forward_bias_bins = forward_bias_bins;
     }
 
-    /// Estimates where the packet starts within `stream` (§3.3.1 step i),
-    /// searching offsets up to `max_offset` samples.
-    pub fn find_packet_start(&self, stream: &[Complex64], max_offset: usize) -> Option<usize> {
-        self.detector.estimate_packet_start(stream, max_offset)
-    }
-
     /// Detects the active devices from the aligned preamble samples and
     /// calibrates their payload thresholds (§3.3.1 step ii).
     pub fn detect_devices(
@@ -143,21 +137,9 @@ impl ConcurrentReceiver {
         )
     }
 
-    /// Decodes one payload symbol for the detected devices, returning one bit
-    /// per device (in the same order).
-    pub fn decode_payload_symbol(
-        &self,
-        symbol: &[Complex64],
-        detected: &[DetectedDevice],
-    ) -> Result<Vec<bool>, FftError> {
-        let mut ws = DemodWorkspace::new();
-        let mut bits = Vec::new();
-        self.decode_payload_symbol_with(symbol, detected, &mut ws, &mut bits)?;
-        Ok(bits)
-    }
-
-    /// As [`Self::decode_payload_symbol`], but running entirely inside the
-    /// caller's scratch buffers: one dechirp, one FFT and one power pass per
+    /// Decodes one payload symbol for the detected devices, one bit per
+    /// device (in the same order), entirely inside the caller's scratch
+    /// buffers: one dechirp, one FFT and one power pass per
     /// symbol, with zero steady-state heap allocation. The FFT is the
     /// `2^SF`-point one when every read lands on a bin (no payload search
     /// window and whole-bin `observed_bin`s, i.e. untracked detection) and
@@ -340,7 +322,7 @@ mod tests {
     }
 
     #[test]
-    fn packet_start_is_recovered_and_round_decodes_from_it() {
+    fn round_decodes_from_a_nonzero_packet_start() {
         let p = profile();
         let rx = ConcurrentReceiver::new(&p).unwrap();
         let bits = vec![true, true, false, true];
@@ -352,9 +334,7 @@ mod tests {
         let offset = 23usize;
         let mut stream = vec![Complex64::ZERO; offset];
         stream.extend(body);
-        let found = rx.find_packet_start(&stream, 64).unwrap();
-        assert_eq!(found, offset);
-        let round = rx.decode_round(&stream, found, &[50], bits.len()).unwrap();
+        let round = rx.decode_round(&stream, offset, &[50], bits.len()).unwrap();
         assert_eq!(round.bits_for(50).unwrap(), &bits[..]);
     }
 

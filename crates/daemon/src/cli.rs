@@ -2,7 +2,7 @@
 //! `netscatter serve` subcommand.
 
 use crate::client;
-use crate::protocol::StreamHeader;
+use crate::protocol::{positive_finite, StreamHeader};
 use crate::registry::DEFAULT_METRICS_RETENTION;
 use crate::serve::{bin_range_error, Daemon, DaemonConfig};
 use crate::signals;
@@ -171,7 +171,7 @@ impl Default for ServeOptions {
 
 impl ServeOptions {
     /// The daemon configuration these options describe.
-    pub fn daemon_config(&self) -> DaemonConfig {
+    fn daemon_config(&self) -> DaemonConfig {
         let mut base =
             GatewayConfig::new(PhyProfile::default(), self.bins.clone(), self.payload_bits);
         base.chunk_samples = self.chunk_samples;
@@ -195,7 +195,7 @@ impl ServeOptions {
 }
 
 /// Parses the `netscatterd` flag set.
-pub fn parse_serve_args(args: &[String]) -> Result<ServeOptions, CliUsage> {
+fn parse_serve_args(args: &[String]) -> Result<ServeOptions, CliUsage> {
     let mut opts = ServeOptions::default();
     let mut i = 0;
     let value = |i: &mut usize, flag: &str| -> Result<String, CliUsage> {
@@ -233,10 +233,8 @@ pub fn parse_serve_args(args: &[String]) -> Result<ServeOptions, CliUsage> {
                 }
             }
             "--sample-rate" => {
-                opts.sample_rate_hz = num(arg, &value(&mut i, arg)?)?;
-                if opts.sample_rate_hz.is_nan() || opts.sample_rate_hz <= 0.0 {
-                    return Err(CliUsage::usage("--sample-rate must be positive"));
-                }
+                opts.sample_rate_hz = positive_finite(arg, num(arg, &value(&mut i, arg)?)?)
+                    .map_err(CliUsage::usage)?;
             }
             "--chunk-samples" => {
                 opts.chunk_samples = num(arg, &value(&mut i, arg)?)?;
@@ -251,7 +249,10 @@ pub fn parse_serve_args(args: &[String]) -> Result<ServeOptions, CliUsage> {
                 }
             }
             "--workers" => opts.workers = num(arg, &value(&mut i, arg)?)?,
-            "--detection-floor" => opts.detection_floor = Some(num(arg, &value(&mut i, arg)?)?),
+            "--detection-floor" => {
+                let floor = num(arg, &value(&mut i, arg)?)?;
+                opts.detection_floor = Some(positive_finite(arg, floor).map_err(CliUsage::usage)?);
+            }
             "--energy-gate-db" => opts.energy_gate_db = num(arg, &value(&mut i, arg)?)?,
             "--max-conns" => opts.max_conns = num(arg, &value(&mut i, arg)?)?,
             "--header-timeout" => {
@@ -495,6 +496,10 @@ mod tests {
             vec!["--ring-slots", "0"],    // a ring holds at least one chunk
             vec!["--chunk-samples", "0"], // a chunk holds at least one sample
             vec!["--sample-rate", "-1"],
+            vec!["--sample-rate", "inf"],
+            vec!["--detection-floor", "-1"],
+            vec!["--detection-floor", "nan"],
+            vec!["--detection-floor", "inf"],
             vec!["--header-timeout", "-1"],
             vec!["--idle-timeout", "nope"],
             vec!["--once"], // nothing to replay: would exit immediately

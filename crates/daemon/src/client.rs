@@ -60,7 +60,7 @@ impl RetryPolicy {
     /// `base · 2^(attempt−1)` capped at `max_delay`, then scaled into
     /// `[50%, 100%]` by a deterministic hash of `(seed, attempt)`. Pure —
     /// the whole schedule is fixed by the policy.
-    pub fn delay_before_retry(&self, attempt: u32) -> Duration {
+    fn delay_before_retry(&self, attempt: u32) -> Duration {
         let doublings = attempt.saturating_sub(1).min(32);
         let exp = self
             .base_delay

@@ -489,7 +489,7 @@ mod tests {
     #[test]
     fn document_carries_totals_and_a_block_per_stream() {
         let reg = StreamRegistry::new();
-        let a = reg.register("a");
+        let a = reg.register_on("a", 0);
         a.record_ingest(1_000_000, 2);
         a.record_frame(3);
         a.record_rates(5e6, 10.0);
@@ -563,7 +563,7 @@ mod tests {
     #[test]
     fn frame_latency_histograms_carry_buckets_and_quantiles() {
         let reg = StreamRegistry::new();
-        let s = reg.register("lat");
+        let s = reg.register_on("lat", 0);
         // 100 frames at exactly 3 µs: every quantile is pinned to 3e-6 by
         // the histogram's min/max clamp, the single bucket is cumulative,
         // and +Inf equals the count.
@@ -618,7 +618,7 @@ mod tests {
     #[test]
     fn hostile_stream_names_stay_inside_their_label() {
         let reg = StreamRegistry::new();
-        reg.register("a\"b\\c");
+        reg.register_on("a\"b\\c", 0);
         let doc = render(&reg, &DaemonHealth::new(), 0.0);
         assert!(doc.contains("{stream=\"a\\\"b\\\\c\"}"));
     }

@@ -30,6 +30,20 @@ use netscatter_gateway::DecodedPacket;
 /// The only ingest sample format this daemon speaks.
 pub const FORMAT_CF32LE: &str = "cf32le";
 
+/// The one range check for a sample rate or a detection-floor fraction,
+/// shared by the header and the daemon flags: both must be finite and
+/// positive. A floor `≤ 0` would count every assigned bin as a device; an
+/// infinite or NaN one would silently detect nothing.
+pub(crate) fn positive_finite(what: &str, value: f64) -> Result<f64, String> {
+    if value.is_finite() && value > 0.0 {
+        Ok(value)
+    } else {
+        Err(format!(
+            "{what} must be a finite positive number, got {value}"
+        ))
+    }
+}
+
 /// Machine-readable `code` values carried by `end` and `error` records —
 /// the daemon's failure-model vocabulary (see DESIGN.md "Failure model").
 /// Clients should branch on these, never on the human-readable `message`.
@@ -142,10 +156,16 @@ impl StreamHeader {
                 ));
             }
         }
-        let sample_rate_hz = doc.get("sample_rate_hz").and_then(Json::as_f64);
-        if sample_rate_hz.is_some_and(|r| r.is_nan() || r <= 0.0) {
-            return Err("header sample_rate_hz must be positive".to_string());
-        }
+        let positive = |field: &str| -> Result<Option<f64>, String> {
+            let Some(value) = doc.get(field) else {
+                return Ok(None);
+            };
+            let value = value
+                .as_f64()
+                .ok_or_else(|| format!("header {field} must be a number"))?;
+            positive_finite(&format!("header {field}"), value).map(Some)
+        };
+        let sample_rate_hz = positive("sample_rate_hz")?;
         let bins = match doc.get("bins") {
             None => None,
             Some(value) => {
@@ -167,7 +187,7 @@ impl StreamHeader {
                     as usize,
             ),
         };
-        let detection_floor = doc.get("detection_floor").and_then(Json::as_f64);
+        let detection_floor = positive("detection_floor")?;
         let coding = match doc.get("coding") {
             None => None,
             Some(value) => {
@@ -437,6 +457,21 @@ mod tests {
             (r#"{"stream":""}"#, "empty"),
             (r#"{"stream":"x","format":"wav"}"#, "unsupported format"),
             (r#"{"stream":"x","sample_rate_hz":0}"#, "positive"),
+            (r#"{"stream":"x","sample_rate_hz":1e999}"#, "sample_rate_hz"),
+            (
+                r#"{"stream":"x","sample_rate_hz":"fast"}"#,
+                "sample_rate_hz",
+            ),
+            (r#"{"stream":"x","detection_floor":-1}"#, "detection_floor"),
+            (r#"{"stream":"x","detection_floor":0}"#, "detection_floor"),
+            (
+                r#"{"stream":"x","detection_floor":1e999}"#,
+                "detection_floor",
+            ),
+            (
+                r#"{"stream":"x","detection_floor":"high"}"#,
+                "detection_floor",
+            ),
             (r#"{"stream":"x","bins":7}"#, "array"),
             (r#"{"stream":"x","bins":[-1]}"#, "non-negative"),
             (r#"{"stream":"x","payload_bits":0}"#, "payload_bits"),

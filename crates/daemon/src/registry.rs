@@ -160,7 +160,7 @@ impl StreamStats {
     }
 
     /// Whether the stream's connection is still being served.
-    pub fn is_active(&self) -> bool {
+    fn is_active(&self) -> bool {
         self.active.load(Ordering::Acquire)
     }
 
@@ -405,12 +405,6 @@ impl StreamRegistry {
         }
     }
 
-    /// Registers a stream under `name` on channel 0 (the untagged
-    /// single-channel default).
-    pub fn register(&self, name: &str) -> Arc<StreamStats> {
-        self.register_on(name, 0)
-    }
-
     /// Registers a stream under `name` on `channel`, uniquifying name
     /// collisions as `name#2`, `name#3`, … so metrics lines stay
     /// unambiguous — including against names whose streams have already
@@ -486,12 +480,6 @@ impl StreamRegistry {
             .filter(|s| s.is_active())
             .count()
     }
-
-    /// Streams ever registered, including retired ones.
-    pub fn total_streams(&self) -> usize {
-        let live = self.streams.lock().expect("registry lock").len();
-        live + self.retired.lock().expect("registry retired lock").streams as usize
-    }
 }
 
 #[cfg(test)]
@@ -501,13 +489,12 @@ mod tests {
     #[test]
     fn colliding_names_are_uniquified() {
         let reg = StreamRegistry::new();
-        let a = reg.register("cap");
-        let b = reg.register("cap");
-        let c = reg.register("cap");
+        let a = reg.register_on("cap", 0);
+        let b = reg.register_on("cap", 0);
+        let c = reg.register_on("cap", 0);
         assert_eq!(a.name(), "cap");
         assert_eq!(b.name(), "cap#2");
         assert_eq!(c.name(), "cap#3");
-        assert_eq!(reg.total_streams(), 3);
         assert_eq!(reg.active_streams(), 3);
         b.set_inactive();
         assert_eq!(reg.active_streams(), 2);
@@ -516,7 +503,7 @@ mod tests {
     #[test]
     fn channel_tags_survive_into_snapshots() {
         let reg = StreamRegistry::new();
-        assert_eq!(reg.register("plain").channel(), 0);
+        assert_eq!(reg.register_on("plain", 0).channel(), 0);
         let tagged = reg.register_on("tagged", 3);
         assert_eq!(tagged.channel(), 3);
         let snaps = reg.snapshot();
@@ -527,7 +514,7 @@ mod tests {
     #[test]
     fn snapshots_reflect_recorded_counters() {
         let reg = StreamRegistry::new();
-        let s = reg.register("x");
+        let s = reg.register_on("x", 0);
         s.record_ingest(1000, 3);
         s.record_frame(2);
         s.record_frame(0);
@@ -569,7 +556,7 @@ mod tests {
     #[test]
     fn frame_latency_lands_in_the_snapshot() {
         let reg = StreamRegistry::new();
-        let s = reg.register("lat");
+        let s = reg.register_on("lat", 0);
         s.record_frame_latency(Duration::from_micros(10));
         s.record_frame_latency(Duration::from_micros(20));
         let snap = &reg.snapshot()[0];
@@ -591,13 +578,12 @@ mod tests {
         }
         // The trigger is registration: one more connection retires the
         // oldest finished streams down to the cap.
-        let live = reg.register("fresh");
+        let live = reg.register_on("fresh", 0);
         let snaps = reg.snapshot();
         // 5 finished - retired = 2 kept, plus the live one.
         assert_eq!(snaps.len(), 3);
         assert_eq!(reg.active_streams(), 1);
         // Totals never regress: retired counters persist in the fold.
-        assert_eq!(reg.total_streams(), 6);
         let retired = reg.retired();
         assert_eq!(retired.streams, 3);
         assert_eq!(retired.counters[Counter::SamplesIn], 300);
@@ -617,11 +603,11 @@ mod tests {
     fn retired_names_are_never_recycled() {
         let reg = StreamRegistry::with_retention(1);
         for _ in 0..4 {
-            reg.register("cap").set_inactive();
+            reg.register_on("cap", 0).set_inactive();
         }
         // "cap", "cap#2" and "cap#3" are retired by now; a new connection
         // must not be handed any of those labels back.
-        let next = reg.register("cap");
+        let next = reg.register_on("cap", 0);
         assert_eq!(next.name(), "cap#5");
     }
 
@@ -629,9 +615,9 @@ mod tests {
     fn zero_retention_never_retires() {
         let reg = StreamRegistry::with_retention(0);
         for _ in 0..10 {
-            reg.register("s").set_inactive();
+            reg.register_on("s", 0).set_inactive();
         }
-        reg.register("s");
+        reg.register_on("s", 0);
         assert_eq!(reg.snapshot().len(), 11);
         assert_eq!(reg.retired().streams, 0);
     }

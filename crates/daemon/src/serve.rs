@@ -31,7 +31,7 @@
 //!   `code:"worker_panic"` error records with the partial decode
 //!   published first.
 //!
-//! Shutdown is graceful and complete: [`Daemon::request_shutdown`] (or
+//! Shutdown is graceful and complete: [`Daemon::shutdown`] (or
 //! dropping the handle) stops the accept loops, every serving thread
 //! notices within its read-timeout tick, shuts its engine down (joining
 //! the detection thread and decode workers — no detached threads), writes
@@ -192,12 +192,6 @@ impl Daemon {
     /// The daemon-wide fault/admission counters.
     pub fn health(&self) -> Arc<DaemonHealth> {
         self.health.clone()
-    }
-
-    /// Flags every serving loop to wind down; returns immediately. Safe to
-    /// call from a signal-watching loop.
-    pub fn request_shutdown(&self) {
-        self.shutdown.store(true, Ordering::Release);
     }
 
     /// Requests shutdown and joins every daemon thread. In-flight streams

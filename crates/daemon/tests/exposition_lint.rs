@@ -61,7 +61,7 @@ fn rendered_document_matches_the_committed_golden() {
 #[test]
 fn lint_names_every_way_a_document_can_break() {
     let reg = StreamRegistry::new();
-    let s = reg.register("a");
+    let s = reg.register_on("a", 0);
     for k in 0..20 {
         s.record_frame_latency(Duration::from_micros(3 + 40 * k));
     }

@@ -111,12 +111,6 @@ impl ChirpParams {
         1usize << self.spreading_factor
     }
 
-    /// Samples per symbol at critical sampling; alias of [`Self::num_bins`].
-    #[inline]
-    pub fn samples_per_symbol(&self) -> usize {
-        self.num_bins()
-    }
-
     /// Symbol duration in seconds, `2^SF / BW`.
     #[inline]
     pub fn symbol_duration_s(&self) -> f64 {
@@ -125,7 +119,7 @@ impl ChirpParams {
 
     /// Symbol rate in symbols per second, `BW / 2^SF`.
     #[inline]
-    pub fn symbol_rate(&self) -> f64 {
+    fn symbol_rate(&self) -> f64 {
         self.bandwidth_hz / self.num_bins() as f64
     }
 
@@ -133,12 +127,6 @@ impl ChirpParams {
     #[inline]
     pub fn bin_spacing_hz(&self) -> f64 {
         self.symbol_rate()
-    }
-
-    /// Sample period in seconds, `1 / BW`.
-    #[inline]
-    pub fn sample_period_s(&self) -> f64 {
-        1.0 / self.bandwidth_hz
     }
 
     /// Bit rate of a *single-user LoRa-style* CSS link, `SF · BW / 2^SF`
@@ -155,20 +143,6 @@ impl ChirpParams {
     #[inline]
     pub fn on_off_bitrate_bps(&self) -> f64 {
         self.symbol_rate()
-    }
-
-    /// Aggregate network throughput of a fully loaded NetScatter band,
-    /// `2^SF · BW / 2^SF = BW` bits per second (§3.1 "Throughput gain").
-    #[inline]
-    pub fn aggregate_throughput_bps(&self) -> f64 {
-        self.bandwidth_hz
-    }
-
-    /// Theoretical throughput gain of distributed CSS coding over LoRa-style
-    /// CSS, `2^SF / SF` (§1, §3.1).
-    #[inline]
-    pub fn distributed_gain(&self) -> f64 {
-        self.num_bins() as f64 / self.spreading_factor as f64
     }
 
     /// Converts a timing offset (seconds) into the FFT-bin shift it induces,
@@ -277,18 +251,6 @@ impl ChirpSynthesizer {
         let mut out = Vec::with_capacity(n);
         out.extend_from_slice(&self.baseline_up[shift..]);
         out.extend_from_slice(&self.baseline_up[..shift]);
-        out
-    }
-
-    /// Returns the downchirp cyclically shifted by `shift` samples. The
-    /// NetScatter preamble transmits the *same* cyclic shift on both upchirps
-    /// and downchirps (§3.3.1).
-    pub fn shifted_downchirp(&self, shift: usize) -> Vec<Complex64> {
-        let n = self.params.num_bins();
-        let shift = shift % n;
-        let mut out = Vec::with_capacity(n);
-        out.extend_from_slice(&self.baseline_down[shift..]);
-        out.extend_from_slice(&self.baseline_down[..shift]);
         out
     }
 
@@ -525,20 +487,14 @@ impl ChirpSynthesizer {
     }
 
     /// Dechirps a received *downchirp* symbol by multiplying with the
-    /// baseline upchirp. Used for the downchirp part of the preamble when
-    /// locating the exact packet start (§3.3.1).
-    pub fn dechirp_down(&self, symbol: &[Complex64]) -> Vec<Complex64> {
-        let mut out = Vec::new();
-        self.dechirp_down_into(symbol, &mut out);
-        out
-    }
-
-    /// As [`Self::dechirp_down`], but writing into a caller-owned buffer.
+    /// baseline upchirp, writing into a caller-owned buffer. Used for the
+    /// downchirp part of the preamble when locating the exact packet start
+    /// (§3.3.1).
     pub fn dechirp_down_into(&self, symbol: &[Complex64], out: &mut Vec<Complex64>) {
         assert_eq!(
             symbol.len(),
             self.params.num_bins(),
-            "dechirp_down expects exactly one symbol of {} samples",
+            "dechirp_down_into expects exactly one symbol of {} samples",
             self.params.num_bins()
         );
         multiply_into(symbol, &self.baseline_up, out);
@@ -561,7 +517,7 @@ impl ChirpSynthesizer {
 
     /// As [`Self::oversampled_upchirp`], but writing into a caller-owned
     /// buffer (cleared and resized to `oversample · 2^SF` samples).
-    pub fn oversampled_upchirp_into(
+    fn oversampled_upchirp_into(
         &self,
         shift: usize,
         oversample: usize,
@@ -629,9 +585,6 @@ mod tests {
         assert!((p.symbol_duration_s() - 1.024e-3).abs() < 1e-15);
         assert!((p.bin_spacing_hz() - 976.5625).abs() < 1e-9);
         assert!((p.lora_bitrate_bps() - 9.0 * 976.5625).abs() < 1e-6);
-        assert!((p.aggregate_throughput_bps() - 500e3).abs() < 1e-9);
-        // Theoretical gain 2^SF / SF = 512 / 9 ≈ 56.9.
-        assert!((p.distributed_gain() - 512.0 / 9.0).abs() < 1e-9);
     }
 
     #[test]
@@ -693,7 +646,6 @@ mod tests {
     fn shift_wraps_modulo_num_bins() {
         let synth = ChirpSynthesizer::new(ChirpParams::new(500e3, 7).unwrap());
         assert_eq!(synth.shifted_upchirp(130), synth.shifted_upchirp(2));
-        assert_eq!(synth.shifted_downchirp(128), synth.shifted_downchirp(0));
     }
 
     #[test]
@@ -748,8 +700,9 @@ mod tests {
     fn downchirp_symbol_decodes_with_upchirp_dechirp() {
         let synth = ChirpSynthesizer::new(ChirpParams::new(500e3, 8).unwrap());
         let shift = 42;
-        let sym = synth.shifted_downchirp(shift);
-        let dechirped = synth.dechirp_down(&sym);
+        let sym = synth.impaired_downchirp(shift, 0.0, 0.0, 1.0);
+        let mut dechirped = Vec::new();
+        synth.dechirp_down_into(&sym, &mut dechirped);
         let spec = fft(&dechirped).unwrap();
         // Peak appears at N - shift for downchirps (mirror image), or shift 0 maps to 0.
         let peak = peak_bin(&spec);

@@ -94,17 +94,6 @@ impl Complex64 {
         Self::new(self.re * k, self.im * k)
     }
 
-    /// Multiplicative inverse. Returns `None` for (near-)zero inputs.
-    #[inline]
-    pub fn inverse(self) -> Option<Self> {
-        let d = self.norm_sqr();
-        if d == 0.0 || !d.is_finite() {
-            None
-        } else {
-            Some(Self::new(self.re / d, -self.im / d))
-        }
-    }
-
     /// Returns `true` if both components are finite.
     #[inline]
     pub fn is_finite(self) -> bool {
@@ -325,14 +314,6 @@ mod tests {
             let theta = k as f64 * 0.1 - 5.0;
             assert!((Complex64::cis(theta).abs() - 1.0).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn inverse_of_zero_is_none() {
-        assert!(Complex64::ZERO.inverse().is_none());
-        let z = Complex64::new(0.25, -4.0);
-        let inv = z.inverse().unwrap();
-        assert!((z * inv - Complex64::ONE).abs() < 1e-12);
     }
 
     #[test]

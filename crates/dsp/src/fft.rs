@@ -143,7 +143,7 @@ impl Fft {
 
     /// Inverse transform, in place, including the `1/N` normalization so that
     /// `inverse(forward(x)) == x`.
-    pub fn inverse_in_place(&self, buf: &mut [Complex64]) -> Result<(), FftError> {
+    fn inverse_in_place(&self, buf: &mut [Complex64]) -> Result<(), FftError> {
         self.check_len(buf)?;
         self.permute(buf);
         self.butterflies_from(buf, 2, &self.twiddles_conj);
@@ -155,7 +155,7 @@ impl Fft {
     }
 
     /// Forward transform of `input` into a newly allocated output vector.
-    pub fn forward(&self, input: &[Complex64]) -> Result<Vec<Complex64>, FftError> {
+    fn forward(&self, input: &[Complex64]) -> Result<Vec<Complex64>, FftError> {
         let mut buf = input.to_vec();
         self.forward_in_place(&mut buf)?;
         Ok(buf)

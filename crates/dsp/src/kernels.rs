@@ -4,10 +4,10 @@
 //! autovectorize under `opt-level = 3` without any `unsafe` or
 //! architecture-specific intrinsics (the workspace forbids `unsafe_code`).
 //!
-//! * [`power_append`] / [`power_into`] operate on [`Complex64`] buffers and
-//!   are bit-identical to the scalar `norm_sqr` they replace (pure
-//!   elementwise IEEE ops, no reassociation), so the detector's gate
-//!   decisions do not change. They are the only kernels the gateway runs:
+//! * [`power_append`] operates on [`Complex64`] buffers and is
+//!   bit-identical to the scalar `norm_sqr` it replaces (pure elementwise
+//!   IEEE ops, no reassociation), so the detector's gate decisions do not
+//!   change. It is the only kernel the gateway runs:
 //!   its dechirp is `ChirpSynthesizer::dechirp_into` inside the `f64`
 //!   chirp bank.
 //! * [`dechirp_f32`] operates on split re/im `f32` slices — the wire format
@@ -17,18 +17,12 @@
 
 use crate::complex::Complex64;
 
-/// Writes `|x|²` for every sample into `out` (cleared and refilled).
+/// Appends `|x|²` for every sample to `out`, for callers keeping a power
+/// buffer aligned with a growing sample window.
 ///
 /// Elementwise and in input order, so each output value is bit-identical to
 /// `samples[i].norm_sqr()` — callers replacing a scalar loop keep exactly
 /// the same downstream decisions.
-pub fn power_into(samples: &[Complex64], out: &mut Vec<f64>) {
-    out.clear();
-    power_append(samples, out);
-}
-
-/// As [`power_into`] but appending to `out`, for callers keeping a power
-/// buffer aligned with a growing sample window.
 pub fn power_append(samples: &[Complex64], out: &mut Vec<f64>) {
     out.extend(samples.iter().map(|s| s.norm_sqr()));
 }
@@ -80,13 +74,13 @@ mod tests {
     }
 
     #[test]
-    fn power_into_is_bit_identical_to_scalar() {
+    fn power_append_is_bit_identical_to_scalar() {
         for n in [0usize, 1, 7, 8, 9, 64, 100] {
             let buf = samples(n);
             let mut out = vec![42.0; 3];
-            power_into(&buf, &mut out);
-            assert_eq!(out.len(), n);
-            for (i, p) in out.iter().enumerate() {
+            power_append(&buf, &mut out);
+            assert_eq!(out.len(), n + 3);
+            for (i, p) in out[3..].iter().enumerate() {
                 assert_eq!(*p, buf[i].norm_sqr(), "n={n} i={i}");
             }
         }

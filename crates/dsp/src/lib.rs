@@ -15,8 +15,7 @@
 //!   and FFT scores every device), the preamble sync machinery of §3.3.1.
 //! * [`kernels`] — autovectorizing elementwise kernels (per-sample power
 //!   for the energy gate, an f32-lane dechirp) for the streaming hot loops.
-//! * [`spectrum`] — power spectra, dB conversion, peak search, fractional
-//!   peak interpolation and side-lobe measurement (Fig. 8).
+//! * [`spectrum`] — power spectra and side-lobe measurement (Fig. 8).
 //! * [`spectrogram`] — short-time Fourier transform used to reproduce the
 //!   Fig. 16 spectrograms of the backscattered signal at different power
 //!   gains.
@@ -48,5 +47,4 @@ pub use chirp::{ChirpParams, ChirpSynthesizer};
 pub use complex::Complex64;
 pub use correlator::ChirpBank;
 pub use fft::{Fft, FftError};
-pub use spectrum::{power_spectrum_db, PeakSearch, SpectralPeak};
-pub use units::{db_to_linear, dbm_to_watts, linear_to_db, watts_to_dbm};
+pub use units::{db_to_linear, linear_to_db};

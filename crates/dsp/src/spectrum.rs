@@ -1,5 +1,4 @@
-//! Spectral analysis helpers: power spectra, peak search, fractional-bin
-//! interpolation and side-lobe measurements.
+//! Spectral analysis helpers: power spectra and side-lobe measurements.
 //!
 //! The NetScatter receiver's per-symbol decision is made entirely in the FFT
 //! domain: it looks for peaks at the assigned cyclic-shift bins and compares
@@ -11,127 +10,17 @@ use crate::complex::Complex64;
 use crate::fft::{Fft, FftError};
 use crate::units::linear_to_db;
 
-/// A located spectral peak.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SpectralPeak {
-    /// Index of the strongest FFT bin.
-    pub bin: usize,
-    /// Fractional bin estimate after parabolic interpolation around the peak.
-    pub fractional_bin: f64,
-    /// Linear power (squared magnitude) of the peak bin.
-    pub power: f64,
-}
-
 /// Computes the per-bin linear power (squared magnitude) of a spectrum.
-pub fn power_spectrum(spectrum: &[Complex64]) -> Vec<f64> {
+fn power_spectrum(spectrum: &[Complex64]) -> Vec<f64> {
     spectrum.iter().map(|c| c.norm_sqr()).collect()
 }
 
-/// As [`power_spectrum`], but writing into a caller-owned buffer (cleared
-/// and refilled) so the per-symbol decode path performs no heap allocation.
+/// Computes the per-bin linear power (squared magnitude) of a spectrum into
+/// a caller-owned buffer (cleared and refilled) so the per-symbol decode
+/// path performs no heap allocation.
 pub fn power_spectrum_into(spectrum: &[Complex64], out: &mut Vec<f64>) {
     out.clear();
     out.extend(spectrum.iter().map(|c| c.norm_sqr()));
-}
-
-/// Computes the per-bin power of a spectrum in dB, normalized so that the
-/// strongest bin is 0 dB. Empty bins map to `f64::NEG_INFINITY`.
-///
-/// This is the normalization used by Fig. 8 and Fig. 15(b) of the paper.
-pub fn power_spectrum_db(spectrum: &[Complex64]) -> Vec<f64> {
-    let power = power_spectrum(spectrum);
-    let max = power.iter().cloned().fold(0.0_f64, f64::max);
-    if max <= 0.0 {
-        return vec![f64::NEG_INFINITY; power.len()];
-    }
-    power.iter().map(|p| linear_to_db(p / max)).collect()
-}
-
-/// Peak-search utility over power spectra.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PeakSearch;
-
-impl PeakSearch {
-    /// Finds the global maximum of a power spectrum and refines its location
-    /// with parabolic (three-point) interpolation, yielding a fractional-bin
-    /// estimate.
-    ///
-    /// Returns `None` for an empty spectrum or an all-zero spectrum.
-    pub fn strongest(power: &[f64]) -> Option<SpectralPeak> {
-        if power.is_empty() {
-            return None;
-        }
-        let (bin, &peak_power) = power.iter().enumerate().max_by(|a, b| a.1.total_cmp(b.1))?;
-        if peak_power <= 0.0 {
-            return None;
-        }
-        let fractional_bin = Self::parabolic_refine(power, bin);
-        Some(SpectralPeak {
-            bin,
-            fractional_bin,
-            power: peak_power,
-        })
-    }
-
-    /// Finds the strongest peak in the complex spectrum directly.
-    pub fn strongest_complex(spectrum: &[Complex64]) -> Option<SpectralPeak> {
-        Self::strongest(&power_spectrum(spectrum))
-    }
-
-    /// Parabolic interpolation of the peak location using the (circularly
-    /// adjacent) neighbours in *dB* domain, which is the standard estimator
-    /// for sinusoid frequency on a windowed FFT.
-    fn parabolic_refine(power: &[f64], bin: usize) -> f64 {
-        let n = power.len();
-        if n < 3 {
-            return bin as f64;
-        }
-        let left = power[(bin + n - 1) % n].max(f64::MIN_POSITIVE);
-        let centre = power[bin].max(f64::MIN_POSITIVE);
-        let right = power[(bin + 1) % n].max(f64::MIN_POSITIVE);
-        let (l, c, r) = (
-            linear_to_db(left),
-            linear_to_db(centre),
-            linear_to_db(right),
-        );
-        // When the tone sits exactly on a bin (no zero-padding) the
-        // neighbouring bins carry only numerical noise; interpolating on
-        // them would add a spurious fractional component.
-        if c - l.max(r) > 60.0 {
-            return bin as f64;
-        }
-        let denom = l - 2.0 * c + r;
-        if denom.abs() < 1e-12 {
-            return bin as f64;
-        }
-        let delta = 0.5 * (l - r) / denom;
-        // Clamp: the true peak is within half a bin of the maximum bin.
-        let delta = delta.clamp(-0.5, 0.5);
-        bin as f64 + delta
-    }
-
-    /// Returns all local maxima whose power exceeds `threshold` (linear),
-    /// sorted by descending power. A bin is a local maximum if it is at least
-    /// as large as both circular neighbours.
-    pub fn peaks_above(power: &[f64], threshold: f64) -> Vec<SpectralPeak> {
-        let n = power.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let mut peaks: Vec<SpectralPeak> = (0..n)
-            .filter(|&i| {
-                let p = power[i];
-                p > threshold && p >= power[(i + n - 1) % n] && p >= power[(i + 1) % n]
-            })
-            .map(|i| SpectralPeak {
-                bin: i,
-                fractional_bin: Self::parabolic_refine(power, i),
-                power: power[i],
-            })
-            .collect();
-        peaks.sort_by(|a, b| b.power.total_cmp(&a.power));
-        peaks
-    }
 }
 
 /// Result of the Fig. 8 side-lobe analysis: the dechirped, zero-padded power
@@ -216,19 +105,6 @@ mod tests {
     use crate::fft::fft;
 
     #[test]
-    fn power_spectrum_db_normalizes_to_zero_db_peak() {
-        let spec = vec![
-            Complex64::new(1.0, 0.0),
-            Complex64::new(10.0, 0.0),
-            Complex64::new(0.0, 0.0),
-        ];
-        let db = power_spectrum_db(&spec);
-        assert!((db[1] - 0.0).abs() < 1e-12);
-        assert!((db[0] - (-20.0)).abs() < 1e-9);
-        assert_eq!(db[2], f64::NEG_INFINITY);
-    }
-
-    #[test]
     fn power_spectrum_into_matches_allocating_version() {
         let spec: Vec<Complex64> = (0..9)
             .map(|k| Complex64::cis(k as f64).scale(2.0))
@@ -236,76 +112,6 @@ mod tests {
         let mut out = vec![1.0; 3]; // stale contents must be discarded
         power_spectrum_into(&spec, &mut out);
         assert_eq!(out, power_spectrum(&spec));
-    }
-
-    #[test]
-    fn power_spectrum_db_of_all_zero_is_neg_infinity() {
-        let spec = vec![Complex64::ZERO; 4];
-        assert!(power_spectrum_db(&spec)
-            .iter()
-            .all(|d| *d == f64::NEG_INFINITY));
-    }
-
-    #[test]
-    fn strongest_peak_finds_tone() {
-        let n = 128;
-        let tone: Vec<Complex64> = (0..n)
-            .map(|t| Complex64::cis(2.0 * std::f64::consts::PI * 31.0 * t as f64 / n as f64))
-            .collect();
-        let spec = fft(&tone).unwrap();
-        let peak = PeakSearch::strongest_complex(&spec).unwrap();
-        assert_eq!(peak.bin, 31);
-        assert!((peak.fractional_bin - 31.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn strongest_of_empty_or_zero_spectrum_is_none() {
-        assert!(PeakSearch::strongest(&[]).is_none());
-        assert!(PeakSearch::strongest(&[0.0, 0.0, 0.0]).is_none());
-    }
-
-    #[test]
-    fn nan_contaminated_spectrum_does_not_panic_peak_searches() {
-        // An impaired spectrum (e.g. overflow in an upstream stage) must
-        // never panic the receiver: `total_cmp` gives NaN a total order
-        // instead of unwrapping a failed `partial_cmp`.
-        let power = vec![0.1, f64::NAN, 4.0, 0.2];
-        let _ = PeakSearch::strongest(&power);
-        let _ = PeakSearch::peaks_above(&power, 0.05);
-    }
-
-    #[test]
-    fn fractional_peak_interpolation_recovers_off_grid_tone() {
-        // Tone at bin 20.3 of a 64-point grid, zero-padded 8x for analysis.
-        let n = 64;
-        let true_bin = 20.3;
-        let tone: Vec<Complex64> = (0..n)
-            .map(|t| Complex64::cis(2.0 * std::f64::consts::PI * true_bin * t as f64 / n as f64))
-            .collect();
-        let plan = Fft::new(n * 8).unwrap();
-        let spec = plan.forward_zero_padded(&tone).unwrap();
-        let peak = PeakSearch::strongest_complex(&spec).unwrap();
-        let est = peak.fractional_bin / 8.0;
-        assert!(
-            (est - true_bin).abs() < 0.05,
-            "estimated {est}, expected {true_bin}"
-        );
-    }
-
-    #[test]
-    fn peaks_above_returns_sorted_local_maxima() {
-        let power = vec![0.1, 5.0, 0.2, 0.1, 9.0, 0.3, 0.1, 2.0];
-        let peaks = PeakSearch::peaks_above(&power, 1.0);
-        let bins: Vec<usize> = peaks.iter().map(|p| p.bin).collect();
-        assert_eq!(bins, vec![4, 1, 7]);
-    }
-
-    #[test]
-    fn peaks_above_threshold_filters_weak_bins() {
-        let power = vec![0.5, 3.0, 0.5, 0.9, 0.5];
-        let peaks = PeakSearch::peaks_above(&power, 2.0);
-        assert_eq!(peaks.len(), 1);
-        assert_eq!(peaks[0].bin, 1);
     }
 
     #[test]
@@ -345,10 +151,12 @@ mod tests {
     fn dechirped_shifted_chirp_peak_power_is_n_squared() {
         let synth = ChirpSynthesizer::new(ChirpParams::new(500e3, 8).unwrap());
         let sym = synth.shifted_upchirp(77);
-        let spec = fft(&synth.dechirp(&sym)).unwrap();
-        let peak = PeakSearch::strongest_complex(&spec).unwrap();
-        assert_eq!(peak.bin, 77);
+        let power = power_spectrum(&fft(&synth.dechirp(&sym)).unwrap());
+        let peak = (0..power.len())
+            .max_by(|&a, &b| power[a].total_cmp(&power[b]))
+            .unwrap();
+        assert_eq!(peak, 77);
         let n = 256.0_f64;
-        assert!((peak.power - n * n).abs() / (n * n) < 1e-9);
+        assert!((power[peak] - n * n).abs() / (n * n) < 1e-9);
     }
 }

@@ -24,11 +24,6 @@ pub fn variance(values: &[f64]) -> f64 {
     values.iter().map(|v| (v - m) * (v - m)).sum::<f64>() / values.len() as f64
 }
 
-/// Population standard deviation.
-pub fn std_dev(values: &[f64]) -> f64 {
-    variance(values).sqrt()
-}
-
 /// Minimum of a slice (0.0 for empty input).
 pub fn min(values: &[f64]) -> f64 {
     if values.is_empty() {
@@ -112,79 +107,9 @@ impl EmpiricalCdf {
         self.quantile(0.5)
     }
 
-    /// Evaluates the CDF on a regular grid of `points` values spanning the
-    /// sample range, returning `(x, P(X ≤ x))` pairs — convenient for
-    /// printing figure series.
-    pub fn curve(&self, points: usize) -> Vec<(f64, f64)> {
-        if self.sorted.is_empty() || points == 0 {
-            return Vec::new();
-        }
-        let lo = self.sorted[0];
-        let hi = self.sorted[self.sorted.len() - 1];
-        let span = (hi - lo).max(f64::MIN_POSITIVE);
-        (0..points)
-            .map(|i| {
-                let x = lo + span * i as f64 / (points.saturating_sub(1).max(1)) as f64;
-                (x, self.probability_at_or_below(x))
-            })
-            .collect()
-    }
-
     /// Underlying sorted samples.
     pub fn samples(&self) -> &[f64] {
         &self.sorted
-    }
-}
-
-/// A running-average accumulator with count, used for streaming Monte-Carlo
-/// statistics without storing every sample.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RunningStats {
-    count: u64,
-    mean: f64,
-    m2: f64,
-}
-
-impl RunningStats {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds a sample (Welford's algorithm).
-    pub fn push(&mut self, x: f64) {
-        self.count += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-    }
-
-    /// Number of samples pushed.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Current mean (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Current population variance (0.0 with fewer than two samples).
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Current standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
     }
 }
 
@@ -197,7 +122,6 @@ mod tests {
         let v = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         assert!((mean(&v) - 5.0).abs() < 1e-12);
         assert!((variance(&v) - 4.0).abs() < 1e-12);
-        assert!((std_dev(&v) - 2.0).abs() < 1e-12);
     }
 
     #[test]
@@ -234,39 +158,5 @@ mod tests {
         assert!(empty.is_empty());
         assert_eq!(empty.probability_at_or_below(1.0), 0.0);
         assert_eq!(empty.quantile(0.7), 0.0);
-        assert!(empty.curve(10).is_empty());
-    }
-
-    #[test]
-    fn cdf_curve_is_monotonic() {
-        let cdf = EmpiricalCdf::from_samples((0..100).map(|i| (i as f64).sin()).collect());
-        let curve = cdf.curve(50);
-        assert_eq!(curve.len(), 50);
-        for w in curve.windows(2) {
-            assert!(w[1].1 >= w[0].1);
-            assert!(w[1].0 >= w[0].0);
-        }
-        assert!((curve.last().unwrap().1 - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn running_stats_match_batch_stats() {
-        let data: Vec<f64> = (0..1000).map(|i| ((i * 37) % 101) as f64 / 7.0).collect();
-        let mut rs = RunningStats::new();
-        for &x in &data {
-            rs.push(x);
-        }
-        assert_eq!(rs.count(), 1000);
-        assert!((rs.mean() - mean(&data)).abs() < 1e-9);
-        assert!((rs.variance() - variance(&data)).abs() < 1e-9);
-        assert!((rs.std_dev() - std_dev(&data)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn running_stats_empty_defaults() {
-        let rs = RunningStats::new();
-        assert_eq!(rs.count(), 0);
-        assert_eq!(rs.mean(), 0.0);
-        assert_eq!(rs.variance(), 0.0);
     }
 }

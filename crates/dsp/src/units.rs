@@ -31,15 +31,9 @@ pub fn linear_to_db(linear: f64) -> f64 {
     }
 }
 
-/// Converts a power in dBm to watts.
-#[inline]
-pub fn dbm_to_watts(dbm: f64) -> f64 {
-    1e-3 * db_to_linear(dbm)
-}
-
 /// Converts a power in watts to dBm.
 #[inline]
-pub fn watts_to_dbm(watts: f64) -> f64 {
+fn watts_to_dbm(watts: f64) -> f64 {
     linear_to_db(watts / 1e-3)
 }
 
@@ -49,16 +43,6 @@ pub fn db_to_amplitude(db: f64) -> f64 {
     10f64.powf(db / 20.0)
 }
 
-/// Converts a linear amplitude ratio to decibels.
-#[inline]
-pub fn amplitude_to_db(linear: f64) -> f64 {
-    if linear <= 0.0 {
-        f64::NEG_INFINITY
-    } else {
-        20.0 * linear.log10()
-    }
-}
-
 /// Thermal noise power in watts for a given bandwidth and noise figure.
 ///
 /// `N = k·T·B·F` where `F` is the linear noise figure of the receiver.
@@ -66,7 +50,7 @@ pub fn amplitude_to_db(linear: f64) -> f64 {
 /// used throughout the workspace is defined by
 /// [`DEFAULT_NOISE_FIGURE_DB`].
 #[inline]
-pub fn thermal_noise_watts(bandwidth_hz: f64, noise_figure_db: f64) -> f64 {
+fn thermal_noise_watts(bandwidth_hz: f64, noise_figure_db: f64) -> f64 {
     BOLTZMANN * ROOM_TEMPERATURE_K * bandwidth_hz * db_to_linear(noise_figure_db)
 }
 
@@ -114,26 +98,22 @@ mod tests {
     fn linear_to_db_of_zero_is_neg_infinity() {
         assert_eq!(linear_to_db(0.0), f64::NEG_INFINITY);
         assert_eq!(linear_to_db(-1.0), f64::NEG_INFINITY);
-        assert_eq!(amplitude_to_db(0.0), f64::NEG_INFINITY);
     }
 
     #[test]
     fn dbm_watt_round_trip() {
-        assert!((dbm_to_watts(0.0) - 1e-3).abs() < 1e-15);
-        assert!((dbm_to_watts(30.0) - 1.0).abs() < 1e-12);
         assert!((watts_to_dbm(1e-3) - 0.0).abs() < 1e-12);
         for dbm in [-120.0, -49.0, 0.0, 30.0] {
-            assert!((watts_to_dbm(dbm_to_watts(dbm)) - dbm).abs() < 1e-9);
+            assert!((watts_to_dbm(1e-3 * db_to_linear(dbm)) - dbm).abs() < 1e-9);
         }
     }
 
     #[test]
     fn amplitude_db_uses_20log10() {
         assert!((db_to_amplitude(20.0) - 10.0).abs() < 1e-12);
-        assert!((amplitude_to_db(10.0) - 20.0).abs() < 1e-12);
         // amplitude db of x equals power db of x^2
         let x = 3.7;
-        assert!((amplitude_to_db(x) - linear_to_db(x * x)).abs() < 1e-9);
+        assert!((db_to_amplitude(linear_to_db(x * x)) - x).abs() < 1e-9);
     }
 
     #[test]

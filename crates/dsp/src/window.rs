@@ -37,15 +37,6 @@ impl WindowKind {
     pub fn generate(self, n: usize) -> Vec<f64> {
         (0..n).map(|i| self.value(i, n)).collect()
     }
-
-    /// Coherent gain of the window (mean value), used to normalize spectra
-    /// measured through the window.
-    pub fn coherent_gain(self, n: usize) -> f64 {
-        if n == 0 {
-            return 1.0;
-        }
-        self.generate(n).iter().sum::<f64>() / n as f64
-    }
 }
 
 #[cfg(test)]
@@ -58,7 +49,6 @@ mod tests {
             .generate(16)
             .iter()
             .all(|v| *v == 1.0));
-        assert_eq!(WindowKind::Rectangular.coherent_gain(16), 1.0);
     }
 
     #[test]
@@ -83,16 +73,8 @@ mod tests {
     }
 
     #[test]
-    fn coherent_gains_are_in_expected_range() {
-        assert!((WindowKind::Hann.coherent_gain(1024) - 0.5).abs() < 1e-3);
-        assert!((WindowKind::Hamming.coherent_gain(1024) - 0.54).abs() < 1e-3);
-        assert!((WindowKind::Blackman.coherent_gain(1024) - 0.42).abs() < 1e-3);
-    }
-
-    #[test]
     fn degenerate_lengths_do_not_panic() {
         assert_eq!(WindowKind::Hann.generate(0).len(), 0);
         assert_eq!(WindowKind::Hann.generate(1), vec![1.0]);
-        assert_eq!(WindowKind::Hann.coherent_gain(0), 1.0);
     }
 }

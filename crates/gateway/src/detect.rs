@@ -780,7 +780,8 @@ mod tests {
 
             // Load the stream as the detector's window directly.
             det.window = stream.clone();
-            netscatter_dsp::kernels::power_into(&det.window, &mut det.powers);
+            det.powers.clear();
+            netscatter_dsp::kernels::power_append(&det.window, &mut det.powers);
             det.window_start = window_start;
 
             det.combs_bank(window_start + comb_lo as u64, candidates, n);

@@ -111,17 +111,6 @@ impl PipelineTelemetry {
     }
 }
 
-impl GatewayReport {
-    /// Packets whose decode detected at least one device (an energy-gate
-    /// trigger that decodes to zero devices is a false alarm, not a round).
-    pub fn detected_rounds(&self) -> usize {
-        self.packets
-            .iter()
-            .filter(|p| !p.round.devices.is_empty())
-            .count()
-    }
-}
-
 /// The outcome of one multi-channel session: per-channel reports plus the
 /// aggregate counters a capacity planner actually reads.
 ///
@@ -172,14 +161,6 @@ impl MultiChannelReport {
             },
             channels,
         }
-    }
-
-    /// Total packets that detected at least one device, across channels.
-    pub fn detected_rounds(&self) -> usize {
-        self.channels
-            .iter()
-            .map(GatewayReport::detected_rounds)
-            .sum()
     }
 }
 
@@ -361,6 +342,16 @@ mod tests {
     use crate::stream_with_packets;
     use netscatter_phy::params::PhyProfile;
 
+    /// Packets whose decode detected at least one device (an energy-gate
+    /// trigger that decodes to zero devices is a false alarm, not a round).
+    fn detected_rounds(report: &GatewayReport) -> usize {
+        report
+            .packets
+            .iter()
+            .filter(|p| !p.round.devices.is_empty())
+            .count()
+    }
+
     #[test]
     fn synchronous_gateway_decodes_every_packet() {
         let bits = vec![true, false, true, true, false, true];
@@ -401,7 +392,7 @@ mod tests {
         assert_eq!(report.packets, sync_packets);
         assert_eq!(report.samples_in, source.len() as u64);
         assert_eq!(report.truncated, 0);
-        assert_eq!(report.detected_rounds(), 4);
+        assert_eq!(detected_rounds(&report), 4);
         assert!(report.samples_per_sec > 0.0);
         assert!(report.real_time_factor > 0.0);
     }
@@ -439,7 +430,10 @@ mod tests {
             assert_eq!(channel.truncated, reference.truncated);
         }
         assert_eq!(report.samples_in, (ch0.len() + ch1.len()) as u64);
-        assert_eq!(report.detected_rounds(), 5);
+        assert_eq!(
+            report.channels.iter().map(detected_rounds).sum::<usize>(),
+            5
+        );
         assert!(report.aggregate_samples_per_sec > 0.0);
         assert!(report.aggregate_real_time_factor > 0.0);
     }

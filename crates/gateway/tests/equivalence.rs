@@ -48,7 +48,7 @@ fn build_round(rng: &mut StdRng, devices: usize, offset: usize, payload_bits: us
         // residual stays safely under half a bin, so the sync comb's
         // argmax is unambiguous (exactly the §3.2.1 invariant the batch
         // receiver itself relies on).
-        let timing_s = rng.gen_range(0.0..0.3) * params.sample_period_s();
+        let timing_s = rng.gen_range(0.0..0.3) * (1.0 / params.bandwidth_hz());
         let freq_hz = rng.gen_range(-80.0..80.0);
         let amp = rng.gen_range(0.5..1.5);
         let pre = PreambleBuilder::new(params, bin).build(timing_s, freq_hz, amp);
@@ -81,7 +81,7 @@ fn build_round_with_frames(rng: &mut StdRng, offset: usize, frames: &[Vec<bool>]
     let payload_bits = frames[0].len();
     let mut body = vec![Complex64::ZERO; (8 + payload_bits) * n];
     for (&bin, bits) in bins.iter().zip(frames) {
-        let timing_s = rng.gen_range(0.0..0.3) * params.sample_period_s();
+        let timing_s = rng.gen_range(0.0..0.3) * (1.0 / params.bandwidth_hz());
         let freq_hz = rng.gen_range(-80.0..80.0);
         let amp = rng.gen_range(0.5..1.5);
         let pre = PreambleBuilder::new(params, bin).build(timing_s, freq_hz, amp);

@@ -32,7 +32,7 @@ fn bucket_index(value: u64) -> usize {
 }
 
 /// Inclusive lower bound of bucket `i`.
-pub fn bucket_lower(i: usize) -> u64 {
+fn bucket_lower(i: usize) -> u64 {
     match i {
         0 => 0,
         _ => 1u64 << (i - 1),

@@ -4,7 +4,7 @@
 //! and a flat list of key/value fields; correlation happens through
 //! conventional field names (`stream`, `span`, `round`, `channel`) rather
 //! than thread-local context, so the same event renders identically from
-//! any thread. Rendering is a pure function ([`format_line`]) over those
+//! any thread. Rendering is a pure function (`format_line`) over those
 //! parts — the global logger just filters by level and writes the
 //! rendered line to stderr under the stream lock (stdout is reserved for
 //! protocol output: NDJSON frame records and experiment reports).
@@ -188,10 +188,6 @@ pub fn warn(target: &str, msg: &str, fields: &[(&str, Value<'_>)]) {
 pub fn info(target: &str, msg: &str, fields: &[(&str, Value<'_>)]) {
     log(Level::Info, target, msg, fields);
 }
-/// [`log`] at [`Level::Debug`].
-pub fn debug(target: &str, msg: &str, fields: &[(&str, Value<'_>)]) {
-    log(Level::Debug, target, msg, fields);
-}
 
 fn unix_now() -> f64 {
     SystemTime::now()
@@ -202,7 +198,7 @@ fn unix_now() -> f64 {
 
 /// Render one event; pure, so the format is unit-testable without
 /// capturing stderr. `unix_ts` is seconds since the epoch.
-pub fn format_line(
+fn format_line(
     level: Level,
     target: &str,
     msg: &str,

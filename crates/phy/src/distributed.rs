@@ -173,7 +173,7 @@ impl OnOffModulator {
     /// As [`Self::modulate_payload`], but writing into a caller-owned buffer
     /// (cleared and resized to `bits.len()` symbols), synthesizing each '1'
     /// symbol in place with no per-symbol allocation.
-    pub fn modulate_payload_into(
+    fn modulate_payload_into(
         &self,
         bits: &[bool],
         timing_offset_s: f64,
@@ -253,14 +253,6 @@ impl ConcurrentDemodulator {
         Ok(ws.power)
     }
 
-    /// As [`Self::padded_spectrum`] but dechirping with the *upchirp*, for
-    /// received downchirp preamble symbols.
-    pub fn padded_spectrum_downchirp(&self, symbol: &[Complex64]) -> Result<Vec<f64>, FftError> {
-        let mut ws = DemodWorkspace::new();
-        self.padded_spectrum_downchirp_into(symbol, &mut ws)?;
-        Ok(ws.power)
-    }
-
     /// Allocation-free variant of [`Self::padded_spectrum`]: dechirp,
     /// pruned zero-padded FFT and power spectrum all run inside the
     /// workspace's scratch buffers. Returns the power spectrum borrowed from
@@ -292,7 +284,8 @@ impl ConcurrentDemodulator {
         self.dechirped_spectrum_into(symbol, step, ws, false)
     }
 
-    /// Allocation-free variant of [`Self::padded_spectrum_downchirp`].
+    /// As [`Self::padded_spectrum_into`] but dechirping with the *upchirp*,
+    /// for received downchirp preamble symbols.
     pub fn padded_spectrum_downchirp_into<'ws>(
         &self,
         symbol: &[Complex64],
@@ -453,35 +446,15 @@ impl ConcurrentDemodulator {
         (best.0, best.1 as f64 / pad as f64)
     }
 
-    /// Demodulates one payload symbol for a set of devices.
+    /// Demodulates one payload symbol for a set of devices, writing one
+    /// decision per device into `decisions` (cleared first).
     ///
     /// `assignments` maps each device to its chirp bin; `thresholds` gives
     /// the per-device linear power threshold (half the preamble average in
     /// the paper's receiver, §3.3.1); `search_halfwidth_bins` bounds the peak
-    /// search window around each assignment.
-    pub fn demodulate_symbol(
-        &self,
-        symbol: &[Complex64],
-        assignments: &[usize],
-        thresholds: &[f64],
-        search_halfwidth_bins: f64,
-    ) -> Result<Vec<SymbolDecision>, FftError> {
-        let mut ws = DemodWorkspace::new();
-        let mut decisions = Vec::new();
-        self.demodulate_symbol_with(
-            symbol,
-            assignments,
-            thresholds,
-            search_halfwidth_bins,
-            &mut ws,
-            &mut decisions,
-        )?;
-        Ok(decisions)
-    }
-
-    /// As [`Self::demodulate_symbol`], but reusing the workspace's scratch
-    /// buffers and writing the decisions into a caller-owned vector (cleared
-    /// first), so steady-state demodulation performs no heap allocation.
+    /// search window around each assignment. The spectrum runs in the
+    /// workspace's scratch buffers, so steady-state demodulation performs no
+    /// heap allocation.
     pub fn demodulate_symbol_with(
         &self,
         symbol: &[Complex64],
@@ -525,6 +498,26 @@ mod tests {
 
     fn params() -> ChirpParams {
         ChirpParams::new(500e3, 9).unwrap()
+    }
+
+    fn demodulate(
+        demod: &ConcurrentDemodulator,
+        symbol: &[Complex64],
+        assignments: &[usize],
+        thresholds: &[f64],
+    ) -> Vec<SymbolDecision> {
+        let mut decisions = Vec::new();
+        demod
+            .demodulate_symbol_with(
+                symbol,
+                assignments,
+                thresholds,
+                1.0,
+                &mut DemodWorkspace::new(),
+                &mut decisions,
+            )
+            .unwrap();
+        decisions
     }
 
     #[test]
@@ -572,9 +565,7 @@ mod tests {
         }
         let n2 = (p.num_bins() as f64).powi(2);
         let thresholds = vec![n2 * 0.25; assignments.len()];
-        let decisions = demod
-            .demodulate_symbol(&rx, &assignments, &thresholds, 1.0)
-            .unwrap();
+        let decisions = demodulate(&demod, &rx, &assignments, &thresholds);
         for (dec, &expected) in decisions.iter().zip(&bits) {
             assert_eq!(dec.bit, expected, "device at bin {}", dec.assigned_bin);
         }
@@ -600,9 +591,7 @@ mod tests {
         let n = p.num_bins() as f64;
         // Expected on-peak power ~ (amplitude*n)^2; threshold at a quarter.
         let thresholds = vec![amplitude * amplitude * n * n * 0.25; assignments.len()];
-        let decisions = demod
-            .demodulate_symbol(&rx, &assignments, &thresholds, 1.0)
-            .unwrap();
+        let decisions = demodulate(&demod, &rx, &assignments, &thresholds);
         let errors = decisions
             .iter()
             .zip(&bits)
@@ -658,6 +647,20 @@ mod tests {
         assert_eq!(pos, 40.0);
         let n2 = (p.num_bins() as f64).powi(2);
         assert!((power - n2).abs() / n2 < 1e-6);
+    }
+
+    #[test]
+    fn nan_contaminated_spectrum_does_not_panic_peak_searches() {
+        // An impaired spectrum (e.g. overflow in an upstream stage) must
+        // never panic the receiver's peak searches.
+        let p = params();
+        let demod = ConcurrentDemodulator::new(p, 2).unwrap();
+        let mut spec = vec![0.1; 2 * p.num_bins()];
+        spec[80] = f64::NAN;
+        spec[81] = 4.0;
+        let _ = demod.device_power(&spec, 40, 1.0);
+        let _ = demod.device_power_at(&spec, 40.5, 1.0);
+        let _ = demod.device_peak_track(&spec, 40.0, 1.0, 0.75);
     }
 
     #[test]
@@ -760,7 +763,7 @@ mod tests {
         let demod = ConcurrentDemodulator::new(params(), 8).unwrap();
         assert!(demod.padded_spectrum(&[Complex64::ONE; 100]).is_err());
         assert!(demod
-            .padded_spectrum_downchirp(&[Complex64::ONE; 100])
+            .padded_spectrum_downchirp_into(&[Complex64::ONE; 100], &mut DemodWorkspace::new())
             .is_err());
     }
 
@@ -776,7 +779,7 @@ mod tests {
         let p = params();
         let demod = ConcurrentDemodulator::new(p, 2).unwrap();
         let sym = vec![Complex64::ZERO; p.num_bins()];
-        let _ = demod.demodulate_symbol(&sym, &[1, 2], &[0.5], 1.0);
+        let _ = demodulate(&demod, &sym, &[1, 2], &[0.5]);
     }
 
     #[test]
@@ -790,9 +793,7 @@ mod tests {
         // Threshold calibrated for a unit-amplitude device.
         let n = p.num_bins() as f64;
         let thresholds = vec![n * n * 0.25; 4];
-        let decisions = demod
-            .demodulate_symbol(&rx, &assignments, &thresholds, 1.0)
-            .unwrap();
+        let decisions = demodulate(&demod, &rx, &assignments, &thresholds);
         assert!(decisions.iter().all(|d| !d.bit));
     }
 
@@ -802,7 +803,8 @@ mod tests {
         let m = OnOffModulator::new(p, 40);
         let demod = ConcurrentDemodulator::new(p, 4).unwrap();
         let sym = m.preamble_downchirp(0.0, 0.0, 1.0);
-        let spec = demod.padded_spectrum_downchirp(&sym).unwrap();
+        let mut ws = DemodWorkspace::new();
+        let spec = demod.padded_spectrum_downchirp_into(&sym, &mut ws).unwrap();
         let peak = (0..spec.len())
             .max_by(|&a, &b| spec[a].total_cmp(&spec[b]))
             .unwrap();
@@ -823,32 +825,6 @@ mod tests {
             let fast = demod.padded_spectrum_into(&sym, &mut ws).unwrap().to_vec();
             assert_eq!(fast, demod.padded_spectrum(&sym).unwrap());
         }
-        let down = m.preamble_downchirp(0.0, 0.0, 1.0);
-        let fast = demod
-            .padded_spectrum_downchirp_into(&down, &mut ws)
-            .unwrap()
-            .to_vec();
-        assert_eq!(fast, demod.padded_spectrum_downchirp(&down).unwrap());
-        // And the decision path agrees with the allocating one.
-        let assignments = vec![77usize, 200];
-        let thresholds = vec![1.0, 1.0];
-        let mut decisions = Vec::new();
-        demod
-            .demodulate_symbol_with(
-                &sym,
-                &assignments,
-                &thresholds,
-                1.0,
-                &mut ws,
-                &mut decisions,
-            )
-            .unwrap();
-        assert_eq!(
-            decisions,
-            demod
-                .demodulate_symbol(&sym, &assignments, &thresholds, 1.0)
-                .unwrap()
-        );
     }
 
     #[test]

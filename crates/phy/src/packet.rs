@@ -3,10 +3,9 @@
 //!
 //! The evaluation uses a 40-bit payload+CRC (Figs. 18–19), a 5-byte payload
 //! for the PHY-rate experiment (Fig. 17), and an 8-symbol preamble. The
-//! [`PacketTiming`] helper turns those counts into on-air durations for both
-//! NetScatter (one ON-OFF bit per symbol) and the LoRa-backscatter baseline
-//! (`SF` bits per symbol), which is exactly what the Fig. 17–19 accounting
-//! needs.
+//! [`PacketTiming`] helper turns those counts into on-air durations for
+//! NetScatter (one ON-OFF bit per symbol), which is what the Fig. 17–19
+//! accounting needs.
 
 use crate::params::ModulationConfig;
 use crate::preamble::PREAMBLE_SYMBOLS;
@@ -62,12 +61,6 @@ impl LinkPacket {
         Self { payload }
     }
 
-    /// The paper's link-layer experiment payload: 4 bytes of payload plus the
-    /// CRC byte makes the 40-bit "payload + CRC" of §4.4.
-    pub fn link_layer_default() -> Self {
-        Self::new(vec![0xA5, 0x5A, 0x0F, 0xF0])
-    }
-
     /// Serializes the packet to bits: payload followed by CRC-8.
     pub fn to_bits(&self) -> Vec<bool> {
         let mut bytes = self.payload.clone();
@@ -119,19 +112,8 @@ impl PacketTiming {
         }
     }
 
-    /// Timing of a single-user LoRa-backscatter packet carrying
-    /// `payload_bits` (`SF` bits per symbol, rounded up).
-    pub fn lora(config: &ModulationConfig, payload_bits: usize) -> Self {
-        let sf = config.spreading_factor as usize;
-        Self {
-            preamble_symbols: PREAMBLE_SYMBOLS,
-            payload_symbols: payload_bits.div_ceil(sf),
-            symbol_duration_s: config.symbol_duration_s(),
-        }
-    }
-
     /// Total number of symbols.
-    pub fn total_symbols(&self) -> usize {
+    fn total_symbols(&self) -> usize {
         self.preamble_symbols + self.payload_symbols
     }
 
@@ -196,11 +178,6 @@ mod tests {
     }
 
     #[test]
-    fn link_layer_default_is_40_bits() {
-        assert_eq!(LinkPacket::link_layer_default().to_bits().len(), 40);
-    }
-
-    #[test]
     fn netscatter_timing_uses_one_bit_per_symbol() {
         let cfg = ModulationConfig::paper_default();
         let t = PacketTiming::netscatter(&cfg, 40);
@@ -210,27 +187,5 @@ mod tests {
         // 48 symbols * 1.024 ms ≈ 49.2 ms.
         assert!((t.duration_s() - 48.0 * 1.024e-3).abs() < 1e-9);
         assert!((t.payload_duration_s() - 40.0 * 1.024e-3).abs() < 1e-9);
-    }
-
-    #[test]
-    fn lora_timing_packs_sf_bits_per_symbol() {
-        let cfg = ModulationConfig::paper_default();
-        let t = PacketTiming::lora(&cfg, 40);
-        // ceil(40 / 9) = 5 payload symbols.
-        assert_eq!(t.payload_symbols, 5);
-        assert_eq!(t.total_symbols(), 13);
-        // A 40-bit LoRa packet is much shorter on air than a 40-symbol
-        // NetScatter packet — the concurrency, not the per-packet airtime,
-        // is where NetScatter wins.
-        assert!(t.duration_s() < PacketTiming::netscatter(&cfg, 40).duration_s());
-    }
-
-    #[test]
-    fn lora_timing_rounds_partial_symbols_up() {
-        let cfg = ModulationConfig::paper_default();
-        assert_eq!(PacketTiming::lora(&cfg, 1).payload_symbols, 1);
-        assert_eq!(PacketTiming::lora(&cfg, 9).payload_symbols, 1);
-        assert_eq!(PacketTiming::lora(&cfg, 10).payload_symbols, 2);
-        assert_eq!(PacketTiming::lora(&cfg, 0).payload_symbols, 0);
     }
 }

@@ -159,11 +159,6 @@ impl PhyProfile {
     pub fn max_concurrent_devices(&self) -> usize {
         self.modulation.num_bins() / self.skip.max(1)
     }
-
-    /// Duration of transmitting `bits` over the ASK downlink, in seconds.
-    pub fn downlink_duration_s(&self, bits: usize) -> f64 {
-        bits as f64 / self.downlink_bitrate_bps
-    }
 }
 
 #[cfg(test)]
@@ -234,10 +229,6 @@ mod tests {
         let profile = PhyProfile::default();
         // SKIP=2 on 512 bins supports 256 concurrent devices — the deployment size.
         assert_eq!(profile.max_concurrent_devices(), 256);
-        // A 32-bit query at 160 kbps takes 200 µs.
-        assert!((profile.downlink_duration_s(32) - 0.0002).abs() < 1e-12);
-        // The paper's config-2 query (1760 bits) takes 11 ms.
-        assert!((profile.downlink_duration_s(1760) - 0.011).abs() < 1e-12);
         // SKIP=0 is treated as 1.
         let p = PhyProfile {
             skip: 0,

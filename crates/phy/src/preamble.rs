@@ -130,50 +130,6 @@ impl PreambleDetector {
         &self.demod
     }
 
-    /// Estimates the packet start within `stream`, searching candidate
-    /// offsets `0..=max_offset` samples, and returns the offset whose
-    /// upchirp preamble symbols dechirp most sharply (highest summed peak
-    /// power). Returns `None` if the stream is too short to hold a preamble
-    /// at any candidate offset.
-    pub fn estimate_packet_start(&self, stream: &[Complex64], max_offset: usize) -> Option<usize> {
-        let mut ws = DemodWorkspace::new();
-        self.estimate_packet_start_with(stream, max_offset, &mut ws)
-    }
-
-    /// As [`Self::estimate_packet_start`], reusing the caller's workspace:
-    /// the search evaluates `(max_offset + 1) · 6` padded spectra, all of
-    /// which now run through one set of scratch buffers.
-    pub fn estimate_packet_start_with(
-        &self,
-        stream: &[Complex64],
-        max_offset: usize,
-        ws: &mut DemodWorkspace,
-    ) -> Option<usize> {
-        let n = self.demod.params().num_bins();
-        let needed = PREAMBLE_UPCHIRPS * n;
-        if stream.len() < needed {
-            return None;
-        }
-        let max_offset = max_offset.min(stream.len() - needed);
-        let mut best_offset = 0usize;
-        let mut best_metric = f64::NEG_INFINITY;
-        for offset in 0..=max_offset {
-            let mut metric = 0.0;
-            for s in 0..PREAMBLE_UPCHIRPS {
-                let start = offset + s * n;
-                let symbol = &stream[start..start + n];
-                if let Ok(spec) = self.demod.padded_spectrum_into(symbol, ws) {
-                    metric += spec.iter().cloned().fold(0.0, f64::max);
-                }
-            }
-            if metric > best_metric {
-                best_metric = metric;
-                best_offset = offset;
-            }
-        }
-        Some(best_offset)
-    }
-
     /// Detects which devices are transmitting, given the aligned preamble
     /// samples (at least the six upchirp symbols).
     ///
@@ -358,28 +314,6 @@ mod tests {
         let found = det.detect_devices(&rx, &[20, 200], n2 * 0.1).unwrap();
         let bins: Vec<usize> = found.iter().map(|d| d.chirp_bin).collect();
         assert_eq!(bins, vec![20]);
-    }
-
-    #[test]
-    fn packet_start_estimation_recovers_known_offset() {
-        let p = params();
-        let det = PreambleDetector::new(p, 2).unwrap();
-        let pre = PreambleBuilder::new(p, 77).build(0.0, 0.0, 1.0);
-        for true_offset in [0usize, 3, 17, 40] {
-            let mut stream = vec![Complex64::ZERO; true_offset];
-            stream.extend_from_slice(&pre);
-            stream.extend(vec![Complex64::ZERO; 64]);
-            let est = det.estimate_packet_start(&stream, 64).unwrap();
-            assert_eq!(est, true_offset, "offset {true_offset}");
-        }
-    }
-
-    #[test]
-    fn packet_start_estimation_rejects_too_short_stream() {
-        let det = PreambleDetector::new(params(), 2).unwrap();
-        assert!(det
-            .estimate_packet_start(&[Complex64::ONE; 100], 10)
-            .is_none());
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!
 //! Every experiment accepts the same universal flags (`--quick`/`--paper`,
 //! `--seed`, `--threads`, `--fidelity`, `--devices`, `--placement`,
-//! `--channel`, `--scheme`, `--payload-bits`).
+//! `--channel`, `--payload-bits`, `--coding`).
 
 use crate::experiment::{render, Experiment, ExperimentResult, OutputFormat, SCHEMA_VERSION};
 use crate::experiments::{find, registry};
@@ -50,10 +50,6 @@ impl CliError {
 
 /// The `--help` text.
 pub fn usage() -> String {
-    let schemes: Vec<&str> = crate::scenario::Scheme::ALL
-        .iter()
-        .map(|s| s.name())
-        .collect();
     format!(
         "netscatter — unified experiment runner for the NetScatter reproduction
 
@@ -72,7 +68,6 @@ FLAGS (run & sweep):
   --devices <N>               population size (default: 256)
   --placement <office|hall>
   --channel <office|outdoor|pristine>
-  --scheme <{schemes}>
   --payload-bits <N>
   --coding <{codings}>        link-layer coding scheme (default: none)
   --arrival-rate <R>          gateway round arrivals per second (default: 10)
@@ -82,11 +77,10 @@ FLAGS (run & sweep):
   --format <text|json|csv>    output sink (default: text)
   --out <PATH>                write output to PATH instead of stdout
 
-Enum values (--fidelity, --scheme, --placement, --channel, --format, and
+Enum values (--fidelity, --placement, --channel, --coding, --format, and
 their --set counterparts) are case-insensitive.
 Sweepable scenario fields: {fields}
 Run `netscatter list` for the experiment ids.",
-        schemes = schemes.join("|"),
         codings = coding_names().join("|"),
         fields = SCENARIO_FIELDS.join(", ")
     )
@@ -150,7 +144,7 @@ pub fn parse_flags(args: &[String], allow_grid: bool) -> Result<RunOptions, CliE
             // Enum-valued fields are case-insensitive inside `set_field`,
             // which also covers the `--set` sweep path.
             "--seed" | "--threads" | "--devices" | "--placement" | "--channel" | "--fidelity"
-            | "--scheme" | "--coding" => {
+            | "--coding" => {
                 let field = arg.trim_start_matches("--").to_string();
                 let v = value(&mut i, arg)?;
                 opts.scenario
@@ -496,8 +490,6 @@ mod tests {
                 "hall",
                 "--channel",
                 "outdoor",
-                "--scheme",
-                "lora-fixed",
                 "--payload-bits",
                 "16",
                 "--format",
@@ -610,8 +602,8 @@ mod tests {
             &args(&[
                 "--fidelity",
                 "Sample",
-                "--scheme",
-                "LoRa-Fixed",
+                "--placement",
+                "HALL",
                 "--format",
                 "JSON",
             ]),
@@ -622,7 +614,7 @@ mod tests {
             opts.scenario.fidelity,
             crate::network::Fidelity::SampleLevel
         );
-        assert_eq!(opts.scenario.scheme.name(), "lora-fixed");
+        assert_eq!(opts.scenario.placement, crate::scenario::Placement::Hall);
         assert_eq!(opts.format, OutputFormat::Json);
         // Other flags stay strict: values that are not enum names at any
         // capitalization still fail.
@@ -664,6 +656,7 @@ mod tests {
     fn unknown_flags_and_bad_values_are_usage_errors() {
         for bad in [
             vec!["--frobnicate"],
+            vec!["--scheme", "netscatter"],
             vec!["--seed"],
             vec!["--seed", "many"],
             vec!["--fidelity", "vibes"],
@@ -692,6 +685,7 @@ mod tests {
         // Unknown fields, empty values, and duplicate axes are rejected at
         // parse time (a second axis on one field would mislabel the sweep).
         assert!(parse_flags(&args(&["--set", "volume=11"]), true).is_err());
+        assert!(parse_flags(&args(&["--set", "scheme=netscatter"]), true).is_err());
         assert!(parse_flags(&args(&["--set", "devices=,"]), true).is_err());
         assert!(parse_flags(&args(&["--set", "devices"]), true).is_err());
         let dup = parse_flags(&args(&["--set", "seed=1,2", "--set", "seed=3"]), true).unwrap_err();

@@ -163,11 +163,6 @@ impl Deployment {
         self.devices.iter().map(|d| d.uplink_rssi_dbm).collect()
     }
 
-    /// Uplink SNRs of all devices, in dB.
-    pub fn uplink_snr_db(&self) -> Vec<f64> {
-        self.devices.iter().map(|d| d.uplink_snr_db).collect()
-    }
-
     /// The spread (max − min) of uplink RSSI across devices, in dB — the
     /// near-far dynamic range the receiver must absorb.
     pub fn dynamic_range_db(&self) -> f64 {
@@ -220,7 +215,6 @@ mod tests {
         let dr = dep.dynamic_range_db();
         assert!(dr > 20.0 && dr < 55.0, "dynamic range {dr} dB");
         assert_eq!(dep.uplink_rssi_dbm().len(), 128);
-        assert_eq!(dep.uplink_snr_db().len(), 128);
     }
 
     #[test]

@@ -431,7 +431,7 @@ pub fn render(
 
 /// `git describe --always --dirty` of the working tree, or `"unknown"`
 /// outside a git checkout. Computed once per process.
-pub fn git_describe() -> String {
+fn git_describe() -> String {
     use std::sync::OnceLock;
     static DESCRIBE: OnceLock<String> = OnceLock::new();
     DESCRIBE

@@ -73,5 +73,5 @@ pub use experiment::{Experiment, ExperimentResult, OutputFormat, Table};
 pub use fullround::{ChannelModel, ChannelRealizer, FullRoundNetwork, RoundChannel, RoundTruth};
 pub use montecarlo::MonteCarlo;
 pub use network::{netscatter_metrics, netscatter_metrics_with, Fidelity, NetScatterVariant};
-pub use scenario::{ChannelProfile, Placement, Scale, Scenario, ScenarioBuilder, Scheme};
+pub use scenario::{ChannelProfile, Placement, Scale, Scenario, ScenarioBuilder};
 pub use stream::{ArrivalConfig, RoundArrivalSource, StreamRoundTruth, StreamTruth};

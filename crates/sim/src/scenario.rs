@@ -3,9 +3,9 @@
 //! A [`Scenario`] declaratively bundles everything an experiment run depends
 //! on: the population (device count and placement), the channel stack
 //! (multipath profile, fading, Doppler, CFO/jitter, noise — selected through
-//! a named [`ChannelProfile`]), the delivery [`Fidelity`], the [`Scheme`]
-//! under test, the Monte-Carlo seed, the worker-thread bound, the run
-//! [`Scale`] and the per-device payload size. The experiment drivers in
+//! a named [`ChannelProfile`]), the delivery [`Fidelity`], the Monte-Carlo
+//! seed, the worker-thread bound, the run [`Scale`], the per-device payload
+//! size, the streaming-gateway parameters and the link-layer coding. The experiment drivers in
 //! [`crate::experiments`] consume whichever subset of these fields they are
 //! parameterized by (declared per experiment via
 //! [`crate::experiment::Experiment::scenario_fields`]); the `netscatter` CLI
@@ -19,11 +19,7 @@
 use crate::deployment::{Deployment, DeploymentConfig};
 use crate::fullround::ChannelModel;
 use crate::montecarlo::{available_threads, MonteCarlo};
-use crate::network::{
-    lora_backscatter_metrics_with, netscatter_metrics_with, Fidelity, NetScatterVariant,
-    SchemeMetrics,
-};
-use netscatter_baselines::tdma::LoraScheme;
+use crate::network::Fidelity;
 use netscatter_coding::frame::FrameCodec;
 pub use netscatter_coding::CodingScheme;
 use rand::rngs::StdRng;
@@ -112,43 +108,6 @@ impl ChannelProfile {
     }
 }
 
-/// The scheme a single-scheme evaluation measures. (The figure experiments
-/// that plot several schemes side by side run all of them regardless.)
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum Scheme {
-    /// A NetScatter variant (Config 1 / Config 2 / Ideal).
-    NetScatter(NetScatterVariant),
-    /// A sequential TDMA LoRa-backscatter baseline.
-    TdmaLora(LoraScheme),
-}
-
-impl Scheme {
-    /// The stable CLI name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Scheme::NetScatter(NetScatterVariant::Config1) => "netscatter",
-            Scheme::NetScatter(NetScatterVariant::Config2) => "netscatter-cfg2",
-            Scheme::NetScatter(NetScatterVariant::Ideal) => "netscatter-ideal",
-            Scheme::TdmaLora(s) => s.label(),
-        }
-    }
-
-    /// Every scheme the scenario API can evaluate, in CLI-name order.
-    pub const ALL: [Scheme; 5] = [
-        Scheme::NetScatter(NetScatterVariant::Config1),
-        Scheme::NetScatter(NetScatterVariant::Config2),
-        Scheme::NetScatter(NetScatterVariant::Ideal),
-        Scheme::TdmaLora(LoraScheme {
-            adaptation: netscatter_baselines::rate_adaptation::RateAdaptation::Fixed,
-            query_bits: 28,
-        }),
-        Scheme::TdmaLora(LoraScheme {
-            adaptation: netscatter_baselines::rate_adaptation::RateAdaptation::Ideal,
-            query_bits: 28,
-        }),
-    ];
-}
-
 /// A fully specified experiment input. See the module docs for the role of
 /// each field; construct via [`Scenario::builder`] or [`Scenario::default`]
 /// (the paper-default office evaluation at seed 42).
@@ -163,8 +122,6 @@ pub struct Scenario {
     pub channel: ChannelProfile,
     /// Delivery model for the network experiments.
     pub fidelity: Fidelity,
-    /// Scheme for single-scheme evaluations ([`Scenario::scheme_metrics`]).
-    pub scheme: Scheme,
     /// Trial-count scale.
     pub scale: Scale,
     /// Monte-Carlo base seed.
@@ -198,7 +155,6 @@ impl Default for Scenario {
             placement: Placement::Office,
             channel: ChannelProfile::Office,
             fidelity: Fidelity::Analytical,
-            scheme: Scheme::NetScatter(NetScatterVariant::Config1),
             scale: Scale::Full,
             seed: 42,
             threads: available_threads(),
@@ -223,12 +179,11 @@ const MAX_ARRIVAL_RATE_HZ: f64 = 1e6;
 
 /// The names of every settable [`Scenario`] field, in canonical order —
 /// the vocabulary of `netscatter sweep` and [`Scenario::set_field`].
-pub const SCENARIO_FIELDS: [&str; 14] = [
+pub const SCENARIO_FIELDS: [&str; 13] = [
     "devices",
     "placement",
     "channel",
     "fidelity",
-    "scheme",
     "scale",
     "seed",
     "threads",
@@ -262,7 +217,6 @@ impl Scenario {
             ("placement", self.placement.name().to_string()),
             ("channel", self.channel.name().to_string()),
             ("fidelity", self.fidelity_name().to_string()),
-            ("scheme", self.scheme.name().to_string()),
             ("scale", self.scale.name().to_string()),
             ("seed", self.seed.to_string()),
             ("threads", self.threads.to_string()),
@@ -277,7 +231,7 @@ impl Scenario {
 
     /// Sets one field from its CLI string form. Unknown fields and
     /// unparsable values return a usage-quality error message. Enum-valued
-    /// fields (`placement`, `channel`, `fidelity`, `scheme`, `scale`)
+    /// fields (`placement`, `channel`, `fidelity`, `scale`, `coding`)
     /// accept any capitalization — both the flag and `--set` sweep paths
     /// go through here.
     pub fn set_field(&mut self, name: &str, value: &str) -> Result<(), String> {
@@ -381,16 +335,6 @@ impl Scenario {
                     }
                 }
             }
-            "scheme" => {
-                let lower = value.to_lowercase();
-                self.scheme = Scheme::ALL
-                    .into_iter()
-                    .find(|s| s.name() == lower)
-                    .ok_or_else(|| {
-                        let names: Vec<&str> = Scheme::ALL.iter().map(|s| s.name()).collect();
-                        format!("scheme expects one of {}, got {value:?}", names.join("/"))
-                    })?;
-            }
             "scale" => {
                 self.scale = match value.to_lowercase().as_str() {
                     "quick" => Scale::Quick,
@@ -425,16 +369,6 @@ impl Scenario {
         Ok(())
     }
 
-    /// The frame codec this scenario's coding scheme implies, or `None` for
-    /// uncoded raw-bit payloads. Errors exactly when [`Scenario::validate`]
-    /// does.
-    pub fn frame_codec(&self) -> Result<Option<FrameCodec>, String> {
-        if self.coding == CodingScheme::None {
-            return Ok(None);
-        }
-        FrameCodec::new(self.coding, self.payload_bits).map(Some)
-    }
-
     /// The deployment this scenario describes, generated deterministically
     /// from the scenario seed.
     pub fn deployment(&self) -> Deployment {
@@ -453,37 +387,6 @@ impl Scenario {
     /// The deterministic sharded Monte-Carlo runner for this scenario.
     pub fn monte_carlo(&self) -> MonteCarlo {
         MonteCarlo::with_threads(self.seed, self.threads)
-    }
-
-    /// Evaluates the scenario's [`Scheme`] end to end and returns its
-    /// network metrics — the single-scheme programmatic entry point that
-    /// lets library users compose workload combinations (e.g. outdoor
-    /// multipath × hall placement × sample fidelity) that the fixed figure
-    /// drivers never plotted.
-    pub fn scheme_metrics(&self) -> SchemeMetrics {
-        let deployment = self.deployment();
-        let model = self.channel_model();
-        let mc = self.monte_carlo();
-        match self.scheme {
-            Scheme::NetScatter(variant) => netscatter_metrics_with(
-                &deployment,
-                self.devices,
-                self.payload_bits,
-                variant,
-                self.fidelity,
-                &model,
-                &mc,
-            ),
-            Scheme::TdmaLora(scheme) => lora_backscatter_metrics_with(
-                &deployment,
-                self.devices,
-                self.payload_bits,
-                scheme,
-                self.fidelity,
-                &model,
-                &mc,
-            ),
-        }
     }
 }
 
@@ -514,12 +417,6 @@ impl ScenarioBuilder {
     /// Delivery model.
     pub fn fidelity(mut self, fidelity: Fidelity) -> Self {
         self.0.fidelity = fidelity;
-        self
-    }
-
-    /// Scheme under test for single-scheme evaluations.
-    pub fn scheme(mut self, scheme: Scheme) -> Self {
-        self.0.scheme = scheme;
         self
     }
 
@@ -603,6 +500,11 @@ impl ScenarioBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::network::{
+        lora_backscatter_metrics_with, netscatter_metrics_with, NetScatterVariant,
+    };
+    use netscatter_baselines::rate_adaptation::RateAdaptation;
+    use netscatter_baselines::tdma::LoraScheme;
 
     #[test]
     fn builder_overrides_defaults() {
@@ -656,7 +558,6 @@ mod tests {
             ("placement", "hall"),
             ("channel", "pristine"),
             ("fidelity", "sample"),
-            ("scheme", "lora-adapted"),
             ("scale", "quick"),
             ("seed", "9"),
             ("threads", "2"),
@@ -672,19 +573,7 @@ mod tests {
         let fields = s.fields();
         assert_eq!(fields.len(), SCENARIO_FIELDS.len());
         for ((name, got), want) in fields.iter().zip([
-            "32",
-            "hall",
-            "pristine",
-            "sample",
-            "lora-adapted",
-            "quick",
-            "9",
-            "2",
-            "16",
-            "2.5",
-            "0.75",
-            "512",
-            "2",
+            "32", "hall", "pristine", "sample", "quick", "9", "2", "16", "2.5", "0.75", "512", "2",
             "rs",
         ]) {
             assert_eq!(got, want, "field {name}");
@@ -737,9 +626,9 @@ mod tests {
         );
         assert!(s.set_field("fidelity", "vibes").is_err());
         assert!(s
-            .set_field("scheme", "aloha")
+            .set_field("scheme", "netscatter")
             .unwrap_err()
-            .contains("netscatter"));
+            .contains("unknown"));
         assert!(s
             .set_field("coding", "turbo")
             .unwrap_err()
@@ -760,32 +649,39 @@ mod tests {
     }
 
     #[test]
-    fn scheme_names_are_unique_and_parse_back() {
-        let mut seen = std::collections::HashSet::new();
-        for scheme in Scheme::ALL {
-            assert!(seen.insert(scheme.name()), "duplicate {}", scheme.name());
-            let mut s = Scenario::default();
-            s.set_field("scheme", scheme.name()).unwrap();
-            assert_eq!(s.scheme, scheme);
-        }
-    }
-
-    #[test]
-    fn scheme_metrics_composes_new_workloads() {
+    fn scenario_parts_compose_new_workloads() {
         // A combination no fixed binary could express: 48 devices in an
         // open hall, evaluated programmatically for two schemes on the same
         // scenario. NetScatter's concurrent round must beat TDMA's serial
         // schedule on link-layer rate.
-        let base = Scenario::builder()
+        let s = Scenario::builder()
             .devices(48)
             .placement(Placement::Hall)
             .scale(Scale::Quick)
             .seed(3)
             .build();
-        let ns = base.clone().scheme_metrics();
-        let mut lora = base.clone();
-        lora.set_field("scheme", "lora-fixed").unwrap();
-        let lora = lora.scheme_metrics();
+        let (deployment, model, mc) = (s.deployment(), s.channel_model(), s.monte_carlo());
+        let ns = netscatter_metrics_with(
+            &deployment,
+            s.devices,
+            s.payload_bits,
+            NetScatterVariant::Config1,
+            s.fidelity,
+            &model,
+            &mc,
+        );
+        let lora = lora_backscatter_metrics_with(
+            &deployment,
+            s.devices,
+            s.payload_bits,
+            LoraScheme {
+                adaptation: RateAdaptation::Fixed,
+                query_bits: 28,
+            },
+            s.fidelity,
+            &model,
+            &mc,
+        );
         assert_eq!(ns.num_devices, 48);
         assert_eq!(lora.num_devices, 48);
         assert!(ns.link_layer_rate_bps > lora.link_layer_rate_bps);
@@ -801,17 +697,15 @@ mod tests {
         }
         // The default scenario (coding none) always validates.
         assert_eq!(Scenario::default().validate(), Ok(()));
-        assert!(Scenario::default().frame_codec().unwrap().is_none());
         // Setter order never matters: coding before payload_bits is fine
         // until validate() runs on the finished scenario.
         let mut s = Scenario::default();
         s.set_field("coding", "rs").unwrap();
         let err = s.validate().unwrap_err();
         assert!(err.contains("payload_bits"), "{err}");
-        assert!(s.frame_codec().is_err());
         s.set_field("payload_bits", "112").unwrap();
         assert_eq!(s.validate(), Ok(()));
-        let codec = s.frame_codec().unwrap().expect("coded scenario");
+        let codec = FrameCodec::new(s.coding, s.payload_bits).unwrap();
         assert_eq!(codec.data_bits(), 16);
         // The builder path reaches the same validation.
         let s = Scenario::builder()
