@@ -175,11 +175,12 @@ impl Json {
     }
 
     /// Parses a JSON document. The whole input must be one value (plus
-    /// surrounding whitespace).
+    /// surrounding whitespace), nested at most 64 arrays/objects deep.
     pub fn parse(input: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -255,9 +256,16 @@ impl fmt::Display for JsonError {
     }
 }
 
+/// How deep arrays and objects may nest. The parser recurses once per
+/// level, so without a bound one 64 KiB header line of `[` overflows the
+/// serving thread's stack and aborts the process.
+const MAX_DEPTH: usize = 64;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -302,11 +310,29 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.error("expected a JSON value")),
         }
+    }
+
+    /// Parses an array or object one level deeper, refusing to pass
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error(&format!(
+                "nesting depth {} exceeds the limit of {MAX_DEPTH}",
+                MAX_DEPTH + 1
+            )));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -606,6 +632,30 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    /// `depth` nested empty arrays.
+    fn nest(depth: usize) -> String {
+        "[".repeat(depth) + &"]".repeat(depth)
+    }
+
+    #[test]
+    fn nesting_to_depth_64_parses() {
+        assert!(Json::parse(&nest(MAX_DEPTH)).is_ok());
+        // Objects and arrays count alike.
+        let mixed = |objects: usize| "{\"a\":".repeat(objects) + &nest(32) + &"}".repeat(objects);
+        assert!(Json::parse(&mixed(32)).is_ok());
+        assert!(Json::parse(&mixed(33)).is_err());
+    }
+
+    #[test]
+    fn nesting_past_depth_64_is_a_typed_error() {
+        let err = Json::parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH, "fails at the 65th opener");
+        assert!(err.message.contains("nesting depth 65"), "{err}");
+        // Far past the limit, where the recursion used to overflow the stack.
+        let err = Json::parse(&"[".repeat(60_000)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
     }
 
     #[test]

@@ -247,3 +247,37 @@ fn out_of_range_bins_are_refused_before_an_engine_is_spawned() {
     assert_eq!(daemon.health().get(HealthCounter::WorkerPanics), 0);
     daemon.shutdown();
 }
+
+/// A header line of 60 000 `[` fits the 64 KiB line bound. It must be
+/// refused as `bad_header` by the JSON nesting limit, not overflow the
+/// serving thread's stack and abort the daemon, and the next connection
+/// must be served.
+#[test]
+fn deeply_nested_headers_are_refused_and_the_daemon_keeps_serving() {
+    let profile = PhyProfile::default();
+    let mut cfg = DaemonConfig::new(GatewayConfig::new(profile, vec![64], 8));
+    cfg.metrics = None;
+    let daemon = Daemon::start(cfg).unwrap();
+    let exchange = |line: String| -> Vec<String> {
+        let sock = TcpStream::connect(daemon.ingest_addr()).expect("connect");
+        sock.set_read_timeout(Some(Duration::from_secs(20)))
+            .unwrap();
+        let _ = (&sock).write_all(format!("{line}\n").as_bytes());
+        let _ = sock.shutdown(Shutdown::Write);
+        BufReader::new(sock).lines().map_while(Result::ok).collect()
+    };
+
+    let lines = exchange("[".repeat(60_000));
+    assert_eq!(lines.len(), 1, "{lines:?}");
+    assert!(
+        lines[0].contains("\"type\":\"error\"")
+            && lines[0].contains(code::BAD_HEADER)
+            && lines[0].contains("nesting depth"),
+        "{}",
+        lines[0]
+    );
+
+    let lines = exchange(StreamHeader::named("after").to_json_line());
+    assert!(lines[0].contains("\"ready\""), "{lines:?}");
+    daemon.shutdown();
+}

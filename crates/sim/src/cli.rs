@@ -232,7 +232,7 @@ fn edit_distance(a: &str, b: &str) -> usize {
 fn nearest_experiment_id(id: &str) -> Option<&'static str> {
     registry()
         .iter()
-        .map(|e| (edit_distance(id, e.id()), e.id()))
+        .map(|e| (edit_distance(id, e.id), e.id))
         .min()
         .filter(|(d, best)| *d * 2 <= id.len().max(best.len()))
         .map(|(_, best)| best)
@@ -240,9 +240,9 @@ fn nearest_experiment_id(id: &str) -> Option<&'static str> {
 
 /// Looks up `id` in the registry with a usage-quality error, suggesting the
 /// nearest registered id on a miss.
-fn find_experiment(id: &str) -> Result<&'static dyn Experiment, CliError> {
+fn find_experiment(id: &str) -> Result<&'static Experiment, CliError> {
     find(id).ok_or_else(|| {
-        let ids: Vec<&str> = registry().iter().map(|e| e.id()).collect();
+        let ids: Vec<&str> = registry().iter().map(|e| e.id).collect();
         let hint = nearest_experiment_id(id)
             .map(|best| format!(" did you mean {best:?}?"))
             .unwrap_or_default();
@@ -254,23 +254,23 @@ fn find_experiment(id: &str) -> Result<&'static dyn Experiment, CliError> {
 }
 
 /// Warns (stderr) when a flag sets a field the experiment never reads.
-fn warn_unused_fields(exp: &dyn Experiment, opts: &RunOptions) {
+fn warn_unused_fields(exp: &Experiment, opts: &RunOptions) {
     let defaults = Scenario::default();
     let default_fields = defaults.fields();
     for ((name, value), (_, default)) in opts.scenario.fields().iter().zip(&default_fields) {
-        let used = exp.scenario_fields().contains(name);
+        let used = exp.fields.contains(name);
         if value != default && !used {
             eprintln!(
                 "note: {} does not read scenario field '{name}' (set to {value}); result is unaffected",
-                exp.id()
+                exp.id
             );
         }
     }
     for (field, _) in &opts.grid {
-        if !exp.scenario_fields().contains(&field.as_str()) {
+        if !exp.fields.contains(&field.as_str()) {
             eprintln!(
                 "note: {} does not read scenario field '{field}'; sweeping it repeats the same result",
-                exp.id()
+                exp.id
             );
         }
     }
@@ -296,13 +296,13 @@ fn emit(content: &str, out: &Option<String>) -> Result<(), CliError> {
 fn list() -> Result<(), CliError> {
     println!("registered experiments ({}):", registry().len());
     for exp in registry() {
-        let fields = exp.scenario_fields();
+        let fields = exp.fields;
         let knobs = if fields.is_empty() {
             "none (pure function)".to_string()
         } else {
             fields.join(", ")
         };
-        println!("  {:18} {}", exp.id(), exp.title());
+        println!("  {:18} {}", exp.id, exp.title);
         println!("  {:18}   scenario knobs: {knobs}", "");
     }
     Ok(())
@@ -388,7 +388,7 @@ fn sweep(id: &str, flag_args: &[String]) -> Result<(), CliError> {
             );
             Json::object(vec![
                 ("schema_version", Json::Num(SCHEMA_VERSION as f64)),
-                ("experiment", Json::Str(exp.id().to_string())),
+                ("experiment", Json::Str(exp.id.to_string())),
                 ("sweep", axes),
                 (
                     "results",

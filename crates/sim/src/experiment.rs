@@ -1,15 +1,16 @@
-//! The typed experiment API: trait, structured results, and output sinks.
+//! The typed experiment API: registry entries, structured results, and
+//! output sinks.
 //!
-//! Every table/figure/analysis driver of the evaluation implements
-//! [`Experiment`]: a named, registered unit that maps a
-//! [`crate::scenario::Scenario`] to a structured
+//! Every table/figure/analysis driver of the evaluation is one
+//! [`Experiment`] in [`crate::experiments::registry`]: a named unit that
+//! maps a [`crate::scenario::Scenario`] to a structured
 //! [`ExperimentResult`]. Results are plain data — named tables of numeric
 //! rows plus named scalars, stamped with the scenario, a `schema_version`
 //! and the source revision — so downstream tooling (sweeps, regression
 //! gates, plotting) composes them programmatically instead of scraping
-//! text. The pre-redesign text reports are reproduced byte-for-byte by each
-//! experiment's [`Experiment::render_text`], making the old format just one
-//! sink among [`OutputFormat::Json`] and [`OutputFormat::Csv`].
+//! text. The pre-redesign text reports are reproduced byte-for-byte by
+//! [`Experiment::render_text`], making the old format just one sink among
+//! [`OutputFormat::Json`] and [`OutputFormat::Csv`].
 
 use crate::scenario::Scenario;
 use netscatter::json::Json;
@@ -123,7 +124,7 @@ fn json_to_num(v: &Json) -> Result<f64, String> {
 impl ExperimentResult {
     /// A result shell for `experiment` under `scenario`, stamped with the
     /// schema version and source revision; tables and scalars start empty.
-    pub fn new(experiment: &str, title: &str, scenario: &Scenario) -> Self {
+    fn new(experiment: &str, title: &str, scenario: &Scenario) -> Self {
         Self {
             schema_version: SCHEMA_VERSION,
             experiment: experiment.to_string(),
@@ -368,26 +369,37 @@ impl ExperimentResult {
     }
 }
 
-/// One registered driver of the evaluation.
-pub trait Experiment: Sync {
+/// One registered driver of the evaluation: a row of
+/// [`crate::experiments::registry`].
+pub struct Experiment {
     /// Stable registry id (`"fig17"`, `"table1"`, `"perf"`).
-    fn id(&self) -> &'static str;
-
+    pub id: &'static str,
     /// One-line description shown by `netscatter list`.
-    fn title(&self) -> &'static str;
-
+    pub title: &'static str,
     /// The [`Scenario`] fields this experiment is actually parameterized
     /// by. Sweeping or setting a field outside this list runs fine but
     /// cannot change the result; the CLI uses the list to warn about it.
-    fn scenario_fields(&self) -> &'static [&'static str];
+    pub fields: &'static [&'static str],
+    /// Fills the tables and scalars of a result whose header is stamped.
+    pub(crate) run: fn(&Scenario, &mut ExperimentResult),
+    /// The text report of a result.
+    pub(crate) render: fn(&ExperimentResult) -> String,
+}
 
+impl Experiment {
     /// Runs the experiment under `scenario`.
-    fn run(&self, scenario: &Scenario) -> ExperimentResult;
+    pub fn run(&self, scenario: &Scenario) -> ExperimentResult {
+        let mut result = ExperimentResult::new(self.id, self.title, scenario);
+        (self.run)(scenario, &mut result);
+        result
+    }
 
     /// Renders a result of this experiment as the pre-redesign text report
     /// (byte-identical to the output of the former per-figure binary at the
     /// same scenario — pinned by the golden parity tests).
-    fn render_text(&self, result: &ExperimentResult) -> String;
+    pub fn render_text(&self, result: &ExperimentResult) -> String {
+        (self.render)(result)
+    }
 }
 
 /// How a result leaves the process.
@@ -417,11 +429,7 @@ impl OutputFormat {
 
 /// Renders `result` through the chosen sink. Text needs the experiment for
 /// its report format; JSON and CSV are experiment-independent.
-pub fn render(
-    experiment: &dyn Experiment,
-    result: &ExperimentResult,
-    format: OutputFormat,
-) -> String {
+pub fn render(experiment: &Experiment, result: &ExperimentResult, format: OutputFormat) -> String {
     match format {
         OutputFormat::Text => experiment.render_text(result),
         OutputFormat::Json => result.to_json().to_string_pretty(),
@@ -455,7 +463,11 @@ mod tests {
     use crate::scenario::Scale;
 
     fn sample_result() -> ExperimentResult {
-        let scenario = Scenario::builder().scale(Scale::Quick).seed(9).build();
+        let scenario = Scenario {
+            scale: Scale::Quick,
+            seed: 9,
+            ..Scenario::default()
+        };
         let mut result = ExperimentResult::new("demo", "A demo result", &scenario);
         let mut t = Table::new("sweep", &[("n", ""), ("rate", "bps")]);
         t.push_row(vec![1.0, 0.125]);

@@ -1,13 +1,15 @@
 //! The registered experiment drivers — one per table/figure/analysis of the
 //! paper's evaluation, plus the `perf` kernel-timing snapshot.
 //!
-//! Every driver implements [`Experiment`]: `run` maps a
-//! [`Scenario`] to a structured [`ExperimentResult`] (named numeric tables
-//! plus named scalars), and `render_text` reproduces the pre-redesign text
-//! report byte-for-byte from that structure — pinned by the golden parity
-//! tests in `tests/golden_parity.rs`. [`registry`] / [`find`] are the one
-//! way in: the `netscatter` CLI, the examples and the tests all go
-//! through them.
+//! Every driver is one [`Experiment`] row of [`registry`]: a run function
+//! that fills the structured [`ExperimentResult`] of a [`Scenario`] (named
+//! numeric tables plus named scalars), and a render function that
+//! reproduces the pre-redesign text report byte-for-byte from that
+//! structure — pinned by the golden parity tests in
+//! `tests/golden_parity.rs`. Figs. 17–19 are three `NetworkFigure` views of
+//! one sweep, paper values included. [`registry`] / [`find`] are the one
+//! way in: the `netscatter` CLI, the examples and the tests all go through
+//! them.
 
 use crate::ber::{max_tolerable_power_difference_db_sharded, near_far_ber_sharded, NearFarConfig};
 use crate::deployment::Deployment;
@@ -38,33 +40,152 @@ use std::fmt::Write as _;
 pub use crate::scenario::Scale;
 
 /// The registered experiments, in the order `netscatter list` prints them.
-static REGISTRY: [&dyn Experiment; 16] = [
-    &Table1,
-    &Fig04,
-    &Fig08,
-    &Fig09,
-    &Fig12,
-    &Fig14,
-    &Fig15,
-    &Fig16,
-    &Fig17,
-    &Fig18,
-    &Fig19,
-    &AnalysisChoir,
-    &AnalysisCapacity,
-    &Gateway,
-    &Goodput,
-    &Perf,
+static REGISTRY: [Experiment; 16] = [
+    Experiment {
+        id: "table1",
+        title: "Table 1: modulation configurations and derived properties",
+        fields: &[],
+        run: table1,
+        render: table1_text,
+    },
+    Experiment {
+        id: "fig04",
+        title: "Fig. 4: CDF of delta-FFT-bin, backscatter vs. active LoRa radios",
+        fields: &["scale", "seed"],
+        run: fig04,
+        render: fig04_text,
+    },
+    Experiment {
+        id: "fig08",
+        title: "Fig. 8: dechirped-spectrum side-lobe envelope",
+        fields: &[],
+        run: fig08,
+        render: fig08_text,
+    },
+    Experiment {
+        id: "fig09",
+        title: "Fig. 9: CDF of SNR variation under office mobility",
+        fields: &["scale", "seed"],
+        run: fig09,
+        render: fig09_text,
+    },
+    Experiment {
+        id: "fig12",
+        title: "Fig. 12: near-far BER vs. SNR with a strong interferer",
+        fields: &["scale", "seed", "threads"],
+        run: fig12,
+        render: fig12_text,
+    },
+    Experiment {
+        id: "fig14",
+        title: "Fig. 14: frequency offsets and residual delta-FFT-bin",
+        fields: &["scale", "seed"],
+        run: fig14,
+        render: fig14_text,
+    },
+    Experiment {
+        id: "fig15",
+        title: "Fig. 15: Doppler delta-FFT-bin and power dynamic range",
+        fields: &["scale", "seed", "threads"],
+        run: fig15,
+        render: fig15_text,
+    },
+    Experiment {
+        id: "fig16",
+        title: "Fig. 16: backscatter power levels via the switch network",
+        fields: &[],
+        run: fig16,
+        render: fig16_text,
+    },
+    Experiment {
+        id: "fig17",
+        title: "Fig. 17: network PHY rate vs. number of devices",
+        fields: &NETWORK_FIG_FIELDS,
+        run: |s, r| network_figure(&FIG17, s, r),
+        render: |r| network_figure_text(&FIG17, r),
+    },
+    Experiment {
+        id: "fig18",
+        title: "Fig. 18: link-layer data rate vs. number of devices",
+        fields: &NETWORK_FIG_FIELDS,
+        run: |s, r| network_figure(&FIG18, s, r),
+        render: |r| network_figure_text(&FIG18, r),
+    },
+    Experiment {
+        id: "fig19",
+        title: "Fig. 19: network latency vs. number of devices",
+        fields: &NETWORK_FIG_FIELDS,
+        run: |s, r| network_figure(&FIG19, s, r),
+        render: |r| network_figure_text(&FIG19, r),
+    },
+    Experiment {
+        id: "analysis_choir",
+        title: "§2.2 analysis: Choir / concurrent-LoRa collision probabilities",
+        fields: &[],
+        run: analysis_choir,
+        render: analysis_choir_text,
+    },
+    Experiment {
+        id: "analysis_capacity",
+        title: "§3.1 analysis: distributed-CSS throughput gain and capacity scaling",
+        fields: &[],
+        run: analysis_capacity,
+        render: analysis_capacity_text,
+    },
+    Experiment {
+        id: "gateway",
+        title: "Streaming gateway: continuous-stream detect + decode, real-time factor",
+        fields: &[
+            "devices",
+            "placement",
+            "channel",
+            "fidelity",
+            "scale",
+            "seed",
+            "threads",
+            "payload_bits",
+            "arrival_rate",
+            "stream_secs",
+            "chunk_samples",
+            "channels",
+        ],
+        run: gateway,
+        render: gateway_text,
+    },
+    Experiment {
+        id: "goodput",
+        title: "Coded link layer: goodput vs code rate vs device count",
+        fields: &[
+            "devices",
+            "placement",
+            "channel",
+            "fidelity",
+            "scale",
+            "seed",
+            "threads",
+            "payload_bits",
+            "coding",
+        ],
+        run: goodput,
+        render: goodput_text,
+    },
+    Experiment {
+        id: "perf",
+        title: "Perf snapshot: decode and sample-level round throughput",
+        fields: &["seed"],
+        run: perf,
+        render: perf_text,
+    },
 ];
 
 /// Every registered experiment.
-pub fn registry() -> &'static [&'static dyn Experiment] {
+pub fn registry() -> &'static [Experiment] {
     &REGISTRY
 }
 
 /// Looks an experiment up by its registry id.
-pub fn find(id: &str) -> Option<&'static dyn Experiment> {
-    registry().iter().find(|e| e.id() == id).copied()
+pub fn find(id: &str) -> Option<&'static Experiment> {
+    registry().iter().find(|e| e.id == id)
 }
 
 /// The report-header tag for a fidelity mode.
@@ -79,259 +200,187 @@ fn fidelity_tag(fidelity: Fidelity) -> &'static str {
 // Table 1
 
 /// Table 1: modulation configurations and their derived properties.
-pub struct Table1;
-
-impl Experiment for Table1 {
-    fn id(&self) -> &'static str {
-        "table1"
+fn table1(_: &Scenario, result: &mut ExperimentResult) {
+    let mut t = Table::new(
+        "configs",
+        &[
+            ("bandwidth_hz", "Hz"),
+            ("spreading_factor", ""),
+            ("tolerable_timing_mismatch_s", "s"),
+            ("tolerable_frequency_mismatch_hz", "Hz"),
+            ("per_device_bitrate_bps", "bps"),
+            ("sensitivity_dbm", "dBm"),
+        ],
+    );
+    for cfg in ModulationConfig::table1_rows() {
+        t.push_row(vec![
+            cfg.bandwidth_hz,
+            cfg.spreading_factor as f64,
+            cfg.tolerable_timing_mismatch_s(),
+            cfg.tolerable_frequency_mismatch_hz(),
+            cfg.per_device_bitrate_bps(),
+            cfg.sensitivity_dbm(),
+        ]);
     }
+    result.tables.push(t);
+}
 
-    fn title(&self) -> &'static str {
-        "Table 1: modulation configurations and derived properties"
-    }
-
-    fn scenario_fields(&self) -> &'static [&'static str] {
-        &[]
-    }
-
-    fn run(&self, scenario: &Scenario) -> ExperimentResult {
-        let mut result = ExperimentResult::new(self.id(), self.title(), scenario);
-        let mut t = Table::new(
-            "configs",
-            &[
-                ("bandwidth_hz", "Hz"),
-                ("spreading_factor", ""),
-                ("tolerable_timing_mismatch_s", "s"),
-                ("tolerable_frequency_mismatch_hz", "Hz"),
-                ("per_device_bitrate_bps", "bps"),
-                ("sensitivity_dbm", "dBm"),
-            ],
+fn table1_text(result: &ExperimentResult) -> String {
+    let mut out = String::from(
+        "Table 1: NetScatter modulation configurations\nBW[kHz]  SF  TimeVar[us]  FreqVar[Hz]  BitRate[bps]  Sensitivity[dBm]\n",
+    );
+    for row in &result.table("configs").expect("configs table").rows {
+        let _ = writeln!(
+            out,
+            "{:7.0}  {:2.0}  {:11.1}  {:11.0}  {:12.0}  {:16.1}",
+            row[0] / 1e3,
+            row[1],
+            row[2] * 1e6,
+            row[3],
+            row[4],
+            row[5]
         );
-        for cfg in ModulationConfig::table1_rows() {
-            t.push_row(vec![
-                cfg.bandwidth_hz,
-                cfg.spreading_factor as f64,
-                cfg.tolerable_timing_mismatch_s(),
-                cfg.tolerable_frequency_mismatch_hz(),
-                cfg.per_device_bitrate_bps(),
-                cfg.sensitivity_dbm(),
-            ]);
-        }
-        result.tables.push(t);
-        result
     }
-
-    fn render_text(&self, result: &ExperimentResult) -> String {
-        let mut out = String::from(
-            "Table 1: NetScatter modulation configurations\nBW[kHz]  SF  TimeVar[us]  FreqVar[Hz]  BitRate[bps]  Sensitivity[dBm]\n",
-        );
-        for row in &result.table("configs").expect("configs table").rows {
-            let _ = writeln!(
-                out,
-                "{:7.0}  {:2.0}  {:11.1}  {:11.0}  {:12.0}  {:16.1}",
-                row[0] / 1e3,
-                row[1],
-                row[2] * 1e6,
-                row[3],
-                row[4],
-                row[5]
-            );
-        }
-        out
-    }
+    out
 }
 
 // ---------------------------------------------------------------------------
 // Fig. 4
 
 /// Fig. 4: CDF of ΔFFTbin for backscatter devices vs. active LoRa radios.
-pub struct Fig04;
-
-impl Experiment for Fig04 {
-    fn id(&self) -> &'static str {
-        "fig04"
+fn fig04(scenario: &Scenario, result: &mut ExperimentResult) {
+    let mut rng = StdRng::seed_from_u64(scenario.seed);
+    let params = ChirpParams::new(500e3, 9).expect("paper parameters");
+    let devices = scenario.scale.pick(32, 256);
+    let packets = scenario.scale.pick(20, 200);
+    let tags = fft_bin_variation_cdf(
+        &mut rng,
+        &ImpairmentModel::cots_backscatter(),
+        params,
+        devices,
+        packets,
+    );
+    let radios = fft_bin_variation_cdf(
+        &mut rng,
+        &ImpairmentModel::active_radio(),
+        params,
+        devices,
+        packets,
+    );
+    let mut t = Table::new(
+        "cdf",
+        &[
+            ("dfft_bin", "bins"),
+            ("backscatter", ""),
+            ("lora_radio", ""),
+        ],
+    );
+    for i in 0..=28 {
+        let x = i as f64 * 0.25;
+        t.push_row(vec![
+            x,
+            tags.probability_at_or_below(x),
+            radios.probability_at_or_below(x),
+        ]);
     }
+    result.tables.push(t);
+    result
+        .scalars
+        .push(("backscatter_p99_bins".into(), tags.quantile(0.99)));
+    result
+        .scalars
+        .push(("radio_p99_bins".into(), radios.quantile(0.99)));
+}
 
-    fn title(&self) -> &'static str {
-        "Fig. 4: CDF of delta-FFT-bin, backscatter vs. active LoRa radios"
+fn fig04_text(result: &ExperimentResult) -> String {
+    let mut out = String::from("Fig. 4: CDF of delta-FFT-bin (BW=500 kHz, SF=9)\n  dFFTbin  CDF(backscatter)  CDF(LoRa radio)\n");
+    for row in &result.table("cdf").expect("cdf table").rows {
+        let _ = writeln!(out, "  {:7.2}  {:16.3}  {:15.3}", row[0], row[1], row[2]);
     }
-
-    fn scenario_fields(&self) -> &'static [&'static str] {
-        &["scale", "seed"]
-    }
-
-    fn run(&self, scenario: &Scenario) -> ExperimentResult {
-        let mut rng = StdRng::seed_from_u64(scenario.seed);
-        let params = ChirpParams::new(500e3, 9).expect("paper parameters");
-        let devices = scenario.scale.pick(32, 256);
-        let packets = scenario.scale.pick(20, 200);
-        let tags = fft_bin_variation_cdf(
-            &mut rng,
-            &ImpairmentModel::cots_backscatter(),
-            params,
-            devices,
-            packets,
-        );
-        let radios = fft_bin_variation_cdf(
-            &mut rng,
-            &ImpairmentModel::active_radio(),
-            params,
-            devices,
-            packets,
-        );
-        let mut result = ExperimentResult::new(self.id(), self.title(), scenario);
-        let mut t = Table::new(
-            "cdf",
-            &[
-                ("dfft_bin", "bins"),
-                ("backscatter", ""),
-                ("lora_radio", ""),
-            ],
-        );
-        for i in 0..=28 {
-            let x = i as f64 * 0.25;
-            t.push_row(vec![
-                x,
-                tags.probability_at_or_below(x),
-                radios.probability_at_or_below(x),
-            ]);
-        }
-        result.tables.push(t);
-        result
-            .scalars
-            .push(("backscatter_p99_bins".into(), tags.quantile(0.99)));
-        result
-            .scalars
-            .push(("radio_p99_bins".into(), radios.quantile(0.99)));
-        result
-    }
-
-    fn render_text(&self, result: &ExperimentResult) -> String {
-        let mut out = String::from("Fig. 4: CDF of delta-FFT-bin (BW=500 kHz, SF=9)\n  dFFTbin  CDF(backscatter)  CDF(LoRa radio)\n");
-        for row in &result.table("cdf").expect("cdf table").rows {
-            let _ = writeln!(out, "  {:7.2}  {:16.3}  {:15.3}", row[0], row[1], row[2]);
-        }
-        let _ = writeln!(
-            out,
-            "backscatter p99 = {:.3} bins, radio p99 = {:.3} bins",
-            result.scalar("backscatter_p99_bins").expect("scalar"),
-            result.scalar("radio_p99_bins").expect("scalar")
-        );
-        out
-    }
+    let _ = writeln!(
+        out,
+        "backscatter p99 = {:.3} bins, radio p99 = {:.3} bins",
+        result.scalar("backscatter_p99_bins").expect("scalar"),
+        result.scalar("radio_p99_bins").expect("scalar")
+    );
+    out
 }
 
 // ---------------------------------------------------------------------------
 // Fig. 8
 
 /// Fig. 8: normalized dechirped power spectrum side-lobe levels.
-pub struct Fig08;
-
-impl Experiment for Fig08 {
-    fn id(&self) -> &'static str {
-        "fig08"
+fn fig08(_: &Scenario, result: &mut ExperimentResult) {
+    let profile = sidelobe_profile_db(512, 8).expect("power-of-two sizes");
+    let mut t = Table::new("sidelobes", &[("offset_bins", "bins"), ("level_db", "dB")]);
+    for offset in [1usize, 2, 3, 4, 6, 8, 16, 32, 64, 128, 256] {
+        t.push_row(vec![offset as f64, profile.level_at_offset(offset)]);
     }
+    result.tables.push(t);
+    result.scalars.push((
+        "skip2_tolerable_db".into(),
+        profile.tolerable_power_difference_db(2),
+    ));
+    result.scalars.push((
+        "skip3_tolerable_db".into(),
+        profile.tolerable_power_difference_db(3),
+    ));
+}
 
-    fn title(&self) -> &'static str {
-        "Fig. 8: dechirped-spectrum side-lobe envelope"
+fn fig08_text(result: &ExperimentResult) -> String {
+    let mut out = String::from("Fig. 8: side-lobe envelope vs. bin offset (SF=9, zero-padding 8x)\n  offset[bins]  level[dB]\n");
+    for row in &result.table("sidelobes").expect("sidelobes table").rows {
+        let _ = writeln!(out, "  {:12.0}  {:9.2}", row[0], row[1]);
     }
-
-    fn scenario_fields(&self) -> &'static [&'static str] {
-        &[]
-    }
-
-    fn run(&self, scenario: &Scenario) -> ExperimentResult {
-        let profile = sidelobe_profile_db(512, 8).expect("power-of-two sizes");
-        let mut result = ExperimentResult::new(self.id(), self.title(), scenario);
-        let mut t = Table::new("sidelobes", &[("offset_bins", "bins"), ("level_db", "dB")]);
-        for offset in [1usize, 2, 3, 4, 6, 8, 16, 32, 64, 128, 256] {
-            t.push_row(vec![offset as f64, profile.level_at_offset(offset)]);
-        }
-        result.tables.push(t);
-        result.scalars.push((
-            "skip2_tolerable_db".into(),
-            profile.tolerable_power_difference_db(2),
-        ));
-        result.scalars.push((
-            "skip3_tolerable_db".into(),
-            profile.tolerable_power_difference_db(3),
-        ));
-        result
-    }
-
-    fn render_text(&self, result: &ExperimentResult) -> String {
-        let mut out = String::from("Fig. 8: side-lobe envelope vs. bin offset (SF=9, zero-padding 8x)\n  offset[bins]  level[dB]\n");
-        for row in &result.table("sidelobes").expect("sidelobes table").rows {
-            let _ = writeln!(out, "  {:12.0}  {:9.2}", row[0], row[1]);
-        }
-        let _ = writeln!(
-            out,
-            "SKIP=2 tolerable power difference ≈ {:.1} dB (paper: ≈13 dB); SKIP=3 ≈ {:.1} dB (paper: ≈21 dB)",
-            result.scalar("skip2_tolerable_db").expect("scalar"),
-            result.scalar("skip3_tolerable_db").expect("scalar")
-        );
-        out
-    }
+    let _ = writeln!(
+        out,
+        "SKIP=2 tolerable power difference ≈ {:.1} dB (paper: ≈13 dB); SKIP=3 ≈ {:.1} dB (paper: ≈21 dB)",
+        result.scalar("skip2_tolerable_db").expect("scalar"),
+        result.scalar("skip3_tolerable_db").expect("scalar")
+    );
+    out
 }
 
 // ---------------------------------------------------------------------------
 // Fig. 9
 
 /// Fig. 9: CDF of SNR variation for eight devices over a busy office period.
-pub struct Fig09;
-
-impl Experiment for Fig09 {
-    fn id(&self) -> &'static str {
-        "fig09"
+fn fig09(scenario: &Scenario, result: &mut ExperimentResult) {
+    let mut rng = StdRng::seed_from_u64(scenario.seed);
+    let steps = scenario.scale.pick(2_000, 20_000);
+    let mut t = Table::new(
+        "snr_deviation",
+        &[
+            ("device", ""),
+            ("p5_db", "dB"),
+            ("p50_db", "dB"),
+            ("p95_db", "dB"),
+        ],
+    );
+    for device in 0..8 {
+        let mut fading = TemporalFading::office_default();
+        let series = fading.series(&mut rng, steps);
+        let cdf = EmpiricalCdf::from_samples(series);
+        t.push_row(vec![
+            (device + 1) as f64,
+            cdf.quantile(0.05),
+            cdf.quantile(0.5),
+            cdf.quantile(0.95),
+        ]);
     }
+    result.tables.push(t);
+}
 
-    fn title(&self) -> &'static str {
-        "Fig. 9: CDF of SNR variation under office mobility"
-    }
-
-    fn scenario_fields(&self) -> &'static [&'static str] {
-        &["scale", "seed"]
-    }
-
-    fn run(&self, scenario: &Scenario) -> ExperimentResult {
-        let mut rng = StdRng::seed_from_u64(scenario.seed);
-        let steps = scenario.scale.pick(2_000, 20_000);
-        let mut result = ExperimentResult::new(self.id(), self.title(), scenario);
-        let mut t = Table::new(
-            "snr_deviation",
-            &[
-                ("device", ""),
-                ("p5_db", "dB"),
-                ("p50_db", "dB"),
-                ("p95_db", "dB"),
-            ],
+fn fig09_text(result: &ExperimentResult) -> String {
+    let mut out = String::from("Fig. 9: CDF of SNR deviation (dB) per device over 30 minutes of office mobility\n  device  p5      p50     p95\n");
+    for row in &result.table("snr_deviation").expect("table").rows {
+        let _ = writeln!(
+            out,
+            "  {:6.0}  {:6.2}  {:6.2}  {:6.2}",
+            row[0], row[1], row[2], row[3]
         );
-        for device in 0..8 {
-            let mut fading = TemporalFading::office_default();
-            let series = fading.series(&mut rng, steps);
-            let cdf = EmpiricalCdf::from_samples(series);
-            t.push_row(vec![
-                (device + 1) as f64,
-                cdf.quantile(0.05),
-                cdf.quantile(0.5),
-                cdf.quantile(0.95),
-            ]);
-        }
-        result.tables.push(t);
-        result
     }
-
-    fn render_text(&self, result: &ExperimentResult) -> String {
-        let mut out = String::from("Fig. 9: CDF of SNR deviation (dB) per device over 30 minutes of office mobility\n  device  p5      p50     p95\n");
-        for row in &result.table("snr_deviation").expect("table").rows {
-            let _ = writeln!(
-                out,
-                "  {:6.0}  {:6.2}  {:6.2}  {:6.2}",
-                row[0], row[1], row[2], row[3]
-            );
-        }
-        out
-    }
+    out
 }
 
 // ---------------------------------------------------------------------------
@@ -345,66 +394,48 @@ const FIG12_DELTAS_DB: [f64; 4] = [0.0, 35.0, 40.0, 45.0];
 /// Every (SNR, Δpower) cell is an independent sharded Monte-Carlo point on
 /// a seed derived from the scenario seed, so the report is reproducible
 /// bit-for-bit at any thread count.
-pub struct Fig12;
-
-impl Experiment for Fig12 {
-    fn id(&self) -> &'static str {
-        "fig12"
-    }
-
-    fn title(&self) -> &'static str {
-        "Fig. 12: near-far BER vs. SNR with a strong interferer"
-    }
-
-    fn scenario_fields(&self) -> &'static [&'static str] {
-        &["scale", "seed", "threads"]
-    }
-
-    fn run(&self, scenario: &Scenario) -> ExperimentResult {
-        let mc = scenario.monte_carlo();
-        let symbols = scenario.scale.pick(200, 10_000);
-        let snrs = [-20.0, -18.0, -16.0, -14.0, -12.0, -10.0];
-        let mut result = ExperimentResult::new(self.id(), self.title(), scenario);
-        let mut t = Table::new(
-            "ber",
-            &[
-                ("snr_db", "dB"),
-                ("ber_delta0", ""),
-                ("ber_delta35", ""),
-                ("ber_delta40", ""),
-                ("ber_delta45", ""),
-            ],
-        );
-        for (i, snr) in snrs.iter().enumerate() {
-            let mut row = vec![*snr];
-            for (j, delta) in FIG12_DELTAS_DB.iter().enumerate() {
-                let cfg = NearFarConfig::paper(*delta);
-                let cell = mc.derive((i * FIG12_DELTAS_DB.len() + j) as u64);
-                row.push(near_far_ber_sharded(&cell, &cfg, *snr, symbols));
-            }
-            t.push_row(row);
+fn fig12(scenario: &Scenario, result: &mut ExperimentResult) {
+    let mc = scenario.monte_carlo();
+    let symbols = scenario.scale.pick(200, 10_000);
+    let snrs = [-20.0, -18.0, -16.0, -14.0, -12.0, -10.0];
+    let mut t = Table::new(
+        "ber",
+        &[
+            ("snr_db", "dB"),
+            ("ber_delta0", ""),
+            ("ber_delta35", ""),
+            ("ber_delta40", ""),
+            ("ber_delta45", ""),
+        ],
+    );
+    for (i, snr) in snrs.iter().enumerate() {
+        let mut row = vec![*snr];
+        for (j, delta) in FIG12_DELTAS_DB.iter().enumerate() {
+            let cfg = NearFarConfig::paper(*delta);
+            let cell = mc.derive((i * FIG12_DELTAS_DB.len() + j) as u64);
+            row.push(near_far_ber_sharded(&cell, &cfg, *snr, symbols));
         }
-        result.tables.push(t);
-        result
+        t.push_row(row);
     }
+    result.tables.push(t);
+}
 
-    fn render_text(&self, result: &ExperimentResult) -> String {
-        let mut out = String::from(
-            "Fig. 12: victim BER vs. SNR with a strong interferer (power-aware assignment)\n  SNR[dB]",
-        );
-        for d in FIG12_DELTAS_DB {
-            let _ = write!(out, "  delta={d:>4.0}dB");
+fn fig12_text(result: &ExperimentResult) -> String {
+    let mut out = String::from(
+        "Fig. 12: victim BER vs. SNR with a strong interferer (power-aware assignment)\n  SNR[dB]",
+    );
+    for d in FIG12_DELTAS_DB {
+        let _ = write!(out, "  delta={d:>4.0}dB");
+    }
+    out.push('\n');
+    for row in &result.table("ber").expect("ber table").rows {
+        let _ = write!(out, "  {:7.1}", row[0]);
+        for ber in &row[1..] {
+            let _ = write!(out, "  {ber:12.4}");
         }
         out.push('\n');
-        for row in &result.table("ber").expect("ber table").rows {
-            let _ = write!(out, "  {:7.1}", row[0]);
-            for ber in &row[1..] {
-                let _ = write!(out, "  {ber:12.4}");
-            }
-            out.push('\n');
-        }
-        out
     }
+    out
 }
 
 // ---------------------------------------------------------------------------
@@ -412,107 +443,89 @@ impl Experiment for Fig12 {
 
 /// Fig. 14: (a) device frequency-offset CDF and (b) residual ΔFFTbin for
 /// three modulation configurations.
-pub struct Fig14;
-
-impl Experiment for Fig14 {
-    fn id(&self) -> &'static str {
-        "fig14"
+fn fig14(scenario: &Scenario, result: &mut ExperimentResult) {
+    let mut rng = StdRng::seed_from_u64(scenario.seed);
+    let model = ImpairmentModel::cots_backscatter();
+    let devices = scenario.scale.pick(64, 256);
+    let packets = scenario.scale.pick(50, 1000);
+    // (a) frequency offsets.
+    let mut offsets = Vec::new();
+    for _ in 0..devices {
+        let d = model.sample_device(&mut rng);
+        for _ in 0..packets / 10 {
+            offsets.push(model.sample_packet(&mut rng, &d).freq_offset_hz);
+        }
     }
-
-    fn title(&self) -> &'static str {
-        "Fig. 14: frequency offsets and residual delta-FFT-bin"
-    }
-
-    fn scenario_fields(&self) -> &'static [&'static str] {
-        &["scale", "seed"]
-    }
-
-    fn run(&self, scenario: &Scenario) -> ExperimentResult {
-        let mut rng = StdRng::seed_from_u64(scenario.seed);
-        let model = ImpairmentModel::cots_backscatter();
-        let devices = scenario.scale.pick(64, 256);
-        let packets = scenario.scale.pick(50, 1000);
-        // (a) frequency offsets.
-        let mut offsets = Vec::new();
+    let cdf = EmpiricalCdf::from_samples(offsets);
+    result
+        .scalars
+        .push(("freq_p1_hz".into(), cdf.quantile(0.01)));
+    result
+        .scalars
+        .push(("freq_p50_hz".into(), cdf.quantile(0.5)));
+    result
+        .scalars
+        .push(("freq_p99_hz".into(), cdf.quantile(0.99)));
+    // (b) residual ΔFFTbin for the three configurations.
+    let mut t = Table::new(
+        "residual_bins",
+        &[
+            ("bandwidth_hz", "Hz"),
+            ("spreading_factor", ""),
+            ("above_0p5", ""),
+            ("above_1p0", ""),
+            ("above_1p5", ""),
+            ("above_2p0", ""),
+        ],
+    );
+    for (bw, sf) in [(500e3, 9u32), (250e3, 8), (125e3, 7)] {
+        let params = ChirpParams::new(bw, sf).expect("table configs are valid");
+        let mut samples = Vec::new();
         for _ in 0..devices {
             let d = model.sample_device(&mut rng);
             for _ in 0..packets / 10 {
-                offsets.push(model.sample_packet(&mut rng, &d).freq_offset_hz);
+                let p = model.sample_packet(&mut rng, &d);
+                let bins = params.timing_offset_to_bins(p.timing_offset_s)
+                    + params.frequency_offset_to_bins(p.freq_offset_hz);
+                samples.push(bins.abs());
             }
         }
-        let cdf = EmpiricalCdf::from_samples(offsets);
-        let mut result = ExperimentResult::new(self.id(), self.title(), scenario);
-        result
-            .scalars
-            .push(("freq_p1_hz".into(), cdf.quantile(0.01)));
-        result
-            .scalars
-            .push(("freq_p50_hz".into(), cdf.quantile(0.5)));
-        result
-            .scalars
-            .push(("freq_p99_hz".into(), cdf.quantile(0.99)));
-        // (b) residual ΔFFTbin for the three configurations.
-        let mut t = Table::new(
-            "residual_bins",
-            &[
-                ("bandwidth_hz", "Hz"),
-                ("spreading_factor", ""),
-                ("above_0p5", ""),
-                ("above_1p0", ""),
-                ("above_1p5", ""),
-                ("above_2p0", ""),
-            ],
-        );
-        for (bw, sf) in [(500e3, 9u32), (250e3, 8), (125e3, 7)] {
-            let params = ChirpParams::new(bw, sf).expect("table configs are valid");
-            let mut samples = Vec::new();
-            for _ in 0..devices {
-                let d = model.sample_device(&mut rng);
-                for _ in 0..packets / 10 {
-                    let p = model.sample_packet(&mut rng, &d);
-                    let bins = params.timing_offset_to_bins(p.timing_offset_s)
-                        + params.frequency_offset_to_bins(p.freq_offset_hz);
-                    samples.push(bins.abs());
-                }
-            }
-            let cdf = EmpiricalCdf::from_samples(samples);
-            t.push_row(vec![
-                bw,
-                sf as f64,
-                cdf.probability_above(0.5),
-                cdf.probability_above(1.0),
-                cdf.probability_above(1.5),
-                cdf.probability_above(2.0),
-            ]);
-        }
-        result.tables.push(t);
-        result
+        let cdf = EmpiricalCdf::from_samples(samples);
+        t.push_row(vec![
+            bw,
+            sf as f64,
+            cdf.probability_above(0.5),
+            cdf.probability_above(1.0),
+            cdf.probability_above(1.5),
+            cdf.probability_above(2.0),
+        ]);
     }
+    result.tables.push(t);
+}
 
-    fn render_text(&self, result: &ExperimentResult) -> String {
-        let mut out = String::from("Fig. 14a: device frequency offsets (Hz)\n");
+fn fig14_text(result: &ExperimentResult) -> String {
+    let mut out = String::from("Fig. 14a: device frequency offsets (Hz)\n");
+    let _ = writeln!(
+        out,
+        "  p1 = {:.1} Hz, p50 = {:.1} Hz, p99 = {:.1} Hz (paper: within ±150 Hz)",
+        result.scalar("freq_p1_hz").expect("scalar"),
+        result.scalar("freq_p50_hz").expect("scalar"),
+        result.scalar("freq_p99_hz").expect("scalar")
+    );
+    out.push_str("Fig. 14b: residual delta-FFT-bin (1-CDF at 0.5/1.0/1.5/2.0 bins)\n  BW[kHz] SF   >0.5    >1.0    >1.5    >2.0\n");
+    for row in &result.table("residual_bins").expect("table").rows {
         let _ = writeln!(
             out,
-            "  p1 = {:.1} Hz, p50 = {:.1} Hz, p99 = {:.1} Hz (paper: within ±150 Hz)",
-            result.scalar("freq_p1_hz").expect("scalar"),
-            result.scalar("freq_p50_hz").expect("scalar"),
-            result.scalar("freq_p99_hz").expect("scalar")
+            "  {:6.0} {:3.0}  {:6.3}  {:6.3}  {:6.3}  {:6.3}",
+            row[0] / 1e3,
+            row[1],
+            row[2],
+            row[3],
+            row[4],
+            row[5]
         );
-        out.push_str("Fig. 14b: residual delta-FFT-bin (1-CDF at 0.5/1.0/1.5/2.0 bins)\n  BW[kHz] SF   >0.5    >1.0    >1.5    >2.0\n");
-        for row in &result.table("residual_bins").expect("table").rows {
-            let _ = writeln!(
-                out,
-                "  {:6.0} {:3.0}  {:6.3}  {:6.3}  {:6.3}  {:6.3}",
-                row[0] / 1e3,
-                row[1],
-                row[2],
-                row[3],
-                row[4],
-                row[5]
-            );
-        }
-        out
     }
+    out
 }
 
 // ---------------------------------------------------------------------------
@@ -520,73 +533,54 @@ impl Experiment for Fig14 {
 
 /// Fig. 15: (a) Doppler-induced ΔFFTbin for pedestrian speeds and (b) the
 /// power dynamic range vs. FFT-bin separation.
-pub struct Fig15;
-
-impl Experiment for Fig15 {
-    fn id(&self) -> &'static str {
-        "fig15"
+fn fig15(scenario: &Scenario, result: &mut ExperimentResult) {
+    let params = ChirpParams::new(500e3, 9).expect("paper parameters");
+    let mut doppler = Table::new(
+        "doppler",
+        &[("speed_mps", "m/s"), ("shift_hz", "Hz"), ("bins", "bins")],
+    );
+    for speed in [0.0, 1.0, 3.0, 5.0] {
+        let shift = backscatter_doppler_shift_hz(speed, 900e6);
+        doppler.push_row(vec![speed, shift, params.frequency_offset_to_bins(shift)]);
     }
-
-    fn title(&self) -> &'static str {
-        "Fig. 15: Doppler delta-FFT-bin and power dynamic range"
-    }
-
-    fn scenario_fields(&self) -> &'static [&'static str] {
-        &["scale", "seed", "threads"]
-    }
-
-    fn run(&self, scenario: &Scenario) -> ExperimentResult {
-        let params = ChirpParams::new(500e3, 9).expect("paper parameters");
-        let mut result = ExperimentResult::new(self.id(), self.title(), scenario);
-        let mut doppler = Table::new(
-            "doppler",
-            &[("speed_mps", "m/s"), ("shift_hz", "Hz"), ("bins", "bins")],
+    result.tables.push(doppler);
+    let mc = scenario.monte_carlo();
+    let symbols = scenario.scale.pick(60, 400);
+    // The target BER must sit above both the single-error quantum
+    // (1/symbols) and the ~0.3% CFO-tail error floor, or the sweep
+    // aborts on a stray noise outlier instead of actual interference
+    // (see the sibling test in ber.rs): 5% at 60 quick symbols, 1% at
+    // 400 full-scale symbols.
+    let target_ber = f64::max(0.01, 3.0 / symbols as f64);
+    let mut range = Table::new(
+        "power_range",
+        &[("separation_bins", "bins"), ("tolerated_db", "dB")],
+    );
+    for (i, sep) in [2usize, 8, 32, 64, 128, 256].into_iter().enumerate() {
+        let tolerated = max_tolerable_power_difference_db_sharded(
+            &mc.derive(i as u64),
+            params,
+            sep,
+            target_ber,
+            symbols,
+            45.0,
         );
-        for speed in [0.0, 1.0, 3.0, 5.0] {
-            let shift = backscatter_doppler_shift_hz(speed, 900e6);
-            doppler.push_row(vec![speed, shift, params.frequency_offset_to_bins(shift)]);
-        }
-        result.tables.push(doppler);
-        let mc = scenario.monte_carlo();
-        let symbols = scenario.scale.pick(60, 400);
-        // The target BER must sit above both the single-error quantum
-        // (1/symbols) and the ~0.3% CFO-tail error floor, or the sweep
-        // aborts on a stray noise outlier instead of actual interference
-        // (see the sibling test in ber.rs): 5% at 60 quick symbols, 1% at
-        // 400 full-scale symbols.
-        let target_ber = f64::max(0.01, 3.0 / symbols as f64);
-        let mut range = Table::new(
-            "power_range",
-            &[("separation_bins", "bins"), ("tolerated_db", "dB")],
-        );
-        for (i, sep) in [2usize, 8, 32, 64, 128, 256].into_iter().enumerate() {
-            let tolerated = max_tolerable_power_difference_db_sharded(
-                &mc.derive(i as u64),
-                params,
-                sep,
-                target_ber,
-                symbols,
-                45.0,
-            );
-            range.push_row(vec![sep as f64, tolerated]);
-        }
-        result.tables.push(range);
-        result
+        range.push_row(vec![sep as f64, tolerated]);
     }
+    result.tables.push(range);
+}
 
-    fn render_text(&self, result: &ExperimentResult) -> String {
-        let mut out = String::from(
-            "Fig. 15a: Doppler delta-FFT-bin at 900 MHz\n  speed[m/s]  shift[Hz]  bins\n",
-        );
-        for row in &result.table("doppler").expect("doppler table").rows {
-            let _ = writeln!(out, "  {:10.1}  {:9.1}  {:5.3}", row[0], row[1], row[2]);
-        }
-        out.push_str("Fig. 15b: max tolerable power difference vs. bin separation\n  separation[bins]  tolerated[dB]\n");
-        for row in &result.table("power_range").expect("power_range table").rows {
-            let _ = writeln!(out, "  {:16.0}  {:13.0}", row[0], row[1]);
-        }
-        out
+fn fig15_text(result: &ExperimentResult) -> String {
+    let mut out =
+        String::from("Fig. 15a: Doppler delta-FFT-bin at 900 MHz\n  speed[m/s]  shift[Hz]  bins\n");
+    for row in &result.table("doppler").expect("doppler table").rows {
+        let _ = writeln!(out, "  {:10.1}  {:9.1}  {:5.3}", row[0], row[1], row[2]);
     }
+    out.push_str("Fig. 15b: max tolerable power difference vs. bin separation\n  separation[bins]  tolerated[dB]\n");
+    for row in &result.table("power_range").expect("power_range table").rows {
+        let _ = writeln!(out, "  {:16.0}  {:13.0}", row[0], row[1]);
+    }
+    out
 }
 
 // ---------------------------------------------------------------------------
@@ -594,62 +588,44 @@ impl Experiment for Fig15 {
 
 /// Fig. 16: spectrogram peak levels of the backscattered signal at the three
 /// power gains.
-pub struct Fig16;
-
-impl Experiment for Fig16 {
-    fn id(&self) -> &'static str {
-        "fig16"
+fn fig16(_: &Scenario, result: &mut ExperimentResult) {
+    use netscatter::power::BackscatterGain;
+    use netscatter_dsp::chirp::ChirpSynthesizer;
+    let params = ChirpParams::new(500e3, 9).expect("paper parameters");
+    let synth = ChirpSynthesizer::new(params);
+    let reference: f64 = {
+        let sig = synth.oversampled_upchirp(0, 4, BackscatterGain::Full.amplitude());
+        let sg = spectrogram(&sig, SpectrogramConfig::default()).expect("valid config");
+        sg.mean_profile_db()
+            .into_iter()
+            .fold(f64::NEG_INFINITY, f64::max)
+    };
+    let mut t = Table::new("gains", &[("gain_db", "dB"), ("measured_rel_db", "dB")]);
+    for gain in BackscatterGain::ALL {
+        let sig = synth.oversampled_upchirp(0, 4, gain.amplitude());
+        // Use absolute power of the un-normalized signal: compute mean
+        // power and express vs full.
+        let power_db = netscatter_dsp::linear_to_db(netscatter_dsp::complex::mean_power(&sig));
+        let full_db = netscatter_dsp::linear_to_db(BackscatterGain::Full.amplitude().powi(2));
+        t.push_row(vec![gain.db(), power_db - full_db]);
     }
+    result.tables.push(t);
+    result
+        .scalars
+        .push(("spectrogram_reference_db".into(), reference));
+}
 
-    fn title(&self) -> &'static str {
-        "Fig. 16: backscatter power levels via the switch network"
+fn fig16_text(result: &ExperimentResult) -> String {
+    let mut out = String::from("Fig. 16: backscattered-signal spectrogram peak power at each gain setting\n  gain[dB]  measured peak[dB rel. full]\n");
+    for row in &result.table("gains").expect("gains table").rows {
+        let _ = writeln!(out, "  {:8.0}  {:10.1}", row[0], row[1]);
     }
-
-    fn scenario_fields(&self) -> &'static [&'static str] {
-        &[]
-    }
-
-    fn run(&self, scenario: &Scenario) -> ExperimentResult {
-        use netscatter::power::BackscatterGain;
-        use netscatter_dsp::chirp::ChirpSynthesizer;
-        let params = ChirpParams::new(500e3, 9).expect("paper parameters");
-        let synth = ChirpSynthesizer::new(params);
-        let mut result = ExperimentResult::new(self.id(), self.title(), scenario);
-        let reference: f64 = {
-            let sig = synth.oversampled_upchirp(0, 4, BackscatterGain::Full.amplitude());
-            let sg = spectrogram(&sig, SpectrogramConfig::default()).expect("valid config");
-            sg.mean_profile_db()
-                .into_iter()
-                .fold(f64::NEG_INFINITY, f64::max)
-        };
-        let mut t = Table::new("gains", &[("gain_db", "dB"), ("measured_rel_db", "dB")]);
-        for gain in BackscatterGain::ALL {
-            let sig = synth.oversampled_upchirp(0, 4, gain.amplitude());
-            // Use absolute power of the un-normalized signal: compute mean
-            // power and express vs full.
-            let power_db = netscatter_dsp::linear_to_db(netscatter_dsp::complex::mean_power(&sig));
-            let full_db = netscatter_dsp::linear_to_db(BackscatterGain::Full.amplitude().powi(2));
-            t.push_row(vec![gain.db(), power_db - full_db]);
-        }
-        result.tables.push(t);
-        result
-            .scalars
-            .push(("spectrogram_reference_db".into(), reference));
-        result
-    }
-
-    fn render_text(&self, result: &ExperimentResult) -> String {
-        let mut out = String::from("Fig. 16: backscattered-signal spectrogram peak power at each gain setting\n  gain[dB]  measured peak[dB rel. full]\n");
-        for row in &result.table("gains").expect("gains table").rows {
-            let _ = writeln!(out, "  {:8.0}  {:10.1}", row[0], row[1]);
-        }
-        let reference = result.scalar("spectrogram_reference_db").expect("scalar");
-        let _ = writeln!(
-            out,
-            "(spectrogram reference peak, self-normalized: {reference:.1} dB)"
-        );
-        out
-    }
+    let reference = result.scalar("spectrogram_reference_db").expect("scalar");
+    let _ = writeln!(
+        out,
+        "(spectrogram reference peak, self-normalized: {reference:.1} dB)"
+    );
+    out
 }
 
 // ---------------------------------------------------------------------------
@@ -676,14 +652,21 @@ fn sizes_up_to(base: &[usize], devices: usize) -> Vec<usize> {
     sizes
 }
 
-/// One network size of the Fig. 17–19 sweep: all five schemes' metrics.
+/// The five schemes of one sweep row, in [`SweepRow::schemes`] order.
+#[derive(Clone, Copy)]
+enum Scheme {
+    LoraFixed,
+    LoraAdapted,
+    Ideal,
+    Cfg1,
+    Cfg2,
+}
+
+/// One network size of the Fig. 17–19 sweep: all five schemes' metrics,
+/// indexed by [`Scheme`].
 struct SweepRow {
     n: usize,
-    fixed: SchemeMetrics,
-    adapted: SchemeMetrics,
-    ideal: SchemeMetrics,
-    c1: SchemeMetrics,
-    c2: SchemeMetrics,
+    schemes: [SchemeMetrics; 5],
 }
 
 /// Computes every sweep row in parallel. Each row is a pure function of the
@@ -694,59 +677,23 @@ struct SweepRow {
 /// derive them from the same per-size runner.
 fn sweep_rows(dep: &Deployment, sizes: &[usize], scenario: &Scenario) -> Vec<SweepRow> {
     let model = scenario.channel_model();
-    let fidelity = scenario.fidelity;
+    let (fidelity, bits) = (scenario.fidelity, scenario.payload_bits);
     let mc = scenario.monte_carlo();
     parallel_map(sizes, scenario.threads, |&n| {
         // One decorrelated runner per network size; within the row, every
         // scheme sees the same trial seeds and therefore the same draws.
         let row_mc = MonteCarlo::with_threads(mc.derive(n as u64).seed, 1);
+        let lora = |s| lora_backscatter_metrics_with(dep, n, bits, s, fidelity, &model, &row_mc);
+        let ns = |v| netscatter_metrics_with(dep, n, bits, v, fidelity, &model, &row_mc);
         SweepRow {
             n,
-            fixed: lora_backscatter_metrics_with(
-                dep,
-                n,
-                scenario.payload_bits,
-                LoraScheme::fixed(),
-                fidelity,
-                &model,
-                &row_mc,
-            ),
-            adapted: lora_backscatter_metrics_with(
-                dep,
-                n,
-                scenario.payload_bits,
-                LoraScheme::rate_adapted(),
-                fidelity,
-                &model,
-                &row_mc,
-            ),
-            ideal: netscatter_metrics_with(
-                dep,
-                n,
-                scenario.payload_bits,
-                NetScatterVariant::Ideal,
-                fidelity,
-                &model,
-                &row_mc,
-            ),
-            c1: netscatter_metrics_with(
-                dep,
-                n,
-                scenario.payload_bits,
-                NetScatterVariant::Config1,
-                fidelity,
-                &model,
-                &row_mc,
-            ),
-            c2: netscatter_metrics_with(
-                dep,
-                n,
-                scenario.payload_bits,
-                NetScatterVariant::Config2,
-                fidelity,
-                &model,
-                &row_mc,
-            ),
+            schemes: [
+                lora(LoraScheme::fixed()),
+                lora(LoraScheme::rate_adapted()),
+                ns(NetScatterVariant::Ideal),
+                ns(NetScatterVariant::Config1),
+                ns(NetScatterVariant::Config2),
+            ],
         }
     })
 }
@@ -763,370 +710,262 @@ const NETWORK_FIG_FIELDS: [&str; 8] = [
     "payload_bits",
 ];
 
-/// Fig. 17: network PHY rate vs. number of devices.
-pub struct Fig17;
-
-impl Experiment for Fig17 {
-    fn id(&self) -> &'static str {
-        "fig17"
-    }
-
-    fn title(&self) -> &'static str {
-        "Fig. 17: network PHY rate vs. number of devices"
-    }
-
-    fn scenario_fields(&self) -> &'static [&'static str] {
-        &NETWORK_FIG_FIELDS
-    }
-
-    fn run(&self, scenario: &Scenario) -> ExperimentResult {
-        let (dep, sizes) = network_sweep(scenario);
-        let rows = sweep_rows(&dep, &sizes, scenario);
-        let mut result = ExperimentResult::new(self.id(), self.title(), scenario);
-        let mut t = Table::new(
-            "phy_rate",
-            &[
-                ("n", ""),
-                ("lora_fixed_bps", "bps"),
-                ("lora_adapted_bps", "bps"),
-                ("netscatter_ideal_bps", "bps"),
-                ("netscatter_bps", "bps"),
-            ],
-        );
-        for row in &rows {
-            t.push_row(vec![
-                row.n as f64,
-                row.fixed.phy_rate_bps,
-                row.adapted.phy_rate_bps,
-                row.ideal.phy_rate_bps,
-                row.c1.phy_rate_bps,
-            ]);
-        }
-        result.tables.push(t);
-        let last = rows.last().expect("sweep has at least one size");
-        result.scalars.push((
-            "gain_over_fixed".into(),
-            last.c1.phy_rate_bps / last.fixed.phy_rate_bps,
-        ));
-        result.scalars.push((
-            "gain_over_adapted".into(),
-            last.c1.phy_rate_bps / last.adapted.phy_rate_bps,
-        ));
-        result
-    }
-
-    fn render_text(&self, result: &ExperimentResult) -> String {
-        let mut out = format!("Fig. 17: network PHY rate [kbps] ({} delivery)\n  N     LoRa-fixed  LoRa-rate-adapt  NetScatter(Ideal)  NetScatter\n", fidelity_tag(result.scenario.fidelity));
-        let t = result.table("phy_rate").expect("phy_rate table");
-        for row in &t.rows {
-            let _ = writeln!(
-                out,
-                "  {:4.0}  {:10.1}  {:15.1}  {:17.1}  {:10.1}",
-                row[0],
-                row[1] / 1e3,
-                row[2] / 1e3,
-                row[3] / 1e3,
-                row[4] / 1e3
-            );
-        }
-        let last = t.rows.last().expect("sweep has at least one size");
-        let _ = writeln!(
-            out,
-            "PHY-rate gain at {} devices: {:.1}x over fixed-rate (paper 26.2x), {:.1}x over rate-adapted (paper 6.8x)",
-            last[0],
-            result.scalar("gain_over_fixed").expect("scalar"),
-            result.scalar("gain_over_adapted").expect("scalar")
-        );
-        out
-    }
+/// One of Figs. 17–19: a view of the shared sweep. Its table holds one
+/// metric for four schemes against `n`; its headline ratios are taken at
+/// the largest network size and printed next to the paper's values.
+struct NetworkFigure {
+    /// Result table name.
+    table: &'static str,
+    /// Report heading, ending in the report unit.
+    heading: &'static str,
+    /// The four columns after `n`: (column name, report label, scheme). A
+    /// label also sets its column's width in the report.
+    columns: [(&'static str, &'static str, Scheme); 4],
+    /// Unit of every metric column.
+    unit: &'static str,
+    /// The per-scheme metric the table holds.
+    metric: fn(&SchemeMetrics) -> f64,
+    /// Converts a table value into the report unit.
+    scale: fn(f64) -> f64,
+    /// Headline ratios: (scalar name, numerator, denominator, paper value).
+    gains: &'static [(&'static str, Scheme, Scheme, f64)],
+    /// The headline sentence from the largest size and each (measured,
+    /// paper) ratio, in `gains` order.
+    headline: fn(f64, &[(f64, f64)]) -> String,
 }
+
+/// Fig. 17: network PHY rate vs. number of devices.
+const FIG17: NetworkFigure = NetworkFigure {
+    table: "phy_rate",
+    heading: "Fig. 17: network PHY rate [kbps]",
+    columns: [
+        ("lora_fixed_bps", "LoRa-fixed", Scheme::LoraFixed),
+        ("lora_adapted_bps", "LoRa-rate-adapt", Scheme::LoraAdapted),
+        ("netscatter_ideal_bps", "NetScatter(Ideal)", Scheme::Ideal),
+        ("netscatter_bps", "NetScatter", Scheme::Cfg1),
+    ],
+    unit: "bps",
+    metric: |m| m.phy_rate_bps,
+    scale: |bps| bps / 1e3,
+    gains: &[
+        ("gain_over_fixed", Scheme::Cfg1, Scheme::LoraFixed, 26.2),
+        ("gain_over_adapted", Scheme::Cfg1, Scheme::LoraAdapted, 6.8),
+    ],
+    headline: |n, g| {
+        format!(
+            "PHY-rate gain at {n} devices: {:.1}x over fixed-rate (paper {:.1}x), {:.1}x over rate-adapted (paper {:.1}x)",
+            g[0].0, g[0].1, g[1].0, g[1].1
+        )
+    },
+};
 
 /// Fig. 18: link-layer data rate vs. number of devices.
-pub struct Fig18;
+const FIG18: NetworkFigure = NetworkFigure {
+    table: "link_rate",
+    heading: "Fig. 18: link-layer data rate [kbps]",
+    columns: [
+        ("lora_fixed_bps", "LoRa-fixed", Scheme::LoraFixed),
+        ("lora_adapted_bps", "LoRa-rate-adapt", Scheme::LoraAdapted),
+        ("netscatter_cfg1_bps", "NetScatter-cfg1", Scheme::Cfg1),
+        ("netscatter_cfg2_bps", "NetScatter-cfg2", Scheme::Cfg2),
+    ],
+    unit: "bps",
+    metric: |m| m.link_layer_rate_bps,
+    scale: |bps| bps / 1e3,
+    gains: &[
+        (
+            "cfg1_gain_over_fixed",
+            Scheme::Cfg1,
+            Scheme::LoraFixed,
+            61.9,
+        ),
+        (
+            "cfg2_gain_over_fixed",
+            Scheme::Cfg2,
+            Scheme::LoraFixed,
+            50.9,
+        ),
+        (
+            "cfg1_gain_over_adapted",
+            Scheme::Cfg1,
+            Scheme::LoraAdapted,
+            14.1,
+        ),
+        (
+            "cfg2_gain_over_adapted",
+            Scheme::Cfg2,
+            Scheme::LoraAdapted,
+            11.6,
+        ),
+    ],
+    headline: |n, g| {
+        format!(
+            "link-layer gains at {n}: cfg1 {:.1}x / cfg2 {:.1}x over fixed (paper {:.1}x / {:.1}x); cfg1 {:.1}x / cfg2 {:.1}x over rate-adapted (paper {:.1}x / {:.1}x)",
+            g[0].0, g[1].0, g[0].1, g[1].1, g[2].0, g[3].0, g[2].1, g[3].1
+        )
+    },
+};
 
-impl Experiment for Fig18 {
-    fn id(&self) -> &'static str {
-        "fig18"
+/// Fig. 19: network latency vs. number of devices.
+const FIG19: NetworkFigure = NetworkFigure {
+    table: "latency",
+    heading: "Fig. 19: network latency [ms]",
+    columns: [
+        ("lora_fixed_s", "LoRa-fixed", Scheme::LoraFixed),
+        ("lora_adapted_s", "LoRa-rate-adapt", Scheme::LoraAdapted),
+        ("netscatter_cfg1_s", "NetScatter-cfg1", Scheme::Cfg1),
+        ("netscatter_cfg2_s", "NetScatter-cfg2", Scheme::Cfg2),
+    ],
+    unit: "s",
+    metric: |m| m.latency_s,
+    scale: |s| s * 1e3,
+    gains: &[
+        (
+            "cfg1_speedup_vs_fixed",
+            Scheme::LoraFixed,
+            Scheme::Cfg1,
+            67.0,
+        ),
+        (
+            "cfg2_speedup_vs_fixed",
+            Scheme::LoraFixed,
+            Scheme::Cfg2,
+            55.1,
+        ),
+        (
+            "cfg1_speedup_vs_adapted",
+            Scheme::LoraAdapted,
+            Scheme::Cfg1,
+            15.3,
+        ),
+        (
+            "cfg2_speedup_vs_adapted",
+            Scheme::LoraAdapted,
+            Scheme::Cfg2,
+            12.6,
+        ),
+    ],
+    headline: |n, g| {
+        format!(
+            "latency reductions at {n}: cfg1 {:.1}x / cfg2 {:.1}x vs fixed (paper {:.1}x / {:.1}x); cfg1 {:.1}x / cfg2 {:.1}x vs rate-adapted (paper {:.1}x / {:.1}x)",
+            g[0].0, g[1].0, g[0].1, g[1].1, g[2].0, g[3].0, g[2].1, g[3].1
+        )
+    },
+};
+
+/// Runs the shared sweep and fills `fig`'s table and headline scalars.
+fn network_figure(fig: &NetworkFigure, scenario: &Scenario, result: &mut ExperimentResult) {
+    let (dep, sizes) = network_sweep(scenario);
+    let rows = sweep_rows(&dep, &sizes, scenario);
+    let metric = |row: &SweepRow, s: Scheme| (fig.metric)(&row.schemes[s as usize]);
+    let mut columns = vec![("n", "")];
+    columns.extend(fig.columns.iter().map(|&(name, _, _)| (name, fig.unit)));
+    let mut t = Table::new(fig.table, &columns);
+    for row in &rows {
+        let mut cells = vec![row.n as f64];
+        cells.extend(fig.columns.iter().map(|&(_, _, s)| metric(row, s)));
+        t.push_row(cells);
     }
-
-    fn title(&self) -> &'static str {
-        "Fig. 18: link-layer data rate vs. number of devices"
-    }
-
-    fn scenario_fields(&self) -> &'static [&'static str] {
-        &NETWORK_FIG_FIELDS
-    }
-
-    fn run(&self, scenario: &Scenario) -> ExperimentResult {
-        let (dep, sizes) = network_sweep(scenario);
-        let rows = sweep_rows(&dep, &sizes, scenario);
-        let mut result = ExperimentResult::new(self.id(), self.title(), scenario);
-        let mut t = Table::new(
-            "link_rate",
-            &[
-                ("n", ""),
-                ("lora_fixed_bps", "bps"),
-                ("lora_adapted_bps", "bps"),
-                ("netscatter_cfg1_bps", "bps"),
-                ("netscatter_cfg2_bps", "bps"),
-            ],
-        );
-        for row in &rows {
-            t.push_row(vec![
-                row.n as f64,
-                row.fixed.link_layer_rate_bps,
-                row.adapted.link_layer_rate_bps,
-                row.c1.link_layer_rate_bps,
-                row.c2.link_layer_rate_bps,
-            ]);
-        }
-        result.tables.push(t);
-        let last = rows.last().expect("sweep has at least one size");
-        for (name, value) in [
-            (
-                "cfg1_gain_over_fixed",
-                last.c1.link_layer_rate_bps / last.fixed.link_layer_rate_bps,
-            ),
-            (
-                "cfg2_gain_over_fixed",
-                last.c2.link_layer_rate_bps / last.fixed.link_layer_rate_bps,
-            ),
-            (
-                "cfg1_gain_over_adapted",
-                last.c1.link_layer_rate_bps / last.adapted.link_layer_rate_bps,
-            ),
-            (
-                "cfg2_gain_over_adapted",
-                last.c2.link_layer_rate_bps / last.adapted.link_layer_rate_bps,
-            ),
-        ] {
-            result.scalars.push((name.into(), value));
-        }
+    result.tables.push(t);
+    let last = rows.last().expect("sweep has at least one size");
+    for &(name, num, den, _) in fig.gains {
         result
-    }
-
-    fn render_text(&self, result: &ExperimentResult) -> String {
-        let mut out = format!("Fig. 18: link-layer data rate [kbps] ({} delivery)\n  N     LoRa-fixed  LoRa-rate-adapt  NetScatter-cfg1  NetScatter-cfg2\n", fidelity_tag(result.scenario.fidelity));
-        let t = result.table("link_rate").expect("link_rate table");
-        for row in &t.rows {
-            let _ = writeln!(
-                out,
-                "  {:4.0}  {:10.1}  {:15.1}  {:15.1}  {:15.1}",
-                row[0],
-                row[1] / 1e3,
-                row[2] / 1e3,
-                row[3] / 1e3,
-                row[4] / 1e3
-            );
-        }
-        let last = t.rows.last().expect("sweep has at least one size");
-        let _ = writeln!(
-            out,
-            "link-layer gains at {}: cfg1 {:.1}x / cfg2 {:.1}x over fixed (paper 61.9x / 50.9x); cfg1 {:.1}x / cfg2 {:.1}x over rate-adapted (paper 14.1x / 11.6x)",
-            last[0],
-            result.scalar("cfg1_gain_over_fixed").expect("scalar"),
-            result.scalar("cfg2_gain_over_fixed").expect("scalar"),
-            result.scalar("cfg1_gain_over_adapted").expect("scalar"),
-            result.scalar("cfg2_gain_over_adapted").expect("scalar")
-        );
-        out
+            .scalars
+            .push((name.into(), metric(last, num) / metric(last, den)));
     }
 }
 
-/// Fig. 19: network latency vs. number of devices.
-pub struct Fig19;
-
-impl Experiment for Fig19 {
-    fn id(&self) -> &'static str {
-        "fig19"
+/// Renders `fig`'s table in its report unit, then its headline sentence.
+fn network_figure_text(fig: &NetworkFigure, result: &ExperimentResult) -> String {
+    let fidelity = fidelity_tag(result.scenario.fidelity);
+    let mut out = format!("{} ({fidelity} delivery)\n  {:4}", fig.heading, "N");
+    for (_, label, _) in &fig.columns {
+        let _ = write!(out, "  {label}");
     }
-
-    fn title(&self) -> &'static str {
-        "Fig. 19: network latency vs. number of devices"
-    }
-
-    fn scenario_fields(&self) -> &'static [&'static str] {
-        &NETWORK_FIG_FIELDS
-    }
-
-    fn run(&self, scenario: &Scenario) -> ExperimentResult {
-        let (dep, sizes) = network_sweep(scenario);
-        let rows = sweep_rows(&dep, &sizes, scenario);
-        let mut result = ExperimentResult::new(self.id(), self.title(), scenario);
-        let mut t = Table::new(
-            "latency",
-            &[
-                ("n", ""),
-                ("lora_fixed_s", "s"),
-                ("lora_adapted_s", "s"),
-                ("netscatter_cfg1_s", "s"),
-                ("netscatter_cfg2_s", "s"),
-            ],
-        );
-        for row in &rows {
-            t.push_row(vec![
-                row.n as f64,
-                row.fixed.latency_s,
-                row.adapted.latency_s,
-                row.c1.latency_s,
-                row.c2.latency_s,
-            ]);
+    out.push('\n');
+    let t = result.table(fig.table).expect("network figure table");
+    for row in &t.rows {
+        let _ = write!(out, "  {:4.0}", row[0]);
+        for ((_, label, _), v) in fig.columns.iter().zip(&row[1..]) {
+            let _ = write!(out, "  {:w$.1}", (fig.scale)(*v), w = label.len());
         }
-        result.tables.push(t);
-        let last = rows.last().expect("sweep has at least one size");
-        for (name, value) in [
-            (
-                "cfg1_speedup_vs_fixed",
-                last.fixed.latency_s / last.c1.latency_s,
-            ),
-            (
-                "cfg2_speedup_vs_fixed",
-                last.fixed.latency_s / last.c2.latency_s,
-            ),
-            (
-                "cfg1_speedup_vs_adapted",
-                last.adapted.latency_s / last.c1.latency_s,
-            ),
-            (
-                "cfg2_speedup_vs_adapted",
-                last.adapted.latency_s / last.c2.latency_s,
-            ),
-        ] {
-            result.scalars.push((name.into(), value));
-        }
-        result
+        out.push('\n');
     }
-
-    fn render_text(&self, result: &ExperimentResult) -> String {
-        let mut out = format!("Fig. 19: network latency [ms] ({} delivery)\n  N     LoRa-fixed  LoRa-rate-adapt  NetScatter-cfg1  NetScatter-cfg2\n", fidelity_tag(result.scenario.fidelity));
-        let t = result.table("latency").expect("latency table");
-        for row in &t.rows {
-            let _ = writeln!(
-                out,
-                "  {:4.0}  {:10.1}  {:15.1}  {:15.1}  {:15.1}",
-                row[0],
-                row[1] * 1e3,
-                row[2] * 1e3,
-                row[3] * 1e3,
-                row[4] * 1e3
-            );
-        }
-        let last = t.rows.last().expect("sweep has at least one size");
-        let _ = writeln!(
-            out,
-            "latency reductions at {}: cfg1 {:.1}x / cfg2 {:.1}x vs fixed (paper 67.0x / 55.1x); cfg1 {:.1}x / cfg2 {:.1}x vs rate-adapted (paper 15.3x / 12.6x)",
-            last[0],
-            result.scalar("cfg1_speedup_vs_fixed").expect("scalar"),
-            result.scalar("cfg2_speedup_vs_fixed").expect("scalar"),
-            result.scalar("cfg1_speedup_vs_adapted").expect("scalar"),
-            result.scalar("cfg2_speedup_vs_adapted").expect("scalar")
-        );
-        out
-    }
+    let n = t.rows.last().expect("sweep has at least one size")[0];
+    let gains: Vec<(f64, f64)> = fig
+        .gains
+        .iter()
+        .map(|&(name, _, _, paper)| (result.scalar(name).expect("scalar"), paper))
+        .collect();
+    out + &(fig.headline)(n, &gains) + "\n"
 }
 
 // ---------------------------------------------------------------------------
 // Analyses
 
 /// §2.2 analysis: Choir collision probabilities and distinct-fraction odds.
-pub struct AnalysisChoir;
-
-impl Experiment for AnalysisChoir {
-    fn id(&self) -> &'static str {
-        "analysis_choir"
+fn analysis_choir(_: &Scenario, result: &mut ExperimentResult) {
+    let mut t = Table::new(
+        "collisions",
+        &[
+            ("n", ""),
+            ("p_shift_collision", ""),
+            ("p_distinct_fractions", ""),
+        ],
+    );
+    for n in [2usize, 5, 10, 20, 50] {
+        t.push_row(vec![
+            n as f64,
+            analysis::lora_collision_probability(n, 9),
+            analysis::choir_distinct_fraction_probability(n),
+        ]);
     }
+    result.tables.push(t);
+}
 
-    fn title(&self) -> &'static str {
-        "§2.2 analysis: Choir / concurrent-LoRa collision probabilities"
+fn analysis_choir_text(result: &ExperimentResult) -> String {
+    let mut out = String::from("Choir / concurrent-LoRa analysis (SF = 9)\n  N   P(shift collision)  P(distinct tenth-bin fractions)\n");
+    for row in &result.table("collisions").expect("table").rows {
+        let _ = writeln!(out, "  {:3.0}  {:18.3}  {:30.4}", row[0], row[1], row[2]);
     }
-
-    fn scenario_fields(&self) -> &'static [&'static str] {
-        &[]
-    }
-
-    fn run(&self, scenario: &Scenario) -> ExperimentResult {
-        let mut result = ExperimentResult::new(self.id(), self.title(), scenario);
-        let mut t = Table::new(
-            "collisions",
-            &[
-                ("n", ""),
-                ("p_shift_collision", ""),
-                ("p_distinct_fractions", ""),
-            ],
-        );
-        for n in [2usize, 5, 10, 20, 50] {
-            t.push_row(vec![
-                n as f64,
-                analysis::lora_collision_probability(n, 9),
-                analysis::choir_distinct_fraction_probability(n),
-            ]);
-        }
-        result.tables.push(t);
-        result
-    }
-
-    fn render_text(&self, result: &ExperimentResult) -> String {
-        let mut out = String::from("Choir / concurrent-LoRa analysis (SF = 9)\n  N   P(shift collision)  P(distinct tenth-bin fractions)\n");
-        for row in &result.table("collisions").expect("table").rows {
-            let _ = writeln!(out, "  {:3.0}  {:18.3}  {:30.4}", row[0], row[1], row[2]);
-        }
-        out
-    }
+    out
 }
 
 /// §3.1 analysis: throughput gain and multi-user capacity scaling.
-pub struct AnalysisCapacity;
-
-impl Experiment for AnalysisCapacity {
-    fn id(&self) -> &'static str {
-        "analysis_capacity"
+fn analysis_capacity(_: &Scenario, result: &mut ExperimentResult) {
+    let mut t = Table::new(
+        "capacity",
+        &[
+            ("sf", ""),
+            ("gain", ""),
+            ("capacity_n64_bps", "bps"),
+            ("capacity_n256_bps", "bps"),
+        ],
+    );
+    for sf in 6u32..=12 {
+        t.push_row(vec![
+            sf as f64,
+            analysis::distributed_throughput_gain(sf),
+            analysis::multiuser_capacity_bps(500e3, 64, -30.0),
+            analysis::multiuser_capacity_bps(500e3, 256, -30.0),
+        ]);
     }
+    result.tables.push(t);
+}
 
-    fn title(&self) -> &'static str {
-        "§3.1 analysis: distributed-CSS throughput gain and capacity scaling"
-    }
-
-    fn scenario_fields(&self) -> &'static [&'static str] {
-        &[]
-    }
-
-    fn run(&self, scenario: &Scenario) -> ExperimentResult {
-        let mut result = ExperimentResult::new(self.id(), self.title(), scenario);
-        let mut t = Table::new(
-            "capacity",
-            &[
-                ("sf", ""),
-                ("gain", ""),
-                ("capacity_n64_bps", "bps"),
-                ("capacity_n256_bps", "bps"),
-            ],
+fn analysis_capacity_text(result: &ExperimentResult) -> String {
+    let mut out = String::from("Distributed CSS throughput gain 2^SF/SF and multi-user capacity\n  SF  gain      capacity@N=64[-30dB, kbps]  capacity@N=256\n");
+    for row in &result.table("capacity").expect("table").rows {
+        let _ = writeln!(
+            out,
+            "  {:2.0}  {:8.1}  {:26.1}  {:14.1}",
+            row[0],
+            row[1],
+            row[2] / 1e3,
+            row[3] / 1e3
         );
-        for sf in 6u32..=12 {
-            t.push_row(vec![
-                sf as f64,
-                analysis::distributed_throughput_gain(sf),
-                analysis::multiuser_capacity_bps(500e3, 64, -30.0),
-                analysis::multiuser_capacity_bps(500e3, 256, -30.0),
-            ]);
-        }
-        result.tables.push(t);
-        result
     }
-
-    fn render_text(&self, result: &ExperimentResult) -> String {
-        let mut out = String::from("Distributed CSS throughput gain 2^SF/SF and multi-user capacity\n  SF  gain      capacity@N=64[-30dB, kbps]  capacity@N=256\n");
-        for row in &result.table("capacity").expect("table").rows {
-            let _ = writeln!(
-                out,
-                "  {:2.0}  {:8.1}  {:26.1}  {:14.1}",
-                row[0],
-                row[1],
-                row[2] / 1e3,
-                row[3] / 1e3
-            );
-        }
-        out
-    }
+    out
 }
 
 // ---------------------------------------------------------------------------
@@ -1266,138 +1105,107 @@ fn gateway_channel_model(scenario: &Scenario) -> crate::fullround::ChannelModel 
 
 /// Streaming gateway: continuous-stream detection, sync and decode with
 /// measured real-time throughput.
-pub struct Gateway;
-
-impl Experiment for Gateway {
-    fn id(&self) -> &'static str {
-        "gateway"
-    }
-
-    fn title(&self) -> &'static str {
-        "Streaming gateway: continuous-stream detect + decode, real-time factor"
-    }
-
-    fn scenario_fields(&self) -> &'static [&'static str] {
+fn gateway(scenario: &Scenario, result: &mut ExperimentResult) {
+    /// Stream-length cap under quick scale, keeping CI and the smoke
+    /// tests fast.
+    const QUICK_STREAM_SECS_CAP: f64 = 0.25;
+    let dep = scenario.deployment();
+    let model = gateway_channel_model(scenario);
+    // Quick scale caps the stream length — loudly when it overrides a
+    // longer request, and the result's recorded scenario carries the
+    // value that actually ran so the metadata never contradicts the
+    // measurements.
+    let stream_secs = if scenario.scale == Scale::Quick {
+        // Warn only when the cap overrides a value the user actually
+        // changed from the default — a plain `--quick` run is the
+        // expected fast path, not a surprise.
+        if scenario.stream_secs > QUICK_STREAM_SECS_CAP
+            && scenario.stream_secs != Scenario::default().stream_secs
+        {
+            eprintln!(
+                "note: gateway caps stream_secs at {QUICK_STREAM_SECS_CAP} under quick scale (requested {}); use --paper for the full stream",
+                scenario.stream_secs
+            );
+        }
+        scenario.stream_secs.min(QUICK_STREAM_SECS_CAP)
+    } else {
+        scenario.stream_secs
+    };
+    let sizes = sizes_up_to(&GATEWAY_SIZES, scenario.devices);
+    let mc = scenario.monte_carlo();
+    result.scenario.stream_secs = stream_secs;
+    let mut t = Table::new(
+        "stream",
         &[
-            "devices",
-            "placement",
-            "channel",
-            "fidelity",
-            "scale",
-            "seed",
-            "threads",
-            "payload_bits",
-            "arrival_rate",
-            "stream_secs",
-            "chunk_samples",
-            "channels",
-        ]
-    }
-
-    fn run(&self, scenario: &Scenario) -> ExperimentResult {
-        /// Stream-length cap under quick scale, keeping CI and the smoke
-        /// tests fast.
-        const QUICK_STREAM_SECS_CAP: f64 = 0.25;
-        let dep = scenario.deployment();
-        let model = gateway_channel_model(scenario);
-        // Quick scale caps the stream length — loudly when it overrides a
-        // longer request, and the result's recorded scenario carries the
-        // value that actually ran so the metadata never contradicts the
-        // measurements.
-        let stream_secs = if scenario.scale == Scale::Quick {
-            // Warn only when the cap overrides a value the user actually
-            // changed from the default — a plain `--quick` run is the
-            // expected fast path, not a surprise.
-            if scenario.stream_secs > QUICK_STREAM_SECS_CAP
-                && scenario.stream_secs != Scenario::default().stream_secs
-            {
-                eprintln!(
-                    "note: gateway caps stream_secs at {QUICK_STREAM_SECS_CAP} under quick scale (requested {}); use --paper for the full stream",
-                    scenario.stream_secs
-                );
-            }
-            scenario.stream_secs.min(QUICK_STREAM_SECS_CAP)
-        } else {
-            scenario.stream_secs
-        };
-        let sizes = sizes_up_to(&GATEWAY_SIZES, scenario.devices);
-        let mc = scenario.monte_carlo();
-        let mut result = ExperimentResult::new(self.id(), self.title(), scenario);
-        result.scenario.stream_secs = stream_secs;
-        let mut t = Table::new(
-            "stream",
-            &[
-                ("devices", ""),
-                ("rounds_offered", ""),
-                ("rounds_decoded", ""),
-                ("false_alarms", ""),
-                ("delivery_frac", ""),
-                ("ber", ""),
-                ("msamples_per_sec", "Msps"),
-                ("real_time_factor", ""),
-            ],
+            ("devices", ""),
+            ("rounds_offered", ""),
+            ("rounds_decoded", ""),
+            ("false_alarms", ""),
+            ("delivery_frac", ""),
+            ("ber", ""),
+            ("msamples_per_sec", "Msps"),
+            ("real_time_factor", ""),
+        ],
+    );
+    let mut last: Option<GatewayOutcome> = None;
+    for &n in &sizes {
+        let outcome = run_gateway_stream(
+            &dep,
+            n,
+            &model,
+            scenario,
+            stream_secs,
+            mc.derive(n as u64).seed,
         );
-        let mut last: Option<GatewayOutcome> = None;
-        for &n in &sizes {
-            let outcome = run_gateway_stream(
-                &dep,
-                n,
-                &model,
-                scenario,
-                stream_secs,
-                mc.derive(n as u64).seed,
-            );
-            t.push_row(vec![
-                n as f64,
-                outcome.rounds_offered as f64,
-                outcome.rounds_decoded as f64,
-                outcome.false_alarms as f64,
-                outcome.delivery_frac,
-                outcome.ber,
-                outcome.msamples_per_sec,
-                outcome.real_time_factor,
-            ]);
-            last = Some(outcome);
-        }
-        result.tables.push(t);
-        let last = last.expect("at least one network size");
-        result.scalars.push(("stream_secs".into(), stream_secs));
-        result
-            .scalars
-            .push(("msamples_per_sec".into(), last.msamples_per_sec));
-        result
-            .scalars
-            .push(("real_time_factor".into(), last.real_time_factor));
-        result
+        t.push_row(vec![
+            n as f64,
+            outcome.rounds_offered as f64,
+            outcome.rounds_decoded as f64,
+            outcome.false_alarms as f64,
+            outcome.delivery_frac,
+            outcome.ber,
+            outcome.msamples_per_sec,
+            outcome.real_time_factor,
+        ]);
+        last = Some(outcome);
     }
+    result.tables.push(t);
+    let last = last.expect("at least one network size");
+    result.scalars.push(("stream_secs".into(), stream_secs));
+    result
+        .scalars
+        .push(("msamples_per_sec".into(), last.msamples_per_sec));
+    result
+        .scalars
+        .push(("real_time_factor".into(), last.real_time_factor));
+}
 
-    fn render_text(&self, result: &ExperimentResult) -> String {
-        let mut out = format!(
-            "Streaming gateway ({} synthesis, {:.2} s stream, {} rounds/s arrivals, {} channel{})\n  N     offered  decoded  false  delivered  BER      Msamples/s  real-time\n",
-            fidelity_tag(result.scenario.fidelity),
-            result.scalar("stream_secs").unwrap_or(f64::NAN),
-            result.scenario.arrival_rate,
-            result.scenario.channels,
-            if result.scenario.channels == 1 { "" } else { "s" },
-        );
-        let t = result.table("stream").expect("stream table");
-        for row in &t.rows {
-            let _ = writeln!(
-                out,
-                "  {:4.0}  {:7.0}  {:7.0}  {:5.0}  {:9.3}  {:7.5}  {:10.2}  {:8.2}x",
-                row[0], row[1], row[2], row[3], row[4], row[5], row[6], row[7]
-            );
-        }
-        let last_n = t.rows.last().map(|r| r[0]).unwrap_or(0.0);
+fn gateway_text(result: &ExperimentResult) -> String {
+    let mut out = format!(
+        "Streaming gateway ({} synthesis, {:.2} s stream, {} rounds/s arrivals, {} channel{})\n  N     offered  decoded  false  delivered  BER      Msamples/s  real-time\n",
+        fidelity_tag(result.scenario.fidelity),
+        result.scalar("stream_secs").unwrap_or(f64::NAN),
+        result.scenario.arrival_rate,
+        result.scenario.channels,
+        if result.scenario.channels == 1 { "" } else { "s" },
+    );
+    let t = result.table("stream").expect("stream table");
+    for row in &t.rows {
         let _ = writeln!(
             out,
-            "throughput at {:.0} devices: {:.2} Msamples/s = {:.2}x real time",
-            last_n,
-            result.scalar("msamples_per_sec").expect("scalar"),
-            result.scalar("real_time_factor").expect("scalar")
+            "  {:4.0}  {:7.0}  {:7.0}  {:5.0}  {:9.3}  {:7.5}  {:10.2}  {:8.2}x",
+            row[0], row[1], row[2], row[3], row[4], row[5], row[6], row[7]
         );
-        out
     }
+    let last_n = t.rows.last().map(|r| r[0]).unwrap_or(0.0);
+    let _ = writeln!(
+        out,
+        "throughput at {:.0} devices: {:.2} Msamples/s = {:.2}x real time",
+        last_n,
+        result.scalar("msamples_per_sec").expect("scalar"),
+        result.scalar("real_time_factor").expect("scalar")
+    );
+    out
 }
 
 // ---------------------------------------------------------------------------
@@ -1600,240 +1408,212 @@ fn goodput_analytical_tally(delivery_frac: f64, n: usize, payload_bits: usize) -
 }
 
 /// Goodput vs code rate vs device count for the coded link layer.
-pub struct Goodput;
-
-impl Experiment for Goodput {
-    fn id(&self) -> &'static str {
-        "goodput"
-    }
-
-    fn title(&self) -> &'static str {
-        "Coded link layer: goodput vs code rate vs device count"
-    }
-
-    fn scenario_fields(&self) -> &'static [&'static str] {
+fn goodput(scenario: &Scenario, result: &mut ExperimentResult) {
+    // `coding none` (the default) sweeps every scheme at the shared
+    // budget; a specific scheme runs against the raw baseline at the
+    // scenario's own (validated) payload geometry.
+    let (schemes, payload_bits): (Vec<CodingScheme>, usize) =
+        if scenario.coding == CodingScheme::None {
+            (CodingScheme::ALL.to_vec(), GOODPUT_PAYLOAD_BITS)
+        } else {
+            (
+                vec![CodingScheme::None, scenario.coding],
+                scenario.payload_bits,
+            )
+        };
+    let dep = scenario.deployment();
+    let model = scenario.channel_model();
+    let mc = scenario.monte_carlo();
+    let trials = scenario.scale.pick(2, 8);
+    let rounds = scenario.scale.pick(2, 6);
+    let sizes = sizes_up_to(&GATEWAY_SIZES, scenario.devices);
+    let mut t = Table::new(
+        "goodput",
         &[
-            "devices",
-            "placement",
-            "channel",
-            "fidelity",
-            "scale",
-            "seed",
-            "threads",
-            "payload_bits",
-            "coding",
-        ]
-    }
-
-    fn run(&self, scenario: &Scenario) -> ExperimentResult {
-        // `coding none` (the default) sweeps every scheme at the shared
-        // budget; a specific scheme runs against the raw baseline at the
-        // scenario's own (validated) payload geometry.
-        let (schemes, payload_bits): (Vec<CodingScheme>, usize) =
-            if scenario.coding == CodingScheme::None {
-                (CodingScheme::ALL.to_vec(), GOODPUT_PAYLOAD_BITS)
-            } else {
-                (
-                    vec![CodingScheme::None, scenario.coding],
-                    scenario.payload_bits,
-                )
+            ("devices", ""),
+            ("scheme", ""),
+            ("code_rate", ""),
+            ("data_bits", "bits"),
+            ("frames_sent", ""),
+            ("frames_ok", ""),
+            ("frame_delivery", ""),
+            ("frame_delivery_detected", ""),
+            ("detected_frac", ""),
+            ("raw_ber_detected", ""),
+            ("corrected", ""),
+            ("goodput_frac", ""),
+            ("delivery_at_ber_1e2", ""),
+        ],
+    );
+    let mut max_size_rows: Vec<(CodingScheme, GoodputTally, usize)> = Vec::new();
+    for &n in &sizes {
+        // The analytical gate is scheme-independent; compute the size's
+        // delivery fraction once and share it across the scheme rows.
+        let analytical_delivery = if scenario.fidelity == Fidelity::Analytical {
+            let m = netscatter_metrics_with(
+                &dep,
+                n,
+                payload_bits,
+                NetScatterVariant::Config1,
+                Fidelity::Analytical,
+                &model,
+                &mc.derive(n as u64),
+            );
+            Some(ratio(m.delivered, m.num_devices))
+        } else {
+            None
+        };
+        for &scheme in &schemes {
+            let data_bits = match scheme {
+                CodingScheme::None => payload_bits,
+                _ => FrameCodec::new(scheme, payload_bits)
+                    .expect("scenario geometry validated")
+                    .data_bits(),
             };
-        let dep = scenario.deployment();
-        let model = scenario.channel_model();
-        let mc = scenario.monte_carlo();
-        let trials = scenario.scale.pick(2, 8);
-        let rounds = scenario.scale.pick(2, 6);
-        let sizes = sizes_up_to(&GATEWAY_SIZES, scenario.devices);
-        let mut result = ExperimentResult::new(self.id(), self.title(), scenario);
-        let mut t = Table::new(
-            "goodput",
-            &[
-                ("devices", ""),
-                ("scheme", ""),
-                ("code_rate", ""),
-                ("data_bits", "bits"),
-                ("frames_sent", ""),
-                ("frames_ok", ""),
-                ("frame_delivery", ""),
-                ("frame_delivery_detected", ""),
-                ("detected_frac", ""),
-                ("raw_ber_detected", ""),
-                ("corrected", ""),
-                ("goodput_frac", ""),
-                ("delivery_at_ber_1e2", ""),
-            ],
-        );
-        let mut max_size_rows: Vec<(CodingScheme, GoodputTally, usize)> = Vec::new();
-        for &n in &sizes {
-            // The analytical gate is scheme-independent; compute the size's
-            // delivery fraction once and share it across the scheme rows.
-            let analytical_delivery = if scenario.fidelity == Fidelity::Analytical {
-                let m = netscatter_metrics_with(
+            let tally = match analytical_delivery {
+                Some(delivery) => goodput_analytical_tally(delivery, n, payload_bits),
+                None => goodput_sample_tally(
                     &dep,
                     n,
-                    payload_bits,
-                    NetScatterVariant::Config1,
-                    Fidelity::Analytical,
                     &model,
+                    scheme,
+                    payload_bits,
                     &mc.derive(n as u64),
-                );
-                Some(ratio(m.delivered, m.num_devices))
-            } else {
-                None
+                    trials,
+                    rounds,
+                ),
             };
-            for &scheme in &schemes {
-                let data_bits = match scheme {
-                    CodingScheme::None => payload_bits,
-                    _ => FrameCodec::new(scheme, payload_bits)
-                        .expect("scenario geometry validated")
-                        .data_bits(),
-                };
-                let tally = match analytical_delivery {
-                    Some(delivery) => goodput_analytical_tally(delivery, n, payload_bits),
-                    None => goodput_sample_tally(
-                        &dep,
-                        n,
-                        &model,
-                        scheme,
-                        payload_bits,
-                        &mc.derive(n as u64),
-                        trials,
-                        rounds,
-                    ),
-                };
-                let scheme_index = CodingScheme::ALL
-                    .iter()
-                    .position(|&s| s == scheme)
-                    .expect("scheme registered") as f64;
-                let goodput_frac = if tally.frames_sent == 0 {
-                    0.0
-                } else {
-                    (tally.frames_ok * data_bits) as f64 / (tally.frames_sent * payload_bits) as f64
-                };
-                t.push_row(vec![
-                    n as f64,
-                    scheme_index,
-                    data_bits as f64 / payload_bits as f64,
-                    data_bits as f64,
-                    tally.frames_sent as f64,
-                    tally.frames_ok as f64,
-                    tally.frame_delivery(),
-                    tally.frame_delivery_detected(),
-                    tally.detected_frac(),
-                    tally.raw_ber_detected(),
-                    tally.corrected as f64,
-                    goodput_frac,
-                    tally.delivery_at_residual_ber(),
-                ]);
-                if n == *sizes.last().unwrap() {
-                    max_size_rows.push((scheme, tally, data_bits));
-                }
+            let scheme_index = CodingScheme::ALL
+                .iter()
+                .position(|&s| s == scheme)
+                .expect("scheme registered") as f64;
+            let goodput_frac = if tally.frames_sent == 0 {
+                0.0
+            } else {
+                (tally.frames_ok * data_bits) as f64 / (tally.frames_sent * payload_bits) as f64
+            };
+            t.push_row(vec![
+                n as f64,
+                scheme_index,
+                data_bits as f64 / payload_bits as f64,
+                data_bits as f64,
+                tally.frames_sent as f64,
+                tally.frames_ok as f64,
+                tally.frame_delivery(),
+                tally.frame_delivery_detected(),
+                tally.detected_frac(),
+                tally.raw_ber_detected(),
+                tally.corrected as f64,
+                goodput_frac,
+                tally.delivery_at_residual_ber(),
+            ]);
+            if n == *sizes.last().unwrap() {
+                max_size_rows.push((scheme, tally, data_bits));
             }
         }
-        result.tables.push(t);
+    }
+    result.tables.push(t);
+    result
+        .scalars
+        .push(("payload_bits".into(), payload_bits as f64));
+    let raw = max_size_rows
+        .iter()
+        .find(|(s, _, _)| *s == CodingScheme::None);
+    if let Some((_, tally, _)) = raw {
         result
             .scalars
-            .push(("payload_bits".into(), payload_bits as f64));
-        let raw = max_size_rows
-            .iter()
-            .find(|(s, _, _)| *s == CodingScheme::None);
-        if let Some((_, tally, _)) = raw {
-            result
-                .scalars
-                .push(("uncoded_frame_delivery".into(), tally.frame_delivery()));
-            result
-                .scalars
-                .push(("raw_ber_detected".into(), tally.raw_ber_detected()));
-        }
-        let best_coded = max_size_rows
-            .iter()
-            .filter(|(s, _, _)| *s != CodingScheme::None)
-            .max_by(|a, b| {
-                a.1.frame_delivery_detected()
-                    .total_cmp(&b.1.frame_delivery_detected())
-            });
-        if let Some((scheme, tally, data_bits)) = best_coded {
-            result.scalars.push((
-                "best_coded_scheme".into(),
-                CodingScheme::ALL
-                    .iter()
-                    .position(|s| s == scheme)
-                    .expect("registered") as f64,
-            ));
-            result
-                .scalars
-                .push(("best_coded_frame_delivery".into(), tally.frame_delivery()));
-            result.scalars.push((
-                "best_coded_frame_delivery_detected".into(),
-                tally.frame_delivery_detected(),
-            ));
-            result.scalars.push((
-                "best_coded_goodput_frac".into(),
-                if tally.frames_sent == 0 {
-                    0.0
-                } else {
-                    (tally.frames_ok * data_bits) as f64 / (tally.frames_sent * payload_bits) as f64
-                },
-            ));
-            result.scalars.push((
-                "best_coded_delivery_at_ber_1e2".into(),
-                tally.delivery_at_residual_ber(),
-            ));
-        }
+            .push(("uncoded_frame_delivery".into(), tally.frame_delivery()));
         result
+            .scalars
+            .push(("raw_ber_detected".into(), tally.raw_ber_detected()));
     }
+    let best_coded = max_size_rows
+        .iter()
+        .filter(|(s, _, _)| *s != CodingScheme::None)
+        .max_by(|a, b| {
+            a.1.frame_delivery_detected()
+                .total_cmp(&b.1.frame_delivery_detected())
+        });
+    if let Some((scheme, tally, data_bits)) = best_coded {
+        result.scalars.push((
+            "best_coded_scheme".into(),
+            CodingScheme::ALL
+                .iter()
+                .position(|s| s == scheme)
+                .expect("registered") as f64,
+        ));
+        result
+            .scalars
+            .push(("best_coded_frame_delivery".into(), tally.frame_delivery()));
+        result.scalars.push((
+            "best_coded_frame_delivery_detected".into(),
+            tally.frame_delivery_detected(),
+        ));
+        result.scalars.push((
+            "best_coded_goodput_frac".into(),
+            if tally.frames_sent == 0 {
+                0.0
+            } else {
+                (tally.frames_ok * data_bits) as f64 / (tally.frames_sent * payload_bits) as f64
+            },
+        ));
+        result.scalars.push((
+            "best_coded_delivery_at_ber_1e2".into(),
+            tally.delivery_at_residual_ber(),
+        ));
+    }
+}
 
-    fn render_text(&self, result: &ExperimentResult) -> String {
-        let payload = result.scalar("payload_bits").unwrap_or(f64::NAN);
-        let mut out = format!(
-            "Coded link-layer goodput ({} fidelity, {payload:.0} on-air bits/device/round)\n  N     scheme    rate   data  frames   ok      delivery  det-deliv  rawBER(det)  goodput  del@1e-2\n",
-            fidelity_tag(result.scenario.fidelity),
+fn goodput_text(result: &ExperimentResult) -> String {
+    let payload = result.scalar("payload_bits").unwrap_or(f64::NAN);
+    let mut out = format!(
+        "Coded link-layer goodput ({} fidelity, {payload:.0} on-air bits/device/round)\n  N     scheme    rate   data  frames   ok      delivery  det-deliv  rawBER(det)  goodput  del@1e-2\n",
+        fidelity_tag(result.scenario.fidelity),
+    );
+    let t = result.table("goodput").expect("goodput table");
+    for row in &t.rows {
+        let scheme = CodingScheme::ALL
+            .get(row[1] as usize)
+            .map(|s| s.name())
+            .unwrap_or("?");
+        let _ = writeln!(
+            out,
+            "  {:4.0}  {:8}  {:5.3}  {:4.0}  {:6.0}  {:6.0}  {:8.3}  {:9.3}  {:11.2e}  {:7.3}  {:8.3}",
+            row[0],
+            scheme,
+            row[2],
+            row[3],
+            row[4],
+            row[5],
+            row[6],
+            row[7],
+            row[9],
+            row[11],
+            row[12]
         );
-        let t = result.table("goodput").expect("goodput table");
-        for row in &t.rows {
-            let scheme = CodingScheme::ALL
-                .get(row[1] as usize)
-                .map(|s| s.name())
-                .unwrap_or("?");
-            let _ = writeln!(
-                out,
-                "  {:4.0}  {:8}  {:5.3}  {:4.0}  {:6.0}  {:6.0}  {:8.3}  {:9.3}  {:11.2e}  {:7.3}  {:8.3}",
-                row[0],
-                scheme,
-                row[2],
-                row[3],
-                row[4],
-                row[5],
-                row[6],
-                row[7],
-                row[9],
-                row[11],
-                row[12]
-            );
-        }
-        if let (Some(delivery), Some(ber)) = (
-            result.scalar("best_coded_frame_delivery_detected"),
-            result.scalar("raw_ber_detected"),
-        ) {
-            let best = result
-                .scalar("best_coded_scheme")
-                .and_then(|i| CodingScheme::ALL.get(i as usize).copied())
-                .map(|s| s.name())
-                .unwrap_or("?");
-            let at_1e2 = result
-                .scalar("best_coded_delivery_at_ber_1e2")
-                .unwrap_or(f64::NAN);
-            let _ = writeln!(
-                out,
-                "best coded scheme at max size: {best} delivers {:.1}% of detected frames \
-                 (raw BER {:.2e}); {:.1}% at the ~1e-2-BER operating point",
-                delivery * 100.0,
-                ber,
-                at_1e2 * 100.0
-            );
-        }
-        out
     }
+    if let (Some(delivery), Some(ber)) = (
+        result.scalar("best_coded_frame_delivery_detected"),
+        result.scalar("raw_ber_detected"),
+    ) {
+        let best = result
+            .scalar("best_coded_scheme")
+            .and_then(|i| CodingScheme::ALL.get(i as usize).copied())
+            .map(|s| s.name())
+            .unwrap_or("?");
+        let at_1e2 = result
+            .scalar("best_coded_delivery_at_ber_1e2")
+            .unwrap_or(f64::NAN);
+        let _ = writeln!(
+            out,
+            "best coded scheme at max size: {best} delivers {:.1}% of detected frames \
+             (raw BER {:.2e}); {:.1}% at the ~1e-2-BER operating point",
+            delivery * 100.0,
+            ber,
+            at_1e2 * 100.0
+        );
+    }
+    out
 }
 
 // ---------------------------------------------------------------------------
@@ -1862,292 +1642,288 @@ fn median_secs(samples: usize, mut f: impl FnMut()) -> f64 {
 /// experiment sweeps, and the sample-level network simulator. Timing values
 /// vary run to run, so this is the one registered experiment without a
 /// golden parity pin.
-pub struct Perf;
+fn perf(scenario: &Scenario, result: &mut ExperimentResult) {
+    use crate::deployment::{Deployment, DeploymentConfig};
+    use crate::fullround::{ChannelModel, FullRoundNetwork};
+    use crate::workloads::build_concurrent_round;
+    use netscatter::receiver::ConcurrentReceiver;
+    use netscatter_dsp::correlator::ChirpBank;
+    use netscatter_phy::distributed::{ConcurrentDemodulator, DemodWorkspace, OnOffModulator};
+    use netscatter_phy::params::PhyProfile;
+    use netscatter_phy::preamble::{PREAMBLE_SYMBOLS, PREAMBLE_UPCHIRPS};
+    use std::time::Instant;
 
-impl Experiment for Perf {
-    fn id(&self) -> &'static str {
-        "perf"
-    }
+    let profile = PhyProfile::default();
+    let params = profile.modulation.chirp();
 
-    fn title(&self) -> &'static str {
-        "Perf snapshot: decode and sample-level round throughput"
-    }
-
-    fn scenario_fields(&self) -> &'static [&'static str] {
-        &["seed"]
-    }
-
-    fn run(&self, scenario: &Scenario) -> ExperimentResult {
-        use crate::deployment::{Deployment, DeploymentConfig};
-        use crate::fullround::{ChannelModel, FullRoundNetwork};
-        use crate::workloads::build_concurrent_round;
-        use netscatter::receiver::ConcurrentReceiver;
-        use netscatter_dsp::correlator::ChirpBank;
-        use netscatter_phy::distributed::{ConcurrentDemodulator, DemodWorkspace, OnOffModulator};
-        use netscatter_phy::params::PhyProfile;
-        use netscatter_phy::preamble::{PREAMBLE_SYMBOLS, PREAMBLE_UPCHIRPS};
-        use std::time::Instant;
-
-        let profile = PhyProfile::default();
-        let params = profile.modulation.chirp();
-
-        // 1. ns per symbol spectrum (dechirp + FFT + power), the dominant
-        //    per-symbol cost of the receiver: on the zero-padded grid, and
-        //    on the 2^SF-point lattice `decode_round` computes instead when
-        //    every search bound is zero (the bins only, bit-identical there).
-        let demod = ConcurrentDemodulator::new(params, profile.zero_padding)
-            .expect("profile zero-padding is a power of two");
-        let mut ws = DemodWorkspace::new();
-        let symbol = OnOffModulator::new(params, 123).symbol(true, 0.0, 0.0, 1.0);
-        let batch = 256usize;
-        let [padded_spectrum_ns, lattice_spectrum_ns] = [profile.zero_padding, 1].map(|step| {
-            let per_batch = median_secs(9, || {
-                for _ in 0..batch {
-                    demod
-                        .spectrum_into(&symbol, step, &mut ws)
-                        .expect("correct symbol length");
-                }
-            });
-            per_batch / batch as f64 * 1e9
-        });
-
-        // 1b. The sync comb's kernel: nine candidate offsets of a 256-device
-        //     preamble, every assigned bin read per candidate — slid as one
-        //     `n + 8`-sample run per symbol (one transform), and as nine
-        //     `n`-sample runs (one bank pass each). CI gates the ratio.
-        let bank = ChirpBank::new(params).expect("profile chirp is valid");
-        let (preamble, comb_bins) = build_concurrent_round(&profile, 256, 1);
-        let n = params.num_bins();
-        let mut spec = Vec::new();
-        let [chirp_bank_sliding_us, chirp_bank_per_candidate_us] = [n + 8, n].map(|run| {
-            let per_batch = median_secs(9, || {
-                let mut acc = 0.0;
-                for s in (0..PREAMBLE_SYMBOLS).cycle().take(16 * PREAMBLE_SYMBOLS) {
-                    let down = s >= PREAMBLE_UPCHIRPS;
-                    for samples in preamble[s * n..(s + 1) * n + 8].windows(run) {
-                        bank.sliding_bank_into(samples, down, &mut spec, |_, spectrum| {
-                            acc += comb_bins.iter().map(|&b| spectrum.power(b)).sum::<f64>();
-                        })
-                        .expect("a run covers one symbol");
-                    }
-                }
-                std::hint::black_box(acc);
-            });
-            per_batch / 16.0 * 1e6
-        });
-
-        // 2. Full-round decode throughput (symbols/sec) vs device count.
-        let mut decode = Table::new(
-            "decode",
-            &[
-                ("devices", ""),
-                ("round_ms", "ms"),
-                ("symbols_per_sec", "1/s"),
-            ],
-        );
-        for n_devices in [16usize, 64, 256] {
-            let rx = ConcurrentReceiver::new(&profile).expect("valid profile");
-            let (stream, bins) = build_concurrent_round(&profile, n_devices, PERF_PAYLOAD_SYMBOLS);
-            let round_s = median_secs(5, || {
-                let round = rx
-                    .decode_round(&stream, 0, &bins, PERF_PAYLOAD_SYMBOLS)
-                    .expect("round decodes");
-                assert_eq!(round.devices.len(), n_devices, "all devices detected");
-            });
-            decode.push_row(vec![
-                n_devices as f64,
-                round_s * 1e3,
-                PERF_PAYLOAD_SYMBOLS as f64 / round_s,
-            ]);
-        }
-
-        // 3. Sample-level network round throughput: channel realization +
-        //    superposed synthesis + AWGN + full concurrent decode, per
-        //    round, under the office channel model.
-        let dep = Deployment::generate(
-            DeploymentConfig::office(256),
-            &mut StdRng::seed_from_u64(scenario.seed),
-        );
-        let model = ChannelModel::office();
-        let mut network = Table::new(
-            "network",
-            &[
-                ("devices", ""),
-                ("round_ms", "ms"),
-                ("device_symbols_per_sec", "1/s"),
-            ],
-        );
-        for n_devices in [16usize, 64, 256] {
-            let mut net = FullRoundNetwork::for_trial(&dep, n_devices, &model, 7);
-            let round_s = median_secs(5, || {
-                let truth = net.simulate_round(PERF_PAYLOAD_SYMBOLS);
-                assert_eq!(truth.outcome.scheduled, n_devices);
-            });
-            network.push_row(vec![
-                n_devices as f64,
-                round_s * 1e3,
-                n_devices as f64 * (8 + PERF_PAYLOAD_SYMBOLS) as f64 / round_s,
-            ]);
-        }
-
-        // 4. Link-layer codec throughput: frame
-        //    encode and decode over clean frames at each scheme's minimum
-        //    geometry, amortized over a 256-frame batch, reported in
-        //    Msymbols/s of on-air payload symbols (one bit per on-off-keyed
-        //    symbol). The `scheme` column indexes [`CodingScheme::ALL`].
-        let mut coding = Table::new(
-            "coding",
-            &[
-                ("scheme", ""),
-                ("payload_bits", ""),
-                ("code_rate", ""),
-                ("encode_msymbols_per_sec", "Msym/s"),
-                ("decode_msymbols_per_sec", "Msym/s"),
-            ],
-        );
-        let mut codec_rng = StdRng::seed_from_u64(scenario.seed ^ 0xFEC);
-        for (index, scheme) in CodingScheme::ALL.iter().enumerate() {
-            let scheme = *scheme;
-            if scheme == CodingScheme::None {
-                continue;
+    // 1. ns per symbol spectrum (dechirp + FFT + power), the dominant
+    //    per-symbol cost of the receiver: on the zero-padded grid, and
+    //    on the 2^SF-point lattice `decode_round` computes instead when
+    //    every search bound is zero (the bins only, bit-identical there).
+    let demod = ConcurrentDemodulator::new(params, profile.zero_padding)
+        .expect("profile zero-padding is a power of two");
+    let mut ws = DemodWorkspace::new();
+    let symbol = OnOffModulator::new(params, 123).symbol(true, 0.0, 0.0, 1.0);
+    let batch = 256usize;
+    let [padded_spectrum_ns, lattice_spectrum_ns] = [profile.zero_padding, 1].map(|step| {
+        let per_batch = median_secs(9, || {
+            for _ in 0..batch {
+                demod
+                    .spectrum_into(&symbol, step, &mut ws)
+                    .expect("correct symbol length");
             }
-            let payload_bits = netscatter_coding::frame::min_payload_bits(scheme);
-            let codec = FrameCodec::new(scheme, payload_bits).expect("minimum geometry is valid");
-            let batch = 256usize;
-            let frames: Vec<(u8, Vec<bool>)> = (0..batch)
-                .map(|i| {
-                    let data: Vec<bool> = (0..codec.data_bits())
-                        .map(|_| codec_rng.gen_bool(0.5))
-                        .collect();
-                    (i as u8, data)
-                })
-                .collect();
-            let encode_s = median_secs(9, || {
-                for (seq, data) in &frames {
-                    std::hint::black_box(codec.encode_frame(*seq, data));
-                }
-            });
-            let encoded: Vec<Vec<bool>> = frames
-                .iter()
-                .map(|(seq, data)| codec.encode_frame(*seq, data))
-                .collect();
-            let decode_s = median_secs(9, || {
-                for air in &encoded {
-                    let out = codec.decode_frame(air);
-                    assert!(out.crc_ok, "clean frame decodes");
-                    std::hint::black_box(out);
-                }
-            });
-            let symbols = (batch * payload_bits) as f64;
-            coding.push_row(vec![
-                index as f64,
-                payload_bits as f64,
-                codec.rate(),
-                symbols / encode_s / 1e6,
-                symbols / decode_s / 1e6,
-            ]);
-        }
+        });
+        per_batch / batch as f64 * 1e9
+    });
 
-        // 5. Quick-mode sweep wall-times: the Fig. 15b Monte-Carlo sweep and
-        //    the Fig. 17 network sweep, both through the sharded/parallel
-        //    layer.
-        let quick = Scenario::builder()
-            .scale(Scale::Quick)
-            .seed(scenario.seed)
-            .build();
-        let [fig15_ms, fig17_ms] = [(&Fig15 as &dyn Experiment, "Fig. 15b"), (&Fig17, "Fig. 17")]
-            .map(|(exp, heading)| {
-                let t = Instant::now();
-                let report = exp.render_text(&exp.run(&quick));
-                let ms = t.elapsed().as_secs_f64() * 1e3;
-                assert!(report.contains(heading), "{} report", exp.id());
-                ms
-            });
+    // 1b. The sync comb's kernel: nine candidate offsets of a 256-device
+    //     preamble, every assigned bin read per candidate — slid as one
+    //     `n + 8`-sample run per symbol (one transform), and as nine
+    //     `n`-sample runs (one bank pass each). CI gates the ratio.
+    let bank = ChirpBank::new(params).expect("profile chirp is valid");
+    let (preamble, comb_bins) = build_concurrent_round(&profile, 256, 1);
+    let n = params.num_bins();
+    let mut spec = Vec::new();
+    let [chirp_bank_sliding_us, chirp_bank_per_candidate_us] = [n + 8, n].map(|run| {
+        let per_batch = median_secs(9, || {
+            let mut acc = 0.0;
+            for s in (0..PREAMBLE_SYMBOLS).cycle().take(16 * PREAMBLE_SYMBOLS) {
+                let down = s >= PREAMBLE_UPCHIRPS;
+                for samples in preamble[s * n..(s + 1) * n + 8].windows(run) {
+                    bank.sliding_bank_into(samples, down, &mut spec, |_, spectrum| {
+                        acc += comb_bins.iter().map(|&b| spectrum.power(b)).sum::<f64>();
+                    })
+                    .expect("a run covers one symbol");
+                }
+            }
+            std::hint::black_box(acc);
+        });
+        per_batch / 16.0 * 1e6
+    });
 
-        let mut result = ExperimentResult::new(self.id(), self.title(), scenario);
-        result.tables.push(decode);
-        result.tables.push(network);
-        result.tables.push(coding);
-        result.scalars.extend(
-            [
-                ("payload_symbols_per_round", PERF_PAYLOAD_SYMBOLS as f64),
-                ("padded_spectrum_ns", padded_spectrum_ns),
-                ("lattice_spectrum_ns", lattice_spectrum_ns),
-                ("chirp_bank_sliding_us", chirp_bank_sliding_us),
-                ("chirp_bank_per_candidate_us", chirp_bank_per_candidate_us),
-                ("fig15b_quick_ms", fig15_ms),
-                ("fig17_quick_ms", fig17_ms),
-            ]
-            .map(|(name, value)| (name.to_string(), value)),
-        );
-        result
+    // 2. Full-round decode throughput (symbols/sec) vs device count.
+    let mut decode = Table::new(
+        "decode",
+        &[
+            ("devices", ""),
+            ("round_ms", "ms"),
+            ("symbols_per_sec", "1/s"),
+        ],
+    );
+    for n_devices in [16usize, 64, 256] {
+        let rx = ConcurrentReceiver::new(&profile).expect("valid profile");
+        let (stream, bins) = build_concurrent_round(&profile, n_devices, PERF_PAYLOAD_SYMBOLS);
+        let round_s = median_secs(5, || {
+            let round = rx
+                .decode_round(&stream, 0, &bins, PERF_PAYLOAD_SYMBOLS)
+                .expect("round decodes");
+            assert_eq!(round.devices.len(), n_devices, "all devices detected");
+        });
+        decode.push_row(vec![
+            n_devices as f64,
+            round_s * 1e3,
+            PERF_PAYLOAD_SYMBOLS as f64 / round_s,
+        ]);
     }
 
-    fn render_text(&self, result: &ExperimentResult) -> String {
-        let mut out = String::from("perf (quick mode)\n");
-        let spectrum = result.scalar("padded_spectrum_ns").expect("scalar");
-        let lattice = result.scalar("lattice_spectrum_ns").expect("scalar");
-        let _ = writeln!(
-            out,
-            "  padded_spectrum: {spectrum:.0} ns per symbol spectrum ({lattice:.0} ns on the 2^SF lattice)"
-        );
-        let sliding = result.scalar("chirp_bank_sliding_us").expect("scalar");
-        let per_candidate = result
-            .scalar("chirp_bank_per_candidate_us")
-            .expect("scalar");
-        let _ = writeln!(
-            out,
-            "  sync comb (9 candidates, 256 bins): {sliding:.0} us sliding, {per_candidate:.0} us per-candidate (ratio {:.2})",
-            sliding / per_candidate
-        );
-        for row in &result.table("decode").expect("decode table").rows {
-            let _ = writeln!(
-                out,
-                "  decode_round[{:>3.0} devices]: {:.3} ms per {PERF_PAYLOAD_SYMBOLS}-symbol round = {:.0} symbols/sec",
-                row[0], row[1], row[2]
-            );
-        }
-        for row in &result.table("network").expect("network table").rows {
-            let _ = writeln!(
-                out,
-                "  fullround[{:>3.0} devices]: {:.3} ms per sample-level round = {:.0} device-symbols/sec",
-                row[0], row[1], row[2]
-            );
-        }
-        for row in &result.table("coding").expect("coding table").rows {
-            let scheme = CodingScheme::ALL
-                .get(row[0] as usize)
-                .map(|s| s.name())
-                .unwrap_or("?");
-            let _ = writeln!(
-                out,
-                "  codec[{scheme:>8}]: rate {:.2}, encode {:.2} Msym/s, decode {:.2} Msym/s",
-                row[2], row[3], row[4]
-            );
-        }
-        let _ = writeln!(
-            out,
-            "  fig15b quick sweep: {:.0} ms",
-            result.scalar("fig15b_quick_ms").expect("scalar")
-        );
-        let _ = writeln!(
-            out,
-            "  fig17 quick sweep: {:.0} ms",
-            result.scalar("fig17_quick_ms").expect("scalar")
-        );
-        out
+    // 3. Sample-level network round throughput: channel realization +
+    //    superposed synthesis + AWGN + full concurrent decode, per
+    //    round, under the office channel model.
+    let dep = Deployment::generate(
+        DeploymentConfig::office(256),
+        &mut StdRng::seed_from_u64(scenario.seed),
+    );
+    let model = ChannelModel::office();
+    let mut network = Table::new(
+        "network",
+        &[
+            ("devices", ""),
+            ("round_ms", "ms"),
+            ("device_symbols_per_sec", "1/s"),
+        ],
+    );
+    for n_devices in [16usize, 64, 256] {
+        let mut net = FullRoundNetwork::for_trial(&dep, n_devices, &model, 7);
+        let round_s = median_secs(5, || {
+            let truth = net.simulate_round(PERF_PAYLOAD_SYMBOLS);
+            assert_eq!(truth.outcome.scheduled, n_devices);
+        });
+        network.push_row(vec![
+            n_devices as f64,
+            round_s * 1e3,
+            n_devices as f64 * (8 + PERF_PAYLOAD_SYMBOLS) as f64 / round_s,
+        ]);
     }
+
+    // 4. Link-layer codec throughput: frame
+    //    encode and decode over clean frames at each scheme's minimum
+    //    geometry, amortized over a 256-frame batch, reported in
+    //    Msymbols/s of on-air payload symbols (one bit per on-off-keyed
+    //    symbol). The `scheme` column indexes [`CodingScheme::ALL`].
+    let mut coding = Table::new(
+        "coding",
+        &[
+            ("scheme", ""),
+            ("payload_bits", ""),
+            ("code_rate", ""),
+            ("encode_msymbols_per_sec", "Msym/s"),
+            ("decode_msymbols_per_sec", "Msym/s"),
+        ],
+    );
+    let mut codec_rng = StdRng::seed_from_u64(scenario.seed ^ 0xFEC);
+    for (index, scheme) in CodingScheme::ALL.iter().enumerate() {
+        let scheme = *scheme;
+        if scheme == CodingScheme::None {
+            continue;
+        }
+        let payload_bits = netscatter_coding::frame::min_payload_bits(scheme);
+        let codec = FrameCodec::new(scheme, payload_bits).expect("minimum geometry is valid");
+        let batch = 256usize;
+        let frames: Vec<(u8, Vec<bool>)> = (0..batch)
+            .map(|i| {
+                let data: Vec<bool> = (0..codec.data_bits())
+                    .map(|_| codec_rng.gen_bool(0.5))
+                    .collect();
+                (i as u8, data)
+            })
+            .collect();
+        let encode_s = median_secs(9, || {
+            for (seq, data) in &frames {
+                std::hint::black_box(codec.encode_frame(*seq, data));
+            }
+        });
+        let encoded: Vec<Vec<bool>> = frames
+            .iter()
+            .map(|(seq, data)| codec.encode_frame(*seq, data))
+            .collect();
+        let decode_s = median_secs(9, || {
+            for air in &encoded {
+                let out = codec.decode_frame(air);
+                assert!(out.crc_ok, "clean frame decodes");
+                std::hint::black_box(out);
+            }
+        });
+        let symbols = (batch * payload_bits) as f64;
+        coding.push_row(vec![
+            index as f64,
+            payload_bits as f64,
+            codec.rate(),
+            symbols / encode_s / 1e6,
+            symbols / decode_s / 1e6,
+        ]);
+    }
+
+    // 5. Quick-mode sweep wall-times: the Fig. 15b Monte-Carlo sweep and
+    //    the Fig. 17 network sweep, both through the sharded/parallel
+    //    layer.
+    let quick = Scenario {
+        scale: Scale::Quick,
+        seed: scenario.seed,
+        ..Scenario::default()
+    };
+    let [fig15_ms, fig17_ms] =
+        [("fig15", "Fig. 15b"), ("fig17", "Fig. 17")].map(|(id, heading)| {
+            let exp = find(id).expect("registered experiment");
+            let t = Instant::now();
+            let report = exp.render_text(&exp.run(&quick));
+            let ms = t.elapsed().as_secs_f64() * 1e3;
+            assert!(report.contains(heading), "{id} report");
+            ms
+        });
+
+    result.tables.push(decode);
+    result.tables.push(network);
+    result.tables.push(coding);
+    result.scalars.extend(
+        [
+            ("payload_symbols_per_round", PERF_PAYLOAD_SYMBOLS as f64),
+            ("padded_spectrum_ns", padded_spectrum_ns),
+            ("lattice_spectrum_ns", lattice_spectrum_ns),
+            ("chirp_bank_sliding_us", chirp_bank_sliding_us),
+            ("chirp_bank_per_candidate_us", chirp_bank_per_candidate_us),
+            ("fig15b_quick_ms", fig15_ms),
+            ("fig17_quick_ms", fig17_ms),
+        ]
+        .map(|(name, value)| (name.to_string(), value)),
+    );
+}
+
+fn perf_text(result: &ExperimentResult) -> String {
+    let mut out = String::from("perf (quick mode)\n");
+    let spectrum = result.scalar("padded_spectrum_ns").expect("scalar");
+    let lattice = result.scalar("lattice_spectrum_ns").expect("scalar");
+    let _ = writeln!(
+        out,
+        "  padded_spectrum: {spectrum:.0} ns per symbol spectrum ({lattice:.0} ns on the 2^SF lattice)"
+    );
+    let sliding = result.scalar("chirp_bank_sliding_us").expect("scalar");
+    let per_candidate = result
+        .scalar("chirp_bank_per_candidate_us")
+        .expect("scalar");
+    let _ = writeln!(
+        out,
+        "  sync comb (9 candidates, 256 bins): {sliding:.0} us sliding, {per_candidate:.0} us per-candidate (ratio {:.2})",
+        sliding / per_candidate
+    );
+    for row in &result.table("decode").expect("decode table").rows {
+        let _ = writeln!(
+            out,
+            "  decode_round[{:>3.0} devices]: {:.3} ms per {PERF_PAYLOAD_SYMBOLS}-symbol round = {:.0} symbols/sec",
+            row[0], row[1], row[2]
+        );
+    }
+    for row in &result.table("network").expect("network table").rows {
+        let _ = writeln!(
+            out,
+            "  fullround[{:>3.0} devices]: {:.3} ms per sample-level round = {:.0} device-symbols/sec",
+            row[0], row[1], row[2]
+        );
+    }
+    for row in &result.table("coding").expect("coding table").rows {
+        let scheme = CodingScheme::ALL
+            .get(row[0] as usize)
+            .map(|s| s.name())
+            .unwrap_or("?");
+        let _ = writeln!(
+            out,
+            "  codec[{scheme:>8}]: rate {:.2}, encode {:.2} Msym/s, decode {:.2} Msym/s",
+            row[2], row[3], row[4]
+        );
+    }
+    let _ = writeln!(
+        out,
+        "  fig15b quick sweep: {:.0} ms",
+        result.scalar("fig15b_quick_ms").expect("scalar")
+    );
+    let _ = writeln!(
+        out,
+        "  fig17 quick sweep: {:.0} ms",
+        result.scalar("fig17_quick_ms").expect("scalar")
+    );
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The default scenario at quick scale.
+    fn quick() -> Scenario {
+        Scenario {
+            scale: Scale::Quick,
+            ..Scenario::default()
+        }
+    }
+
+    /// Experiment `id`'s result under `scenario`.
+    fn run(id: &str, scenario: &Scenario) -> ExperimentResult {
+        find(id).expect("registered id").run(scenario)
+    }
+
     /// The text report of experiment `id` at quick scale.
     fn report(id: &str, seed: u64) -> String {
-        let exp = find(id).expect("registered id");
-        let scenario = Scenario::builder().scale(Scale::Quick).seed(seed).build();
-        exp.render_text(&exp.run(&scenario))
+        let result = run(id, &Scenario { seed, ..quick() });
+        find(id).expect("registered id").render_text(&result)
     }
 
     #[test]
@@ -2173,7 +1949,7 @@ mod tests {
 
     #[test]
     fn registry_covers_all_former_drivers_plus_the_gateway() {
-        let ids: Vec<&str> = registry().iter().map(|e| e.id()).collect();
+        let ids: Vec<&str> = registry().iter().map(|e| e.id).collect();
         assert_eq!(
             ids,
             [
@@ -2198,12 +1974,12 @@ mod tests {
         assert!(find("fig17").is_some());
         assert!(find("fig99").is_none());
         for exp in registry() {
-            assert!(!exp.title().is_empty(), "{} needs a title", exp.id());
-            for field in exp.scenario_fields() {
+            assert!(!exp.title.is_empty(), "{} needs a title", exp.id);
+            for field in exp.fields {
                 assert!(
                     crate::scenario::SCENARIO_FIELDS.contains(field),
                     "{} declares unknown field {field}",
-                    exp.id()
+                    exp.id
                 );
             }
         }
@@ -2211,8 +1987,7 @@ mod tests {
 
     #[test]
     fn structured_results_expose_series_not_just_text() {
-        let scenario = Scenario::builder().scale(Scale::Quick).seed(2).build();
-        let result = Fig17.run(&scenario);
+        let result = run("fig17", &Scenario { seed: 2, ..quick() });
         assert_eq!(result.schema_version, crate::experiment::SCHEMA_VERSION);
         let t = result.table("phy_rate").expect("phy_rate table");
         let n = t.column("n").expect("n column");
@@ -2224,20 +1999,12 @@ mod tests {
 
     #[test]
     fn payload_bits_reach_the_network_figures() {
-        let short = Fig18.run(
-            &Scenario::builder()
-                .scale(Scale::Quick)
-                .devices(64)
-                .payload_bits(8)
-                .build(),
-        );
-        let long = Fig18.run(
-            &Scenario::builder()
-                .scale(Scale::Quick)
-                .devices(64)
-                .payload_bits(80)
-                .build(),
-        );
+        let at = |payload_bits| Scenario {
+            devices: 64,
+            payload_bits,
+            ..quick()
+        };
+        let (short, long) = (run("fig18", &at(8)), run("fig18", &at(80)));
         // Longer payloads amortize the fixed query/preamble overhead, so
         // the link-layer rate must move.
         let rate = |r: &ExperimentResult| r.table("link_rate").unwrap().rows[1][3];
@@ -2249,15 +2016,15 @@ mod tests {
         // Analytical fidelity: ideal radios, no noise — every offered round
         // must come back decoded with zero bit errors, and the structured
         // result must carry the throughput columns.
-        let scenario = Scenario::builder()
-            .scale(Scale::Quick)
-            .devices(16)
-            .payload_bits(8)
-            .stream_secs(0.2)
-            .arrival_rate(20.0)
-            .seed(5)
-            .build();
-        let result = Gateway.run(&scenario);
+        let scenario = Scenario {
+            devices: 16,
+            payload_bits: 8,
+            stream_secs: 0.2,
+            arrival_rate: 20.0,
+            seed: 5,
+            ..quick()
+        };
+        let result = run("gateway", &scenario);
         let t = result.table("stream").expect("stream table");
         assert_eq!(t.rows.len(), 1, "16-device scenario has one size row");
         let offered = t.column("rounds_offered").unwrap()[0];
@@ -2268,7 +2035,7 @@ mod tests {
         assert_eq!(t.column("delivery_frac").unwrap()[0], 1.0);
         assert!(t.column("msamples_per_sec").unwrap()[0] > 0.0);
         assert!(result.scalar("real_time_factor").unwrap() > 0.0);
-        let text = Gateway.render_text(&result);
+        let text = find("gateway").unwrap().render_text(&result);
         assert!(text.contains("real time"), "{text}");
     }
 
@@ -2276,16 +2043,16 @@ mod tests {
     fn gateway_experiment_survives_the_sample_level_channel() {
         // Sample-level office synthesis at a small population: the gateway
         // must find most rounds through multipath/fading/CFO/noise.
-        let scenario = Scenario::builder()
-            .scale(Scale::Quick)
-            .devices(16)
-            .payload_bits(8)
-            .stream_secs(0.25)
-            .arrival_rate(20.0)
-            .fidelity(Fidelity::SampleLevel)
-            .seed(7)
-            .build();
-        let result = Gateway.run(&scenario);
+        let scenario = Scenario {
+            devices: 16,
+            payload_bits: 8,
+            stream_secs: 0.25,
+            arrival_rate: 20.0,
+            fidelity: Fidelity::SampleLevel,
+            seed: 7,
+            ..quick()
+        };
+        let result = run("gateway", &scenario);
         let t = result.table("stream").expect("stream table");
         let offered = t.column("rounds_offered").unwrap()[0];
         let decoded = t.column("rounds_decoded").unwrap()[0];
@@ -2302,12 +2069,12 @@ mod tests {
         // Analytical fidelity gates whole devices, so every scheme at one
         // size shares the delivery fraction and goodput orders exactly by
         // code rate: none > fountain > rs > hamming > conv at 168 bits.
-        let scenario = Scenario::builder()
-            .scale(Scale::Quick)
-            .devices(64)
-            .seed(3)
-            .build();
-        let result = Goodput.run(&scenario);
+        let scenario = Scenario {
+            devices: 64,
+            seed: 3,
+            ..quick()
+        };
+        let result = run("goodput", &scenario);
         let t = result.table("goodput").expect("goodput table");
         assert_eq!(
             t.rows.len(),
@@ -2336,7 +2103,7 @@ mod tests {
         assert!(rate_of(CodingScheme::Fountain) > rate_of(CodingScheme::Rs));
         assert!(rate_of(CodingScheme::Rs) > rate_of(CodingScheme::Hamming));
         assert!(rate_of(CodingScheme::Hamming) > rate_of(CodingScheme::Conv));
-        let text = Goodput.render_text(&result);
+        let text = find("goodput").unwrap().render_text(&result);
         assert!(text.contains("goodput"), "{text}");
         assert!(text.contains("conv"), "{text}");
     }
@@ -2345,15 +2112,15 @@ mod tests {
     fn goodput_selected_scheme_runs_against_the_raw_baseline() {
         // `--coding conv --payload-bits 108`: two rows per size, conv at
         // the scenario's validated geometry.
-        let scenario = Scenario::builder()
-            .scale(Scale::Quick)
-            .devices(16)
-            .coding(CodingScheme::Conv)
-            .payload_bits(108)
-            .seed(5)
-            .build();
+        let scenario = Scenario {
+            devices: 16,
+            coding: CodingScheme::Conv,
+            payload_bits: 108,
+            seed: 5,
+            ..quick()
+        };
         scenario.validate().expect("valid geometry");
-        let result = Goodput.run(&scenario);
+        let result = run("goodput", &scenario);
         let t = result.table("goodput").expect("goodput table");
         assert_eq!(t.rows.len(), 2, "one size, baseline + conv");
         assert_eq!(result.scalar("payload_bits"), Some(108.0));
@@ -2375,16 +2142,16 @@ mod tests {
         // at the operating point where raw BER is ~1e-2. The office fade
         // tail also produces device-rounds far beyond any code's reach, so
         // the claim is pinned on the `delivery_at_ber_1e2` bucket.
-        let scenario = Scenario::builder()
-            .scale(Scale::Quick)
-            .devices(256)
-            .fidelity(Fidelity::SampleLevel)
-            .coding(CodingScheme::Conv)
-            .payload_bits(GOODPUT_PAYLOAD_BITS)
-            .seed(42)
-            .build();
+        let scenario = Scenario {
+            devices: 256,
+            fidelity: Fidelity::SampleLevel,
+            coding: CodingScheme::Conv,
+            payload_bits: GOODPUT_PAYLOAD_BITS,
+            seed: 42,
+            ..quick()
+        };
         scenario.validate().expect("valid geometry");
-        let result = Goodput.run(&scenario);
+        let result = run("goodput", &scenario);
         let t = result.table("goodput").expect("goodput table");
         assert_eq!(t.rows.len(), 6, "sizes {{16,64,256}} x {{none,conv}}");
         let conv_idx = CodingScheme::ALL
@@ -2424,11 +2191,12 @@ mod tests {
 
     #[test]
     fn network_sweep_clamps_sizes_to_the_scenario_population() {
-        let scenario = Scenario::builder().scale(Scale::Quick).devices(48).build();
-        let (_, sizes) = network_sweep(&scenario);
+        let (_, sizes) = network_sweep(&Scenario {
+            devices: 48,
+            ..quick()
+        });
         assert_eq!(sizes, vec![1, 48]);
-        let default = Scenario::builder().scale(Scale::Quick).build();
-        let (_, sizes) = network_sweep(&default);
+        let (_, sizes) = network_sweep(&quick());
         assert_eq!(sizes, vec![1, 64, 256]);
     }
 }

@@ -21,10 +21,11 @@
 //!   shard layout, one RNG stream per shard (`seed ⊕ shard`), worker threads
 //!   via `std::thread::scope`; results are bit-identical for a given seed at
 //!   any thread count.
-//! * [`scenario`] — the typed [`scenario::Scenario`] builder:
-//!   population, placement, channel stack, fidelity, scheme, seed, threads
-//!   and scale as one composable value, settable by name for sweeps.
-//! * [`experiment`] — the [`experiment::Experiment`] trait, the structured
+//! * [`scenario`] — the typed [`scenario::Scenario`]: population,
+//!   placement, channel stack, fidelity, coding, seed, threads and scale as
+//!   one plain value, settable by name (and validated) for sweeps.
+//! * [`experiment`] — the [`experiment::Experiment`] registry entry (id,
+//!   title, scenario fields, run and render functions), the structured
 //!   serde-serializable [`experiment::ExperimentResult`] (schema-versioned
 //!   tables + scalars) and the text/JSON/CSV sinks.
 //! * [`stream`] — the live stream synthesizer feeding the streaming
@@ -73,5 +74,5 @@ pub use experiment::{Experiment, ExperimentResult, OutputFormat, Table};
 pub use fullround::{ChannelModel, ChannelRealizer, FullRoundNetwork, RoundChannel, RoundTruth};
 pub use montecarlo::MonteCarlo;
 pub use network::{netscatter_metrics, netscatter_metrics_with, Fidelity, NetScatterVariant};
-pub use scenario::{ChannelProfile, Placement, Scale, Scenario, ScenarioBuilder};
+pub use scenario::{ChannelProfile, Placement, Scale, Scenario};
 pub use stream::{ArrivalConfig, RoundArrivalSource, StreamRoundTruth, StreamTruth};

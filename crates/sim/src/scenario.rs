@@ -5,12 +5,13 @@
 //! (multipath profile, fading, Doppler, CFO/jitter, noise — selected through
 //! a named [`ChannelProfile`]), the delivery [`Fidelity`], the Monte-Carlo
 //! seed, the worker-thread bound, the run [`Scale`], the per-device payload
-//! size, the streaming-gateway parameters and the link-layer coding. The experiment drivers in
-//! [`crate::experiments`] consume whichever subset of these fields they are
-//! parameterized by (declared per experiment via
-//! [`crate::experiment::Experiment::scenario_fields`]); the `netscatter` CLI
-//! builds scenarios from flags, and `netscatter sweep` iterates grids over
-//! any field by name through [`Scenario::set_field`].
+//! size, the streaming-gateway parameters and the link-layer coding. The
+//! experiment drivers in [`crate::experiments`] consume whichever subset of
+//! these fields they are parameterized by (declared per experiment in
+//! [`crate::experiment::Experiment::fields`]); the `netscatter` CLI builds
+//! scenarios from flags, and `netscatter sweep` iterates grids over any
+//! field by name through [`Scenario::set_field`], the one validator of
+//! field values.
 //!
 //! Scenarios are plain data: two scenarios that compare equal produce
 //! bit-identical experiment results at any thread count (the Monte-Carlo
@@ -109,8 +110,10 @@ impl ChannelProfile {
 }
 
 /// A fully specified experiment input. See the module docs for the role of
-/// each field; construct via [`Scenario::builder`] or [`Scenario::default`]
-/// (the paper-default office evaluation at seed 42).
+/// each field. [`Scenario::default`] is the paper-default office evaluation
+/// at seed 42; override fields with struct-update syntax
+/// (`Scenario { devices: 64, ..Scenario::default() }`) or by name through
+/// [`Scenario::set_field`], which validates the value.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Scenario {
     /// Population size (the figure sweeps treat this as the maximum network
@@ -168,9 +171,9 @@ impl Default for Scenario {
     }
 }
 
-/// Valid domain of the gateway stream parameters, enforced identically by
-/// [`Scenario::set_field`] and the builder: durations in
-/// `[1 ms, 1 hour]`, arrival rates in `[1e-3, 1e6]` rounds/s.
+/// Valid domain of the gateway stream parameters, enforced by
+/// [`Scenario::set_field`]: durations in `[1 ms, 1 hour]`, arrival rates in
+/// `[1e-3, 1e6]` rounds/s.
 const MIN_STREAM_PARAM: f64 = 1e-3;
 /// Upper bound of [`Scenario::stream_secs`].
 const MAX_STREAM_SECS: f64 = 3600.0;
@@ -196,11 +199,6 @@ pub const SCENARIO_FIELDS: [&str; 13] = [
 ];
 
 impl Scenario {
-    /// Starts a builder from the default scenario.
-    pub fn builder() -> ScenarioBuilder {
-        ScenarioBuilder(Scenario::default())
-    }
-
     /// The fidelity's stable CLI name.
     pub fn fidelity_name(&self) -> &'static str {
         match self.fidelity {
@@ -390,113 +388,6 @@ impl Scenario {
     }
 }
 
-/// Chainable constructor for [`Scenario`].
-#[derive(Debug, Clone)]
-pub struct ScenarioBuilder(Scenario);
-
-impl ScenarioBuilder {
-    /// Population size (clamped to ≥ 1: a zero-device scenario has no
-    /// defined headline gains).
-    pub fn devices(mut self, devices: usize) -> Self {
-        self.0.devices = devices.max(1);
-        self
-    }
-
-    /// Deployment geometry.
-    pub fn placement(mut self, placement: Placement) -> Self {
-        self.0.placement = placement;
-        self
-    }
-
-    /// Channel impairment stack.
-    pub fn channel(mut self, channel: ChannelProfile) -> Self {
-        self.0.channel = channel;
-        self
-    }
-
-    /// Delivery model.
-    pub fn fidelity(mut self, fidelity: Fidelity) -> Self {
-        self.0.fidelity = fidelity;
-        self
-    }
-
-    /// Trial-count scale.
-    pub fn scale(mut self, scale: Scale) -> Self {
-        self.0.scale = scale;
-        self
-    }
-
-    /// Monte-Carlo base seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.0.seed = seed;
-        self
-    }
-
-    /// Worker-thread bound; 0 resolves to the available parallelism.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.0.threads = if threads == 0 {
-            available_threads()
-        } else {
-            threads
-        };
-        self
-    }
-
-    /// Payload bits per device per round (clamped to ≥ 1).
-    pub fn payload_bits(mut self, payload_bits: usize) -> Self {
-        self.0.payload_bits = payload_bits.max(1);
-        self
-    }
-
-    /// Round arrival rate (rounds/s) of the streaming-gateway experiment,
-    /// clamped to the shared valid domain (NaN maps to the minimum).
-    pub fn arrival_rate(mut self, arrival_rate: f64) -> Self {
-        let rate = if arrival_rate.is_nan() {
-            MIN_STREAM_PARAM
-        } else {
-            arrival_rate
-        };
-        self.0.arrival_rate = rate.clamp(MIN_STREAM_PARAM, MAX_ARRIVAL_RATE_HZ);
-        self
-    }
-
-    /// Stream duration (seconds) of the streaming-gateway experiment,
-    /// clamped to the shared valid domain (NaN maps to the minimum).
-    pub fn stream_secs(mut self, stream_secs: f64) -> Self {
-        let secs = if stream_secs.is_nan() {
-            MIN_STREAM_PARAM
-        } else {
-            stream_secs
-        };
-        self.0.stream_secs = secs.clamp(MIN_STREAM_PARAM, MAX_STREAM_SECS);
-        self
-    }
-
-    /// Producer chunk size (samples) of the streaming gateway.
-    pub fn chunk_samples(mut self, chunk_samples: usize) -> Self {
-        self.0.chunk_samples = chunk_samples.max(1);
-        self
-    }
-
-    /// Gateway channel count (clamped to ≥ 1).
-    pub fn channels(mut self, channels: usize) -> Self {
-        self.0.channels = channels.max(1);
-        self
-    }
-
-    /// Link-layer coding scheme. The scheme × payload geometry is checked
-    /// by [`Scenario::validate`], not here, so setter order never matters.
-    pub fn coding(mut self, coding: CodingScheme) -> Self {
-        self.0.coding = coding;
-        self
-    }
-
-    /// Finalizes the scenario.
-    pub fn build(self) -> Scenario {
-        self.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -505,48 +396,6 @@ mod tests {
     };
     use netscatter_baselines::rate_adaptation::RateAdaptation;
     use netscatter_baselines::tdma::LoraScheme;
-
-    #[test]
-    fn builder_overrides_defaults() {
-        let s = Scenario::builder()
-            .devices(64)
-            .placement(Placement::Hall)
-            .channel(ChannelProfile::Outdoor)
-            .fidelity(Fidelity::SampleLevel)
-            .scale(Scale::Quick)
-            .seed(7)
-            .threads(0)
-            .payload_bits(8)
-            .arrival_rate(25.0)
-            .stream_secs(0.5)
-            .chunk_samples(2048)
-            .build();
-        assert_eq!(s.devices, 64);
-        assert_eq!(
-            Scenario::builder().devices(0).build().devices,
-            1,
-            "devices clamp to >= 1"
-        );
-        assert_eq!(
-            Scenario::builder().payload_bits(0).build().payload_bits,
-            1,
-            "payload_bits clamp to >= 1"
-        );
-        assert_eq!(s.placement, Placement::Hall);
-        assert_eq!(s.channel, ChannelProfile::Outdoor);
-        assert_eq!(s.fidelity, Fidelity::SampleLevel);
-        assert_eq!(s.scale, Scale::Quick);
-        assert_eq!(s.seed, 7);
-        assert_eq!(
-            s.threads,
-            available_threads(),
-            "threads 0 resolves to every available core"
-        );
-        assert_eq!(s.payload_bits, 8);
-        assert_eq!(s.arrival_rate, 25.0);
-        assert_eq!(s.stream_secs, 0.5);
-        assert_eq!(s.chunk_samples, 2048);
-    }
 
     #[test]
     fn set_field_round_trips_every_field() {
@@ -578,25 +427,6 @@ mod tests {
         ]) {
             assert_eq!(got, want, "field {name}");
         }
-    }
-
-    #[test]
-    fn builder_clamps_degenerate_stream_parameters() {
-        // The CLI path rejects these with an error; the builder clamps
-        // into the valid domain so library users can never construct a
-        // silently empty stream.
-        let s = Scenario::builder()
-            .arrival_rate(0.0)
-            .stream_secs(-5.0)
-            .build();
-        assert!(s.arrival_rate > 0.0);
-        assert!(s.stream_secs > 0.0);
-        let s = Scenario::builder()
-            .arrival_rate(f64::NAN)
-            .stream_secs(f64::INFINITY)
-            .build();
-        assert!(s.arrival_rate.is_finite() && s.arrival_rate > 0.0);
-        assert!(s.stream_secs.is_finite() && s.stream_secs > 0.0);
     }
 
     #[test]
@@ -654,12 +484,13 @@ mod tests {
         // open hall, evaluated programmatically for two schemes on the same
         // scenario. NetScatter's concurrent round must beat TDMA's serial
         // schedule on link-layer rate.
-        let s = Scenario::builder()
-            .devices(48)
-            .placement(Placement::Hall)
-            .scale(Scale::Quick)
-            .seed(3)
-            .build();
+        let s = Scenario {
+            devices: 48,
+            placement: Placement::Hall,
+            scale: Scale::Quick,
+            seed: 3,
+            ..Scenario::default()
+        };
         let (deployment, model, mc) = (s.deployment(), s.channel_model(), s.monte_carlo());
         let ns = netscatter_metrics_with(
             &deployment,
@@ -707,27 +538,19 @@ mod tests {
         assert_eq!(s.validate(), Ok(()));
         let codec = FrameCodec::new(s.coding, s.payload_bits).unwrap();
         assert_eq!(codec.data_bits(), 16);
-        // The builder path reaches the same validation.
-        let s = Scenario::builder()
-            .coding(CodingScheme::Conv)
-            .payload_bits(108)
-            .build();
-        assert_eq!(s.validate(), Ok(()));
-        assert!(Scenario::builder()
-            .coding(CodingScheme::Conv)
-            .payload_bits(41)
-            .build()
-            .validate()
-            .is_err());
     }
 
     #[test]
     fn deployment_and_monte_carlo_follow_the_seed() {
-        let a = Scenario::builder().seed(5).devices(16).build();
-        let b = Scenario::builder().seed(5).devices(16).build();
+        let at = |seed| Scenario {
+            seed,
+            devices: 16,
+            ..Scenario::default()
+        };
+        let (a, b) = (at(5), at(5));
         assert_eq!(a.deployment().devices, b.deployment().devices);
         assert_eq!(a.monte_carlo().seed, 5);
-        let c = Scenario::builder().seed(6).devices(16).build();
+        let c = at(6);
         assert_ne!(a.deployment().devices, c.deployment().devices);
     }
 }

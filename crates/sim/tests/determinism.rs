@@ -63,15 +63,17 @@ fn figure_reports_are_identical_at_any_thread_count() {
     // fig12 drives near_far_ber_sharded internally; the whole report string
     // must be byte-identical whether its Monte-Carlo cells run on 1, 2 or 4
     // worker threads.
-    use netscatter_sim::experiments::Fig12;
-    use netscatter_sim::{Experiment, Scale, Scenario};
+    use netscatter_sim::experiments::find;
+    use netscatter_sim::{Scale, Scenario};
+    let fig12 = find("fig12").expect("registered experiment");
     let report = |threads: usize| {
-        let scenario = Scenario::builder()
-            .scale(Scale::Quick)
-            .seed(5)
-            .threads(threads)
-            .build();
-        Fig12.render_text(&Fig12.run(&scenario))
+        let scenario = Scenario {
+            scale: Scale::Quick,
+            seed: 5,
+            threads,
+            ..Scenario::default()
+        };
+        fig12.render_text(&fig12.run(&scenario))
     };
     let reference = report(1);
     for threads in [2usize, 4] {

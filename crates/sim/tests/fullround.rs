@@ -11,14 +11,14 @@
 
 use netscatter_baselines::tdma::LoraScheme;
 use netscatter_sim::deployment::{Deployment, DeploymentConfig};
-use netscatter_sim::experiments::Fig17;
+use netscatter_sim::experiments::find;
 use netscatter_sim::fullround::ChannelModel;
 use netscatter_sim::montecarlo::MonteCarlo;
 use netscatter_sim::network::{
     lora_backscatter_metrics_with, netscatter_metrics, netscatter_metrics_with, Fidelity,
     NetScatterVariant,
 };
-use netscatter_sim::{Experiment, Scale, Scenario};
+use netscatter_sim::{Scale, Scenario};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -90,14 +90,16 @@ fn sample_level_rounds_are_bit_identical_across_thread_counts() {
 
 #[test]
 fn sample_level_fig17_report_is_identical_at_any_thread_count() {
+    let fig17 = find("fig17").expect("registered experiment");
     let report = |threads: usize| {
-        let scenario = Scenario::builder()
-            .scale(Scale::Quick)
-            .seed(5)
-            .fidelity(Fidelity::SampleLevel)
-            .threads(threads)
-            .build();
-        Fig17.render_text(&Fig17.run(&scenario))
+        let scenario = Scenario {
+            scale: Scale::Quick,
+            seed: 5,
+            fidelity: Fidelity::SampleLevel,
+            threads,
+            ..Scenario::default()
+        };
+        fig17.render_text(&fig17.run(&scenario))
     };
     let reference = report(1);
     for threads in [2usize, 4] {

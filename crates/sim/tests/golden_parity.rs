@@ -19,12 +19,20 @@ use netscatter_sim::Fidelity;
 /// The scenario the pre-redesign binaries ran under with `--quick`:
 /// quick scale, seed 42, analytical fidelity, office deployment.
 fn golden_scenario() -> Scenario {
-    Scenario::builder().scale(Scale::Quick).seed(42).build()
+    Scenario {
+        scale: Scale::Quick,
+        seed: 42,
+        ..Scenario::default()
+    }
 }
 
 fn assert_matches_golden(id: &str, scenario: &Scenario, golden: &str) {
     let exp = find(id).unwrap_or_else(|| panic!("{id} not registered"));
-    let text = exp.render_text(&exp.run(scenario));
+    let result = exp.run(scenario);
+    // The registry stamps every result with its entry's id and title.
+    assert_eq!(result.experiment, id);
+    assert_eq!(result.title, exp.title);
+    let text = exp.render_text(&result);
     // The former binaries printed the report through `println!`, so the
     // captured stdout is the report plus one extra newline.
     assert_eq!(

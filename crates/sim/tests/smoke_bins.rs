@@ -117,7 +117,7 @@ fn netscatter_list_enumerates_all_former_drivers() {
     let exe = env!("CARGO_BIN_EXE_netscatter");
     let listing = run(exe, &["list"]);
     // (`registry_covers_all_former_drivers_plus_the_gateway` pins the ids.)
-    for id in registry().iter().map(|e| e.id()) {
+    for id in registry().iter().map(|e| e.id) {
         assert!(listing.contains(id), "list is missing {id}:\n{listing}");
     }
 }
@@ -129,7 +129,7 @@ fn netscatter_run_emits_schema_versioned_json_for_every_driver() {
     // Every registered experiment except `perf` (its artifact has a test
     // of its own below): run at quick scale and validate the structured
     // output parses and is stamped.
-    for id in registry().iter().map(|e| e.id()).filter(|&id| id != "perf") {
+    for id in registry().iter().map(|e| e.id).filter(|&id| id != "perf") {
         let stdout = run(exe, &["run", id, "--quick", "--format", "json"]);
         let doc = Json::parse(&stdout).unwrap_or_else(|e| panic!("{id}: invalid JSON: {e}"));
         assert_eq!(

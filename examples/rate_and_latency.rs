@@ -10,7 +10,10 @@ use netscatter_sim::{Scale, Scenario};
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let scale = if quick { Scale::Quick } else { Scale::Full };
-    let scenario = Scenario::builder().scale(scale).seed(42).build();
+    let scenario = Scenario {
+        scale,
+        ..Scenario::default()
+    };
     for id in ["fig17", "fig18", "fig19"] {
         let exp = find(id).expect("registered experiment");
         println!("{}", exp.render_text(&exp.run(&scenario)));
