@@ -137,48 +137,13 @@ impl ConcurrentReceiver {
         )
     }
 
-    /// Decodes one payload symbol for the detected devices, one bit per
-    /// device (in the same order), entirely inside the caller's scratch
-    /// buffers: one dechirp, one FFT and one power pass per
-    /// symbol, with zero steady-state heap allocation. The FFT is the
-    /// `2^SF`-point one when every read lands on a bin (no payload search
-    /// window and whole-bin `observed_bin`s, i.e. untracked detection) and
-    /// the zero-padded one otherwise. `bits` is cleared and refilled with
-    /// one decision per detected device.
-    pub fn decode_payload_symbol_with(
-        &self,
-        symbol: &[Complex64],
-        detected: &[DetectedDevice],
-        ws: &mut DemodWorkspace,
-        bits: &mut Vec<bool>,
-    ) -> Result<(), FftError> {
-        let demodulator = self.detector.demodulator();
-        let on_bins = self.payload_halfwidth_bins == 0.0
-            && detected.iter().all(|d| d.observed_bin.fract() == 0.0);
-        let step = if on_bins {
-            1
-        } else {
-            demodulator.zero_padding()
-        };
-        demodulator.spectrum_into(symbol, step, ws)?;
-        bits.clear();
-        bits.extend(detected.iter().map(|d| {
-            // Track the device at the peak position learned from its
-            // preamble; a narrow window there rejects neighbouring
-            // devices even when hardware delays push peaks off their
-            // nominal bins.
-            let (power, _) = demodulator.device_power_at(
-                ws.power(),
-                d.observed_bin,
-                self.payload_halfwidth_bins,
-            );
-            power > PreambleDetector::payload_threshold(d.average_power)
-        }));
-        Ok(())
-    }
-
     /// Decodes a complete round from contiguous samples: preamble followed by
     /// `payload_symbols` payload symbols, all starting at `packet_start`.
+    ///
+    /// Each payload symbol costs one dechirp, one FFT and one pass over a
+    /// read table built once per round, right after preamble detection. The
+    /// decoded bits are sized by the symbols actually present in `stream`,
+    /// so a truncated payload decodes the symbols that are there.
     pub fn decode_round(
         &self,
         stream: &[Complex64],
@@ -188,8 +153,7 @@ impl ConcurrentReceiver {
     ) -> Result<DecodedRound, FftError> {
         let n = self.profile.modulation.num_bins();
         let preamble_len = PREAMBLE_UPCHIRPS * n;
-        // Only the upchirp preamble is required: a truncated payload decodes
-        // the symbols that are there.
+        // Only the upchirp preamble is required.
         if stream.len() < packet_start + preamble_len {
             return Err(FftError::LengthMismatch {
                 expected: packet_start + preamble_len,
@@ -197,33 +161,130 @@ impl ConcurrentReceiver {
             });
         }
         let preamble = &stream[packet_start..packet_start + preamble_len];
-        // One workspace and one per-symbol bit scratch serve the whole round:
+        // One workspace and one flat bit buffer serve the whole round:
         // preamble detection and every payload symbol run allocation-free.
         let mut ws = DemodWorkspace::new();
-        let mut symbol_bits: Vec<bool> = Vec::new();
         let detected = self.detect_devices_with(preamble, assigned_bins, &mut ws)?;
-        let mut devices: Vec<DecodedDevice> = detected
+        let demodulator = self.detector.demodulator();
+        let reads = PayloadReads::new(
+            &detected,
+            n,
+            demodulator.zero_padding(),
+            self.payload_halfwidth_bins,
+        );
+        // Payload starts after the full 8-symbol preamble.
+        let payload = stream
+            .get(packet_start + (PREAMBLE_UPCHIRPS + 2) * n..)
+            .unwrap_or_default();
+        let symbols = payload.chunks_exact(n).take(payload_symbols);
+        // Symbol-major: the bits of symbol `s` are `bits[s·D..(s+1)·D]`.
+        let mut bits = Vec::with_capacity(symbols.len() * detected.len());
+        for symbol in symbols {
+            reads.read(
+                demodulator.spectrum_into(symbol, reads.step, &mut ws)?,
+                &mut bits,
+            );
+        }
+        let devices = detected
             .iter()
-            .map(|d| DecodedDevice {
+            .enumerate()
+            .map(|(i, d)| DecodedDevice {
                 chirp_bin: d.chirp_bin,
                 preamble_power: d.average_power,
-                bits: Vec::with_capacity(payload_symbols),
+                bits: bits
+                    .iter()
+                    .skip(i)
+                    .step_by(detected.len())
+                    .copied()
+                    .collect(),
             })
             .collect();
-        // Payload starts after the full 8-symbol preamble.
-        let payload_start = packet_start + (PREAMBLE_UPCHIRPS + 2) * n;
-        for s in 0..payload_symbols {
-            let lo = payload_start + s * n;
-            let hi = lo + n;
-            if hi > stream.len() {
-                break;
-            }
-            self.decode_payload_symbol_with(&stream[lo..hi], &detected, &mut ws, &mut symbol_bits)?;
-            for (dev, &bit) in devices.iter_mut().zip(symbol_bits.iter()) {
-                dev.bits.push(bit);
-            }
-        }
         Ok(DecodedRound { devices })
+    }
+}
+
+/// What every payload symbol of one round reads, fixed once the preamble has
+/// been detected: the spectrum grid, each device's window on it and each
+/// device's threshold. Per symbol, [`Self::read`] is then one pass over
+/// this table, making exactly the decision
+/// `device_power_at(power, observed_bin, payload_halfwidth_bins).0 >
+/// payload_threshold(average_power)` for every device.
+struct PayloadReads {
+    /// Spectrum points per chirp bin: 1 (the `2^SF`-point transform) when
+    /// every read lands on a bin — no payload search window and whole-bin
+    /// `observed_bin`s, i.e. untracked detection — and the zero-padding
+    /// factor otherwise. Both grids hold bit-identical values at the bins.
+    step: usize,
+    /// Points in each device's window (`2·half + 1`, at most the grid).
+    width: usize,
+    /// Each device's window on the grid, `width` wrapped indices per
+    /// device, in detection order.
+    indices: Vec<usize>,
+    /// Each device's payload threshold, half its preamble average (§3.3.1).
+    thresholds: Vec<f64>,
+}
+
+impl PayloadReads {
+    fn new(
+        detected: &[DetectedDevice],
+        num_bins: usize,
+        zero_padding: usize,
+        halfwidth_bins: f64,
+    ) -> Self {
+        let on_bins =
+            halfwidth_bins == 0.0 && detected.iter().all(|d| d.observed_bin.fract() == 0.0);
+        let step = if on_bins { 1 } else { zero_padding };
+        let total = num_bins * step;
+        let pad = step as f64;
+        // The window arithmetic of `device_power_at`: centre and half-width
+        // rounded to the grid, indices wrapped onto it.
+        let half = (halfwidth_bins.max(0.0) * pad).round() as usize;
+        let width = half.saturating_mul(2).saturating_add(1).min(total);
+        let indices = detected
+            .iter()
+            .flat_map(|d| {
+                // A window of `total` points reads the whole grid; its
+                // maximum does not depend on where the run starts.
+                let start = if width == total {
+                    0
+                } else {
+                    let centre = (d.observed_bin * pad).round() as isize;
+                    (centre - half as isize).rem_euclid(total as isize) as usize
+                };
+                (start..start + width).map(move |i| i % total)
+            })
+            .collect();
+        let thresholds = detected
+            .iter()
+            .map(|d| PreambleDetector::payload_threshold(d.average_power))
+            .collect();
+        Self {
+            step,
+            width,
+            indices,
+            thresholds,
+        }
+    }
+
+    /// Appends one bit per device, in detection order, for the symbol whose
+    /// power spectrum (on the grid of `step`) is `power`.
+    fn read(&self, power: &[f64], bits: &mut Vec<bool>) {
+        let windows = self.indices.chunks_exact(self.width);
+        bits.extend(windows.zip(&self.thresholds).map(|(window, &threshold)| {
+            // The window maximum starts at 0.0 with a strict `>`, as in
+            // `device_power_at`, so a NaN power reads as "off".
+            let best = window.iter().map(|&i| power[i]).fold(
+                0.0,
+                |best, p| {
+                    if p > best {
+                        p
+                    } else {
+                        best
+                    }
+                },
+            );
+            best > threshold
+        }));
     }
 }
 
@@ -368,5 +429,89 @@ mod tests {
         stream.truncate(stream.len() - n);
         let round = rx.decode_round(&stream, 0, &[64], bits.len()).unwrap();
         assert_eq!(round.bits_for(64).unwrap(), &bits[..3]);
+    }
+
+    /// The bit buffers are sized by the payload symbols in the stream, not
+    /// by the caller's count: a count that would need 2^55 bytes per
+    /// device (a corrupt or hostile packet length) decodes a preamble-only
+    /// span to the detected devices with no bits.
+    #[test]
+    fn a_huge_payload_count_decodes_what_the_stream_holds() {
+        let p = profile();
+        let rx = ConcurrentReceiver::new(&p).unwrap();
+        let n = p.modulation.num_bins();
+        let stream = build_round(
+            &p,
+            &[(64, 1.0, Vec::new()), (192, 1.0, Vec::new())],
+            &[PacketImpairments::default(); 2],
+        );
+        assert_eq!(stream.len(), 8 * n);
+        let round = rx.decode_round(&stream, 0, &[64, 192], 1 << 55).unwrap();
+        assert_eq!(round.devices.len(), 2);
+        assert!(round.devices.iter().all(|d| d.bits.is_empty()));
+    }
+
+    #[test]
+    fn payload_reads_take_the_lattice_only_when_every_read_is_on_a_bin() {
+        let device = |observed_bin: f64| DetectedDevice {
+            chirp_bin: 0,
+            average_power: 4.0,
+            observed_bin,
+        };
+        let on_bins = [device(3.0), device(511.0)];
+        let reads = PayloadReads::new(&on_bins, 512, 8, 0.0);
+        assert_eq!((reads.step, reads.width), (1, 1));
+        assert_eq!(reads.indices, [3, 511]);
+        assert_eq!(reads.thresholds, [2.0, 2.0]);
+
+        // A fractional observed bin reads its nearest padded-grid point.
+        let reads = PayloadReads::new(&[device(3.0), device(-0.375)], 512, 8, 0.0);
+        assert_eq!((reads.step, reads.width), (8, 1));
+        assert_eq!(reads.indices, [24, 4093]);
+
+        // A payload window reads its wrapped run of padded-grid points, and a
+        // window wider than the grid reads all of it.
+        let reads = PayloadReads::new(&on_bins, 512, 8, 0.25);
+        assert_eq!((reads.step, reads.width), (8, 5));
+        assert_eq!(
+            reads.indices,
+            [22, 23, 24, 25, 26, 4086, 4087, 4088, 4089, 4090]
+        );
+        let reads = PayloadReads::new(&on_bins, 512, 8, 1e300);
+        assert_eq!((reads.step, reads.width), (8, 4096));
+    }
+
+    #[test]
+    fn payload_reads_decide_as_device_power_at_does() {
+        let p = profile();
+        let rx = ConcurrentReceiver::new(&p).unwrap();
+        let demod = rx.detector.demodulator();
+        let total = p.modulation.num_bins() * p.zero_padding;
+        let mut power = vec![0.0; total];
+        power[4095] = 3.0;
+        power[1] = f64::NAN;
+        power[40] = f64::INFINITY;
+        let centres = [0.0, 0.125, 5.0, 5.125, 511.875];
+        for halfwidth in [0.0, 0.25, 1.0, 300.0] {
+            for threshold in [-1.0, 0.0, 2.5, f64::NAN] {
+                let detected: Vec<DetectedDevice> = centres
+                    .iter()
+                    .map(|&observed_bin| DetectedDevice {
+                        chirp_bin: 0,
+                        average_power: 2.0 * threshold,
+                        observed_bin,
+                    })
+                    .collect();
+                let reads = PayloadReads::new(&detected, 512, p.zero_padding, halfwidth);
+                assert_eq!(reads.step, p.zero_padding);
+                let mut bits = Vec::new();
+                reads.read(&power, &mut bits);
+                let want: Vec<bool> = centres
+                    .iter()
+                    .map(|&c| demod.device_power_at(&power, c, halfwidth).0 > threshold)
+                    .collect();
+                assert_eq!(bits, want, "halfwidth {halfwidth}, threshold {threshold}");
+            }
+        }
     }
 }

@@ -2,7 +2,7 @@
 //! `netscatter serve` subcommand.
 
 use crate::client;
-use crate::protocol::{positive_finite, StreamHeader};
+use crate::protocol::{payload_bits_in_range, positive_finite, StreamHeader};
 use crate::registry::DEFAULT_METRICS_RETENTION;
 use crate::serve::{bin_range_error, Daemon, DaemonConfig};
 use crate::signals;
@@ -47,7 +47,7 @@ FLAGS:
   --listen <ADDR>         ingest address (default 127.0.0.1:7470; port 0 = ephemeral)
   --metrics <ADDR|off>    metrics address (default 127.0.0.1:7471)
   --bins <B1,B2,...>      default cyclic-shift assignment for headers without one
-  --payload-bits <N>      default payload bits per packet (default 8)
+  --payload-bits <N>      default payload bits per packet (default 8, at most 1024)
   --sample-rate <HZ>      default ingest sample rate (default 500000)
   --chunk-samples <N>     ring chunk size in samples (default 4096)
   --ring-slots <N>        per-stream ring capacity in chunks (default 64,
@@ -227,10 +227,8 @@ fn parse_serve_args(args: &[String]) -> Result<ServeOptions, CliUsage> {
                 }
             }
             "--payload-bits" => {
-                opts.payload_bits = num(arg, &value(&mut i, arg)?)?;
-                if opts.payload_bits == 0 {
-                    return Err(CliUsage::usage("--payload-bits must be positive"));
-                }
+                opts.payload_bits = payload_bits_in_range(arg, num(arg, &value(&mut i, arg)?)?)
+                    .map_err(CliUsage::usage)?;
             }
             "--sample-rate" => {
                 opts.sample_rate_hz = positive_finite(arg, num(arg, &value(&mut i, arg)?)?)
@@ -493,8 +491,11 @@ mod tests {
             vec!["--bins", "a,b"],
             vec!["--bins", "64,512"], // 512 is not a shift of a 2^9-bin chirp
             vec!["--payload-bits", "0"],
-            vec!["--ring-slots", "0"],    // a ring holds at least one chunk
-            vec!["--chunk-samples", "0"], // a chunk holds at least one sample
+            vec!["--payload-bits", "1025"],
+            vec!["--payload-bits", "36028797018963968"], // 2^55 wraps a packet length
+            vec!["--payload-bits", "18446744073709551616"], // 2^64 does not parse
+            vec!["--ring-slots", "0"],                   // a ring holds at least one chunk
+            vec!["--chunk-samples", "0"],                // a chunk holds at least one sample
             vec!["--sample-rate", "-1"],
             vec!["--sample-rate", "inf"],
             vec!["--detection-floor", "-1"],
@@ -510,6 +511,18 @@ mod tests {
         assert_eq!(parse_serve_args(&args(&["--help"])).unwrap_err().code, 0);
         let last = parse_serve_args(&args(&["--bins", "0,511"])).expect("highest shift parses");
         assert_eq!(last.bins, vec![0, 511]);
+        // One entry per cyclic shift at most, whatever the values.
+        let shifts = vec!["0"; 512].join(",");
+        assert!(parse_serve_args(&args(&["--bins", &shifts])).is_ok());
+        let over = format!("{shifts},0");
+        let err = parse_serve_args(&args(&["--bins", &over])).unwrap_err();
+        assert!(
+            err.code == 2 && err.message.contains("513 bins"),
+            "{}",
+            err.message
+        );
+        let most = parse_serve_args(&args(&["--payload-bits", "1024"])).expect("the cap parses");
+        assert_eq!(most.payload_bits, 1024);
         let one = parse_serve_args(&args(&["--ring-slots", "1"])).expect("one slot parses");
         assert_eq!(one.ring_slots, 1);
     }

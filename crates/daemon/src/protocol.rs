@@ -89,6 +89,24 @@ pub mod code {
 /// Bytes per complex sample on the wire (two little-endian `f32`s).
 pub const SAMPLE_BYTES: usize = 8;
 
+/// The largest `payload_bits` a stream may carry. It admits every frame
+/// codec's widest geometry (conv's 586 on-air bits) and bounds what one
+/// packet makes the daemon hold: at the default profile a packet is at most
+/// `(8 + 1024) · 512` samples, ≈ 1.06 s of air at 500 kHz and ≈ 8.5 MB of
+/// detector window, and its length cannot wrap.
+pub(crate) const MAX_PAYLOAD_BITS: usize = 1024;
+
+/// The one range check for `payload_bits`, shared by the header and the
+/// `--payload-bits` flag: `1..=`[`MAX_PAYLOAD_BITS`].
+pub(crate) fn payload_bits_in_range(what: &str, value: u64) -> Result<usize, String> {
+    match usize::try_from(value) {
+        Ok(bits @ 1..=MAX_PAYLOAD_BITS) => Ok(bits),
+        _ => Err(format!(
+            "{what} must be in 1..={MAX_PAYLOAD_BITS}, got {value}"
+        )),
+    }
+}
+
 /// The JSON header line that opens an ingest connection.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamHeader {
@@ -100,7 +118,8 @@ pub struct StreamHeader {
     /// default (`--bins`). The daemon refuses a shift `≥ 2^SF` of its
     /// profile as `bad_header` (the parser does not know the profile).
     pub bins: Option<Vec<usize>>,
-    /// Payload bits per packet; `None` uses the daemon default.
+    /// Payload bits per packet, at most 1024; `None` uses the daemon
+    /// default.
     pub payload_bits: Option<usize>,
     /// Detection-floor override for the receiver's presence test.
     pub detection_floor: Option<f64>,
@@ -179,13 +198,12 @@ impl StreamHeader {
         };
         let payload_bits = match doc.get("payload_bits") {
             None => None,
-            Some(value) => Some(
-                value
+            Some(value) => {
+                let bits = value
                     .as_u64()
-                    .filter(|&b| b > 0)
-                    .ok_or("header payload_bits must be a positive integer")?
-                    as usize,
-            ),
+                    .ok_or("header payload_bits must be a positive integer")?;
+                Some(payload_bits_in_range("header payload_bits", bits)?)
+            }
         };
         let detection_floor = positive("detection_floor")?;
         let coding = match doc.get("coding") {
@@ -475,6 +493,12 @@ mod tests {
             (r#"{"stream":"x","bins":7}"#, "array"),
             (r#"{"stream":"x","bins":[-1]}"#, "non-negative"),
             (r#"{"stream":"x","payload_bits":0}"#, "payload_bits"),
+            (r#"{"stream":"x","payload_bits":1025}"#, "1..=1024"),
+            (r#"{"stream":"x","payload_bits":1.5}"#, "payload_bits"),
+            (
+                r#"{"stream":"x","payload_bits":18446744073709551615}"#,
+                "1..=1024",
+            ),
             (r#"{"stream":"x","coding":"turbo"}"#, "coding"),
             (r#"{"stream":"x","coding":7}"#, "coding"),
             (r#"{"stream":"x","channel":-1}"#, "channel"),
@@ -487,6 +511,27 @@ mod tests {
             let err = StreamHeader::parse(line).unwrap_err();
             assert!(err.contains(needle), "{line} → {err}");
         }
+    }
+
+    /// The cap admits every frame codec's widest geometry, so no coded
+    /// stream that the codecs accept is refused by it.
+    #[test]
+    fn the_payload_bits_cap_admits_every_frame_geometry() {
+        use netscatter_coding::frame::FrameCodec;
+        for scheme in CodingScheme::ALL {
+            if scheme == CodingScheme::None {
+                continue;
+            }
+            let widest = (1..=4 * MAX_PAYLOAD_BITS)
+                .filter(|&bits| FrameCodec::new(scheme, bits).is_ok())
+                .max()
+                .expect("every framed scheme has a geometry");
+            assert!(widest <= MAX_PAYLOAD_BITS, "{scheme:?}: {widest}");
+            assert_eq!(payload_bits_in_range("bits", widest as u64), Ok(widest));
+        }
+        assert!(payload_bits_in_range("bits", 0).is_err());
+        assert!(payload_bits_in_range("bits", MAX_PAYLOAD_BITS as u64 + 1).is_err());
+        assert!(payload_bits_in_range("bits", u64::MAX).is_err());
     }
 
     #[test]

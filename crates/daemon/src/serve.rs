@@ -582,9 +582,16 @@ fn serve_connection(
 }
 
 /// The refusal for the first of `bins` outside `profile`'s `2^SF` cyclic
-/// shifts: the detector indexes its `2^SF`-point spectrum by assigned bin.
+/// shifts (the detector indexes its `2^SF`-point spectrum by assigned bin),
+/// or for a list longer than those shifts.
 pub(crate) fn bin_range_error(bins: &[usize], profile: &PhyProfile) -> Option<String> {
     let num_bins = profile.modulation.num_bins();
+    if bins.len() > num_bins {
+        return Some(format!(
+            "{} bins is more than the {num_bins} cyclic shifts there are",
+            bins.len()
+        ));
+    }
     let bin = bins.iter().find(|&&b| b >= num_bins)?;
     Some(format!(
         "bin {bin} is out of range: bins must be in 0..{num_bins}"

@@ -5,8 +5,10 @@
 //! truncated prefixes, duplicate keys, oversized-but-well-formed documents —
 //! and for [`Cf32Decoder`] — a split at every byte offset modulo the sample
 //! size, with a dangling partial sample counted (not silently dropped).
-//! One case needs the daemon itself: a well-formed header whose bins exceed
-//! the profile's `2^SF` is only rejectable where the profile is known.
+//! Two cases need the daemon itself: a well-formed header whose bins exceed
+//! the profile's `2^SF` is only rejectable where the profile is known, and
+//! a header whose `payload_bits` is past the cap must not take the daemon
+//! down.
 
 use netscatter_daemon::protocol::{
     code, encode_cf32le, quantize_cf32, Cf32Decoder, StreamHeader, SAMPLE_BYTES,
@@ -279,5 +281,65 @@ fn deeply_nested_headers_are_refused_and_the_daemon_keeps_serving() {
 
     let lines = exchange(StreamHeader::named("after").to_json_line());
     assert!(lines[0].contains("\"ready\""), "{lines:?}");
+    daemon.shutdown();
+}
+
+/// A `payload_bits` past the cap must be refused as `bad_header` before an
+/// engine exists. At 2^55 the packet length `(8 + bits) · 512` wraps to a
+/// preamble-only 4 096 samples, and a receiver that sized its bit buffers
+/// by the header's count asked for 2^55 bytes per device and aborted the
+/// whole daemon; 4 000 000 000 made the detector hold every sample for as
+/// long as the client sent; 2^64 − 1 saturated and wrapped as well. The
+/// next connection must still be served.
+#[test]
+fn huge_payload_bits_are_refused_and_the_daemon_keeps_serving() {
+    const BIN: usize = 64;
+    const BITS: [bool; 8] = [true, false, true, true, false, false, true, true];
+    let profile = PhyProfile::default();
+    let params = profile.modulation.chirp();
+    let mut cfg = DaemonConfig::new(GatewayConfig::new(profile, vec![BIN], BITS.len()));
+    cfg.metrics = None;
+    let daemon = Daemon::start(cfg).unwrap();
+
+    // Two ideal packets, so a header that got through would fire the gate
+    // and hand spans to the decoder.
+    let mut stream = Vec::new();
+    for _ in 0..2 {
+        stream.extend(vec![Complex64::ZERO; 500]);
+        stream.extend(PreambleBuilder::new(params, BIN).build(0.0, 0.0, 1.0));
+        stream.extend(OnOffModulator::new(params, BIN).modulate_payload(&BITS, 0.0, 0.0, 1.0));
+    }
+    stream.extend(vec![Complex64::ZERO; 4096]);
+    let samples = encode_cf32le(&quantize_cf32(&stream));
+    let exchange = |payload_bits: &str| -> Vec<String> {
+        let header = format!(r#"{{"stream":"huge","bins":[{BIN}],"payload_bits":{payload_bits}}}"#);
+        let mut payload = format!("{header}\n").into_bytes();
+        payload.extend_from_slice(&samples);
+        let sock = TcpStream::connect(daemon.ingest_addr()).expect("connect");
+        sock.set_read_timeout(Some(Duration::from_secs(20)))
+            .unwrap();
+        // The daemon may close before the samples are through.
+        let _ = (&sock).write_all(&payload);
+        let _ = sock.shutdown(Shutdown::Write);
+        BufReader::new(sock).lines().map_while(Result::ok).collect()
+    };
+
+    for bits in ["36028797018963968", "4000000000", "18446744073709551615"] {
+        let lines = exchange(bits);
+        assert_eq!(lines.len(), 1, "{bits}: {lines:?}");
+        let record = &lines[0];
+        assert!(
+            record.contains("\"type\":\"error\"")
+                && record.contains(code::BAD_HEADER)
+                && record.contains("payload_bits"),
+            "{bits}: {record}"
+        );
+    }
+    assert_eq!(daemon.health().get(HealthCounter::WorkerPanics), 0);
+
+    let lines = exchange(&BITS.len().to_string());
+    assert!(lines[0].contains("\"ready\""), "{lines:?}");
+    let frames = lines.iter().filter(|l| l.contains("\"type\":\"frame\""));
+    assert_eq!(frames.count(), 2, "{lines:?}");
     daemon.shutdown();
 }

@@ -45,12 +45,15 @@
 //!      comb therefore only *shortlists* the shift lattice, and the winner
 //!      is the shortlisted candidate **nearest the leading-edge anchor**:
 //!      the first sample of the sync range whose individual power clears
-//!      [`EDGE_ANCHOR_DB`] over the noise floor. A changepoint pinned by a
-//!      single strong sample errs only when the packet's opening samples
-//!      are exponentially unlucky (≈ 10⁻³ per sample at the SNRs where
-//!      dense rounds decode at all) — orders of magnitude more reliable
-//!      than windowed energy contrast, whose √δ-sample statistics cannot
-//!      resolve shifts of a couple of samples.
+//!      [`EDGE_ANCHOR_DB`] over the noise floor. That resolves shifts of a
+//!      couple of samples, which windowed energy contrast, with its
+//!      √δ-sample statistics, cannot. Its known failure is a *pre-packet*
+//!      noise sample: idle noise clears the 10 dB anchor threshold with
+//!      p = e⁻¹⁰ ≈ 4.5·10⁻⁵ per sample, and one that lands more than
+//!      [`SYNC_SLACK`] samples ahead of the packet leaves the true start
+//!      outside the scored candidates. Through `StreamGateway` that lost or
+//!      misanchored 9 of 17 956 rounds at 16 devices and 1 of 2 702 at 64
+//!      and 256 devices (ROADMAP finding F9; the fix is ROADMAP item 1).
 //!
 //!    The energy gate bounds the uncertainty to `GATE_WINDOW` samples
 //!    (plus [`SYNC_SLACK`] for hardware timing offsets), so only a few
@@ -176,8 +179,16 @@ impl GatewayConfig {
     }
 
     /// Samples in one full packet (preamble plus payload).
-    pub fn packet_samples(&self) -> usize {
-        (PREAMBLE_SYMBOLS + self.payload_symbols) * self.profile.modulation.num_bins()
+    ///
+    /// # Panics
+    /// If that count overflows `usize`: `payload_symbols` must be bounded
+    /// first, as `netscatterd` bounds a stream's `payload_bits` by its
+    /// `MAX_PAYLOAD_BITS` (1024).
+    fn packet_samples(&self) -> usize {
+        PREAMBLE_SYMBOLS
+            .checked_add(self.payload_symbols)
+            .and_then(|symbols| symbols.checked_mul(self.profile.modulation.num_bins()))
+            .expect("packet length overflows usize: payload_symbols exceeds MAX_PAYLOAD_BITS")
     }
 }
 
@@ -236,7 +247,8 @@ pub struct StreamDetector {
     /// Upchirp- and downchirp-comb accumulators, each candidate-major ×
     /// device (sync scratch).
     acc: [Vec<f64>; 2],
-    payload_symbols: usize,
+    /// Samples in one full packet ([`GatewayConfig::packet_samples`]).
+    packet_len: u64,
     energy_gate_factor: f64,
     /// [`EDGE_ANCHOR_DB`] as a linear power ratio.
     edge_anchor_factor: f64,
@@ -294,7 +306,7 @@ impl StreamDetector {
             combs: Vec::new(),
             bins: config.assigned_bins.clone(),
             acc: [Vec::new(), Vec::new()],
-            payload_symbols: config.payload_symbols,
+            packet_len: config.packet_samples() as u64,
             energy_gate_factor: db_to_linear(config.energy_gate_db),
             edge_anchor_factor: db_to_linear(EDGE_ANCHOR_DB),
             window: Vec::new(),
@@ -388,7 +400,7 @@ impl StreamDetector {
     fn advance(&mut self, out: &mut Vec<PacketSpan>) {
         let n = self.receiver.profile().modulation.num_bins();
         let sync_len = PREAMBLE_SYMBOLS * n;
-        let packet_len = ((PREAMBLE_SYMBOLS + self.payload_symbols) * n) as u64;
+        let packet_len = self.packet_len;
         loop {
             match self.state {
                 State::Hunting => {

@@ -1622,20 +1622,35 @@ fn goodput_text(result: &ExperimentResult) -> String {
 /// Payload symbols per round timed by the perf snapshot.
 pub const PERF_PAYLOAD_SYMBOLS: usize = 16;
 
+/// Payload symbols of the round whose `decode_round` ÷ spectra ratio the
+/// perf snapshot reports: the `coded256` benchmark workload's 108-bit
+/// conv-coded rounds.
+const RATIO_PAYLOAD_SYMBOLS: usize = 108;
+
 /// Median wall-time of `samples` timed invocations of `f`, in seconds.
-fn median_secs(samples: usize, mut f: impl FnMut()) -> f64 {
+fn median_secs(samples: usize, f: impl FnMut()) -> f64 {
+    median_secs_interleaved(samples, f, || {}).0
+}
+
+/// Median wall-times of `samples` timed invocations each of `f` and `g`,
+/// in seconds, timed alternately so that both see the same machine state
+/// and their ratio holds on a noisy host.
+fn median_secs_interleaved(samples: usize, mut f: impl FnMut(), mut g: impl FnMut()) -> (f64, f64) {
     use std::time::Instant;
+    let time = |h: &mut dyn FnMut()| {
+        let start = Instant::now();
+        h();
+        start.elapsed().as_secs_f64()
+    };
+    let median = |mut times: Vec<f64>| {
+        times.sort_by(f64::total_cmp);
+        times[times.len() / 2]
+    };
     // One warm-up to populate scratch buffers and caches.
     f();
-    let mut times: Vec<f64> = (0..samples)
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed().as_secs_f64()
-        })
-        .collect();
-    times.sort_by(f64::total_cmp);
-    times[times.len() / 2]
+    g();
+    let (f_times, g_times) = (0..samples).map(|_| (time(&mut f), time(&mut g))).unzip();
+    (median(f_times), median(g_times))
 }
 
 /// Perf snapshot: times the steady-state decode path, the quick-mode
@@ -1725,6 +1740,37 @@ fn perf(scenario: &Scenario, result: &mut ExperimentResult) {
             PERF_PAYLOAD_SYMBOLS as f64 / round_s,
         ]);
     }
+
+    // 2b. `decode_round` at the coded benchmark's shape (256 devices × 108
+    //     payload symbols) against its 114 lattice spectra alone (six
+    //     preamble upchirps plus the payload), timed in one process. The
+    //     ratio is what the per-device reads and bit bookkeeping add to the
+    //     transforms; CI gates it.
+    let rx = ConcurrentReceiver::new(&profile).expect("valid profile");
+    let (stream, bins) = build_concurrent_round(&profile, 256, RATIO_PAYLOAD_SYMBOLS);
+    let spectra = stream[..PREAMBLE_UPCHIRPS * n]
+        .chunks_exact(n)
+        .chain(stream[PREAMBLE_SYMBOLS * n..].chunks_exact(n));
+    assert_eq!(
+        spectra.clone().count(),
+        PREAMBLE_UPCHIRPS + RATIO_PAYLOAD_SYMBOLS
+    );
+    let (round_s, spectra_s) = median_secs_interleaved(
+        21,
+        || {
+            let round = rx
+                .decode_round(&stream, 0, &bins, RATIO_PAYLOAD_SYMBOLS)
+                .expect("round decodes");
+            assert_eq!(round.devices.len(), 256, "all devices detected");
+        },
+        || {
+            for symbol in spectra.clone() {
+                demod
+                    .spectrum_into(symbol, 1, &mut ws)
+                    .expect("correct symbol length");
+            }
+        },
+    );
 
     // 3. Sample-level network round throughput: channel realization +
     //    superposed synthesis + AWGN + full concurrent decode, per
@@ -1841,6 +1887,8 @@ fn perf(scenario: &Scenario, result: &mut ExperimentResult) {
             ("lattice_spectrum_ns", lattice_spectrum_ns),
             ("chirp_bank_sliding_us", chirp_bank_sliding_us),
             ("chirp_bank_per_candidate_us", chirp_bank_per_candidate_us),
+            ("decode_round_256x108_us", round_s * 1e6),
+            ("decode_round_256x108_spectra_us", spectra_s * 1e6),
             ("fig15b_quick_ms", fig15_ms),
             ("fig17_quick_ms", fig17_ms),
         ]
@@ -1849,6 +1897,7 @@ fn perf(scenario: &Scenario, result: &mut ExperimentResult) {
 }
 
 fn perf_text(result: &ExperimentResult) -> String {
+    use netscatter_phy::preamble::PREAMBLE_UPCHIRPS;
     let mut out = String::from("perf (quick mode)\n");
     let spectrum = result.scalar("padded_spectrum_ns").expect("scalar");
     let lattice = result.scalar("lattice_spectrum_ns").expect("scalar");
@@ -1864,6 +1913,16 @@ fn perf_text(result: &ExperimentResult) -> String {
         out,
         "  sync comb (9 candidates, 256 bins): {sliding:.0} us sliding, {per_candidate:.0} us per-candidate (ratio {:.2})",
         sliding / per_candidate
+    );
+    let round = result.scalar("decode_round_256x108_us").expect("scalar");
+    let spectra = result
+        .scalar("decode_round_256x108_spectra_us")
+        .expect("scalar");
+    let _ = writeln!(
+        out,
+        "  decode_round[256 devices x {RATIO_PAYLOAD_SYMBOLS} symbols]: {round:.0} us, its {} lattice spectra {spectra:.0} us (ratio {:.2})",
+        PREAMBLE_UPCHIRPS + RATIO_PAYLOAD_SYMBOLS,
+        round / spectra
     );
     for row in &result.table("decode").expect("decode table").rows {
         let _ = writeln!(

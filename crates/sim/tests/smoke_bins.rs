@@ -275,6 +275,8 @@ fn run_perf_writes_one_schema_versioned_bench_artifact() {
         "lattice_spectrum_ns",
         "chirp_bank_sliding_us",
         "chirp_bank_per_candidate_us",
+        "decode_round_256x108_us",
+        "decode_round_256x108_spectra_us",
         "fig15b_quick_ms",
         "fig17_quick_ms",
     ] {
