@@ -80,8 +80,10 @@ impl LoraBackscatterNetwork {
     ///
     /// The preamble length in *symbols* matches NetScatter's (8), but because
     /// the baseline serves devices one at a time the preamble cost is paid
-    /// once per device rather than once per round. The preamble symbol
-    /// duration is taken at the reference SF 9 / 500 kHz configuration.
+    /// once per device rather than once per round. Each preamble symbol
+    /// lasts `symbol_s = SF / bitrate`: the profile's spreading factor over
+    /// the bitrate the scheme picked for this device, so a rate-adapted
+    /// device's preamble shrinks with its payload.
     pub fn serve_device(&self, rssi_dbm: f64, payload_bits: usize) -> DeviceService {
         let query_s = self.scheme.query_bits as f64 / self.profile.downlink_bitrate_bps;
         match self.scheme.adaptation.bitrate_bps(rssi_dbm) {

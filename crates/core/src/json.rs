@@ -198,8 +198,11 @@ fn push_indent(out: &mut String, indent: usize) {
     }
 }
 
-/// JSON has no NaN/Infinity; encode them as null so the document stays valid.
-fn write_number(out: &mut String, n: f64) {
+/// Appends `n` as a JSON number: Rust's shortest round-trip form, or
+/// `null` for NaN and ±∞ (JSON has neither), so the document stays valid.
+/// The one number format of every document this module prints, shared with
+/// writers that append a record without building a [`Json`] tree.
+pub fn write_number(out: &mut String, n: f64) {
     use fmt::Write as _;
     if n.is_finite() {
         // `{}` on f64 is the shortest representation that round-trips.
@@ -209,7 +212,10 @@ fn write_number(out: &mut String, n: f64) {
     }
 }
 
-fn write_string(out: &mut String, s: &str) {
+/// Appends `s` as a quoted JSON string, escaping `"`, `\` and control
+/// bytes — the one escaper of every document this module prints, shared
+/// with writers that append a record without building a [`Json`] tree.
+pub fn write_string(out: &mut String, s: &str) {
     out.push('"');
     // Copy each maximal run that needs no escape in one `push_str`. Every
     // byte that stops a run is ASCII (multi-byte UTF-8 is all >= 0x80), so

@@ -21,7 +21,7 @@
 //! against a daemon started with `--bins`/`--payload-bits`.
 
 use crate::registry::{StreamSnapshot, STREAM_COUNTERS};
-use netscatter::json::Json;
+use netscatter::json::{write_number, write_string, Json};
 use netscatter_coding::frame::FrameOutcome;
 use netscatter_coding::CodingScheme;
 use netscatter_dsp::Complex64;
@@ -94,11 +94,11 @@ pub const SAMPLE_BYTES: usize = 8;
 /// packet makes the daemon hold: at the default profile a packet is at most
 /// `(8 + 1024) · 512` samples, ≈ 1.06 s of air at 500 kHz and ≈ 8.5 MB of
 /// detector window, and its length cannot wrap.
-pub(crate) const MAX_PAYLOAD_BITS: usize = 1024;
+pub const MAX_PAYLOAD_BITS: usize = 1024;
 
 /// The one range check for `payload_bits`, shared by the header and the
 /// `--payload-bits` flag: `1..=`[`MAX_PAYLOAD_BITS`].
-pub(crate) fn payload_bits_in_range(what: &str, value: u64) -> Result<usize, String> {
+pub fn payload_bits_in_range(what: &str, value: u64) -> Result<usize, String> {
     match usize::try_from(value) {
         Ok(bits @ 1..=MAX_PAYLOAD_BITS) => Ok(bits),
         _ => Err(format!(
@@ -405,6 +405,60 @@ pub fn frame_json(stream: &str, packet: &DecodedPacket, outcomes: Option<&[Frame
     ])
 }
 
+/// Appends the [`frame_json`] record of `packet` to `out` as one NDJSON
+/// line, newline included, without building the tree: byte for byte
+/// `frame_json(stream, packet, outcomes).to_string_line()` plus `'\n'`.
+/// Numbers and strings go through the tree's own [`write_number`] and
+/// [`write_string`], and integers keep its `as f64` rendering, so the two
+/// agree past 2^53 too. This is the daemon's one frame emitter;
+/// [`frame_json`] stays as its oracle.
+pub fn write_frame_line(
+    out: &mut String,
+    stream: &str,
+    packet: &DecodedPacket,
+    outcomes: Option<&[FrameOutcome]>,
+) {
+    out.push_str(r#"{"type":"frame","stream":"#);
+    write_string(out, stream);
+    out.push_str(r#","index":"#);
+    write_number(out, packet.index as f64);
+    out.push_str(r#","start_sample":"#);
+    write_number(out, packet.start_sample as f64);
+    out.push_str(r#","devices":["#);
+    for (i, d) in packet.round.devices.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str(r#"{"bin":"#);
+        write_number(out, d.chirp_bin as f64);
+        out.push_str(r#","power":"#);
+        write_number(out, d.preamble_power);
+        out.push_str(r#","bits":"#);
+        write_bits(out, &d.bits);
+        if let Some(o) = outcomes.and_then(|o| o.get(i)) {
+            out.push_str(if o.crc_ok {
+                r#","crc_ok":true,"seq":"#
+            } else {
+                r#","crc_ok":false,"seq":"#
+            });
+            write_number(out, o.seq as f64);
+            out.push_str(r#","corrected":"#);
+            write_number(out, o.corrected as f64);
+            out.push_str(r#","data":"#);
+            write_bits(out, &o.data);
+        }
+        out.push('}');
+    }
+    out.push_str("]}\n");
+}
+
+/// Appends [`bits_string`] as a JSON string (its digits need no escape).
+fn write_bits(out: &mut String, bits: &[bool]) {
+    out.push('"');
+    out.extend(bits.iter().map(|&b| if b { '1' } else { '0' }));
+    out.push('"');
+}
+
 /// The final `end` summary of an ingest connection: the stream's last
 /// registry snapshot, one field per [`STREAM_COUNTERS`] row in table
 /// order — the same values the metrics endpoint reports, by construction.
@@ -532,6 +586,106 @@ mod tests {
         assert!(payload_bits_in_range("bits", 0).is_err());
         assert!(payload_bits_in_range("bits", MAX_PAYLOAD_BITS as u64 + 1).is_err());
         assert!(payload_bits_in_range("bits", u64::MAX).is_err());
+    }
+
+    /// The direct writer against the tree it replaces, over seeded random
+    /// packets: 0–512 devices, every class of `f64` power, coded and
+    /// uncoded (outcome lists short, empty and full), integers past 2^53,
+    /// and stream names that need escaping.
+    #[test]
+    fn the_frame_line_writer_matches_the_tree_byte_for_byte() {
+        use netscatter::receiver::{DecodedDevice, DecodedRound};
+        use rand::rngs::StdRng;
+        use rand::{Rng, RngCore, SeedableRng};
+
+        const POWERS: [f64; 10] = [
+            0.0,
+            -0.0,
+            5e-324,
+            2.2e-308,
+            f64::MAX,
+            1e300,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            1.5,
+        ];
+        const NAME_CHARS: [char; 12] = [
+            'a', 'Z', '0', '"', '\\', '\n', '\u{0}', '\u{1f}', '\u{7f}', 'é', '€', '😀',
+        ];
+        let mut rng = StdRng::seed_from_u64(0x5EED_F4A3);
+        let bits = |rng: &mut StdRng| -> Vec<bool> {
+            let len = rng.gen_range(0..=120usize);
+            (0..len).map(|_| rng.gen_bool(0.5)).collect()
+        };
+        // Small integers, the 2^53 edge and the whole `u64` range.
+        let int = |rng: &mut StdRng| -> u64 {
+            match rng.gen_range(0..3) {
+                0 => rng.gen_range(0..1000),
+                1 => (1u64 << 53) + rng.gen_range(0..4u64),
+                _ => rng.next_u64(),
+            }
+        };
+        let mut line = String::new();
+        for case in 0..120 {
+            let devices = match case {
+                0 => 0,
+                1 => 512,
+                _ => rng.gen_range(0..=512usize),
+            };
+            let round = DecodedRound {
+                devices: (0..devices)
+                    .map(|_| DecodedDevice {
+                        chirp_bin: int(&mut rng) as usize,
+                        preamble_power: match rng.gen_range(0..3) {
+                            0 => POWERS[rng.gen_range(0..POWERS.len())],
+                            1 => f64::from_bits(rng.next_u64()),
+                            _ => rng.gen_range(0.0..1e6),
+                        },
+                        bits: bits(&mut rng),
+                    })
+                    .collect(),
+            };
+            let packet = DecodedPacket {
+                index: int(&mut rng) as usize,
+                start_sample: int(&mut rng),
+                round,
+            };
+            let outcomes: Option<Vec<FrameOutcome>> = rng.gen_bool(0.5).then(|| {
+                let len = match rng.gen_range(0..4) {
+                    0 => rng.gen_range(0..=devices),
+                    _ => devices,
+                };
+                (0..len)
+                    .map(|_| FrameOutcome {
+                        crc_ok: rng.gen_bool(0.5),
+                        seq: rng.gen_range(0..=255u8),
+                        data: if rng.gen_bool(0.2) {
+                            Vec::new()
+                        } else {
+                            bits(&mut rng)
+                        },
+                        corrected: int(&mut rng) as usize,
+                    })
+                    .collect()
+            });
+            let name_len = rng.gen_range(1..=12);
+            let stream: String = (0..name_len)
+                .map(|_| NAME_CHARS[rng.gen_range(0..NAME_CHARS.len())])
+                .collect();
+
+            let expected =
+                frame_json(&stream, &packet, outcomes.as_deref()).to_string_line() + "\n";
+            // The writer appends: what the buffer already holds stays.
+            line.clear();
+            line.push_str("held");
+            write_frame_line(&mut line, &stream, &packet, outcomes.as_deref());
+            assert_eq!(
+                line.strip_prefix("held"),
+                Some(expected.as_str()),
+                "case {case}"
+            );
+        }
     }
 
     #[test]

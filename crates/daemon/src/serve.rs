@@ -601,12 +601,15 @@ pub(crate) fn bin_range_error(bins: &[usize], profile: &PhyProfile) -> Option<St
 /// Publishes decoded packets as `frame` records and counts them. On a
 /// coded stream every device's bits are frame-decoded first, so each
 /// record carries the per-device CRC verdict and the link-layer counters
-/// advance. Each packet rides with its ingest timestamp when the engine
-/// still had it (`drain_timed`); the publish write closes that frame's
-/// ingest→emit latency measurement. Packets surfacing only in the final
-/// shutdown report arrive untimed and skip the histogram.
+/// advance. Each record is written into `line`, the connection's reused
+/// buffer, and leaves in one `write_all`. Each packet rides with its ingest
+/// timestamp when the engine still had it (`drain_timed`); the publish
+/// write closes that frame's ingest→emit latency measurement. Packets
+/// surfacing only in the final shutdown report arrive untimed and skip the
+/// histogram.
 fn publish(
     sock: &mut TcpStream,
+    line: &mut String,
     packets: Vec<(DecodedPacket, Option<Instant>)>,
     stats: &StreamStats,
     codec: Option<&FrameCodec>,
@@ -624,10 +627,9 @@ fn publish(
         for out in outcomes.iter().flatten() {
             stats.record_link_frame(out.crc_ok);
         }
-        write_record(
-            sock,
-            &protocol::frame_json(stats.name(), &packet, outcomes.as_deref()),
-        )?;
+        line.clear();
+        protocol::write_frame_line(line, stats.name(), &packet, outcomes.as_deref());
+        sock.write_all(line.as_bytes())?;
         if let Some(t0) = ingested_at {
             stats.record_frame_latency(t0.elapsed());
         }
@@ -709,6 +711,8 @@ fn serve_stream(
     // the ring and trip drop-oldest. Samples accumulate here and are fed
     // in full chunks; the sub-chunk tail is flushed at end of stream.
     let mut pending: Vec<netscatter_dsp::Complex64> = Vec::with_capacity(2 * chunk);
+    // The frame-line buffer, reused for every record of the connection.
+    let mut line = String::new();
     let mut end_code = code::SHUTDOWN;
     let mut last_data = Instant::now();
     loop {
@@ -764,7 +768,7 @@ fn serve_stream(
         stats.record_ingest(engine.samples_fed(), engine.ring_dropped());
         let sps = engine.samples_processed() as f64 / started.elapsed().as_secs_f64().max(1e-9);
         stats.record_rates(sps, sps / rate);
-        publish(sock, timed(engine.drain_timed()), stats, codec)?;
+        publish(sock, &mut line, timed(engine.drain_timed()), stats, codec)?;
     }
 
     // Drain whatever the client had already sent when the loop broke (a
@@ -793,11 +797,12 @@ fn serve_stream(
     let samples_fed = engine.samples_fed();
     // The final in-flight packets are still timed at this point; the
     // shutdown report strips timestamps, so drain once more first.
-    publish(sock, timed(engine.drain_timed()), stats, codec)?;
+    publish(sock, &mut line, timed(engine.drain_timed()), stats, codec)?;
     match engine.shutdown() {
         Ok(mut report) => {
             publish(
                 sock,
+                &mut line,
                 untimed(std::mem::take(&mut report.packets)),
                 stats,
                 codec,
@@ -838,6 +843,7 @@ fn serve_stream(
             );
             publish(
                 sock,
+                &mut line,
                 untimed(std::mem::take(&mut report.packets)),
                 stats,
                 codec,

@@ -219,6 +219,32 @@ fn replayed_cf32_file_over_tcp_matches_batch() {
     daemon.shutdown();
 }
 
+/// The header grammar admits any non-empty stream name, so the daemon's
+/// frame writer must escape it exactly as the tree does.
+#[test]
+fn a_stream_name_that_needs_escaping_frames_byte_identically() {
+    let name = "door \"ap\" \\ \t\u{1}\u{7f} é€😀";
+    let daemon = Daemon::start(DaemonConfig::new(gateway_config())).unwrap();
+    let samples = wire_stream(2);
+    let lines = client::stream_samples(
+        daemon.ingest_addr(),
+        &header_for(name),
+        &samples,
+        Pace::RealTime,
+    )
+    .unwrap();
+    let ready = Json::parse(lines_of_type(&lines, "ready")[0]).unwrap();
+    assert_eq!(ready.get("stream").and_then(Json::as_str), Some(name));
+    let frames: Vec<String> = lines_of_type(&lines, "frame")
+        .into_iter()
+        .cloned()
+        .collect();
+    let expected = batch_frames(name, &samples);
+    assert_eq!(expected.len(), 2, "both packets decode");
+    assert_eq!(frames, expected);
+    daemon.shutdown();
+}
+
 #[test]
 fn header_defaults_fall_back_to_the_daemon_config() {
     // A bare `{"stream":"x"}` header decodes with the daemon's --bins and

@@ -349,28 +349,37 @@ impl ConcurrentDemodulator {
     /// this to track each device at the peak position learned from its
     /// preamble, which absorbs the device's (per-packet-constant) timing
     /// offset. Points per bin come from the spectrum's own length, so either
-    /// grid of [`Self::spectrum_into`] is read the same way.
+    /// grid of [`Self::spectrum_into`] is read the same way. A window as
+    /// wide as the spectrum or wider (an infinite half-width included)
+    /// reads each point once: the `total` offsets from `−total/2`.
     pub fn device_power_at(
         &self,
         padded_power: &[f64],
         center_bins: f64,
         search_halfwidth_bins: f64,
     ) -> (f64, f64) {
-        let total = padded_power.len();
-        let pad = (total / self.params().num_bins()) as f64;
+        let total = padded_power.len() as isize;
+        let pad = (total as usize / self.params().num_bins()) as f64;
         let centre = (center_bins * pad).round() as isize;
-        let half = (search_halfwidth_bins.max(0.0) * pad).round() as isize;
+        let half = (search_halfwidth_bins.max(0.0) * pad).round();
+        let offsets = if half < (total / 2) as f64 {
+            -(half as isize)..half as isize + 1
+        } else {
+            -(total / 2)..total - total / 2
+        };
+        // Offsets stay within ±total/2 of a centre already on the grid, so
+        // neither the index nor the reported position can overflow.
+        let base = centre.rem_euclid(total);
         let mut best = 0.0f64;
-        let mut best_idx = centre;
-        for off in -half..=half {
-            let raw = centre + off;
-            let idx = (raw.rem_euclid(total as isize)) as usize;
+        let mut best_off = 0;
+        for off in offsets {
+            let idx = (base + off).rem_euclid(total) as usize;
             if padded_power[idx] > best {
                 best = padded_power[idx];
-                best_idx = raw;
+                best_off = off;
             }
         }
-        (best, best_idx as f64 / pad)
+        (best, centre.saturating_add(best_off) as f64 / pad)
     }
 
     /// Tracks a device's spectral peak by hill-climbing the power spectrum
@@ -691,6 +700,26 @@ mod tests {
                 let track = |spec: &[f64]| demod.device_peak_track(spec, bin as f64, 0.0, 0.0);
                 assert_eq!(track(lattice), track(&padded));
             }
+        }
+    }
+
+    /// A half-width past the spectrum reads every point once and returns
+    /// promptly, on either grid; a centre far off the grid cannot overflow.
+    #[test]
+    fn an_unbounded_window_reads_the_whole_spectrum_once() {
+        let p = params();
+        let n = p.num_bins();
+        let demod = ConcurrentDemodulator::new(p, 8).unwrap();
+        for total in [n, 8 * n] {
+            let mut power: Vec<f64> = (0..total).map(|i| (i % 37) as f64).collect();
+            power[total / 3] = 99.0;
+            for halfwidth in [1e300, f64::INFINITY, (n / 2) as f64] {
+                let (best, at) = demod.device_power_at(&power, 5.0, halfwidth);
+                assert_eq!(best, 99.0, "{total} points, half-width {halfwidth}");
+                assert!((at - 5.0).abs() <= (n / 2) as f64, "{at}");
+            }
+            assert_eq!(demod.device_power(&power, 7, f64::INFINITY), 99.0);
+            assert_eq!(demod.device_power_at(&power, 1e300, 1e300).0, 99.0);
         }
     }
 

@@ -662,11 +662,22 @@ mod tests {
             vec!["--fidelity", "vibes"],
             vec!["--format", "yaml"],
             vec!["--payload-bits", "0"],
+            // Past the daemon's bound: refused here, before a round of that
+            // size is ever synthesized.
+            vec!["--payload-bits", "1025"],
+            vec!["--payload-bits", "36028797018963968"],
             vec!["--set", "devices=1,2"], // grid not allowed outside sweep
         ] {
             let err = parse_flags(&args(&bad), false).unwrap_err();
             assert_eq!(err.code, 2, "{bad:?}");
         }
+        let opts = parse_flags(&args(&["--payload-bits", "1024"]), false).unwrap();
+        assert_eq!(opts.scenario.payload_bits, 1024);
+        // A sweep axis is checked point by point as the grid expands.
+        let opts = parse_flags(&args(&["--set", "payload_bits=1024,1025"]), true).unwrap();
+        let err = expand_grid(&opts.scenario, &opts.grid).unwrap_err();
+        assert_eq!(err.code, 2);
+        assert!(err.message.contains("1..=1024"), "{}", err.message);
     }
 
     #[test]

@@ -1662,6 +1662,7 @@ fn perf(scenario: &Scenario, result: &mut ExperimentResult) {
     use crate::fullround::{ChannelModel, FullRoundNetwork};
     use crate::workloads::build_concurrent_round;
     use netscatter::receiver::ConcurrentReceiver;
+    use netscatter_daemon::protocol;
     use netscatter_dsp::correlator::ChirpBank;
     use netscatter_phy::distributed::{ConcurrentDemodulator, DemodWorkspace, OnOffModulator};
     use netscatter_phy::params::PhyProfile;
@@ -1771,6 +1772,59 @@ fn perf(scenario: &Scenario, result: &mut ExperimentResult) {
             }
         },
     );
+
+    // 2c. A frame line at the dense and coded benchmarks' shapes (256
+    //     devices × 40 raw bits; 256 conv-coded 108-bit frames with their
+    //     outcomes): the `frame_json` tree printed and newline-terminated,
+    //     against the daemon's direct writer into a reused buffer, timed
+    //     alternately. CI gates both ratios.
+    let decoded = rx
+        .decode_round(&stream, 0, &bins, RATIO_PAYLOAD_SYMBOLS)
+        .expect("round decodes");
+    let conv =
+        FrameCodec::new(CodingScheme::Conv, RATIO_PAYLOAD_SYMBOLS).expect("conv fills 108 bits");
+    let mut raw = netscatter_gateway::DecodedPacket {
+        index: 1_234,
+        start_sample: 987_654_321,
+        round: decoded,
+    };
+    let mut coded = raw.clone();
+    let mut line_rng = StdRng::seed_from_u64(scenario.seed ^ 0x11E);
+    for (r, c) in raw.round.devices.iter_mut().zip(&mut coded.round.devices) {
+        r.bits = (0..40).map(|_| line_rng.gen_bool(0.5)).collect();
+        let data: Vec<bool> = (0..conv.data_bits())
+            .map(|_| line_rng.gen_bool(0.5))
+            .collect();
+        c.bits = conv.encode_frame(line_rng.gen_range(0..=255u8), &data);
+    }
+    let outcomes: Vec<_> = coded
+        .round
+        .devices
+        .iter()
+        .map(|d| conv.decode_frame(&d.bits))
+        .collect();
+    let [(raw_tree_s, raw_direct_s), (coded_tree_s, coded_direct_s)] =
+        [(&raw, None), (&coded, Some(&outcomes[..]))].map(|(packet, outcomes)| {
+            let tree = || {
+                let mut line = protocol::frame_json("perf", packet, outcomes).to_string_line();
+                line.push('\n');
+                line
+            };
+            let mut line = String::new();
+            protocol::write_frame_line(&mut line, "perf", packet, outcomes);
+            assert_eq!(line, tree(), "the writer prints the tree's bytes");
+            median_secs_interleaved(
+                401,
+                || {
+                    std::hint::black_box(tree());
+                },
+                || {
+                    line.clear();
+                    protocol::write_frame_line(&mut line, "perf", packet, outcomes);
+                    std::hint::black_box(&line);
+                },
+            )
+        });
 
     // 3. Sample-level network round throughput: channel realization +
     //    superposed synthesis + AWGN + full concurrent decode, per
@@ -1889,6 +1943,10 @@ fn perf(scenario: &Scenario, result: &mut ExperimentResult) {
             ("chirp_bank_per_candidate_us", chirp_bank_per_candidate_us),
             ("decode_round_256x108_us", round_s * 1e6),
             ("decode_round_256x108_spectra_us", spectra_s * 1e6),
+            ("frame_line_256x40_tree_us", raw_tree_s * 1e6),
+            ("frame_line_256x40_direct_us", raw_direct_s * 1e6),
+            ("frame_line_256x108_tree_us", coded_tree_s * 1e6),
+            ("frame_line_256x108_direct_us", coded_direct_s * 1e6),
             ("fig15b_quick_ms", fig15_ms),
             ("fig17_quick_ms", fig17_ms),
         ]
@@ -1924,6 +1982,22 @@ fn perf_text(result: &ExperimentResult) -> String {
         PREAMBLE_UPCHIRPS + RATIO_PAYLOAD_SYMBOLS,
         round / spectra
     );
+    for (shape, label) in [
+        ("256x40", "40 raw bits"),
+        ("256x108", "108 conv-coded bits"),
+    ] {
+        let tree = result
+            .scalar(&format!("frame_line_{shape}_tree_us"))
+            .expect("scalar");
+        let direct = result
+            .scalar(&format!("frame_line_{shape}_direct_us"))
+            .expect("scalar");
+        let _ = writeln!(
+            out,
+            "  frame line[256 devices x {label}]: {tree:.0} us tree then print, {direct:.0} us direct (ratio {:.2})",
+            direct / tree
+        );
+    }
     for row in &result.table("decode").expect("decode table").rows {
         let _ = writeln!(
             out,

@@ -23,6 +23,7 @@ use crate::montecarlo::{available_threads, MonteCarlo};
 use crate::network::Fidelity;
 use netscatter_coding::frame::FrameCodec;
 pub use netscatter_coding::CodingScheme;
+use netscatter_daemon::protocol::payload_bits_in_range;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -132,7 +133,8 @@ pub struct Scenario {
     /// Worker-thread bound (results are bit-identical at any value; 0
     /// resolves to the available parallelism).
     pub threads: usize,
-    /// Payload bits each device delivers per round.
+    /// Payload bits each device delivers per round, in `1..=1024` (the
+    /// daemon's `MAX_PAYLOAD_BITS`).
     pub payload_bits: usize,
     /// Round arrival rate (rounds/s) of the streaming-gateway experiment's
     /// Poisson arrival process.
@@ -267,13 +269,11 @@ impl Scenario {
                 };
             }
             "payload_bits" => {
-                let payload_bits = int::<usize>(name, value)?;
-                if payload_bits == 0 {
-                    // An empty payload zeroes every rate the headline gains
-                    // divide by, and the daemon refuses a zero-bit header.
-                    return Err("payload_bits expects a positive integer, got \"0\"".into());
-                }
-                self.payload_bits = payload_bits;
+                // The daemon's own bound, so a simulated stream is one the
+                // daemon would serve: an empty payload zeroes every rate the
+                // headline gains divide by, and an unbounded one makes the
+                // round synthesizer allocate without limit.
+                self.payload_bits = payload_bits_in_range(name, int(name, value)?)?;
             }
             "arrival_rate" => {
                 self.arrival_rate =
@@ -471,11 +471,18 @@ mod tests {
             ("chunk_samples", "0"),
             ("chunk_samples", "big"),
             ("payload_bits", "0"),
+            ("payload_bits", "36028797018963968"),
+            ("payload_bits", "18446744073709551616"),
         ] {
             assert!(s.set_field(field, bad).is_err(), "{field}={bad}");
         }
         // Failed sets leave the scenario untouched.
         assert_eq!(s, Scenario::default());
+        // The daemon's own payload bound, checked before anything is sized.
+        let err = s.set_field("payload_bits", "1025").unwrap_err();
+        assert!(err.contains("1..=1024"), "{err}");
+        s.set_field("payload_bits", "1024").unwrap();
+        assert_eq!(s.payload_bits, 1024);
     }
 
     #[test]

@@ -277,6 +277,10 @@ fn run_perf_writes_one_schema_versioned_bench_artifact() {
         "chirp_bank_per_candidate_us",
         "decode_round_256x108_us",
         "decode_round_256x108_spectra_us",
+        "frame_line_256x40_tree_us",
+        "frame_line_256x40_direct_us",
+        "frame_line_256x108_tree_us",
+        "frame_line_256x108_direct_us",
         "fig15b_quick_ms",
         "fig17_quick_ms",
     ] {
