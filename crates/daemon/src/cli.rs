@@ -2,10 +2,11 @@
 //! `netscatter serve` subcommand.
 
 use crate::client;
-use crate::protocol::{payload_bits_in_range, positive_finite, StreamHeader};
+use crate::protocol::{check_config, positive_finite, StreamHeader};
 use crate::registry::DEFAULT_METRICS_RETENTION;
-use crate::serve::{bin_range_error, Daemon, DaemonConfig};
+use crate::serve::{Daemon, DaemonConfig};
 use crate::signals;
+use netscatter_coding::CodingScheme;
 use netscatter_gateway::GatewayConfig;
 use netscatter_obs::log as olog;
 use netscatter_obs::{Level, LogFormat};
@@ -49,12 +50,11 @@ FLAGS:
   --bins <B1,B2,...>      default cyclic-shift assignment for headers without one
   --payload-bits <N>      default payload bits per packet (default 8, at most 1024)
   --sample-rate <HZ>      default ingest sample rate (default 500000)
-  --chunk-samples <N>     ring chunk size in samples (default 4096)
+  --chunk-samples <N>     ring chunk size in samples (default 4096, at most 1048576)
   --ring-slots <N>        per-stream ring capacity in chunks (default 64,
-                          ~0.5 s of real-time ingest)
-  --workers <N>           decode workers per stream (default 0 = all cores)
+                          ~0.5 s of real-time ingest; at most 4096)
+  --workers <N>           decode workers per stream (default 0 = all cores, at most 1024)
   --detection-floor <F>   receiver detection-floor fraction override
-  --energy-gate-db <DB>   energy gate over the noise floor (default 6)
   --max-conns <N>         cap on concurrent ingest connections; over-cap
                           connections get an immediate {\"code\":\"overloaded\"}
                           error record (default 0 = unlimited)
@@ -89,28 +89,17 @@ gracefully (streams drained, end records written, threads joined)."
 }
 
 /// Parsed `netscatterd` options.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct ServeOptions {
     /// Ingest listen address.
     pub listen: String,
     /// Metrics listen address (`None` = disabled).
     pub metrics: Option<String>,
-    /// Default bins for headers that do not carry their own.
-    pub bins: Vec<usize>,
-    /// Default payload bits.
-    pub payload_bits: usize,
+    /// Every stream's gateway defaults; a header may override the bins,
+    /// payload bits and detection floor.
+    pub base: GatewayConfig,
     /// Default sample rate in Hz.
     pub sample_rate_hz: f64,
-    /// Ring chunk size in samples.
-    pub chunk_samples: usize,
-    /// Ring capacity in chunks.
-    pub ring_slots: usize,
-    /// Decode workers per stream (0 = auto).
-    pub workers: usize,
-    /// Detection-floor fraction override.
-    pub detection_floor: Option<f64>,
-    /// Energy gate in dB over the noise floor.
-    pub energy_gate_db: f64,
     /// Concurrent-connection cap (0 = unlimited).
     pub max_conns: usize,
     /// Header deadline in seconds (0 = wait forever).
@@ -142,18 +131,15 @@ impl Default for ServeOptions {
         Self {
             listen: "127.0.0.1:7470".to_string(),
             metrics: Some("127.0.0.1:7471".to_string()),
-            bins: Vec::new(),
-            payload_bits: 8,
+            base: GatewayConfig {
+                // A serving default, deliberately deeper than the in-process pipeline's 8:
+                // 64 × 4096 samples is ~0.5 s of real-time ingest per stream, so drop-oldest
+                // only fires on sustained overload, not on scheduler jitter when many streams
+                // share few cores.
+                ring_slots: 64,
+                ..GatewayConfig::new(PhyProfile::default(), Vec::new(), 8)
+            },
             sample_rate_hz: 500e3,
-            chunk_samples: 4096,
-            // A serving default, deliberately deeper than the in-process
-            // pipeline's 8: 64 × 4096 samples is ~0.5 s of real-time ingest
-            // per stream, so drop-oldest only fires on sustained overload,
-            // not on scheduler jitter when many streams share few cores.
-            ring_slots: 64,
-            workers: 0,
-            detection_floor: None,
-            energy_gate_db: 6.0,
             max_conns: 0,
             header_timeout_secs: 10.0,
             idle_timeout_secs: 30.0,
@@ -171,19 +157,12 @@ impl Default for ServeOptions {
 
 impl ServeOptions {
     /// The daemon configuration these options describe.
-    fn daemon_config(&self) -> DaemonConfig {
-        let mut base =
-            GatewayConfig::new(PhyProfile::default(), self.bins.clone(), self.payload_bits);
-        base.chunk_samples = self.chunk_samples;
-        base.ring_slots = self.ring_slots;
-        base.workers = self.workers;
-        base.energy_gate_db = self.energy_gate_db;
-        base.detection_floor_fraction = self.detection_floor;
+    pub fn daemon_config(&self) -> DaemonConfig {
         let deadline = |secs: f64| (secs > 0.0).then(|| std::time::Duration::from_secs_f64(secs));
         DaemonConfig {
             listen: self.listen.clone(),
             metrics: self.metrics.clone(),
-            base,
+            base: self.base.clone(),
             default_sample_rate_hz: self.sample_rate_hz,
             max_conns: self.max_conns,
             header_deadline: deadline(self.header_timeout_secs),
@@ -194,8 +173,9 @@ impl ServeOptions {
     }
 }
 
-/// Parses the `netscatterd` flag set.
-fn parse_serve_args(args: &[String]) -> Result<ServeOptions, CliUsage> {
+/// Parses the `netscatterd` flag set. The stream defaults are range-checked
+/// once, after every flag is in, by [`check_config`].
+pub fn parse_serve_args(args: &[String]) -> Result<ServeOptions, CliUsage> {
     let mut opts = ServeOptions::default();
     let mut i = 0;
     let value = |i: &mut usize, flag: &str| -> Result<String, CliUsage> {
@@ -218,40 +198,22 @@ fn parse_serve_args(args: &[String]) -> Result<ServeOptions, CliUsage> {
             }
             "--bins" => {
                 let v = value(&mut i, arg)?;
-                opts.bins = v
+                opts.base.assigned_bins = v
                     .split(',')
                     .map(|b| num::<usize>(arg, b.trim()))
                     .collect::<Result<_, _>>()?;
-                if let Some(msg) = bin_range_error(&opts.bins, &PhyProfile::default()) {
-                    return Err(CliUsage::usage(format!("--bins: {msg}")));
-                }
             }
-            "--payload-bits" => {
-                opts.payload_bits = payload_bits_in_range(arg, num(arg, &value(&mut i, arg)?)?)
-                    .map_err(CliUsage::usage)?;
-            }
+            "--payload-bits" => opts.base.payload_symbols = num(arg, &value(&mut i, arg)?)?,
             "--sample-rate" => {
                 opts.sample_rate_hz = positive_finite(arg, num(arg, &value(&mut i, arg)?)?)
                     .map_err(CliUsage::usage)?;
             }
-            "--chunk-samples" => {
-                opts.chunk_samples = num(arg, &value(&mut i, arg)?)?;
-                if opts.chunk_samples == 0 {
-                    return Err(CliUsage::usage("--chunk-samples must be positive"));
-                }
-            }
-            "--ring-slots" => {
-                opts.ring_slots = num(arg, &value(&mut i, arg)?)?;
-                if opts.ring_slots == 0 {
-                    return Err(CliUsage::usage("--ring-slots must be at least 1"));
-                }
-            }
-            "--workers" => opts.workers = num(arg, &value(&mut i, arg)?)?,
+            "--chunk-samples" => opts.base.chunk_samples = num(arg, &value(&mut i, arg)?)?,
+            "--ring-slots" => opts.base.ring_slots = num(arg, &value(&mut i, arg)?)?,
+            "--workers" => opts.base.workers = num(arg, &value(&mut i, arg)?)?,
             "--detection-floor" => {
-                let floor = num(arg, &value(&mut i, arg)?)?;
-                opts.detection_floor = Some(positive_finite(arg, floor).map_err(CliUsage::usage)?);
+                opts.base.detection_floor_fraction = Some(num(arg, &value(&mut i, arg)?)?);
             }
-            "--energy-gate-db" => opts.energy_gate_db = num(arg, &value(&mut i, arg)?)?,
             "--max-conns" => opts.max_conns = num(arg, &value(&mut i, arg)?)?,
             "--header-timeout" => {
                 opts.header_timeout_secs = num(arg, &value(&mut i, arg)?)?;
@@ -319,6 +281,7 @@ fn parse_serve_args(args: &[String]) -> Result<ServeOptions, CliUsage> {
             "--once without --replay would exit immediately",
         ));
     }
+    check_config(&opts.base, CodingScheme::None).map_err(CliUsage::usage)?;
     Ok(opts)
 }
 
@@ -461,10 +424,10 @@ mod tests {
         .expect("flags parse");
         assert_eq!(opts.listen, "0.0.0.0:9000");
         assert_eq!(opts.metrics, None);
-        assert_eq!(opts.bins, vec![64, 192]);
-        assert_eq!(opts.payload_bits, 16);
+        assert_eq!(opts.base.assigned_bins, vec![64, 192]);
+        assert_eq!(opts.base.payload_symbols, 16);
         assert_eq!(opts.sample_rate_hz, 250e3);
-        assert_eq!(opts.workers, 2);
+        assert_eq!(opts.base.workers, 2);
         assert_eq!(opts.replays[0].1, "door");
         assert_eq!(opts.replays[1].1, "other");
         assert!(opts.quiet && !opts.once);
@@ -510,7 +473,7 @@ mod tests {
         }
         assert_eq!(parse_serve_args(&args(&["--help"])).unwrap_err().code, 0);
         let last = parse_serve_args(&args(&["--bins", "0,511"])).expect("highest shift parses");
-        assert_eq!(last.bins, vec![0, 511]);
+        assert_eq!(last.base.assigned_bins, vec![0, 511]);
         // One entry per cyclic shift at most, whatever the values.
         let shifts = vec!["0"; 512].join(",");
         assert!(parse_serve_args(&args(&["--bins", &shifts])).is_ok());
@@ -522,8 +485,8 @@ mod tests {
             err.message
         );
         let most = parse_serve_args(&args(&["--payload-bits", "1024"])).expect("the cap parses");
-        assert_eq!(most.payload_bits, 1024);
+        assert_eq!(most.base.payload_symbols, 1024);
         let one = parse_serve_args(&args(&["--ring-slots", "1"])).expect("one slot parses");
-        assert_eq!(one.ring_slots, 1);
+        assert_eq!(one.base.ring_slots, 1);
     }
 }

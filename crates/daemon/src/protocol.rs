@@ -22,18 +22,19 @@
 
 use crate::registry::{StreamSnapshot, STREAM_COUNTERS};
 use netscatter::json::{write_number, write_string, Json};
-use netscatter_coding::frame::FrameOutcome;
+use netscatter_coding::frame::{FrameCodec, FrameOutcome};
 use netscatter_coding::CodingScheme;
 use netscatter_dsp::Complex64;
-use netscatter_gateway::DecodedPacket;
+use netscatter_gateway::{DecodedPacket, GatewayConfig, OverflowPolicy};
+use std::ops::RangeInclusive;
 
 /// The only ingest sample format this daemon speaks.
 pub const FORMAT_CF32LE: &str = "cf32le";
 
-/// The one range check for a sample rate or a detection-floor fraction,
-/// shared by the header and the daemon flags: both must be finite and
-/// positive. A floor `≤ 0` would count every assigned bin as a device; an
-/// infinite or NaN one would silently detect nothing.
+/// The one positivity check, for a sample rate or a detection-floor
+/// fraction: both must be finite and positive. A floor `≤ 0` would count
+/// every assigned bin as a device; an infinite or NaN one would silently
+/// detect nothing.
 pub(crate) fn positive_finite(what: &str, value: f64) -> Result<f64, String> {
     if value.is_finite() && value > 0.0 {
         Ok(value)
@@ -41,6 +42,15 @@ pub(crate) fn positive_finite(what: &str, value: f64) -> Result<f64, String> {
         Err(format!(
             "{what} must be a finite positive number, got {value}"
         ))
+    }
+}
+
+/// The one bound check for a count.
+fn in_range(what: &str, value: usize, range: RangeInclusive<usize>) -> Result<(), String> {
+    if range.contains(&value) {
+        Ok(())
+    } else {
+        Err(format!("{what} must be in {range:?}, got {value}"))
     }
 }
 
@@ -96,15 +106,88 @@ pub const SAMPLE_BYTES: usize = 8;
 /// detector window, and its length cannot wrap.
 pub const MAX_PAYLOAD_BITS: usize = 1024;
 
-/// The one range check for `payload_bits`, shared by the header and the
-/// `--payload-bits` flag: `1..=`[`MAX_PAYLOAD_BITS`].
-pub fn payload_bits_in_range(what: &str, value: u64) -> Result<usize, String> {
-    match usize::try_from(value) {
-        Ok(bits @ 1..=MAX_PAYLOAD_BITS) => Ok(bits),
-        _ => Err(format!(
-            "{what} must be in 1..={MAX_PAYLOAD_BITS}, got {value}"
-        )),
+/// The most samples in one ring chunk (≈ 2.1 s of air at 500 kHz): a
+/// serving thread sizes its socket and coalescing buffers (8 and 32 MiB at
+/// the bound) by it before the first sample arrives.
+pub const MAX_CHUNK_SAMPLES: usize = 1 << 20;
+
+/// The most chunks one stream's ring may queue: 4× the 1 024 the repo
+/// benchmark runs with. The ring reserves room for every slot up front.
+pub const MAX_RING_SLOTS: usize = 1 << 12;
+
+/// The most decode workers one stream may start. `0` already means one per
+/// core, so a larger explicit count only adds threads that wait.
+pub const MAX_WORKERS: usize = 1 << 10;
+
+/// The one range check of a stream's geometry, for the daemon's flags, each
+/// merged header ([`stream_config`]) and the simulator's scenarios alike:
+/// at most `2^SF` bins, each one of the profile's `2^SF` cyclic shifts (an
+/// empty list passes here); `payload_symbols`, `chunk_samples`,
+/// `ring_slots` and `workers` up to [`MAX_PAYLOAD_BITS`],
+/// [`MAX_CHUNK_SAMPLES`], [`MAX_RING_SLOTS`] and [`MAX_WORKERS`]; a finite,
+/// positive detection floor. Under a link-layer `coding` the frame must
+/// fill the payload exactly, and the codec built to check that is handed
+/// back, so no caller holds one that skipped this check.
+pub fn check_config(
+    cfg: &GatewayConfig,
+    coding: CodingScheme,
+) -> Result<Option<FrameCodec>, String> {
+    let num_bins = cfg.profile.modulation.num_bins();
+    if cfg.assigned_bins.len() > num_bins {
+        return Err(format!(
+            "{} bins is more than the {num_bins} cyclic shifts there are",
+            cfg.assigned_bins.len()
+        ));
     }
+    if let Some(bin) = cfg.assigned_bins.iter().find(|&&b| b >= num_bins) {
+        return Err(format!(
+            "bin {bin} is out of range: bins must be in 0..{num_bins}"
+        ));
+    }
+    in_range("payload_bits", cfg.payload_symbols, 1..=MAX_PAYLOAD_BITS)?;
+    in_range("chunk_samples", cfg.chunk_samples, 1..=MAX_CHUNK_SAMPLES)?;
+    in_range("ring_slots", cfg.ring_slots, 1..=MAX_RING_SLOTS)?;
+    in_range("workers", cfg.workers, 0..=MAX_WORKERS)?;
+    if let Some(floor) = cfg.detection_floor_fraction {
+        positive_finite("detection_floor", floor)?;
+    }
+    match coding {
+        CodingScheme::None => Ok(None),
+        scheme => FrameCodec::new(scheme, cfg.payload_symbols).map(Some),
+    }
+}
+
+/// The one merge of a stream's header over the daemon's `defaults`: the
+/// header's bins, payload bits and detection floor win where present, its
+/// fault hook always applies, and live ingest always drops oldest (the
+/// socket reader must never block on a slow decode). A refusal is the
+/// `error` record's code and message: [`code::NO_BINS`] when neither side
+/// names a bin, else [`code::BAD_HEADER`] with [`check_config`]'s reason.
+pub fn stream_config(
+    header: &StreamHeader,
+    defaults: &GatewayConfig,
+) -> Result<(GatewayConfig, Option<FrameCodec>), (&'static str, String)> {
+    let mut cfg = defaults.clone();
+    cfg.overflow = OverflowPolicy::DropOldest;
+    if let Some(bins) = &header.bins {
+        cfg.assigned_bins.clone_from(bins);
+    }
+    if let Some(bits) = header.payload_bits {
+        cfg.payload_symbols = bits;
+    }
+    if let Some(floor) = header.detection_floor {
+        cfg.detection_floor_fraction = Some(floor);
+    }
+    cfg.fault_panic_span = header.fault_panic_span;
+    if cfg.assigned_bins.is_empty() {
+        return Err((
+            code::NO_BINS,
+            "no bins to decode: set them in the header or start the daemon with --bins".into(),
+        ));
+    }
+    let codec = check_config(&cfg, header.coding.unwrap_or(CodingScheme::None))
+        .map_err(|msg| (code::BAD_HEADER, msg))?;
+    Ok((cfg, codec))
 }
 
 /// The JSON header line that opens an ingest connection.
@@ -202,7 +285,9 @@ impl StreamHeader {
                 let bits = value
                     .as_u64()
                     .ok_or("header payload_bits must be a positive integer")?;
-                Some(payload_bits_in_range("header payload_bits", bits)?)
+                // No daemon default could make this one servable.
+                in_range("header payload_bits", bits as usize, 1..=MAX_PAYLOAD_BITS)?;
+                Some(bits as usize)
             }
         };
         let detection_floor = positive("detection_floor")?;
@@ -571,7 +656,8 @@ mod tests {
     /// stream that the codecs accept is refused by it.
     #[test]
     fn the_payload_bits_cap_admits_every_frame_geometry() {
-        use netscatter_coding::frame::FrameCodec;
+        let at =
+            |bits| GatewayConfig::new(netscatter_phy::params::PhyProfile::default(), vec![], bits);
         for scheme in CodingScheme::ALL {
             if scheme == CodingScheme::None {
                 continue;
@@ -581,11 +667,13 @@ mod tests {
                 .max()
                 .expect("every framed scheme has a geometry");
             assert!(widest <= MAX_PAYLOAD_BITS, "{scheme:?}: {widest}");
-            assert_eq!(payload_bits_in_range("bits", widest as u64), Ok(widest));
+            let codec = check_config(&at(widest), scheme);
+            assert!(matches!(codec, Ok(Some(_))), "{scheme:?}");
         }
-        assert!(payload_bits_in_range("bits", 0).is_err());
-        assert!(payload_bits_in_range("bits", MAX_PAYLOAD_BITS as u64 + 1).is_err());
-        assert!(payload_bits_in_range("bits", u64::MAX).is_err());
+        for bits in [0, MAX_PAYLOAD_BITS + 1, usize::MAX] {
+            let err = check_config(&at(bits), CodingScheme::None).unwrap_err();
+            assert!(err.contains("1..=1024"), "{err}");
+        }
     }
 
     /// The direct writer against the tree it replaces, over seeded random

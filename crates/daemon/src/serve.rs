@@ -45,9 +45,8 @@ use crate::registry::{
 use crate::{metrics, DecodedPacket};
 use netscatter::json::Json;
 use netscatter_coding::frame::FrameCodec;
-use netscatter_gateway::{EngineError, GatewayConfig, OverflowPolicy, StreamEngine, TimedPacket};
+use netscatter_gateway::{EngineError, GatewayConfig, StreamEngine, TimedPacket};
 use netscatter_obs::log as olog;
-use netscatter_phy::params::PhyProfile;
 use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -76,8 +75,9 @@ pub struct DaemonConfig {
     /// Metrics listen address; `None` disables the endpoint.
     pub metrics: Option<String>,
     /// Default gateway parameters; a stream's header may override the
-    /// bins, payload size and detection floor. The overflow policy is
-    /// always forced to drop-oldest for socket ingest.
+    /// bins, payload size and detection floor
+    /// ([`protocol::stream_config`]). The overflow policy is always forced
+    /// to drop-oldest for socket ingest.
     pub base: GatewayConfig,
     /// Sample rate assumed for headers that do not declare one.
     pub default_sample_rate_hz: f64,
@@ -513,53 +513,17 @@ fn serve_connection(
         )?;
         return Ok(());
     }
-    let mut cfg = config.base.clone();
-    // The socket reader must never block on a slow decode: live ingest
-    // always runs drop-oldest, whatever the base config says.
-    cfg.overflow = OverflowPolicy::DropOldest;
-    if let Some(bins) = header.bins {
-        cfg.assigned_bins = bins;
-    }
-    if let Some(bits) = header.payload_bits {
-        cfg.payload_symbols = bits;
-    }
-    if let Some(floor) = header.detection_floor {
-        cfg.detection_floor_fraction = Some(floor);
-    }
-    cfg.fault_panic_span = header.fault_panic_span;
-    if cfg.assigned_bins.is_empty() {
-        write_record(
-            &mut sock,
-            &protocol::error_json(
-                &header.name,
-                code::NO_BINS,
-                "no bins to decode: set them in the header or start the daemon with --bins",
-            ),
-        )?;
-        return Ok(());
-    }
-    if let Some(msg) = bin_range_error(&cfg.assigned_bins, &cfg.profile) {
-        write_record(
-            &mut sock,
-            &protocol::error_json(&header.name, code::BAD_HEADER, &msg),
-        )?;
-        return Ok(());
-    }
-    // A coded stream's frame geometry must fill the (merged) payload bits
-    // exactly; a mismatch is a header-validation failure, caught before
-    // any engine is spawned.
-    let codec = match header.coding {
-        None => None,
-        Some(scheme) => match FrameCodec::new(scheme, cfg.payload_symbols) {
-            Ok(codec) => Some(codec),
-            Err(msg) => {
-                write_record(
-                    &mut sock,
-                    &protocol::error_json(&header.name, code::BAD_HEADER, &msg),
-                )?;
-                return Ok(());
-            }
-        },
+    // Refused geometry (no bins, a bin past 2^SF, a coding that cannot fill
+    // the payload, …) is caught before any engine is spawned.
+    let (cfg, codec) = match protocol::stream_config(&header, &config.base) {
+        Ok(merged) => merged,
+        Err((error_code, msg)) => {
+            write_record(
+                &mut sock,
+                &protocol::error_json(&header.name, error_code, &msg),
+            )?;
+            return Ok(());
+        }
     };
     let rate = header
         .sample_rate_hz
@@ -579,23 +543,6 @@ fn serve_connection(
     );
     stats.set_inactive();
     result
-}
-
-/// The refusal for the first of `bins` outside `profile`'s `2^SF` cyclic
-/// shifts (the detector indexes its `2^SF`-point spectrum by assigned bin),
-/// or for a list longer than those shifts.
-pub(crate) fn bin_range_error(bins: &[usize], profile: &PhyProfile) -> Option<String> {
-    let num_bins = profile.modulation.num_bins();
-    if bins.len() > num_bins {
-        return Some(format!(
-            "{} bins is more than the {num_bins} cyclic shifts there are",
-            bins.len()
-        ));
-    }
-    let bin = bins.iter().find(|&&b| b >= num_bins)?;
-    Some(format!(
-        "bin {bin} is out of range: bins must be in 0..{num_bins}"
-    ))
 }
 
 /// Publishes decoded packets as `frame` records and counts them. On a

@@ -31,7 +31,7 @@
 
 use crate::deployment::{Deployment, DeploymentConfig};
 use crate::stress::{
-    check_metrics, metric_value, records_of, score_healthy, stream_config, synthesize,
+    check_metrics, daemon_defaults, metric_value, records_of, score_healthy, synthesize,
     StressOptions, SynthStream, DEPLOYMENT_SEED,
 };
 use netscatter::json::Json;
@@ -561,9 +561,8 @@ pub fn run_chaos(opts: &StressOptions) -> i32 {
     // The daemon under attack: in-process (with chaos deadlines and fault
     // injection enabled) or --connect.
     let local = if opts.connect.is_none() {
-        let base = stream_config(&deployment, &healthy[0], opts);
         let rate = healthy[0].header.sample_rate_hz.unwrap_or(500e3);
-        let mut config = DaemonConfig::new(base);
+        let mut config = DaemonConfig::new(daemon_defaults(opts));
         config.default_sample_rate_hz = rate;
         config.header_deadline = Some(Duration::from_millis(1200));
         config.idle_deadline = Some(Duration::from_millis(900));
@@ -709,7 +708,7 @@ pub fn run_chaos(opts: &StressOptions) -> i32 {
     for (stream, upload) in healthy.iter().zip(healthy_uploads) {
         match upload.join().expect("healthy upload panicked") {
             Ok(lines) => {
-                let scored = score_healthy(&deployment, stream, opts, &lines);
+                let scored = score_healthy(stream, opts, &lines);
                 served_names.push((scored.served_name, stream.header.channel.unwrap_or(0)));
                 failures.extend(scored.failures);
                 if !opts.quiet {
@@ -721,7 +720,7 @@ pub fn run_chaos(opts: &StressOptions) -> i32 {
     }
     match ragged_transcript {
         Ok(lines) => {
-            let scored = score_healthy(&deployment, &ragged, opts, &lines);
+            let scored = score_healthy(&ragged, opts, &lines);
             served_names.push((scored.served_name, ragged.header.channel.unwrap_or(0)));
             failures.extend(scored.failures);
             if !opts.quiet {
@@ -734,8 +733,7 @@ pub fn run_chaos(opts: &StressOptions) -> i32 {
     // Admission: a dedicated max_conns=1 side daemon in-process, or the
     // --connect daemon's declared cap.
     if let Some(_daemon) = &local {
-        let base = stream_config(&deployment, &healthy[0], opts);
-        let mut config = DaemonConfig::new(base);
+        let mut config = DaemonConfig::new(daemon_defaults(opts));
         config.metrics = None;
         config.max_conns = 1;
         config.idle_deadline = Some(Duration::from_secs(5));

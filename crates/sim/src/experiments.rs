@@ -1034,14 +1034,10 @@ fn run_gateway_stream(
         })
         .collect();
     let config = GatewayConfig {
-        chunk_samples: scenario.chunk_samples,
-        workers: scenario.threads,
+        profile: dep.config.profile,
+        assigned_bins: streams[0].assigned_bins.clone(),
         detection_floor_fraction: Some(streams[0].detection_floor_fraction),
-        ..GatewayConfig::new(
-            dep.config.profile,
-            streams[0].assigned_bins.clone(),
-            scenario.payload_bits,
-        )
+        ..scenario.gateway_config()
     };
     // Saturated replay windows are only milliseconds long, so a single
     // session is at the mercy of one scheduler hiccup: decode the same

@@ -10,8 +10,8 @@
 //! these fields they are parameterized by (declared per experiment in
 //! [`crate::experiment::Experiment::fields`]); the `netscatter` CLI builds
 //! scenarios from flags, and `netscatter sweep` iterates grids over any
-//! field by name through [`Scenario::set_field`], the one validator of
-//! field values.
+//! field by name through [`Scenario::set_field`], which checks the stream
+//! ranges with the daemon's own [`check_config`].
 //!
 //! Scenarios are plain data: two scenarios that compare equal produce
 //! bit-identical experiment results at any thread count (the Monte-Carlo
@@ -21,9 +21,10 @@ use crate::deployment::{Deployment, DeploymentConfig};
 use crate::fullround::ChannelModel;
 use crate::montecarlo::{available_threads, MonteCarlo};
 use crate::network::Fidelity;
-use netscatter_coding::frame::FrameCodec;
 pub use netscatter_coding::CodingScheme;
-use netscatter_daemon::protocol::payload_bits_in_range;
+use netscatter_daemon::protocol::check_config;
+use netscatter_gateway::GatewayConfig;
+use netscatter_phy::params::PhyProfile;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -134,7 +135,7 @@ pub struct Scenario {
     /// resolves to the available parallelism).
     pub threads: usize,
     /// Payload bits each device delivers per round, in `1..=1024` (the
-    /// daemon's `MAX_PAYLOAD_BITS`).
+    /// daemon's [`MAX_PAYLOAD_BITS`](netscatter_daemon::protocol::MAX_PAYLOAD_BITS)).
     pub payload_bits: usize,
     /// Round arrival rate (rounds/s) of the streaming-gateway experiment's
     /// Poisson arrival process.
@@ -181,6 +182,12 @@ const MIN_STREAM_PARAM: f64 = 1e-3;
 const MAX_STREAM_SECS: f64 = 3600.0;
 /// Upper bound of [`Scenario::arrival_rate`].
 const MAX_ARRIVAL_RATE_HZ: f64 = 1e6;
+/// Upper bound of [`Scenario::devices`], 16× the paper's 256-device
+/// network: every trial sizes per-device state by it up front.
+const MAX_DEVICES: usize = 4096;
+/// Upper bound of [`Scenario::channels`]: the 500 kHz channels of the
+/// 902–928 MHz ISM band, each with its own stream and decode engine.
+const MAX_CHANNELS: usize = 52;
 
 /// The names of every settable [`Scenario`] field, in canonical order —
 /// the vocabulary of `netscatter sweep` and [`Scenario::set_field`].
@@ -229,16 +236,38 @@ impl Scenario {
         ]
     }
 
-    /// Sets one field from its CLI string form. Unknown fields and
-    /// unparsable values return a usage-quality error message. Enum-valued
-    /// fields (`placement`, `channel`, `fidelity`, `scale`, `coding`)
-    /// accept any capitalization — both the flag and `--set` sweep paths
-    /// go through here.
+    /// Sets one field from its CLI string form. Unknown fields, unparsable
+    /// values and values out of range return a usage-quality error message
+    /// and leave the scenario untouched. Enum-valued fields (`placement`,
+    /// `channel`, `fidelity`, `scale`, `coding`) accept any capitalization —
+    /// both the flag and `--set` sweep paths go through here.
     pub fn set_field(&mut self, name: &str, value: &str) -> Result<(), String> {
+        let mut next = self.clone();
+        next.parse_field(name, value)?;
+        // The daemon's stream ranges, on the value as given; the coding fit
+        // waits for `validate`, so setters stay order-independent.
+        check_config(&next.gateway_config(), CodingScheme::None)
+            .map_err(|e| format!("{name}={value}: {e}"))?;
+        if next.threads == 0 {
+            // The documented "use every core", resolved here so no layer
+            // below ever sees a zero thread bound.
+            next.threads = available_threads();
+        }
+        *self = next;
+        Ok(())
+    }
+
+    fn parse_field(&mut self, name: &str, value: &str) -> Result<(), String> {
         fn int<T: std::str::FromStr>(name: &str, value: &str) -> Result<T, String> {
             value
                 .parse()
                 .map_err(|_| format!("{name} expects an integer, got {value:?}"))
+        }
+        fn bounded(name: &str, value: &str, max: usize) -> Result<usize, String> {
+            let n = int(name, value)?;
+            (1..=max).contains(&n).then_some(n).ok_or_else(|| {
+                format!("{name} expects a positive integer at most {max}, got {value:?}")
+            })
         }
         fn positive_f64(name: &str, value: &str) -> Result<f64, String> {
             let v: f64 = value
@@ -251,30 +280,15 @@ impl Scenario {
         }
         match name {
             "devices" => {
-                let devices = int(name, value)?;
-                if devices == 0 {
-                    // A zero-device sweep point would divide the headline
-                    // gains by zero (NaN scalars that JSON cannot carry).
-                    return Err("devices expects a positive integer, got \"0\"".into());
-                }
-                self.devices = devices;
+                // A zero-device sweep point would divide the headline gains
+                // by zero (NaN scalars that JSON cannot carry).
+                self.devices = bounded(name, value, MAX_DEVICES)?;
             }
             "seed" => self.seed = int(name, value)?,
-            "threads" => {
-                // 0 is the documented "use every core" value, resolved here
-                // so no layer below ever sees a zero thread bound.
-                self.threads = match int::<usize>(name, value)? {
-                    0 => available_threads(),
-                    n => n,
-                };
-            }
-            "payload_bits" => {
-                // The daemon's own bound, so a simulated stream is one the
-                // daemon would serve: an empty payload zeroes every rate the
-                // headline gains divide by, and an unbounded one makes the
-                // round synthesizer allocate without limit.
-                self.payload_bits = payload_bits_in_range(name, int(name, value)?)?;
-            }
+            "threads" => self.threads = int(name, value)?,
+            // Bounded as the daemon bounds it: an empty payload zeroes every
+            // rate, an unbounded one makes the synthesizer allocate unbounded.
+            "payload_bits" => self.payload_bits = int(name, value)?,
             "arrival_rate" => {
                 self.arrival_rate =
                     positive_f64(name, value)?.clamp(MIN_STREAM_PARAM, MAX_ARRIVAL_RATE_HZ);
@@ -283,22 +297,10 @@ impl Scenario {
                 self.stream_secs =
                     positive_f64(name, value)?.clamp(MIN_STREAM_PARAM, MAX_STREAM_SECS);
             }
-            "chunk_samples" => {
-                let chunk = int::<usize>(name, value)?;
-                if chunk == 0 {
-                    return Err("chunk_samples expects a positive integer, got \"0\"".into());
-                }
-                self.chunk_samples = chunk;
-            }
-            "channels" => {
-                let channels = int::<usize>(name, value)?;
-                if channels == 0 {
-                    // A zero-channel gateway serves nothing; the sharded
-                    // engine rejects it too (EngineError::Config).
-                    return Err("channels expects a positive integer, got \"0\"".into());
-                }
-                self.channels = channels;
-            }
+            "chunk_samples" => self.chunk_samples = int(name, value)?,
+            // A zero-channel gateway serves nothing; the sharded engine
+            // rejects it too (EngineError::Config).
+            "channels" => self.channels = bounded(name, value, MAX_CHANNELS)?,
             "placement" => {
                 self.placement = match value.to_lowercase().as_str() {
                     "office" => Placement::Office,
@@ -356,15 +358,21 @@ impl Scenario {
     }
 
     /// Cross-field validation, called once every field is set (the CLI does
-    /// this after flag parsing and per sweep point): when a coding scheme is
-    /// selected, its frame geometry — header + data + CRC through the inner
-    /// FEC — must fill `payload_bits` exactly. Returns the frame codec's
-    /// usage-quality error otherwise.
+    /// this after flag parsing and per sweep point): [`check_config`] under
+    /// the scenario's coding, whose frame geometry — header + data + CRC
+    /// through the inner FEC — must fill `payload_bits` exactly.
     pub fn validate(&self) -> Result<(), String> {
-        if self.coding != CodingScheme::None {
-            FrameCodec::new(self.coding, self.payload_bits)?;
+        check_config(&self.gateway_config(), self.coding).map(drop)
+    }
+
+    /// The gateway this scenario describes before a deployment assigns its
+    /// bins: `payload_bits`, `chunk_samples` and `threads` decode workers.
+    pub(crate) fn gateway_config(&self) -> GatewayConfig {
+        GatewayConfig {
+            chunk_samples: self.chunk_samples,
+            workers: self.threads,
+            ..GatewayConfig::new(PhyProfile::default(), Vec::new(), self.payload_bits)
         }
-        Ok(())
     }
 
     /// The deployment this scenario describes, generated deterministically
@@ -478,6 +486,23 @@ mod tests {
         }
         // Failed sets leave the scenario untouched.
         assert_eq!(s, Scenario::default());
+        // Every count has a ceiling, checked here before anything is sized
+        // or started; the daemon's own bounds name theirs.
+        for (field, max, needle) in [
+            ("devices", 4096usize, "at most 4096"),
+            ("channels", 52, "at most 52"),
+            ("threads", 1024, "0..=1024"),
+            ("chunk_samples", 1 << 20, "1..=1048576"),
+        ] {
+            for bad in [max + 1, 1_000_000_000_000, (1 << 61) + 1] {
+                let err = s.set_field(field, &bad.to_string()).unwrap_err();
+                assert!(err.contains(needle), "{field}={bad}: {err}");
+            }
+            Scenario::default()
+                .set_field(field, &max.to_string())
+                .unwrap();
+        }
+        assert_eq!(s, Scenario::default());
         // The daemon's own payload bound, checked before anything is sized.
         let err = s.set_field("payload_bits", "1025").unwrap_err();
         assert!(err.contains("1..=1024"), "{err}");
@@ -543,7 +568,7 @@ mod tests {
         assert!(err.contains("payload_bits"), "{err}");
         s.set_field("payload_bits", "112").unwrap();
         assert_eq!(s.validate(), Ok(()));
-        let codec = FrameCodec::new(s.coding, s.payload_bits).unwrap();
+        let codec = netscatter_coding::frame::FrameCodec::new(s.coding, s.payload_bits).unwrap();
         assert_eq!(codec.data_bits(), 16);
     }
 

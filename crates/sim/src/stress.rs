@@ -33,7 +33,6 @@ use crate::fullround::ChannelModel;
 use crate::scenario::Scenario;
 use crate::stream::{ArrivalConfig, RenderedStream, RoundArrivalSource, StreamScore};
 use netscatter::json::Json;
-use netscatter_coding::frame::FrameCodec;
 use netscatter_coding::CodingScheme;
 use netscatter_daemon::client::{self, Pace};
 use netscatter_daemon::protocol::{self, StreamHeader};
@@ -206,12 +205,6 @@ pub fn parse_stress_args(args: &[String]) -> Result<StressOptions, CliError> {
             "--ring-slots" => {
                 let v = value(&mut i, arg)?;
                 ring_slots = v.parse().map_err(|_| bad(arg, &v))?;
-                if ring_slots == 0 {
-                    return Err(CliError {
-                        message: "--ring-slots must be at least 1".into(),
-                        code: 2,
-                    });
-                }
             }
             "--cf32-dir" => cf32_dir = Some(value(&mut i, arg)?),
             "--chaos" => chaos = true,
@@ -240,7 +233,7 @@ pub fn parse_stress_args(args: &[String]) -> Result<StressOptions, CliError> {
         }
         i += 1;
     }
-    Ok(StressOptions {
+    let opts = StressOptions {
         streams,
         connect,
         metrics_addr,
@@ -251,7 +244,9 @@ pub fn parse_stress_args(args: &[String]) -> Result<StressOptions, CliError> {
         expect_max_conns,
         quiet,
         scenario: parse_flags(&shared, false)?.scenario,
-    })
+    };
+    protocol::check_config(&daemon_defaults(&opts), CodingScheme::None).map_err(CliError::usage)?;
+    Ok(opts)
 }
 
 /// One synthesized ingest stream plus everything needed to score it.
@@ -301,23 +296,14 @@ pub(crate) fn synthesize(deployment: &Deployment, opts: &StressOptions, i: usize
     }
 }
 
-/// The per-stream gateway configuration — identical between the batch
-/// reference here and what the daemon assembles from the stream's header.
-pub(crate) fn stream_config(
-    deployment: &Deployment,
-    stream: &SynthStream,
-    opts: &StressOptions,
-) -> GatewayConfig {
-    let mut cfg = GatewayConfig::new(
-        deployment.config.profile,
-        stream.rendered.assigned_bins.clone(),
-        opts.scenario.payload_bits,
-    );
-    cfg.chunk_samples = opts.scenario.chunk_samples;
-    cfg.ring_slots = opts.ring_slots;
-    cfg.workers = opts.scenario.threads;
-    cfg.detection_floor_fraction = stream.header.detection_floor;
-    cfg
+/// The in-process daemon's stream defaults, from the harness flags
+/// (`--payload-bits`, `--chunk-samples`, `--ring-slots`, `--threads`). Each
+/// stream's header carries the rest.
+pub(crate) fn daemon_defaults(opts: &StressOptions) -> GatewayConfig {
+    GatewayConfig {
+        ring_slots: opts.ring_slots,
+        ..opts.scenario.gateway_config()
+    }
 }
 
 /// Batch-decodes `stream` through the synchronous pipeline and returns the
@@ -326,12 +312,14 @@ pub(crate) fn stream_config(
 /// a long-lived daemon uniquifies colliding names (`stress0#2`, …), so the
 /// reference is rendered under whatever name the `ready` record announced.
 pub(crate) fn batch_reference(
-    deployment: &Deployment,
     stream: &SynthStream,
     opts: &StressOptions,
     frame_name: &str,
 ) -> Result<(Vec<DecodedPacket>, Vec<String>), String> {
-    let cfg = stream_config(deployment, stream, opts);
+    // The daemon's own merge of the header over its defaults: the config
+    // and codec are what the daemon assembles, by construction.
+    let (cfg, codec) =
+        protocol::stream_config(&stream.header, &daemon_defaults(opts)).map_err(|(_, e)| e)?;
     let mut gw = StreamGateway::new(&cfg).map_err(|e| e.to_string())?;
     let mut packets = Vec::new();
     for chunk in stream.rendered.samples.chunks(cfg.chunk_samples) {
@@ -340,10 +328,6 @@ pub(crate) fn batch_reference(
     gw.finish();
     // On a coded fleet the reference records carry the same per-device
     // frame verdicts the daemon's must.
-    let codec = match opts.scenario.coding {
-        CodingScheme::None => None,
-        scheme => Some(FrameCodec::new(scheme, opts.scenario.payload_bits)?),
-    };
     let frames = packets
         .iter()
         .map(|p| {
@@ -480,7 +464,6 @@ pub(crate) struct HealthyScore {
 /// `frames_failed_crc` counters, zero ring drops. Shared between the
 /// plain stress fleet and the chaos harness's healthy/ragged streams.
 pub(crate) fn score_healthy(
-    deployment: &Deployment,
     stream: &SynthStream,
     opts: &StressOptions,
     lines: &[String],
@@ -488,7 +471,7 @@ pub(crate) fn score_healthy(
     let name = &stream.name;
     let mut failures = Vec::new();
     let served = assigned_name(lines, name);
-    let (packets, expected) = match batch_reference(deployment, stream, opts, &served) {
+    let (packets, expected) = match batch_reference(stream, opts, &served) {
         Ok(r) => r,
         Err(e) => {
             return HealthyScore {
@@ -588,12 +571,10 @@ pub fn run_stress(opts: &StressOptions) -> i32 {
         .map(|i| synthesize(&deployment, opts, i))
         .collect();
 
-    // One daemon for every stream. The in-process one takes its defaults
-    // from stream 0's shape, but every header carries its own parameters.
+    // One daemon for every stream; every header carries its own geometry.
     let local = if opts.connect.is_none() {
-        let base = stream_config(&deployment, &streams[0], opts);
         let rate = streams[0].header.sample_rate_hz.unwrap_or(500e3);
-        let mut config = DaemonConfig::new(base);
+        let mut config = DaemonConfig::new(daemon_defaults(opts));
         config.default_sample_rate_hz = rate;
         match Daemon::start(config) {
             Ok(d) => Some(d),
@@ -685,7 +666,7 @@ pub fn run_stress(opts: &StressOptions) -> i32 {
                 continue;
             }
         };
-        let scored = score_healthy(&deployment, stream, opts, lines);
+        let scored = score_healthy(stream, opts, lines);
         served_names.push((scored.served_name, stream.header.channel.unwrap_or(0)));
         failures.extend(scored.failures);
         if !opts.quiet {
@@ -795,6 +776,8 @@ mod tests {
             vec!["--streams", "0"],
             vec!["--streams", "many"],
             vec!["--ring-slots", "0"],
+            vec!["--ring-slots", "4097"],
+            vec!["--chunk-samples", "1000000000000"],
             vec!["--pace", "-1"],
             vec!["--arrival-rate", "0"],
             vec!["--frobnicate"],
