@@ -7,16 +7,18 @@
 //! 2. detect which assigned cyclic shifts are active and measure each one's
 //!    average preamble power,
 //! 3. set each device's payload threshold to half of that average,
-//! 4. for every payload symbol, compare the power in each device's search
-//!    window against its threshold to produce the bit.
+//! 4. for every payload symbol, compare the power at each device's bin
+//!    against its threshold to produce the bit.
 //!
 //! The heavy operations (dechirp, FFT) run once per symbol regardless of how
 //! many devices transmit, which is the receiver-complexity property §3.1
-//! highlights. The FFT is sized to what steps 2 and 4 will read: with every
-//! search bound zero (the default) that is the `2^SF` chirp bins, and the
-//! zero-padded sub-bin grid of §3.2.3 is computed only when peak tracking or
-//! a payload search window needs the points between bins. Both grids hold
-//! bit-identical values at the bins, so the choice never changes a result.
+//! highlights. Steps 2 and 4 read each device exactly at its assigned bin:
+//! devices pre-compensate their hardware delay, so what reaches the AP is a
+//! one-sided offset under one bin (§3.2.1), and its scalloping applies alike
+//! to the preamble average and to the payload reads. So the FFT is the
+//! critically-sampled `2^SF`-point one; its values at the bins are bit for
+//! bit those of the zero-padded sub-bin grid of §3.2.3 (DESIGN.md,
+//! "Read-set-sized transform").
 
 use netscatter_dsp::fft::FftError;
 use netscatter_dsp::Complex64;
@@ -64,19 +66,6 @@ pub struct ConcurrentReceiver {
     /// devices below the noise floor still clear this because the dechirp
     /// concentrates their energy into one bin.
     pub detection_floor_fraction: f64,
-    /// Payload peak-search half-width in chirp bins around the
-    /// `observed_bin` learned from the preamble.
-    ///
-    /// The preamble absorbs each packet's *static* timing/CFO offset into
-    /// `observed_bin`, and the intra-packet drift (≪ 0.1 bins, Fig. 14a)
-    /// stays inside one zero-padded grid step, so the payload power is
-    /// sampled at the observed point itself (half-width 0). Keeping the
-    /// window this tight is what makes fully loaded SKIP-2 rounds
-    /// decodable: at 256 concurrent devices the points *between* bins
-    /// carry the aggregate Dirichlet leakage of every other tone (up to
-    /// ≈ −4 dB of a full peak), so any window that strays off the observed
-    /// grid point mistakes that leakage for an ON symbol.
-    pub payload_halfwidth_bins: f64,
 }
 
 impl ConcurrentReceiver {
@@ -84,10 +73,9 @@ impl ConcurrentReceiver {
     pub fn new(profile: &PhyProfile) -> Result<Self, FftError> {
         let chirp = profile.modulation.chirp();
         Ok(Self {
-            detector: PreambleDetector::new(chirp, profile.zero_padding)?,
+            detector: PreambleDetector::new(chirp)?,
             profile: *profile,
             detection_floor_fraction: 1e-4,
-            payload_halfwidth_bins: 0.0,
         })
     }
 
@@ -96,32 +84,9 @@ impl ConcurrentReceiver {
         &self.profile
     }
 
-    /// Enables preamble peak tracking for tag populations whose hardware
-    /// delays are *not* pre-compensated (multi-bin one-sided offsets): each
-    /// device's peak is then followed by a hill climb bounded to
-    /// `[bin − (halfwidth − bias), bin + (halfwidth + bias)]` chirp bins
-    /// instead of being measured at its assigned bin. The paper-era COTS
-    /// population needs `(1.0, 0.75)`; the default (no tracking) is correct
-    /// for the self-compensating devices of this codebase and is what keeps
-    /// fully loaded SKIP-2 rounds decodable (see
-    /// [`netscatter_phy::preamble::PreambleDetector::search_halfwidth_bins`]).
-    pub fn set_preamble_tracking(&mut self, halfwidth_bins: f64, forward_bias_bins: f64) {
-        self.detector.search_halfwidth_bins = halfwidth_bins;
-        self.detector.search_forward_bias_bins = forward_bias_bins;
-    }
-
     /// Detects the active devices from the aligned preamble samples and
-    /// calibrates their payload thresholds (§3.3.1 step ii).
-    pub fn detect_devices(
-        &self,
-        preamble: &[Complex64],
-        assigned_bins: &[usize],
-    ) -> Result<Vec<DetectedDevice>, FftError> {
-        let mut ws = DemodWorkspace::new();
-        self.detect_devices_with(preamble, assigned_bins, &mut ws)
-    }
-
-    /// As [`Self::detect_devices`], reusing the caller's workspace.
+    /// measures the preamble power their payload thresholds are set from
+    /// (§3.3.1 step ii), reusing the caller's workspace.
     pub fn detect_devices_with(
         &self,
         preamble: &[Complex64],
@@ -166,12 +131,7 @@ impl ConcurrentReceiver {
         let mut ws = DemodWorkspace::new();
         let detected = self.detect_devices_with(preamble, assigned_bins, &mut ws)?;
         let demodulator = self.detector.demodulator();
-        let reads = PayloadReads::new(
-            &detected,
-            n,
-            demodulator.zero_padding(),
-            self.payload_halfwidth_bins,
-        );
+        let reads = PayloadReads::new(&detected, n);
         // Payload starts after the full 8-symbol preamble.
         let payload = stream
             .get(packet_start + (PREAMBLE_UPCHIRPS + 2) * n..)
@@ -180,10 +140,7 @@ impl ConcurrentReceiver {
         // Symbol-major: the bits of symbol `s` are `bits[s·D..(s+1)·D]`.
         let mut bits = Vec::with_capacity(symbols.len() * detected.len());
         for symbol in symbols {
-            reads.read(
-                demodulator.spectrum_into(symbol, reads.step, &mut ws)?,
-                &mut bits,
-            );
+            reads.read(demodulator.spectrum_into(symbol, 1, &mut ws)?, &mut bits);
         }
         let devices = detected
             .iter()
@@ -204,87 +161,36 @@ impl ConcurrentReceiver {
 }
 
 /// What every payload symbol of one round reads, fixed once the preamble has
-/// been detected: the spectrum grid, each device's window on it and each
-/// device's threshold. Per symbol, [`Self::read`] is then one pass over
-/// this table, making exactly the decision
-/// `device_power_at(power, observed_bin, payload_halfwidth_bins).0 >
-/// payload_threshold(average_power)` for every device.
+/// been detected: each device's bin on the `2^SF`-point spectrum and its
+/// threshold. Per symbol, [`Self::read`] is then one pass over this table.
 struct PayloadReads {
-    /// Spectrum points per chirp bin: 1 (the `2^SF`-point transform) when
-    /// every read lands on a bin — no payload search window and whole-bin
-    /// `observed_bin`s, i.e. untracked detection — and the zero-padding
-    /// factor otherwise. Both grids hold bit-identical values at the bins.
-    step: usize,
-    /// Points in each device's window (`2·half + 1`, at most the grid).
-    width: usize,
-    /// Each device's window on the grid, `width` wrapped indices per
-    /// device, in detection order.
-    indices: Vec<usize>,
+    /// Each device's `chirp_bin % 2^SF`, in detection order.
+    bins: Vec<usize>,
     /// Each device's payload threshold, half its preamble average (§3.3.1).
     thresholds: Vec<f64>,
 }
 
 impl PayloadReads {
-    fn new(
-        detected: &[DetectedDevice],
-        num_bins: usize,
-        zero_padding: usize,
-        halfwidth_bins: f64,
-    ) -> Self {
-        let on_bins =
-            halfwidth_bins == 0.0 && detected.iter().all(|d| d.observed_bin.fract() == 0.0);
-        let step = if on_bins { 1 } else { zero_padding };
-        let total = num_bins * step;
-        let pad = step as f64;
-        // The window arithmetic of `device_power_at`: centre and half-width
-        // rounded to the grid, indices wrapped onto it.
-        let half = (halfwidth_bins.max(0.0) * pad).round() as usize;
-        let width = half.saturating_mul(2).saturating_add(1).min(total);
-        let indices = detected
-            .iter()
-            .flat_map(|d| {
-                // A window of `total` points reads the whole grid; its
-                // maximum does not depend on where the run starts.
-                let start = if width == total {
-                    0
-                } else {
-                    let centre = (d.observed_bin * pad).round() as isize;
-                    (centre - half as isize).rem_euclid(total as isize) as usize
-                };
-                (start..start + width).map(move |i| i % total)
-            })
-            .collect();
-        let thresholds = detected
-            .iter()
-            .map(|d| PreambleDetector::payload_threshold(d.average_power))
-            .collect();
+    fn new(detected: &[DetectedDevice], num_bins: usize) -> Self {
         Self {
-            step,
-            width,
-            indices,
-            thresholds,
+            bins: detected.iter().map(|d| d.chirp_bin % num_bins).collect(),
+            thresholds: detected
+                .iter()
+                .map(|d| PreambleDetector::payload_threshold(d.average_power))
+                .collect(),
         }
     }
 
     /// Appends one bit per device, in detection order, for the symbol whose
-    /// power spectrum (on the grid of `step`) is `power`.
+    /// `2^SF`-point power spectrum is `power`: `max(0, power) > threshold`,
+    /// so a NaN power reads as "off".
     fn read(&self, power: &[f64], bits: &mut Vec<bool>) {
-        let windows = self.indices.chunks_exact(self.width);
-        bits.extend(windows.zip(&self.thresholds).map(|(window, &threshold)| {
-            // The window maximum starts at 0.0 with a strict `>`, as in
-            // `device_power_at`, so a NaN power reads as "off".
-            let best = window.iter().map(|&i| power[i]).fold(
-                0.0,
-                |best, p| {
-                    if p > best {
-                        p
-                    } else {
-                        best
-                    }
-                },
-            );
-            best > threshold
-        }));
+        bits.extend(
+            self.bins
+                .iter()
+                .zip(&self.thresholds)
+                .map(|(&bin, &threshold)| power[bin].max(0.0) > threshold),
+        );
     }
 }
 
@@ -348,12 +254,7 @@ mod tests {
     #[test]
     fn concurrent_devices_with_impairments_and_noise_decode() {
         let p = profile();
-        let mut rx = ConcurrentReceiver::new(&p).unwrap();
-        // The impairments below are sampled raw (no device-side delay
-        // pre-compensation), so peaks sit up to ~1.75 bins forward of their
-        // assigned bins: enable the peak-tracking estimator sized for that
-        // population.
-        rx.set_preamble_tracking(1.0, 0.75);
+        let rx = ConcurrentReceiver::new(&p).unwrap();
         let mut rng = StdRng::seed_from_u64(3);
         let specs: Vec<(usize, f64, Vec<bool>)> = (0..8)
             .map(|i| {
@@ -362,11 +263,13 @@ mod tests {
                 (bin, 1.0, bits)
             })
             .collect();
+        // COTS impairments as every caller draws them: each device
+        // pre-compensates its calibrated hardware delay.
         let model = ImpairmentModel::cots_backscatter();
         let device_imp: Vec<PacketImpairments> = (0..8)
             .map(|_| {
-                let dev = model.sample_device(&mut rng);
-                model.sample_packet(&mut rng, &dev)
+                BackscatterDevice::new(DeviceConfig::default(), p, &model, &mut rng)
+                    .packet_impairments(&model, &mut rng)
             })
             .collect();
         let mut stream = build_round(&p, &specs, &device_imp);
@@ -452,66 +355,42 @@ mod tests {
     }
 
     #[test]
-    fn payload_reads_take_the_lattice_only_when_every_read_is_on_a_bin() {
-        let device = |observed_bin: f64| DetectedDevice {
-            chirp_bin: 0,
-            average_power: 4.0,
-            observed_bin,
-        };
-        let on_bins = [device(3.0), device(511.0)];
-        let reads = PayloadReads::new(&on_bins, 512, 8, 0.0);
-        assert_eq!((reads.step, reads.width), (1, 1));
-        assert_eq!(reads.indices, [3, 511]);
-        assert_eq!(reads.thresholds, [2.0, 2.0]);
-
-        // A fractional observed bin reads its nearest padded-grid point.
-        let reads = PayloadReads::new(&[device(3.0), device(-0.375)], 512, 8, 0.0);
-        assert_eq!((reads.step, reads.width), (8, 1));
-        assert_eq!(reads.indices, [24, 4093]);
-
-        // A payload window reads its wrapped run of padded-grid points, and a
-        // window wider than the grid reads all of it.
-        let reads = PayloadReads::new(&on_bins, 512, 8, 0.25);
-        assert_eq!((reads.step, reads.width), (8, 5));
-        assert_eq!(
-            reads.indices,
-            [22, 23, 24, 25, 26, 4086, 4087, 4088, 4089, 4090]
-        );
-        let reads = PayloadReads::new(&on_bins, 512, 8, 1e300);
-        assert_eq!((reads.step, reads.width), (8, 4096));
-    }
-
-    #[test]
-    fn payload_reads_decide_as_device_power_at_does() {
+    fn payload_reads_take_each_bin_on_the_lattice_and_read_nan_as_off() {
         let p = profile();
         let rx = ConcurrentReceiver::new(&p).unwrap();
         let demod = rx.detector.demodulator();
-        let total = p.modulation.num_bins() * p.zero_padding;
-        let mut power = vec![0.0; total];
-        power[4095] = 3.0;
+        let device = |chirp_bin: usize, threshold: f64| DetectedDevice {
+            chirp_bin,
+            average_power: 2.0 * threshold,
+        };
+        let detected = [
+            device(3, 1.0),
+            device(512 + 3, 2.5),
+            device(1, -1.0),
+            device(1, 0.0),
+            device(40, 1e300),
+            device(511, f64::NAN),
+            device(1024 + 40, f64::INFINITY),
+        ];
+        let reads = PayloadReads::new(&detected, 512);
+        assert_eq!(reads.bins, [3, 3, 1, 1, 40, 511, 40]);
+        let mut power = vec![0.0; 512];
+        power[3] = 2.0;
         power[1] = f64::NAN;
         power[40] = f64::INFINITY;
-        let centres = [0.0, 0.125, 5.0, 5.125, 511.875];
-        for halfwidth in [0.0, 0.25, 1.0, 300.0] {
-            for threshold in [-1.0, 0.0, 2.5, f64::NAN] {
-                let detected: Vec<DetectedDevice> = centres
-                    .iter()
-                    .map(|&observed_bin| DetectedDevice {
-                        chirp_bin: 0,
-                        average_power: 2.0 * threshold,
-                        observed_bin,
-                    })
-                    .collect();
-                let reads = PayloadReads::new(&detected, 512, p.zero_padding, halfwidth);
-                assert_eq!(reads.step, p.zero_padding);
-                let mut bits = Vec::new();
-                reads.read(&power, &mut bits);
-                let want: Vec<bool> = centres
-                    .iter()
-                    .map(|&c| demod.device_power_at(&power, c, halfwidth).0 > threshold)
-                    .collect();
-                assert_eq!(bits, want, "halfwidth {halfwidth}, threshold {threshold}");
-            }
+        power[511] = 5.0;
+        let mut bits = Vec::new();
+        reads.read(&power, &mut bits);
+        // A NaN power reads as 0, +inf clears any finite threshold, and a
+        // NaN threshold is never cleared.
+        assert_eq!(bits, [true, false, true, false, true, false, false]);
+        // The same decision the demodulator's window read makes at width 0.
+        for (d, &bit) in detected.iter().zip(&bits) {
+            let at = demod.device_power_at(&power, d.chirp_bin as f64, 0.0).0;
+            assert_eq!(
+                at > PreambleDetector::payload_threshold(d.average_power),
+                bit
+            );
         }
     }
 }

@@ -1,17 +1,19 @@
-//! The receiver sizes its per-symbol FFT to what it will read: the `2^SF`
-//! chirp bins when every search bound is zero, the zero-padded sub-bin grid
-//! otherwise. These tests pin the two properties that make that safe: the
-//! two grids decode bit-identically wherever both apply, and any non-zero
-//! bound (or an off-bin `observed_bin`) still gets the padded grid. They
-//! also pin `decode_round`'s per-round read table against the per-symbol
-//! decision it replaces, at the shapes the daemon decodes.
+//! The receiver reads every device at its own bin on the `2^SF`-point
+//! spectrum. These tests pin that this is bit for bit the zero-padded
+//! receiver of §3.2.3 read at the bins: a reference rebuilt here from the
+//! demodulator's padded read makes the same detections, the same preamble
+//! powers and the same payload bits as `decode_round`, across spreading
+//! factors, padding factors and device counts, and at the shapes the daemon
+//! decodes.
 
 use netscatter::receiver::ConcurrentReceiver;
 use netscatter_channel::noise::AwgnChannel;
 use netscatter_dsp::Complex64;
 use netscatter_phy::distributed::{ConcurrentDemodulator, DemodWorkspace, OnOffModulator};
 use netscatter_phy::params::{ModulationConfig, PhyProfile};
-use netscatter_phy::preamble::{PreambleBuilder, PreambleDetector, PREAMBLE_SYMBOLS};
+use netscatter_phy::preamble::{
+    PreambleBuilder, PreambleDetector, PREAMBLE_SYMBOLS, PREAMBLE_UPCHIRPS,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -24,16 +26,6 @@ fn profile(spreading_factor: u32, zero_padding: usize) -> PhyProfile {
         zero_padding,
         ..PhyProfile::default()
     }
-}
-
-/// A receiver whose bounds are non-zero but round to zero grid points: it
-/// reads exactly what the default receiver reads, from the padded grid — the
-/// pre-change decode path.
-fn padded_reference(profile: &PhyProfile) -> ConcurrentReceiver {
-    let mut rx = ConcurrentReceiver::new(profile).unwrap();
-    rx.set_preamble_tracking(1e-9, 0.0);
-    rx.payload_halfwidth_bins = 1e-9;
-    rx
 }
 
 /// One superposed round of `devices` evenly spaced devices and
@@ -67,14 +59,86 @@ fn noisy_round(
     (stream, bins)
 }
 
+/// The receiver rebuilt on the zero-padded grid of `rx`'s profile, from
+/// `ConcurrentDemodulator::{padded_spectrum_into, device_power(.., 0.0)}`: a
+/// device is present when its bin clears the detection floor in all six
+/// upchirps, its preamble power is their average, and each payload bit
+/// (for every payload symbol present, at most `payload_symbols`) is its
+/// bin's power against half that average. Returns
+/// `(chirp_bin, preamble_power, bits)` per detected device.
+fn padded_reference(
+    rx: &ConcurrentReceiver,
+    stream: &[Complex64],
+    bins: &[usize],
+    payload_symbols: usize,
+) -> Vec<(usize, f64, Vec<bool>)> {
+    let profile = rx.profile();
+    let n = profile.modulation.num_bins();
+    let demod =
+        ConcurrentDemodulator::new(profile.modulation.chirp(), profile.zero_padding).unwrap();
+    let mut ws = DemodWorkspace::new();
+    let floor = (n as f64).powi(2) * rx.detection_floor_fraction;
+    let mut preamble = vec![(0.0, true); bins.len()];
+    for symbol in stream.chunks_exact(n).take(PREAMBLE_UPCHIRPS) {
+        let power = demod.padded_spectrum_into(symbol, &mut ws).unwrap();
+        assert_eq!(power.len(), n * profile.zero_padding);
+        for (&bin, (sum, present)) in bins.iter().zip(&mut preamble) {
+            let p = demod.device_power(power, bin, 0.0);
+            *sum += p;
+            *present &= p > floor;
+        }
+    }
+    let mut devices: Vec<(usize, f64, Vec<bool>)> = bins
+        .iter()
+        .zip(&preamble)
+        .filter(|(_, &(_, present))| present)
+        .map(|(&bin, &(sum, _))| (bin, sum / PREAMBLE_UPCHIRPS as f64, Vec::new()))
+        .collect();
+    for symbol in stream[PREAMBLE_SYMBOLS * n..]
+        .chunks_exact(n)
+        .take(payload_symbols)
+    {
+        let power = demod.padded_spectrum_into(symbol, &mut ws).unwrap();
+        for (bin, average, bits) in &mut devices {
+            let threshold = PreambleDetector::payload_threshold(*average);
+            bits.push(demod.device_power(power, *bin, 0.0) > threshold);
+        }
+    }
+    devices
+}
+
+/// `decode_round` detects, measures and decodes exactly as
+/// [`padded_reference`], device by device; returns the reference's bits.
+fn assert_matches_reference(
+    rx: &ConcurrentReceiver,
+    stream: &[Complex64],
+    bins: &[usize],
+    payload_symbols: usize,
+    case: &str,
+) -> Vec<Vec<bool>> {
+    let round = rx.decode_round(stream, 0, bins, payload_symbols).unwrap();
+    let want = padded_reference(rx, stream, bins, payload_symbols);
+    assert!(!want.is_empty(), "{case}: nothing detected");
+    assert_eq!(round.devices.len(), want.len(), "{case}: detected set");
+    for (got, (bin, power, bits)) in round.devices.iter().zip(&want) {
+        assert_eq!(got.chirp_bin, *bin, "{case}");
+        assert_eq!(
+            got.preamble_power.to_bits(),
+            power.to_bits(),
+            "{case}: bin {bin}"
+        );
+        assert_eq!(&got.bits, bits, "{case}: bin {bin}");
+    }
+    want.into_iter().map(|(_, _, bits)| bits).collect()
+}
+
 #[test]
 fn lattice_decode_equals_padded_decode_bit_for_bit() {
     for spreading_factor in [7u32, 8, 9] {
         for zero_padding in [1usize, 2, 4, 8] {
             let profile = profile(spreading_factor, zero_padding);
             let n = profile.modulation.num_bins();
-            let fast = ConcurrentReceiver::new(&profile).unwrap();
-            let reference = padded_reference(&profile);
+            let rx = ConcurrentReceiver::new(&profile).unwrap();
             for devices in [1usize, 16, n / 2] {
                 let case = format!("SF{spreading_factor} pad {zero_padding} devices {devices}");
                 let seed =
@@ -82,97 +146,13 @@ fn lattice_decode_equals_padded_decode_bit_for_bit() {
                 let (stream, bins) = noisy_round(&profile, devices, PAYLOAD_SYMBOLS, seed);
 
                 let mut ws = DemodWorkspace::new();
-                let mut ref_ws = DemodWorkspace::new();
-                let got = fast.detect_devices_with(&stream, &bins, &mut ws).unwrap();
-                let want = reference
-                    .detect_devices_with(&stream, &bins, &mut ref_ws)
-                    .unwrap();
+                rx.detect_devices_with(&stream, &bins, &mut ws).unwrap();
                 assert_eq!(ws.power().len(), n, "{case}: lattice grid");
-                assert_eq!(ref_ws.power().len(), n * zero_padding, "{case}: padded");
-                assert!(!got.is_empty(), "{case}: nothing detected");
-                assert_eq!(got.len(), want.len(), "{case}: detected set");
-                for (g, w) in got.iter().zip(&want) {
-                    assert_eq!(g.chirp_bin, w.chirp_bin, "{case}");
-                    assert_eq!(
-                        g.average_power.to_bits(),
-                        w.average_power.to_bits(),
-                        "{case}: bin {}",
-                        g.chirp_bin
-                    );
-                    assert_eq!(g.observed_bin.to_bits(), w.observed_bin.to_bits(), "{case}");
-                }
-
-                let got = fast
-                    .decode_round(&stream, 0, &bins, PAYLOAD_SYMBOLS)
-                    .unwrap();
-                let want = reference
-                    .decode_round(&stream, 0, &bins, PAYLOAD_SYMBOLS)
-                    .unwrap();
-                assert_eq!(got.devices.len(), want.devices.len(), "{case}");
-                for (g, w) in got.devices.iter().zip(&want.devices) {
-                    assert_eq!(g.chirp_bin, w.chirp_bin, "{case}");
-                    assert_eq!(
-                        g.preamble_power.to_bits(),
-                        w.preamble_power.to_bits(),
-                        "{case}"
-                    );
-                    assert_eq!(g.bits.len(), PAYLOAD_SYMBOLS, "{case}");
-                    assert_eq!(g.bits, w.bits, "{case}: bin {}", g.chirp_bin);
-                }
+                let bits = assert_matches_reference(&rx, &stream, &bins, PAYLOAD_SYMBOLS, &case);
+                assert!(bits.iter().all(|b| b.len() == PAYLOAD_SYMBOLS), "{case}");
             }
         }
     }
-}
-
-/// The per-symbol decision `decode_round` must make, computed the slow way:
-/// for every payload symbol present in `stream` (at most
-/// `payload_symbols`), one spectrum on the grid with `step` points per bin,
-/// then `device_power_at(..).0 > payload_threshold(..)` per detected device.
-/// Returns each device's bits, in detection order.
-fn oracle_bits(
-    rx: &ConcurrentReceiver,
-    stream: &[Complex64],
-    bins: &[usize],
-    payload_symbols: usize,
-    step: usize,
-) -> Vec<Vec<bool>> {
-    let profile = rx.profile();
-    let n = profile.modulation.num_bins();
-    let demod =
-        ConcurrentDemodulator::new(profile.modulation.chirp(), profile.zero_padding).unwrap();
-    let mut ws = DemodWorkspace::new();
-    let detected = rx.detect_devices_with(stream, bins, &mut ws).unwrap();
-    let mut bits = vec![Vec::new(); detected.len()];
-    for symbol in stream[PREAMBLE_SYMBOLS * n..]
-        .chunks_exact(n)
-        .take(payload_symbols)
-    {
-        let power = demod.spectrum_into(symbol, step, &mut ws).unwrap();
-        for (d, out) in detected.iter().zip(&mut bits) {
-            let (p, _) = demod.device_power_at(power, d.observed_bin, rx.payload_halfwidth_bins);
-            out.push(p > PreambleDetector::payload_threshold(d.average_power));
-        }
-    }
-    bits
-}
-
-/// `decode_round`'s bits equal [`oracle_bits`], device by device.
-fn assert_matches_oracle(
-    rx: &ConcurrentReceiver,
-    stream: &[Complex64],
-    bins: &[usize],
-    payload_symbols: usize,
-    step: usize,
-    case: &str,
-) -> Vec<Vec<bool>> {
-    let round = rx.decode_round(stream, 0, bins, payload_symbols).unwrap();
-    let want = oracle_bits(rx, stream, bins, payload_symbols, step);
-    assert!(!want.is_empty(), "{case}: nothing detected");
-    assert_eq!(round.devices.len(), want.len(), "{case}: detected set");
-    for (got, want) in round.devices.iter().zip(&want) {
-        assert_eq!(&got.bits, want, "{case}: bin {}", got.chirp_bin);
-    }
-    want
 }
 
 #[test]
@@ -184,7 +164,7 @@ fn decode_round_equals_the_per_symbol_decision_at_benchmark_shapes() {
         let (stream, bins) = noisy_round(&profile, 256, payload_symbols, payload_symbols as u64);
         let case = format!("256 x {payload_symbols}");
 
-        let clean = assert_matches_oracle(&rx, &stream, &bins, payload_symbols, 1, &case);
+        let clean = assert_matches_reference(&rx, &stream, &bins, payload_symbols, &case);
         assert!(clean.len() > 200, "{case}: {} detected", clean.len());
         assert!(clean.iter().all(|b| b.len() == payload_symbols), "{case}");
 
@@ -197,7 +177,7 @@ fn decode_round_equals_the_per_symbol_decision_at_benchmark_shapes() {
         poisoned[at + 100] = Complex64::new(f64::INFINITY, 0.0);
         poisoned[at + 200] = Complex64::new(0.0, f64::NEG_INFINITY);
         let case = format!("{case} with NaN and inf in symbol {hit}");
-        let bits = assert_matches_oracle(&rx, &poisoned, &bins, payload_symbols, 1, &case);
+        let bits = assert_matches_reference(&rx, &poisoned, &bins, payload_symbols, &case);
         assert!(
             bits.iter().all(|b| !b[hit]),
             "{case}: a NaN spectrum decodes as off"
@@ -212,66 +192,9 @@ fn decode_round_equals_the_per_symbol_decision_at_benchmark_shapes() {
         let whole = payload_symbols / 2;
         let cut = &stream[..(PREAMBLE_SYMBOLS + whole) * n + n / 2];
         let case = format!("256 x {payload_symbols} cut after {whole} symbols");
-        let bits = assert_matches_oracle(&rx, cut, &bins, payload_symbols, 1, &case);
+        let bits = assert_matches_reference(&rx, cut, &bins, payload_symbols, &case);
         for (b, c) in bits.iter().zip(&clean) {
             assert_eq!(b[..], c[..whole], "{case}");
         }
     }
-}
-
-#[test]
-fn any_nonzero_search_bound_selects_the_padded_grid() {
-    let profile = PhyProfile::default();
-    let n = profile.modulation.num_bins();
-    let padded_len = n * profile.zero_padding;
-    let (stream, bins) = noisy_round(&profile, 16, PAYLOAD_SYMBOLS, 5);
-    let mut ws = DemodWorkspace::new();
-
-    let default = ConcurrentReceiver::new(&profile).unwrap();
-    default
-        .detect_devices_with(&stream, &bins, &mut ws)
-        .unwrap();
-    assert_eq!(ws.power().len(), n);
-
-    for (halfwidth, bias) in [(1.0, 0.0), (0.0, 0.75), (1.0, 0.75), (0.5, -0.5)] {
-        let mut rx = ConcurrentReceiver::new(&profile).unwrap();
-        rx.set_preamble_tracking(halfwidth, bias);
-        rx.detect_devices_with(&stream, &bins, &mut ws).unwrap();
-        assert_eq!(
-            ws.power().len(),
-            padded_len,
-            "tracking ({halfwidth}, {bias})"
-        );
-    }
-
-    // The payload reads follow the same rule: the default receiver decodes
-    // on the lattice, a payload window reads its run of padded-grid points,
-    // and a tracked preamble leaves devices between bins, where the payload
-    // read follows them even with no payload window.
-    let pad = profile.zero_padding;
-    assert_matches_oracle(&default, &stream, &bins, PAYLOAD_SYMBOLS, 1, "default");
-    let mut windowed = ConcurrentReceiver::new(&profile).unwrap();
-    windowed.payload_halfwidth_bins = 0.25;
-    assert_matches_oracle(
-        &windowed,
-        &stream,
-        &bins,
-        PAYLOAD_SYMBOLS,
-        pad,
-        "payload window",
-    );
-    let mut tracked = ConcurrentReceiver::new(&profile).unwrap();
-    tracked.set_preamble_tracking(1.0, 0.75);
-    let detected = tracked
-        .detect_devices_with(&stream, &bins, &mut ws)
-        .unwrap();
-    assert!(detected.iter().any(|d| d.observed_bin.fract() != 0.0));
-    assert_matches_oracle(
-        &tracked,
-        &stream,
-        &bins,
-        PAYLOAD_SYMBOLS,
-        pad,
-        "off-bin observed_bin",
-    );
 }

@@ -453,6 +453,7 @@ mod tests {
             vec!["--bins"],
             vec!["--bins", "a,b"],
             vec!["--bins", "64,512"], // 512 is not a shift of a 2^9-bin chirp
+            vec!["--bins", "64,64"],  // one shift, decoded and counted twice
             vec!["--payload-bits", "0"],
             vec!["--payload-bits", "1025"],
             vec!["--payload-bits", "36028797018963968"], // 2^55 wraps a packet length
@@ -474,8 +475,11 @@ mod tests {
         assert_eq!(parse_serve_args(&args(&["--help"])).unwrap_err().code, 0);
         let last = parse_serve_args(&args(&["--bins", "0,511"])).expect("highest shift parses");
         assert_eq!(last.base.assigned_bins, vec![0, 511]);
-        // One entry per cyclic shift at most, whatever the values.
-        let shifts = vec!["0"; 512].join(",");
+        // One entry per cyclic shift at most: every shift once is the most.
+        let shifts = (0..512)
+            .map(|b| b.to_string())
+            .collect::<Vec<_>>()
+            .join(",");
         assert!(parse_serve_args(&args(&["--bins", &shifts])).is_ok());
         let over = format!("{shifts},0");
         let err = parse_serve_args(&args(&["--bins", &over])).unwrap_err();

@@ -121,9 +121,9 @@ pub const MAX_WORKERS: usize = 1 << 10;
 
 /// The one range check of a stream's geometry, for the daemon's flags, each
 /// merged header ([`stream_config`]) and the simulator's scenarios alike:
-/// at most `2^SF` bins, each one of the profile's `2^SF` cyclic shifts (an
-/// empty list passes here); `payload_symbols`, `chunk_samples`,
-/// `ring_slots` and `workers` up to [`MAX_PAYLOAD_BITS`],
+/// at most `2^SF` bins, each one of the profile's `2^SF` cyclic shifts and
+/// none assigned twice (an empty list passes here); `payload_symbols`,
+/// `chunk_samples`, `ring_slots` and `workers` up to [`MAX_PAYLOAD_BITS`],
 /// [`MAX_CHUNK_SAMPLES`], [`MAX_RING_SLOTS`] and [`MAX_WORKERS`]; a finite,
 /// positive detection floor. Under a link-layer `coding` the frame must
 /// fill the payload exactly, and the codec built to check that is handed
@@ -143,6 +143,13 @@ pub fn check_config(
         return Err(format!(
             "bin {bin} is out of range: bins must be in 0..{num_bins}"
         ));
+    }
+    // A repeated bin would be detected, decoded and counted once per entry.
+    let mut seen = vec![false; num_bins];
+    for &bin in &cfg.assigned_bins {
+        if std::mem::replace(&mut seen[bin], true) {
+            return Err(format!("bin {bin} is assigned twice"));
+        }
     }
     in_range("payload_bits", cfg.payload_symbols, 1..=MAX_PAYLOAD_BITS)?;
     in_range("chunk_samples", cfg.chunk_samples, 1..=MAX_CHUNK_SAMPLES)?;

@@ -80,6 +80,8 @@ fn check_config_bounds_every_stream_knob() {
     assert_eq!(err, "bin 512 is out of range: bins must be in 0..512");
     let err = check_config(&geometry(vec![0; 513], 8), CodingScheme::None).unwrap_err();
     assert_eq!(err, "513 bins is more than the 512 cyclic shifts there are");
+    let err = check_config(&geometry(vec![64, 3, 64], 8), CodingScheme::None).unwrap_err();
+    assert_eq!(err, "bin 64 is assigned twice");
     let err = check_config(&base, CodingScheme::Rs).unwrap_err();
     assert_eq!(Err(err), FrameCodec::new(CodingScheme::Rs, 40).map(|_| ()));
 }

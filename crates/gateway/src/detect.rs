@@ -61,9 +61,10 @@
 //!    blind receiver would need.
 //! 3. **Payload handoff** (`Decoding`) — once the stitched window covers
 //!    the full packet, its samples are emitted as a [`PacketSpan`] for the
-//!    decode stage (CFO/timing sync happens inside the existing
-//!    preamble-detection path: each device's `observed_bin` absorbs its
-//!    residual offset, §3.3.1).
+//!    decode stage. There is no per-device CFO/timing sync: each device
+//!    pre-compensates its hardware delay (§3.2.1), so the receiver reads
+//!    it at its assigned bin and the half-preamble threshold absorbs the
+//!    residual offset's scalloping (§3.3.1).
 //!
 //! **Overlap-save stitching.** The detector keeps a rolling window of the
 //! stream with an absolute sample index for its first element. Chunks are

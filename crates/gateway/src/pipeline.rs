@@ -17,10 +17,9 @@
 //!   keeps up with the radio.
 //!
 //! Packet decode reuses the existing batch path unchanged
-//! ([`ConcurrentReceiver::decode_round`] → `DemodWorkspace` → one FFT per
-//! symbol, `2^SF`-point unless a search bound asks for the zero-padded
-//! grid), so every performance property of the per-symbol hot path carries
-//! over to the streaming receiver.
+//! ([`ConcurrentReceiver::decode_round`] → `DemodWorkspace` → one
+//! `2^SF`-point FFT per symbol), so every performance property of the
+//! per-symbol hot path carries over to the streaming receiver.
 
 use crate::detect::{GatewayConfig, PacketSpan, StreamDetector};
 use crate::engine::{resolve_workers, EngineError, StreamEngine};

@@ -7,16 +7,16 @@
 //! concurrent devices with one dechirp-and-FFT per symbol and then reads the
 //! power at each assigned bin.
 //!
-//! The receiver zero-pads the dechirped symbol before the FFT to obtain
-//! sub-bin peak resolution (§3.2.3); residual timing offsets of up to about
-//! one bin (§3.2.1) are absorbed by searching for the device's peak within a
-//! window around its assigned bin whose width is set by the SKIP guard band.
-//! The padding only buys the points *between* bins: a caller that reads
-//! nothing but the bins themselves (the lattice `bin · zero_padding` of the
-//! padded grid) asks [`ConcurrentDemodulator::spectrum_into`] for the
-//! critically-sampled `2^SF`-point transform, whose values are bit for bit
-//! the padded transform's at those points (DESIGN.md, "Read-set-sized
-//! transform").
+//! Zero-padding the dechirped symbol before the FFT gives sub-bin peak
+//! resolution (§3.2.3), and [`ConcurrentDemodulator::device_power`] can
+//! search a window around the assigned bin for a peak that a residual
+//! timing offset moved. The padding only buys the points *between* bins: a
+//! caller that reads nothing but the bins themselves (the lattice
+//! `bin · zero_padding` of the padded grid) asks
+//! [`ConcurrentDemodulator::spectrum_into`] for the critically-sampled
+//! `2^SF`-point transform, whose values are bit for bit the padded
+//! transform's at those points (DESIGN.md, "Read-set-sized transform").
+//! The AP receiver reads only that lattice.
 
 use netscatter_dsp::chirp::{ChirpParams, ChirpSynthesizer};
 use netscatter_dsp::fft::{Fft, FftError};
@@ -239,11 +239,6 @@ impl ConcurrentDemodulator {
         self.synth.params()
     }
 
-    /// The configured zero-padding factor.
-    pub fn zero_padding(&self) -> usize {
-        self.zero_padding
-    }
-
     /// Dechirps one received symbol and returns the zero-padded power
     /// spectrum (length `2^SF · zero_padding`). This is the single FFT whose
     /// cost is independent of the number of concurrent devices.
@@ -268,10 +263,9 @@ impl ConcurrentDemodulator {
     /// As [`Self::padded_spectrum_into`] on the grid with `step` points per
     /// chirp bin: `zero_padding` is the padded grid, 1 the `2^SF`-point
     /// transform that holds only the points at the bins themselves. Those
-    /// are bit-identical on both grids, and [`Self::device_power_at`] /
-    /// [`Self::device_peak_track`] read either, so a caller whose reads all
-    /// land on bins (every search bound zero) passes 1 and skips the
-    /// `zero_padding − 1` in `zero_padding` points nobody would look at.
+    /// are bit-identical on both grids, and [`Self::device_power_at`] reads
+    /// either, so a caller whose reads all land on bins passes 1 and skips
+    /// the `zero_padding − 1` in `zero_padding` points nobody would look at.
     ///
     /// # Panics
     /// If `step` is neither 1 nor the zero-padding factor.
@@ -345,13 +339,11 @@ impl ConcurrentDemodulator {
     }
 
     /// As [`Self::device_power`] but centred on a *fractional* bin position,
-    /// returning `(power, fractional bin of the maximum)`. The receiver uses
-    /// this to track each device at the peak position learned from its
-    /// preamble, which absorbs the device's (per-packet-constant) timing
-    /// offset. Points per bin come from the spectrum's own length, so either
-    /// grid of [`Self::spectrum_into`] is read the same way. A window as
-    /// wide as the spectrum or wider (an infinite half-width included)
-    /// reads each point once: the `total` offsets from `−total/2`.
+    /// returning `(power, fractional bin of the maximum)`. Points per bin
+    /// come from the spectrum's own length, so either grid of
+    /// [`Self::spectrum_into`] is read the same way. A window as wide as the
+    /// spectrum or wider (an infinite half-width included) reads each point
+    /// once: the `total` offsets from `−total/2`.
     pub fn device_power_at(
         &self,
         padded_power: &[f64],
@@ -380,79 +372,6 @@ impl ConcurrentDemodulator {
             }
         }
         (best, centre.saturating_add(best_off) as f64 / pad)
-    }
-
-    /// Tracks a device's spectral peak by hill-climbing the power spectrum
-    /// (zero-padded, or — for zero bounds — the bins alone) from `start_bins` to the nearest local maximum,
-    /// bounded to `[start − back_bins, start + fwd_bins]` (both in chirp
-    /// bins). Returns `(power, fractional bin)` of the climb's end point.
-    ///
-    /// This is the preamble's observed-bin estimator. A plain
-    /// max-over-window estimator breaks down when every SKIP-th bin is
-    /// occupied: the points *between* bins carry the aggregate Dirichlet
-    /// leakage of all concurrent tones (≈ −4 dB of a full peak, and phase-
-    /// static across preamble symbols), so the window maximum regularly
-    /// locks onto an interference ridge instead of the device's own lobe.
-    /// The climb instead starts on the device's own lobe and stops at the
-    /// first local maximum, which the valley between the own lobe and any
-    /// interference ridge prevents it from leaving. Because the main lobe
-    /// only spans ±1 bin, a delay larger than one bin (an uncompensated
-    /// tag, §3.2.1) would leave a single start point on sidelobe
-    /// structure; the climb therefore launches from every *integer*-bin
-    /// candidate inside the bounds — integer offsets are exactly where a
-    /// delayed peak's main lobe reaches and never where the inter-bin
-    /// leakage ridges live — and keeps the strongest endpoint.
-    pub fn device_peak_track(
-        &self,
-        padded_power: &[f64],
-        start_bins: f64,
-        back_bins: f64,
-        fwd_bins: f64,
-    ) -> (f64, f64) {
-        let total = padded_power.len() as isize;
-        let pad = total / self.params().num_bins() as isize;
-        let at = |raw: isize| padded_power[raw.rem_euclid(total) as usize];
-        let start = (start_bins * pad as f64).round() as isize;
-        let lo = start - (back_bins.max(0.0) * pad as f64).round() as isize;
-        let hi = start + (fwd_bins.max(0.0) * pad as f64).round() as isize;
-        let climb = |from: isize| -> (f64, isize) {
-            let mut idx = from;
-            let mut power = at(idx);
-            loop {
-                let mut best = idx;
-                let mut best_power = power;
-                for cand in [idx - 1, idx + 1] {
-                    if cand >= lo && cand <= hi && at(cand) > best_power {
-                        best_power = at(cand);
-                        best = cand;
-                    }
-                }
-                if best == idx {
-                    break;
-                }
-                idx = best;
-                power = best_power;
-            }
-            (power, idx)
-        };
-        let mut best = climb(start);
-        let mut offset = start + pad;
-        while offset <= hi {
-            let got = climb(offset);
-            if got.0 > best.0 {
-                best = got;
-            }
-            offset += pad;
-        }
-        let mut offset = start - pad;
-        while offset >= lo {
-            let got = climb(offset);
-            if got.0 > best.0 {
-                best = got;
-            }
-            offset -= pad;
-        }
-        (best.0, best.1 as f64 / pad as f64)
     }
 
     /// Demodulates one payload symbol for a set of devices, writing one
@@ -613,55 +532,9 @@ mod tests {
     }
 
     #[test]
-    fn peak_track_recovers_multi_bin_uncompensated_delays() {
-        // An uncompensated tag can respond up to 3.5 µs (1.75 bins) late;
-        // the assigned bin then sits on sidelobe structure, outside the
-        // ±1-bin main lobe. The integer-bin start candidates must still
-        // land the climb on the true peak.
-        let p = params();
-        let demod = ConcurrentDemodulator::new(p, 8).unwrap();
-        let m = OnOffModulator::new(p, 100);
-        let dt = 3.0e-6; // 1.5 bins at 500 kHz
-        let sym = m.symbol(true, dt, 0.0, 1.0);
-        let spec = demod.padded_spectrum(&sym).unwrap();
-        let (power, pos) = demod.device_peak_track(&spec, 100.0, 0.25, 1.75);
-        // A fractional multi-bin shift smears the dechirped tone (the
-        // cyclic wrap splits it into two frequency segments), so the true
-        // peak sits near +1.1 bins at ≈ −4 dB of full scale. The climb
-        // must find that peak, not the ≈ −13 dB sidelobe residue at the
-        // assigned bin where a zero-bound measurement would sit.
-        assert!(
-            (100.5..102.0).contains(&pos),
-            "tracked to {pos}, expected near the delayed peak"
-        );
-        let n2 = (p.num_bins() as f64).powi(2);
-        assert!(power > 0.35 * n2, "peak power {power} vs full scale {n2}");
-        let at_assigned = demod.device_peak_track(&spec, 100.0, 0.0, 0.0).0;
-        assert!(
-            power > 4.0 * at_assigned,
-            "tracking must recover far more power than the assigned bin"
-        );
-    }
-
-    #[test]
-    fn peak_track_with_zero_bounds_measures_the_assigned_bin() {
-        // The compensated-population default: no tracking, exact
-        // assigned-bin measurement.
-        let p = params();
-        let demod = ConcurrentDemodulator::new(p, 8).unwrap();
-        let m = OnOffModulator::new(p, 40);
-        let sym = m.symbol(true, 0.0, 0.0, 1.0);
-        let spec = demod.padded_spectrum(&sym).unwrap();
-        let (power, pos) = demod.device_peak_track(&spec, 40.0, 0.0, 0.0);
-        assert_eq!(pos, 40.0);
-        let n2 = (p.num_bins() as f64).powi(2);
-        assert!((power - n2).abs() / n2 < 1e-6);
-    }
-
-    #[test]
     fn nan_contaminated_spectrum_does_not_panic_peak_searches() {
         // An impaired spectrum (e.g. overflow in an upstream stage) must
-        // never panic the receiver's peak searches.
+        // never panic the window searches.
         let p = params();
         let demod = ConcurrentDemodulator::new(p, 2).unwrap();
         let mut spec = vec![0.1; 2 * p.num_bins()];
@@ -669,7 +542,6 @@ mod tests {
         spec[81] = 4.0;
         let _ = demod.device_power(&spec, 40, 1.0);
         let _ = demod.device_power_at(&spec, 40.5, 1.0);
-        let _ = demod.device_peak_track(&spec, 40.0, 1.0, 0.75);
     }
 
     #[test]
@@ -697,8 +569,6 @@ mod tests {
                 );
                 let at = |spec: &[f64]| demod.device_power_at(spec, bin as f64, 0.0);
                 assert_eq!(at(lattice), at(&padded));
-                let track = |spec: &[f64]| demod.device_peak_track(spec, bin as f64, 0.0, 0.0);
-                assert_eq!(track(lattice), track(&padded));
             }
         }
     }
@@ -743,18 +613,6 @@ mod tests {
         power[n - 1] = 7.0;
         assert_eq!(demod.device_power_at(&power, 0.0, 1.0), (7.0, -1.0));
         assert_eq!(demod.device_power(&power, n, 0.0), 5.0);
-        // The climb moves in whole bins and crosses the wrap both ways.
-        assert_eq!(demod.device_peak_track(&power, 0.0, 1.0, 0.0), (7.0, -1.0));
-        assert_eq!(demod.device_peak_track(&power, 0.0, 0.0, 1.0), (5.0, 0.0));
-        power[n - 1] = 3.0;
-        assert_eq!(
-            demod.device_peak_track(&power, (n - 1) as f64, 0.0, 1.0),
-            (5.0, n as f64)
-        );
-        assert_eq!(
-            demod.device_peak_track(&power, (n - 1) as f64, 0.0, 0.0),
-            (3.0, (n - 1) as f64)
-        );
     }
 
     #[test]

@@ -137,7 +137,11 @@ pub struct PhyProfile {
     pub downlink_bitrate_bps: f64,
     /// Envelope-detector sensitivity of the tags in dBm (paper: −49 dBm).
     pub envelope_sensitivity_dbm: f64,
-    /// Zero-padding factor the receiver uses for sub-bin peak resolution.
+    /// Zero-padding factor of the sub-bin grid (§3.2.3). The AP receiver
+    /// reads only the `2^SF` bins and never uses it; the `perf`
+    /// experiment's padded spectrum row, the padded references in tests
+    /// and the repo benchmark's FFT probe (`benchmark/src/probe.rs`) read
+    /// it.
     pub zero_padding: usize,
 }
 

@@ -75,53 +75,31 @@ impl PreambleBuilder {
 pub struct DetectedDevice {
     /// The chirp bin (cyclic shift) the device occupies.
     pub chirp_bin: usize,
-    /// Average peak power over the upchirp preamble symbols (linear).
+    /// Average power at the device's bin over the upchirp preamble symbols
+    /// (linear).
     pub average_power: f64,
-    /// The fractional bin at which the device's peak was actually observed
-    /// during the preamble (assigned bin plus its residual timing/frequency
-    /// offset). Payload symbols are demodulated around this position.
-    pub observed_bin: f64,
 }
 
 /// Packet-start estimation and preamble-based device detection.
+///
+/// Every device is measured exactly at its assigned bin, on the `2^SF`-point
+/// spectrum. That is the right estimator for tags that pre-compensate their
+/// hardware delay (§3.2.1): the residual offset stays under half a bin, and
+/// the scalloping it causes applies identically to threshold calibration
+/// and payload decisions. At full SKIP-2 occupancy any estimator that
+/// wanders *between* bins would instead lock onto the aggregate Dirichlet
+/// leakage of the other tones (≈ −4 dB of a full-scale peak, phase-static
+/// across the preamble) and mis-calibrate the threshold.
 #[derive(Debug, Clone)]
 pub struct PreambleDetector {
     demod: ConcurrentDemodulator,
-    /// Half-width (chirp bins) of the peak-tracking bounds used when
-    /// following a device across preamble symbols. With the default of 0
-    /// the detector measures each device exactly at its assigned bin — the
-    /// correct estimator for a population whose tags pre-compensate their
-    /// hardware delay (§3.2.1): residual offsets stay under half a bin, the
-    /// scalloping they cause applies identically to threshold calibration
-    /// and payload decisions, and — decisively — at full SKIP-2 occupancy
-    /// any estimator that wanders *between* bins locks onto the aggregate
-    /// Dirichlet leakage of the other tones (≈ −4 dB of a full-scale peak,
-    /// phase-static across the preamble) and mis-calibrates the threshold.
-    /// Set nonzero to restore main-lobe tracking (hill climb within
-    /// `[bin − (hw − bias), bin + (hw + bias)]`) for tag populations with
-    /// uncompensated multi-bin delays. With this and
-    /// [`Self::search_forward_bias_bins`] both zero every read lands on a
-    /// bin, so [`Self::detect_devices_with`] computes the `2^SF`-point
-    /// spectrum; any other value gets the zero-padded grid.
-    pub search_halfwidth_bins: f64,
-    /// Forward bias (chirp bins) of the tracking bounds relative to the
-    /// assigned bin. Hardware delays are one-sided — a tag can only respond
-    /// *late*, never early (§3.2.1) — so when tracking is enabled the
-    /// bounds reach `search_halfwidth_bins + search_forward_bias_bins`
-    /// forward but only `search_halfwidth_bins − search_forward_bias_bins`
-    /// backwards (enough for the sub-bin CFO excursions of Fig. 14a).
-    pub search_forward_bias_bins: f64,
 }
 
 impl PreambleDetector {
-    /// Creates a detector with the given zero-padding factor, measuring
-    /// devices at their assigned bins (no peak tracking — see
-    /// [`Self::search_halfwidth_bins`] for when to widen the bounds).
-    pub fn new(params: ChirpParams, zero_padding: usize) -> Result<Self, FftError> {
+    /// Creates a detector that measures devices at their assigned bins.
+    pub fn new(params: ChirpParams) -> Result<Self, FftError> {
         Ok(Self {
-            demod: ConcurrentDemodulator::new(params, zero_padding)?,
-            search_halfwidth_bins: 0.0,
-            search_forward_bias_bins: 0.0,
+            demod: ConcurrentDemodulator::new(params, 1)?,
         })
     }
 
@@ -131,27 +109,16 @@ impl PreambleDetector {
     }
 
     /// Detects which devices are transmitting, given the aligned preamble
-    /// samples (at least the six upchirp symbols).
+    /// samples (at least the six upchirp symbols), reusing the caller's
+    /// workspace.
     ///
     /// `candidate_bins` restricts detection to the cyclic shifts that are
     /// actually assigned (communication plus association shifts); a device is
-    /// reported when its bin carries a peak above `noise_power · threshold`
-    /// in **every** upchirp symbol, and its average power over those symbols
-    /// is returned for payload thresholding.
-    pub fn detect_devices(
-        &self,
-        preamble: &[Complex64],
-        candidate_bins: &[usize],
-        min_power: f64,
-    ) -> Result<Vec<DetectedDevice>, FftError> {
-        let mut ws = DemodWorkspace::new();
-        self.detect_devices_with(preamble, candidate_bins, min_power, &mut ws)
-    }
-
-    /// As [`Self::detect_devices`], reusing the caller's workspace. The
-    /// upchirp spectra are consumed one at a time with per-candidate
-    /// accumulators, so only one power spectrum is ever held in memory
-    /// instead of all six.
+    /// reported when its bin carries a peak above `min_power` in **every**
+    /// upchirp symbol, and its average power over those symbols is returned
+    /// for payload thresholding. The upchirp spectra are consumed one at a
+    /// time with per-candidate accumulators, so only one power spectrum is
+    /// ever held in memory instead of all six.
     pub fn detect_devices_with(
         &self,
         preamble: &[Complex64],
@@ -166,46 +133,26 @@ impl PreambleDetector {
                 actual: preamble.len(),
             });
         }
-        // With tracking off every read below lands on an assigned bin, so
-        // only the 2^SF points at the bins are computed (bit-identical to
-        // the padded grid there); tracking needs the points in between.
-        let step = if self.search_halfwidth_bins == 0.0 && self.search_forward_bias_bins == 0.0 {
-            1
-        } else {
-            self.demod.zero_padding()
-        };
-        // (power sum, observed-bin sum, above-floor-in-every-symbol).
-        let mut acc: Vec<(f64, f64, bool)> = vec![(0.0, 0.0, true); candidate_bins.len()];
+        // (power sum, above-floor-in-every-symbol).
+        let mut acc: Vec<(f64, bool)> = vec![(0.0, true); candidate_bins.len()];
         for s in 0..PREAMBLE_UPCHIRPS {
             let spec = self
                 .demod
-                .spectrum_into(&preamble[s * n..(s + 1) * n], step, ws)?;
+                .spectrum_into(&preamble[s * n..(s + 1) * n], 1, ws)?;
             for (&bin, a) in candidate_bins.iter().zip(acc.iter_mut()) {
-                // Climb the device's own main lobe from its assigned bin.
-                // The climb bounds reproduce the biased window
-                // `[bin − (hw − bias), bin + (hw + bias)]`: hardware delays
-                // are one-sided, so the peak can sit well forward of the
-                // assignment but barely behind it.
-                let (power, observed) = self.demod.device_peak_track(
-                    spec,
-                    bin as f64,
-                    self.search_halfwidth_bins - self.search_forward_bias_bins,
-                    self.search_halfwidth_bins + self.search_forward_bias_bins,
-                );
+                let power = spec[bin % n];
                 a.0 += power;
-                a.1 += observed;
-                a.2 &= power > min_power;
+                a.1 &= power > min_power;
             }
         }
         let symbols = PREAMBLE_UPCHIRPS as f64;
         Ok(candidate_bins
             .iter()
             .zip(acc.iter())
-            .filter(|(_, a)| a.2)
+            .filter(|(_, a)| a.1)
             .map(|(&bin, a)| DetectedDevice {
                 chirp_bin: bin,
                 average_power: a.0 / symbols,
-                observed_bin: a.1 / symbols,
             })
             .collect())
     }
@@ -226,6 +173,15 @@ mod tests {
 
     fn params() -> ChirpParams {
         ChirpParams::new(500e3, 9).unwrap()
+    }
+
+    fn detect(
+        det: &PreambleDetector,
+        preamble: &[Complex64],
+        bins: &[usize],
+        min_power: f64,
+    ) -> Result<Vec<DetectedDevice>, FftError> {
+        det.detect_devices_with(preamble, bins, min_power, &mut DemodWorkspace::new())
     }
 
     fn superpose(parts: &[Vec<Complex64>]) -> Vec<Complex64> {
@@ -252,11 +208,9 @@ mod tests {
     fn detect_single_device_from_preamble() {
         let p = params();
         let pre = PreambleBuilder::new(p, 100).build(0.0, 0.0, 1.0);
-        let det = PreambleDetector::new(p, 4).unwrap();
+        let det = PreambleDetector::new(p).unwrap();
         let n2 = (p.num_bins() as f64).powi(2);
-        let found = det
-            .detect_devices(&pre, &[0, 50, 100, 150], n2 * 0.1)
-            .unwrap();
+        let found = detect(&det, &pre, &[0, 50, 100, 150], n2 * 0.1).unwrap();
         assert_eq!(found.len(), 1);
         assert_eq!(found[0].chirp_bin, 100);
         assert!((found[0].average_power - n2).abs() / n2 < 0.05);
@@ -265,7 +219,7 @@ mod tests {
     #[test]
     fn detect_multiple_concurrent_devices_and_calibrate_thresholds() {
         let p = params();
-        let det = PreambleDetector::new(p, 4).unwrap();
+        let det = PreambleDetector::new(p).unwrap();
         let bins = [10usize, 110, 210, 310, 410];
         let amplitudes = [1.0, 0.7, 0.5, 0.9, 0.6];
         let parts: Vec<Vec<Complex64>> = bins
@@ -275,7 +229,7 @@ mod tests {
             .collect();
         let rx = superpose(&parts);
         let n2 = (p.num_bins() as f64).powi(2);
-        let found = det.detect_devices(&rx, &bins, n2 * 0.01).unwrap();
+        let found = detect(&det, &rx, &bins, n2 * 0.01).unwrap();
         assert_eq!(found.len(), bins.len());
         for (dev, &a) in found.iter().zip(&amplitudes) {
             let expected = a * a * n2;
@@ -287,13 +241,13 @@ mod tests {
     #[test]
     fn absent_devices_are_not_detected_in_noise() {
         let p = params();
-        let det = PreambleDetector::new(p, 4).unwrap();
+        let det = PreambleDetector::new(p).unwrap();
         let mut rng = StdRng::seed_from_u64(5);
         let active = PreambleBuilder::new(p, 64).build(0.0, 0.0, 1.0);
         let mut rx = active;
         AwgnChannel::with_noise_power(0.5).apply(&mut rng, &mut rx);
         let n2 = (p.num_bins() as f64).powi(2);
-        let found = det.detect_devices(&rx, &[64, 300], n2 * 0.1).unwrap();
+        let found = detect(&det, &rx, &[64, 300], n2 * 0.1).unwrap();
         assert_eq!(found.len(), 1);
         assert_eq!(found[0].chirp_bin, 64);
     }
@@ -303,7 +257,7 @@ mod tests {
         // A device that only transmits a single upchirp (e.g. payload energy
         // leaking into the window) must not be detected.
         let p = params();
-        let det = PreambleDetector::new(p, 4).unwrap();
+        let det = PreambleDetector::new(p).unwrap();
         let n = p.num_bins();
         let full = PreambleBuilder::new(p, 20).build(0.0, 0.0, 1.0);
         let partial_device = OnOffModulator::new(p, 200);
@@ -311,16 +265,14 @@ mod tests {
         one_symbol[..n].copy_from_slice(&partial_device.symbol(true, 0.0, 0.0, 1.0));
         let rx = superpose(&[full, one_symbol]);
         let n2 = (p.num_bins() as f64).powi(2);
-        let found = det.detect_devices(&rx, &[20, 200], n2 * 0.1).unwrap();
+        let found = detect(&det, &rx, &[20, 200], n2 * 0.1).unwrap();
         let bins: Vec<usize> = found.iter().map(|d| d.chirp_bin).collect();
         assert_eq!(bins, vec![20]);
     }
 
     #[test]
     fn detect_devices_rejects_short_preamble() {
-        let det = PreambleDetector::new(params(), 2).unwrap();
-        assert!(det
-            .detect_devices(&[Complex64::ONE; 100], &[0], 0.1)
-            .is_err());
+        let det = PreambleDetector::new(params()).unwrap();
+        assert!(detect(&det, &[Complex64::ONE; 100], &[0], 0.1).is_err());
     }
 }

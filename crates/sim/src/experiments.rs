@@ -1670,8 +1670,8 @@ fn perf(scenario: &Scenario, result: &mut ExperimentResult) {
 
     // 1. ns per symbol spectrum (dechirp + FFT + power), the dominant
     //    per-symbol cost of the receiver: on the zero-padded grid, and
-    //    on the 2^SF-point lattice `decode_round` computes instead when
-    //    every search bound is zero (the bins only, bit-identical there).
+    //    on the 2^SF-point lattice `decode_round` computes instead (the
+    //    bins only, bit-identical there).
     let demod = ConcurrentDemodulator::new(params, profile.zero_padding)
         .expect("profile zero-padding is a power of two");
     let mut ws = DemodWorkspace::new();

@@ -269,14 +269,14 @@ impl Scenario {
                 format!("{name} expects a positive integer at most {max}, got {value:?}")
             })
         }
-        fn positive_f64(name: &str, value: &str) -> Result<f64, String> {
+        fn bounded_f64(name: &str, value: &str, min: f64, max: f64) -> Result<f64, String> {
             let v: f64 = value
                 .parse()
                 .map_err(|_| format!("{name} expects a number, got {value:?}"))?;
-            if !(v.is_finite() && v > 0.0) {
-                return Err(format!("{name} expects a positive number, got {value:?}"));
-            }
-            Ok(v)
+            (min..=max)
+                .contains(&v)
+                .then_some(v)
+                .ok_or_else(|| format!("{name} expects a number in {min}..={max}, got {value:?}"))
         }
         match name {
             "devices" => {
@@ -291,11 +291,10 @@ impl Scenario {
             "payload_bits" => self.payload_bits = int(name, value)?,
             "arrival_rate" => {
                 self.arrival_rate =
-                    positive_f64(name, value)?.clamp(MIN_STREAM_PARAM, MAX_ARRIVAL_RATE_HZ);
+                    bounded_f64(name, value, MIN_STREAM_PARAM, MAX_ARRIVAL_RATE_HZ)?;
             }
             "stream_secs" => {
-                self.stream_secs =
-                    positive_f64(name, value)?.clamp(MIN_STREAM_PARAM, MAX_STREAM_SECS);
+                self.stream_secs = bounded_f64(name, value, MIN_STREAM_PARAM, MAX_STREAM_SECS)?;
             }
             "chunk_samples" => self.chunk_samples = int(name, value)?,
             // A zero-channel gateway serves nothing; the sharded engine
@@ -508,6 +507,29 @@ mod tests {
         assert!(err.contains("1..=1024"), "{err}");
         s.set_field("payload_bits", "1024").unwrap();
         assert_eq!(s.payload_bits, 1024);
+        // The stream knobs refuse a value past either bound, naming the
+        // bound, and take each bound itself as given.
+        for (field, min, max, too_low, too_high) in [
+            ("arrival_rate", "0.001", "1000000", "0.0009", "1e9"),
+            ("stream_secs", "0.001", "3600", "0.0001", "3600.5"),
+        ] {
+            for bad in [too_low, too_high] {
+                let err = s.set_field(field, bad).unwrap_err();
+                assert!(
+                    err.contains(&format!("{min}..={max}")),
+                    "{field}={bad}: {err}"
+                );
+            }
+            for good in [min, max] {
+                let mut ok = Scenario::default();
+                ok.set_field(field, good).unwrap();
+                let got = match field {
+                    "arrival_rate" => ok.arrival_rate,
+                    _ => ok.stream_secs,
+                };
+                assert_eq!(got, good.parse::<f64>().unwrap(), "{field}={good}");
+            }
+        }
     }
 
     #[test]
