@@ -50,14 +50,17 @@ FLAGS:
   --bins <B1,B2,...>      default cyclic-shift assignment for headers without one
   --payload-bits <N>      default payload bits per packet (default 8, at most 1024)
   --sample-rate <HZ>      default ingest sample rate (default 500000)
-  --chunk-samples <N>     ring chunk size in samples (default 4096, at most 1048576)
+  --chunk-samples <N>     most samples held back from a busy detector, and
+                          the ring's chunk size (default 4096, at most
+                          1048576); a detector that keeps up gets each read
+                          as soon as the socket has nothing more to give
   --ring-slots <N>        per-stream ring capacity in chunks (default 64,
                           ~0.5 s of real-time ingest; at most 4096)
   --workers <N>           decode workers per stream (default 0 = all cores, at most 1024)
   --detection-floor <F>   receiver detection-floor fraction override
   --max-conns <N>         cap on concurrent ingest connections; over-cap
                           connections get an immediate {\"code\":\"overloaded\"}
-                          error record (default 0 = unlimited)
+                          error record (default 64; 0 = unlimited)
   --header-timeout <SECS> cut connections whose header line does not arrive
                           in time, with code \"header_timeout\"
                           (default 10; 0 = wait forever)
@@ -88,6 +91,13 @@ gracefully (streams drained, end records written, threads joined)."
         .to_string()
 }
 
+/// `--max-conns` when the flag is absent. Each connection costs a serving
+/// thread, a detection thread and `--workers` decode threads, so an
+/// unlimited default lets a fleet of well-formed clients grow the daemon's
+/// thread count without bound. 64 is above the 52 500 kHz channels of the
+/// 902–928 MHz band, so one stream per channel still fits.
+pub const DEFAULT_MAX_CONNS: usize = 64;
+
 /// Parsed `netscatterd` options.
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
@@ -100,7 +110,8 @@ pub struct ServeOptions {
     pub base: GatewayConfig,
     /// Default sample rate in Hz.
     pub sample_rate_hz: f64,
-    /// Concurrent-connection cap (0 = unlimited).
+    /// Concurrent-connection cap (0 = unlimited; default
+    /// [`DEFAULT_MAX_CONNS`]).
     pub max_conns: usize,
     /// Header deadline in seconds (0 = wait forever).
     pub header_timeout_secs: f64,
@@ -140,7 +151,7 @@ impl Default for ServeOptions {
                 ..GatewayConfig::new(PhyProfile::default(), Vec::new(), 8)
             },
             sample_rate_hz: 500e3,
-            max_conns: 0,
+            max_conns: DEFAULT_MAX_CONNS,
             header_timeout_secs: 10.0,
             idle_timeout_secs: 30.0,
             enable_fault_injection: false,
@@ -444,6 +455,15 @@ mod tests {
         );
         assert_eq!(cfg.idle_deadline, None); // 0 disables the deadline
         assert!(cfg.allow_fault_injection);
+    }
+
+    #[test]
+    fn max_conns_defaults_to_a_finite_cap_and_zero_opts_out() {
+        let opts = parse_serve_args(&[]).expect("no flags parse");
+        assert_eq!(opts.max_conns, 64);
+        assert_eq!(opts.daemon_config().max_conns, DEFAULT_MAX_CONNS);
+        let unlimited = parse_serve_args(&args(&["--max-conns", "0"])).expect("0 parses");
+        assert_eq!(unlimited.daemon_config().max_conns, 0, "0 = unlimited");
     }
 
     #[test]

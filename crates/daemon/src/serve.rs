@@ -13,9 +13,9 @@
 //! The daemon assumes every client misbehaves eventually and bounds the
 //! damage each one can do (full vocabulary in DESIGN.md "Failure model"):
 //!
-//! * **Admission** — `--max-conns` caps concurrent serving threads; a
-//!   connection over the cap gets an immediate `error` record with
-//!   `code:"overloaded"` and is closed, never queued.
+//! * **Admission** — `--max-conns` (64 by default) caps concurrent
+//!   serving threads; a connection over the cap gets an immediate `error`
+//!   record with `code:"overloaded"` and is closed, never queued.
 //! * **Header deadline** — a connect-and-say-nothing client is cut after
 //!   [`DaemonConfig::header_deadline`] with `code:"header_timeout"`; a
 //!   header over 64 KiB gets `code:"header_too_large"`; a connection that
@@ -83,7 +83,9 @@ pub struct DaemonConfig {
     pub default_sample_rate_hz: f64,
     /// Admission cap: maximum concurrent serving threads (0 = unlimited).
     /// A connection over the cap is rejected immediately with an `error`
-    /// record (`code:"overloaded"`).
+    /// record (`code:"overloaded"`). `netscatterd` defaults it to
+    /// [`crate::cli::DEFAULT_MAX_CONNS`]; [`DaemonConfig::new`] leaves it
+    /// unlimited for in-process harnesses that size their own fleets.
     pub max_conns: usize,
     /// How long a fresh connection may take to deliver its header line
     /// before being cut with `code:"header_timeout"` (`None` = forever —
@@ -598,6 +600,33 @@ fn untimed(packets: Vec<DecodedPacket>) -> Vec<(DecodedPacket, Option<Instant>)>
     packets.into_iter().map(|p| (p, None)).collect()
 }
 
+/// How one turn of the sample loop's socket read ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ReadEnd {
+    /// The read filled the buffer, so more bytes may be waiting behind it.
+    Full,
+    /// The read returned fewer bytes than the buffer holds: the socket had
+    /// nothing more to give.
+    Short,
+    /// The read timed out empty (one [`POLL_TICK`]).
+    IdleTick,
+}
+
+/// How many of the `pending` samples the sample loop hands the engine
+/// after a read: every whole `chunk`, plus the sub-chunk tail when the
+/// socket has nothing more to give and the detector has taken every chunk
+/// fed so far. A busy detector is never handed a partial chunk, so at most
+/// one partial chunk is ever queued: the ring's drop-oldest cushion stays
+/// `ring_slots × chunk` samples, and a client writing byte by byte cannot
+/// flood it.
+fn feed_len(pending: usize, chunk: usize, read: ReadEnd, detector_idle: bool) -> usize {
+    if read != ReadEnd::Full && detector_idle {
+        pending
+    } else {
+        pending - pending % chunk
+    }
+}
+
 /// The sample loop: socket bytes → cf32 decode → engine feed → frame
 /// publish, then the engine shutdown and the terminal `end`/`error`
 /// record. Every exit path writes exactly one terminal record (unless the
@@ -655,8 +684,12 @@ fn serve_stream(
     // Coalescing buffer: socket reads can be arbitrarily small (a hostile
     // client may write byte by byte), but a ring slot costs the same
     // whatever it holds — feeding per-read would let tiny segments flood
-    // the ring and trip drop-oldest. Samples accumulate here and are fed
-    // in full chunks; the sub-chunk tail is flushed at end of stream.
+    // the ring and trip drop-oldest. Samples accumulate here. While the
+    // detector is behind they are fed in full chunks; once it has taken
+    // everything and the socket has nothing more to give, the sub-chunk
+    // tail goes too (`feed_len`), so a round's last samples wait for the
+    // sender's next write, not for a chunk to fill. Whatever is left is
+    // flushed at end of stream.
     let mut pending: Vec<netscatter_dsp::Complex64> = Vec::with_capacity(2 * chunk);
     // The frame-line buffer, reused for every record of the connection.
     let mut line = String::new();
@@ -666,7 +699,7 @@ fn serve_stream(
         if shutdown.load(Ordering::Acquire) {
             break; // end_code stays code::SHUTDOWN
         }
-        match reader.read(&mut buf) {
+        let read = match reader.read(&mut buf) {
             Ok(0) => {
                 end_code = code::EOF;
                 break;
@@ -674,21 +707,10 @@ fn serve_stream(
             Ok(n) => {
                 last_data = Instant::now();
                 decoder.push(&buf[..n], &mut pending);
-                let mut fed = 0;
-                let mut closed = false;
-                while pending.len() - fed >= chunk {
-                    if engine.feed(&pending[fed..fed + chunk]).is_err() {
-                        // The engine died under us (a supervised panic
-                        // tore it down); shutdown() below reports why.
-                        closed = true;
-                        break;
-                    }
-                    fed += chunk;
-                }
-                pending.drain(..fed);
-                if closed {
-                    end_code = code::SHUTDOWN;
-                    break;
+                if n < buf.len() {
+                    ReadEnd::Short
+                } else {
+                    ReadEnd::Full
                 }
             }
             Err(e) if is_retriable(&e) => {
@@ -704,11 +726,31 @@ fn serve_stream(
                     end_code = code::IDLE_TIMEOUT;
                     break;
                 }
+                ReadEnd::IdleTick
             }
             // Peer reset mid-stream: report what was decoded so far (the
             // record write is best-effort — the peer may be gone).
             Err(_) => {
                 end_code = code::PEER_RESET;
+                break;
+            }
+        };
+        if !pending.is_empty() {
+            let ready = feed_len(pending.len(), chunk, read, engine.detector_idle());
+            let mut fed = 0;
+            let mut closed = false;
+            for piece in pending[..ready].chunks(chunk) {
+                if engine.feed(piece).is_err() {
+                    // The engine died under us (a supervised panic tore it
+                    // down); shutdown() below reports why.
+                    closed = true;
+                    break;
+                }
+                fed += piece.len();
+            }
+            pending.drain(..fed);
+            if closed {
+                end_code = code::SHUTDOWN;
                 break;
             }
         }
@@ -813,4 +855,50 @@ fn serve_stream(
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn feed_len_hands_over_the_tail_only_to_an_idle_detector_on_a_drained_socket() {
+        const CHUNK: usize = 4096;
+        use ReadEnd::{Full, IdleTick, Short};
+        // (read, detector idle, pending, samples fed)
+        for (read, idle, pending, fed) in [
+            // Below one chunk: only a drained socket and an idle detector
+            // release the tail.
+            (Short, true, 2048, 2048),
+            (IdleTick, true, 100, 100),
+            (Full, true, 2048, 0),
+            (Short, false, 2048, 0),
+            (IdleTick, false, 100, 0),
+            (Full, false, 2048, 0),
+            // Exactly one chunk: fed whatever the state.
+            (Short, true, CHUNK, CHUNK),
+            (IdleTick, true, CHUNK, CHUNK),
+            (Full, true, CHUNK, CHUNK),
+            (Short, false, CHUNK, CHUNK),
+            (IdleTick, false, CHUNK, CHUNK),
+            (Full, false, CHUNK, CHUNK),
+            // Above: every whole chunk, and the tail on the same terms.
+            (Short, true, 2 * CHUNK + 7, 2 * CHUNK + 7),
+            (IdleTick, true, CHUNK + 1, CHUNK + 1),
+            (Full, true, 2 * CHUNK + 7, 2 * CHUNK),
+            (Short, false, 2 * CHUNK + 7, 2 * CHUNK),
+            (IdleTick, false, CHUNK + 1, CHUNK),
+            (Full, false, 2 * CHUNK + 7, 2 * CHUNK),
+            // Nothing pending, nothing fed.
+            (Short, true, 0, 0),
+            (IdleTick, false, 0, 0),
+        ] {
+            let got = feed_len(pending, CHUNK, read, idle);
+            assert_eq!(got, fed, "{read:?}, idle {idle}, {pending} pending");
+            assert!(got <= pending);
+            if !idle {
+                assert_eq!(got % CHUNK, 0, "a busy detector got a partial chunk");
+            }
+        }
+    }
 }

@@ -7,6 +7,7 @@ use netscatter_coding::frame::FrameCodec;
 use netscatter_coding::CodingScheme;
 use netscatter_daemon::client::{self, Pace};
 use netscatter_daemon::protocol::{self, StreamHeader};
+use netscatter_daemon::registry::Counter;
 use netscatter_daemon::{Daemon, DaemonConfig};
 use netscatter_dsp::Complex64;
 use netscatter_gateway::{GatewayConfig, StreamGateway};
@@ -14,6 +15,7 @@ use netscatter_phy::distributed::OnOffModulator;
 use netscatter_phy::params::PhyProfile;
 use netscatter_phy::preamble::PreambleBuilder;
 use std::io::Write;
+use std::time::{Duration, Instant};
 
 const RATE: f64 = 500e3;
 const BINS: [usize; 2] = [64, 192];
@@ -300,6 +302,82 @@ fn shutdown_mid_stream_writes_an_incomplete_end_record() {
     assert_eq!(end.get("complete"), Some(&Json::Bool(false)));
     // The one fully-fed packet was decoded, not lost, on the way down.
     assert_eq!(lines_of_type(&lines, "frame").len(), 1);
+}
+
+/// Waits up to 1 s for stream `name`'s live `samples_in` counter to read
+/// `want`, failing with the last value seen.
+fn wait_for_samples_in(daemon: &Daemon, name: &str, want: u64) {
+    let deadline = Instant::now() + Duration::from_secs(1);
+    loop {
+        let seen = daemon
+            .registry()
+            .snapshot()
+            .iter()
+            .find(|s| s.name == name)
+            .map_or(0, |s| s.counters[Counter::SamplesIn]);
+        if seen == want {
+            return;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "{name}: samples_in reads {seen} after 1 s, want {want}"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+#[test]
+fn an_idle_detector_gets_each_read_without_waiting_for_a_chunk_to_fill() {
+    use std::io::{BufRead, BufReader};
+    use std::net::{Shutdown, TcpStream};
+
+    // 4096-sample chunks fed by 2048-sample writes: a reader that only
+    // feeds whole chunks holds every other write back until the next one.
+    let cfg = GatewayConfig {
+        chunk_samples: 4096,
+        ..gateway_config()
+    };
+    let daemon = Daemon::start(DaemonConfig::new(cfg)).unwrap();
+    let mut sock = TcpStream::connect(daemon.ingest_addr()).unwrap();
+    let mut header = header_for("early").to_json_line();
+    header.push('\n');
+    sock.write_all(header.as_bytes()).unwrap();
+    let mut reader = BufReader::new(sock.try_clone().unwrap());
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    assert!(line.contains("\"ready\""), "expected ready, got {line}");
+
+    let samples = wire_stream(2);
+    let bytes = protocol::encode_cf32le(&samples);
+    let at = |sample: usize| sample * protocol::SAMPLE_BYTES;
+    for piece in bytes[..at(3 * 2048)].chunks(at(2048)) {
+        sock.write_all(piece).unwrap();
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    // Then a pause: all three pieces reach the engine without a fourth.
+    wait_for_samples_in(&daemon, "early", 3 * 2048);
+    // A short piece after the pause goes too, on its own.
+    sock.write_all(&bytes[at(3 * 2048)..at(3 * 2048 + 100)])
+        .unwrap();
+    wait_for_samples_in(&daemon, "early", 3 * 2048 + 100);
+
+    sock.write_all(&bytes[at(3 * 2048 + 100)..]).unwrap();
+    sock.shutdown(Shutdown::Write).unwrap();
+    let lines: Vec<String> = reader.lines().map(Result::unwrap).collect();
+    let frames: Vec<String> = lines_of_type(&lines, "frame")
+        .into_iter()
+        .cloned()
+        .collect();
+    let expected = batch_frames("early", &samples);
+    assert_eq!(expected.len(), 2, "both packets decode");
+    assert_eq!(frames, expected, "however the reads were cut");
+    let end = Json::parse(lines_of_type(&lines, "end")[0]).unwrap();
+    assert_eq!(end.get("ring_dropped").and_then(Json::as_u64), Some(0));
+    assert_eq!(
+        end.get("samples_in").and_then(Json::as_u64),
+        Some(samples.len() as u64)
+    );
+    daemon.shutdown();
 }
 
 #[test]

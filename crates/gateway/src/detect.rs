@@ -137,7 +137,13 @@ pub struct GatewayConfig {
     pub assigned_bins: Vec<usize>,
     /// Payload symbols per packet (the round's payload bit count).
     pub payload_symbols: usize,
-    /// Samples per producer chunk.
+    /// Samples per producer chunk. A replay session cuts its source into
+    /// chunks of exactly this size. The daemon's socket reader feeds chunks
+    /// of this size while the detector is behind. When the detector has
+    /// taken everything fed so far and the socket has nothing more to give,
+    /// it feeds the shorter tail at once. So this is the most samples the
+    /// daemon holds back from a busy detector, and the fill wait is bounded
+    /// by the sender's write size whenever the detector keeps up.
     pub chunk_samples: usize,
     /// Ring-buffer capacity in chunks.
     pub ring_slots: usize,

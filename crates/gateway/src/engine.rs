@@ -370,6 +370,16 @@ impl StreamEngine {
             .map_or(self.final_dropped, |p| p.dropped())
     }
 
+    /// Whether the detection thread has taken every chunk fed so far — the
+    /// ring is empty, though the detector may still be working on the last
+    /// chunk it popped. Stays exact after a drop-oldest displacement, where
+    /// [`StreamEngine::samples_processed`] falls behind
+    /// [`StreamEngine::samples_fed`] for good. `true` once the engine is
+    /// shut down.
+    pub fn detector_idle(&self) -> bool {
+        self.producer.as_ref().map_or(true, RingProducer::is_empty)
+    }
+
     /// The engine's live stage telemetry — share with a metrics endpoint
     /// to expose per-stage histograms while the stream is still flowing.
     pub fn telemetry(&self) -> Arc<EngineTelemetry> {
@@ -380,6 +390,14 @@ impl StreamEngine {
     /// policy. Returns how many chunks the push displaced (always 0 under
     /// [`OverflowPolicy::Block`]), or [`EngineClosed`] under either policy
     /// once the detection thread has stopped consuming.
+    ///
+    /// A chunk may hold any number of samples: detection is chunk-size
+    /// invariant, so only timing depends on how the stream is cut. Every
+    /// chunk costs one ring slot whatever it holds, so a caller that
+    /// receives samples in small pieces should coalesce them while the
+    /// detector is behind — the daemon feeds `chunk_samples`-sized chunks
+    /// then, and hands over a shorter tail only when
+    /// [`StreamEngine::detector_idle`] says the ring is empty.
     pub fn feed(&mut self, samples: &[Complex64]) -> Result<u64, EngineClosed> {
         if samples.is_empty() {
             return Ok(0);
@@ -725,6 +743,45 @@ mod tests {
             "only surviving chunks reach the detector"
         );
         assert!(report.packets.is_empty());
+    }
+
+    #[test]
+    fn detector_idle_reads_true_again_after_a_displacement_drains() {
+        // A counter comparison would stay false for good here: the
+        // displaced chunks are fed but never processed.
+        let cfg = GatewayConfig {
+            ring_slots: 2,
+            workers: 1,
+            overflow: OverflowPolicy::DropOldest,
+            ..GatewayConfig::new(PhyProfile::default(), vec![0], 4)
+        };
+        let hold = Arc::new(AtomicBool::new(true));
+        let mut engine = StreamEngine::spawn_inner(&cfg, 500e3, Some(hold.clone())).unwrap();
+        assert!(engine.detector_idle(), "nothing fed yet");
+        let chunk = vec![Complex64::ZERO; 256];
+        for _ in 0..3 {
+            engine.feed(&chunk).unwrap();
+        }
+        assert_eq!(engine.ring_dropped(), 1);
+        assert!(
+            !engine.detector_idle(),
+            "two chunks wait on a held detector"
+        );
+        hold.store(false, Ordering::Release);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !engine.detector_idle() || engine.samples_processed() < 2 * 256 {
+            assert!(Instant::now() < deadline, "the detector never drained");
+            std::thread::yield_now();
+        }
+        assert_eq!(
+            engine.samples_fed() - engine.samples_processed(),
+            256,
+            "the displaced chunk stays fed but unprocessed"
+        );
+        engine.feed(&chunk).unwrap();
+        let report = engine.shutdown().unwrap();
+        assert_eq!(report.samples_in, 3 * 256);
+        assert_eq!(report.ring_dropped, 1);
     }
 
     #[test]

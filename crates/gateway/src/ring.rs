@@ -168,6 +168,12 @@ impl<T: Send> RingProducer<T> {
     pub fn dropped(&self) -> u64 {
         guard(self.ring.queue.lock()).dropped
     }
+
+    /// Whether nothing is queued: the consumer has taken every item pushed
+    /// so far that was not displaced.
+    pub fn is_empty(&self) -> bool {
+        guard(self.ring.queue.lock()).items.is_empty()
+    }
 }
 
 impl<T> Drop for RingProducer<T> {
@@ -318,12 +324,15 @@ mod tests {
             let (mut tx, rx) = spsc_ring::<usize>(capacity);
             let t = Arc::new(RingTelemetry::default());
             tx.set_telemetry(t.clone());
+            assert!(tx.is_empty());
             assert_eq!(tx.force_push(10), Ok(0));
             assert_eq!(tx.force_push(11), Ok(1), "the second item displaces");
             assert_eq!(tx.force_push(12), Ok(1));
             assert_eq!(tx.dropped(), 2);
             assert_eq!(t.occupancy_hwm.get(), 1);
+            assert!(!tx.is_empty());
             assert_eq!(rx.pop(), Some(12));
+            assert!(tx.is_empty(), "displaced items leave nothing queued");
             tx.push(13).unwrap();
             drop(tx);
             assert_eq!(rx.pop(), Some(13));
