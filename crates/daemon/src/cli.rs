@@ -199,6 +199,13 @@ pub fn parse_serve_args(args: &[String]) -> Result<ServeOptions, CliUsage> {
         v.parse()
             .map_err(|_| CliUsage::usage(format!("{flag}: cannot parse {v:?}")))
     }
+    fn non_negative(flag: &str, v: &str) -> Result<f64, CliUsage> {
+        let x: f64 = num(flag, v)?;
+        if x.is_nan() || x < 0.0 {
+            return Err(CliUsage::usage(format!("{flag} must be non-negative")));
+        }
+        Ok(x)
+    }
     while i < args.len() {
         let arg = args[i].as_str();
         match arg {
@@ -227,17 +234,9 @@ pub fn parse_serve_args(args: &[String]) -> Result<ServeOptions, CliUsage> {
             }
             "--max-conns" => opts.max_conns = num(arg, &value(&mut i, arg)?)?,
             "--header-timeout" => {
-                opts.header_timeout_secs = num(arg, &value(&mut i, arg)?)?;
-                if opts.header_timeout_secs.is_nan() || opts.header_timeout_secs < 0.0 {
-                    return Err(CliUsage::usage("--header-timeout must be non-negative"));
-                }
+                opts.header_timeout_secs = non_negative(arg, &value(&mut i, arg)?)?
             }
-            "--idle-timeout" => {
-                opts.idle_timeout_secs = num(arg, &value(&mut i, arg)?)?;
-                if opts.idle_timeout_secs.is_nan() || opts.idle_timeout_secs < 0.0 {
-                    return Err(CliUsage::usage("--idle-timeout must be non-negative"));
-                }
-            }
+            "--idle-timeout" => opts.idle_timeout_secs = non_negative(arg, &value(&mut i, arg)?)?,
             "--enable-fault-injection" => opts.enable_fault_injection = true,
             "--metrics-retention" => opts.metrics_retention = num(arg, &value(&mut i, arg)?)?,
             "--log-level" => {
@@ -269,12 +268,7 @@ pub fn parse_serve_args(args: &[String]) -> Result<ServeOptions, CliUsage> {
                 };
                 opts.replays.push((path, name));
             }
-            "--pace" => {
-                opts.pace = num(arg, &value(&mut i, arg)?)?;
-                if opts.pace.is_nan() || opts.pace < 0.0 {
-                    return Err(CliUsage::usage("--pace must be non-negative"));
-                }
-            }
+            "--pace" => opts.pace = non_negative(arg, &value(&mut i, arg)?)?,
             "--once" => opts.once = true,
             "--quiet" => opts.quiet = true,
             "--help" | "-h" => {

@@ -19,6 +19,9 @@
 //!   real-time factor, rounds decoded, false alarms, ring drops, and
 //!   per-stream/per-channel latency histograms with buckets and
 //!   p50/p95/p99 quantiles);
+//! * [`session`] — the serial [`session::Session`], wire bytes to frame
+//!   lines on the caller's thread: the reference the daemon is compared
+//!   with, sharing its emit step ([`protocol::FrameEmitter`]);
 //! * [`client`] — the ingest/metrics clients the stress harness, replay
 //!   feeders and smoke tests use;
 //! * [`signals`] — the SIGINT/SIGTERM flag the binary's run loop polls;
@@ -31,9 +34,7 @@ pub mod metrics;
 pub mod protocol;
 pub mod registry;
 pub mod serve;
+pub mod session;
 pub mod signals;
 
-pub use netscatter_gateway::{DecodedPacket, GatewayConfig, GatewayReport};
-pub use protocol::StreamHeader;
-pub use registry::{RetiredTotals, StreamRegistry, StreamSnapshot, DEFAULT_METRICS_RETENTION};
 pub use serve::{Daemon, DaemonConfig};

@@ -119,6 +119,15 @@ pub const MAX_RING_SLOTS: usize = 1 << 12;
 /// core, so a larger explicit count only adds threads that wait.
 pub const MAX_WORKERS: usize = 1 << 10;
 
+/// The longest stream name a header may carry, in bytes; it fits every file
+/// stem `--replay` derives a name from. The registry keeps each name for
+/// the daemon's whole life, and metrics print it in every per-stream series.
+pub const MAX_STREAM_NAME_BYTES: usize = 256;
+
+/// The 500 kHz RF channels of the 902–928 MHz ISM band, the tags a stream
+/// may carry: each tag seen keeps a rollup and a metrics block for good.
+pub const MAX_CHANNELS: usize = 52;
+
 /// The one range check of a stream's geometry, for the daemon's flags, each
 /// merged header ([`stream_config`]) and the simulator's scenarios alike:
 /// at most `2^SF` bins, each one of the profile's `2^SF` cyclic shifts and
@@ -168,12 +177,18 @@ pub fn check_config(
 /// header's bins, payload bits and detection floor win where present, its
 /// fault hook always applies, and live ingest always drops oldest (the
 /// socket reader must never block on a slow decode). A refusal is the
-/// `error` record's code and message: [`code::NO_BINS`] when neither side
-/// names a bin, else [`code::BAD_HEADER`] with [`check_config`]'s reason.
+/// `error` record's code and message: [`code::BAD_HEADER`] for a name
+/// longer than [`MAX_STREAM_NAME_BYTES`] or a channel at or past
+/// [`MAX_CHANNELS`], [`code::NO_BINS`] when neither side names a bin, else
+/// [`code::BAD_HEADER`] with [`check_config`]'s reason.
 pub fn stream_config(
     header: &StreamHeader,
     defaults: &GatewayConfig,
 ) -> Result<(GatewayConfig, Option<FrameCodec>), (&'static str, String)> {
+    let bad = |msg| (code::BAD_HEADER, msg);
+    let name_bytes = header.name.len();
+    in_range("stream name bytes", name_bytes, 1..=MAX_STREAM_NAME_BYTES).map_err(bad)?;
+    in_range("channel", header.channel.unwrap_or(0), 0..=MAX_CHANNELS - 1).map_err(bad)?;
     let mut cfg = defaults.clone();
     cfg.overflow = OverflowPolicy::DropOldest;
     if let Some(bins) = &header.bins {
@@ -192,8 +207,7 @@ pub fn stream_config(
             "no bins to decode: set them in the header or start the daemon with --bins".into(),
         ));
     }
-    let codec = check_config(&cfg, header.coding.unwrap_or(CodingScheme::None))
-        .map_err(|msg| (code::BAD_HEADER, msg))?;
+    let codec = check_config(&cfg, header.coding.unwrap_or(CodingScheme::None)).map_err(bad)?;
     Ok((cfg, codec))
 }
 
@@ -310,24 +324,13 @@ impl StreamHeader {
                 (scheme != CodingScheme::None).then_some(scheme)
             }
         };
-        let channel = match doc.get("channel") {
-            None => None,
-            Some(value) => Some(
-                value
-                    .as_u64()
-                    .ok_or("header channel must be a non-negative integer")?
-                    as usize,
-            ),
+        let count = |field: &str| -> Result<Option<usize>, String> {
+            let non_negative = || format!("header {field} must be a non-negative integer");
+            let value = doc.get(field).map(|v| v.as_u64().ok_or_else(non_negative));
+            Ok(value.transpose()?.map(|n| n as usize))
         };
-        let fault_panic_span = match doc.get("fault_panic_span") {
-            None => None,
-            Some(value) => Some(
-                value
-                    .as_u64()
-                    .ok_or("header fault_panic_span must be a non-negative integer")?
-                    as usize,
-            ),
-        };
+        let channel = count("channel")?;
+        let fault_panic_span = count("fault_panic_span")?;
         Ok(Self {
             name,
             sample_rate_hz,
@@ -502,8 +505,8 @@ pub fn frame_json(stream: &str, packet: &DecodedPacket, outcomes: Option<&[Frame
 /// `frame_json(stream, packet, outcomes).to_string_line()` plus `'\n'`.
 /// Numbers and strings go through the tree's own [`write_number`] and
 /// [`write_string`], and integers keep its `as f64` rendering, so the two
-/// agree past 2^53 too. This is the daemon's one frame emitter;
-/// [`frame_json`] stays as its oracle.
+/// agree past 2^53 too. Records are emitted through [`FrameEmitter`];
+/// [`frame_json`] stays as the writer's oracle.
 pub fn write_frame_line(
     out: &mut String,
     stream: &str,
@@ -542,6 +545,48 @@ pub fn write_frame_line(
         out.push('}');
     }
     out.push_str("]}\n");
+}
+
+/// The one emit step of a `frame` record: every device's bits through the
+/// stream's link-layer codec when it has one, then the packet's line
+/// through [`write_frame_line`] into a buffer reused for every record. The
+/// daemon's serving loop and the serial [`crate::session::Session`] both
+/// emit through it, so the FEC and the line exist once.
+#[derive(Debug)]
+pub struct FrameEmitter {
+    stream: String,
+    codec: Option<FrameCodec>,
+    outcomes: Vec<FrameOutcome>,
+    line: String,
+}
+
+impl FrameEmitter {
+    /// An emitter of records named `stream` that frame-decodes every device
+    /// under `codec` (`None`: raw bits, no CRC verdicts).
+    pub fn new(stream: &str, codec: Option<FrameCodec>) -> Self {
+        Self {
+            stream: stream.to_string(),
+            codec,
+            outcomes: Vec::new(),
+            line: String::new(),
+        }
+    }
+
+    /// `packet`'s frame line, newline included, and the per-device frame
+    /// outcomes it carries, aligned with `packet.round.devices` (empty on
+    /// an uncoded stream).
+    pub fn emit(&mut self, packet: &DecodedPacket) -> (&str, &[FrameOutcome]) {
+        self.outcomes.clear();
+        if let Some(codec) = &self.codec {
+            for device in &packet.round.devices {
+                self.outcomes.push(codec.decode_frame(&device.bits));
+            }
+        }
+        self.line.clear();
+        let outcomes = self.codec.as_ref().map(|_| &self.outcomes[..]);
+        write_frame_line(&mut self.line, &self.stream, packet, outcomes);
+        (&self.line, &self.outcomes)
+    }
 }
 
 /// Appends [`bits_string`] as a JSON string (its digits need no escape).

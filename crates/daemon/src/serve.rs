@@ -38,14 +38,14 @@
 //! its `end` record with `code:"shutdown"`, and exits; the daemon's own
 //! threads are then joined.
 
-use crate::protocol::{self, code, Cf32Decoder, StreamHeader, SAMPLE_BYTES};
+use crate::metrics;
+use crate::protocol::{self, code, Cf32Decoder, FrameEmitter, StreamHeader, SAMPLE_BYTES};
 use crate::registry::{
     Counter, DaemonHealth, HealthCounter, StreamRegistry, StreamStats, DEFAULT_METRICS_RETENTION,
 };
-use crate::{metrics, DecodedPacket};
 use netscatter::json::Json;
 use netscatter_coding::frame::FrameCodec;
-use netscatter_gateway::{EngineError, GatewayConfig, StreamEngine, TimedPacket};
+use netscatter_gateway::{DecodedPacket, EngineError, GatewayConfig, StreamEngine, TimedPacket};
 use netscatter_obs::log as olog;
 use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -453,20 +453,15 @@ fn serve_connection(
     let _ = sock.set_nodelay(true);
     let mut reader = BufReader::with_capacity(1 << 16, sock.try_clone()?);
     let header_deadline = config.header_deadline.map(|d| Instant::now() + d);
-    let line = match read_header_line(&mut reader, shutdown, header_deadline) {
-        HeaderRead::Line(line) => line,
+    // A refused connection gets one `error` record, named once its header
+    // has parsed.
+    let header = match read_header_line(&mut reader, shutdown, header_deadline) {
+        HeaderRead::Line(line) => StreamHeader::parse(&line).map_err(|msg| (code::BAD_HEADER, msg)),
         HeaderRead::Shutdown | HeaderRead::Eof { partial: false } => return Ok(()),
-        HeaderRead::Eof { partial: true } => {
-            write_record(
-                &mut sock,
-                &protocol::error_json(
-                    "",
-                    code::HEADER_TRUNCATED,
-                    "connection closed before the header line completed",
-                ),
-            )?;
-            return Ok(());
-        }
+        HeaderRead::Eof { partial: true } => Err((
+            code::HEADER_TRUNCATED,
+            "connection closed before the header line completed".into(),
+        )),
         HeaderRead::TimedOut => {
             health.bump(HealthCounter::HeaderTimeouts);
             olog::warn(
@@ -474,57 +469,40 @@ fn serve_connection(
                 "no header line within the deadline; closing connection",
                 &[],
             );
-            write_record(
-                &mut sock,
-                &protocol::error_json(
-                    "",
-                    code::HEADER_TIMEOUT,
-                    "no header line within the header deadline",
-                ),
-            )?;
-            return Ok(());
+            Err((
+                code::HEADER_TIMEOUT,
+                "no header line within the header deadline".into(),
+            ))
         }
-        HeaderRead::TooLong => {
-            write_record(
-                &mut sock,
-                &protocol::error_json(
-                    "",
-                    code::HEADER_TOO_LARGE,
-                    "ingest header line exceeds 64 KiB",
-                ),
-            )?;
-            return Ok(());
-        }
+        HeaderRead::TooLong => Err((
+            code::HEADER_TOO_LARGE,
+            "ingest header line exceeds 64 KiB".into(),
+        )),
         HeaderRead::Io(e) => return Err(e),
     };
-    let header = match StreamHeader::parse(&line) {
-        Ok(h) => h,
-        Err(msg) => {
-            write_record(&mut sock, &protocol::error_json("", code::BAD_HEADER, &msg))?;
-            return Ok(());
+    let header = match header {
+        Ok(header) => header,
+        Err((error_code, msg)) => {
+            return write_record(&mut sock, &protocol::error_json("", error_code, &msg))
         }
     };
-    if header.fault_panic_span.is_some() && !config.allow_fault_injection {
-        write_record(
-            &mut sock,
-            &protocol::error_json(
-                &header.name,
-                code::FAULT_INJECTION_DISABLED,
-                "fault_panic_span requires a daemon started with --enable-fault-injection",
-            ),
-        )?;
-        return Ok(());
-    }
-    // Refused geometry (no bins, a bin past 2^SF, a coding that cannot fill
-    // the payload, …) is caught before any engine is spawned.
-    let (cfg, codec) = match protocol::stream_config(&header, &config.base) {
+    let merged = if header.fault_panic_span.is_some() && !config.allow_fault_injection {
+        Err((
+            code::FAULT_INJECTION_DISABLED,
+            "fault_panic_span requires a daemon started with --enable-fault-injection".into(),
+        ))
+    } else {
+        // Refused geometry (no bins, a bin past 2^SF, a coding that cannot
+        // fill the payload, …) is caught before any engine is spawned.
+        protocol::stream_config(&header, &config.base)
+    };
+    let (cfg, codec) = match merged {
         Ok(merged) => merged,
         Err((error_code, msg)) => {
-            write_record(
+            return write_record(
                 &mut sock,
                 &protocol::error_json(&header.name, error_code, &msg),
-            )?;
-            return Ok(());
+            )
         }
     };
     let rate = header
@@ -538,7 +516,7 @@ fn serve_connection(
         &cfg,
         rate,
         &stats,
-        codec.as_ref(),
+        codec,
         shutdown,
         config.idle_deadline,
         health,
@@ -547,37 +525,26 @@ fn serve_connection(
     result
 }
 
-/// Publishes decoded packets as `frame` records and counts them. On a
-/// coded stream every device's bits are frame-decoded first, so each
-/// record carries the per-device CRC verdict and the link-layer counters
-/// advance. Each record is written into `line`, the connection's reused
-/// buffer, and leaves in one `write_all`. Each packet rides with its ingest
-/// timestamp when the engine still had it (`drain_timed`); the publish
-/// write closes that frame's ingest→emit latency measurement. Packets
-/// surfacing only in the final shutdown report arrive untimed and skip the
-/// histogram.
+/// Publishes decoded packets as `frame` records and counts them, through
+/// the stream's [`FrameEmitter`]: on a coded stream every device's bits
+/// are frame-decoded, so each record carries the per-device CRC verdict
+/// and the link-layer counters advance. Each record leaves in one
+/// `write_all`. Each packet rides with its ingest timestamp when the
+/// engine still had it (`drain_timed`); the publish write closes that
+/// frame's ingest→emit latency measurement. Packets surfacing only in the
+/// final shutdown report arrive untimed and skip the histogram.
 fn publish(
     sock: &mut TcpStream,
-    line: &mut String,
-    packets: Vec<(DecodedPacket, Option<Instant>)>,
+    packets: impl IntoIterator<Item = (DecodedPacket, Option<Instant>)>,
     stats: &StreamStats,
-    codec: Option<&FrameCodec>,
+    emitter: &mut FrameEmitter,
 ) -> std::io::Result<()> {
     for (packet, ingested_at) in packets {
         stats.record_frame(packet.round.devices.len());
-        let outcomes = codec.map(|c| {
-            packet
-                .round
-                .devices
-                .iter()
-                .map(|d| c.decode_frame(&d.bits))
-                .collect::<Vec<_>>()
-        });
-        for out in outcomes.iter().flatten() {
+        let (line, outcomes) = emitter.emit(&packet);
+        for out in outcomes {
             stats.record_link_frame(out.crc_ok);
         }
-        line.clear();
-        protocol::write_frame_line(line, stats.name(), &packet, outcomes.as_deref());
         sock.write_all(line.as_bytes())?;
         if let Some(t0) = ingested_at {
             stats.record_frame_latency(t0.elapsed());
@@ -587,17 +554,14 @@ fn publish(
 }
 
 /// Pairs drained packets with their ingest timestamps for [`publish`].
-fn timed(packets: Vec<TimedPacket>) -> Vec<(DecodedPacket, Option<Instant>)> {
-    packets
-        .into_iter()
-        .map(|t| (t.packet, Some(t.ingested_at)))
-        .collect()
+fn timed(packets: Vec<TimedPacket>) -> impl Iterator<Item = (DecodedPacket, Option<Instant>)> {
+    packets.into_iter().map(|t| (t.packet, Some(t.ingested_at)))
 }
 
 /// Pairs report packets (whose timing the engine has already stripped)
 /// with no timestamp for [`publish`].
-fn untimed(packets: Vec<DecodedPacket>) -> Vec<(DecodedPacket, Option<Instant>)> {
-    packets.into_iter().map(|p| (p, None)).collect()
+fn untimed(packets: Vec<DecodedPacket>) -> impl Iterator<Item = (DecodedPacket, Option<Instant>)> {
+    packets.into_iter().map(|p| (p, None))
 }
 
 /// How one turn of the sample loop's socket read ended.
@@ -638,7 +602,7 @@ fn serve_stream(
     cfg: &GatewayConfig,
     rate: f64,
     stats: &StreamStats,
-    codec: Option<&FrameCodec>,
+    codec: Option<FrameCodec>,
     shutdown: &AtomicBool,
     idle_deadline: Option<Duration>,
     health: &DaemonHealth,
@@ -691,8 +655,7 @@ fn serve_stream(
     // sender's next write, not for a chunk to fill. Whatever is left is
     // flushed at end of stream.
     let mut pending: Vec<netscatter_dsp::Complex64> = Vec::with_capacity(2 * chunk);
-    // The frame-line buffer, reused for every record of the connection.
-    let mut line = String::new();
+    let mut emitter = FrameEmitter::new(&name, codec);
     let mut end_code = code::SHUTDOWN;
     let mut last_data = Instant::now();
     loop {
@@ -757,7 +720,7 @@ fn serve_stream(
         stats.record_ingest(engine.samples_fed(), engine.ring_dropped());
         let sps = engine.samples_processed() as f64 / started.elapsed().as_secs_f64().max(1e-9);
         stats.record_rates(sps, sps / rate);
-        publish(sock, &mut line, timed(engine.drain_timed()), stats, codec)?;
+        publish(sock, timed(engine.drain_timed()), stats, &mut emitter)?;
     }
 
     // Drain whatever the client had already sent when the loop broke (a
@@ -786,15 +749,14 @@ fn serve_stream(
     let samples_fed = engine.samples_fed();
     // The final in-flight packets are still timed at this point; the
     // shutdown report strips timestamps, so drain once more first.
-    publish(sock, &mut line, timed(engine.drain_timed()), stats, codec)?;
+    publish(sock, timed(engine.drain_timed()), stats, &mut emitter)?;
     match engine.shutdown() {
         Ok(mut report) => {
             publish(
                 sock,
-                &mut line,
                 untimed(std::mem::take(&mut report.packets)),
                 stats,
-                codec,
+                &mut emitter,
             )?;
             stats.record_ingest(samples_fed, report.ring_dropped);
             stats.record_end(report.truncated as u64, decoder.pending_bytes() as u64);
@@ -832,10 +794,9 @@ fn serve_stream(
             );
             publish(
                 sock,
-                &mut line,
                 untimed(std::mem::take(&mut report.packets)),
                 stats,
-                codec,
+                &mut emitter,
             )?;
             stats.record_ingest(samples_fed, report.ring_dropped);
             write_record(

@@ -5,13 +5,16 @@
 //! truncated prefixes, duplicate keys, oversized-but-well-formed documents —
 //! and for [`Cf32Decoder`] — a split at every byte offset modulo the sample
 //! size, with a dangling partial sample counted (not silently dropped).
-//! Two cases need the daemon itself: a well-formed header whose bins exceed
-//! the profile's `2^SF` is only rejectable where the profile is known, and
-//! a header whose `payload_bits` is past the cap must not take the daemon
-//! down.
+//! Some cases need the daemon itself: a well-formed header whose bins
+//! exceed the profile's `2^SF` is only rejectable where the profile is
+//! known, a header whose `payload_bits` is past the cap must not take the
+//! daemon down, and one whose name or channel is past its bound must not
+//! leave a registry entry behind.
 
+use netscatter_daemon::client::{self, Pace};
 use netscatter_daemon::protocol::{
-    code, encode_cf32le, quantize_cf32, Cf32Decoder, StreamHeader, SAMPLE_BYTES,
+    code, encode_cf32le, quantize_cf32, Cf32Decoder, StreamHeader, MAX_CHANNELS,
+    MAX_STREAM_NAME_BYTES, SAMPLE_BYTES,
 };
 use netscatter_daemon::registry::HealthCounter;
 use netscatter_daemon::{Daemon, DaemonConfig};
@@ -341,5 +344,40 @@ fn huge_payload_bits_are_refused_and_the_daemon_keeps_serving() {
     assert!(lines[0].contains("\"ready\""), "{lines:?}");
     let frames = lines.iter().filter(|l| l.contains("\"type\":\"frame\""));
     assert_eq!(frames.count(), 2, "{lines:?}");
+    daemon.shutdown();
+}
+
+/// A stream name past [`MAX_STREAM_NAME_BYTES`] or a channel at or past
+/// [`MAX_CHANNELS`] is refused as `bad_header` before the stream is
+/// registered, so the daemon holds no name, rollup or metrics block for
+/// it; the bounds themselves are served.
+#[test]
+fn unbounded_names_and_channels_are_refused_before_registration() {
+    let mut cfg = DaemonConfig::new(GatewayConfig::new(PhyProfile::default(), vec![64], 8));
+    cfg.metrics = None;
+    let daemon = Daemon::start(cfg).unwrap();
+    let header = |name_bytes: usize, channel: usize| StreamHeader {
+        channel: Some(channel),
+        ..StreamHeader::named(&"n".repeat(name_bytes))
+    };
+    for refused in [
+        header(MAX_STREAM_NAME_BYTES + 1, 0),
+        header(8, MAX_CHANNELS),
+    ] {
+        let lines =
+            client::stream_bytes(daemon.ingest_addr(), &refused, b"", Pace::Unlimited).unwrap();
+        assert_eq!(lines.len(), 1, "{lines:?}");
+        assert!(
+            lines[0].contains("\"type\":\"error\"") && lines[0].contains(code::BAD_HEADER),
+            "{}",
+            lines[0]
+        );
+    }
+    assert!(daemon.registry().snapshot().is_empty());
+
+    let served = header(MAX_STREAM_NAME_BYTES, MAX_CHANNELS - 1);
+    let lines = client::stream_bytes(daemon.ingest_addr(), &served, b"", Pace::Unlimited).unwrap();
+    assert!(lines[0].contains("\"ready\""), "{lines:?}");
+    assert_eq!(daemon.registry().snapshot().len(), 1);
     daemon.shutdown();
 }

@@ -1,6 +1,7 @@
 //! End-to-end daemon smoke: concurrent TCP ingest must reproduce the
-//! batch pipeline bit for bit, metrics must report every stream, and
-//! shutdown must be graceful mid-stream.
+//! serial `Session` bit for bit, the session's lines must not depend on
+//! how its bytes were cut, metrics must report every stream, and shutdown
+//! must be graceful mid-stream.
 
 use netscatter::json::Json;
 use netscatter_coding::frame::FrameCodec;
@@ -8,9 +9,10 @@ use netscatter_coding::CodingScheme;
 use netscatter_daemon::client::{self, Pace};
 use netscatter_daemon::protocol::{self, StreamHeader};
 use netscatter_daemon::registry::Counter;
+use netscatter_daemon::session::{Session, SessionEnd};
 use netscatter_daemon::{Daemon, DaemonConfig};
 use netscatter_dsp::Complex64;
-use netscatter_gateway::{GatewayConfig, StreamGateway};
+use netscatter_gateway::{DecodedPacket, GatewayConfig, StreamDetector};
 use netscatter_phy::distributed::OnOffModulator;
 use netscatter_phy::params::PhyProfile;
 use netscatter_phy::preamble::PreambleBuilder;
@@ -50,18 +52,28 @@ fn gateway_config() -> GatewayConfig {
     }
 }
 
-/// The batch pipeline's frame records for `samples` under `name` — the
-/// reference the daemon's NDJSON must match byte for byte.
+/// The frame lines a serial [`Session`] writes for `samples` under the
+/// daemon's own merge of `header` over `base` — the reference the daemon's
+/// NDJSON must match byte for byte — and how the session's stream ended.
+fn session_frames(
+    header: &StreamHeader,
+    base: &GatewayConfig,
+    samples: &[Complex64],
+) -> (Vec<String>, SessionEnd) {
+    let (cfg, codec) = protocol::stream_config(header, base).unwrap();
+    let mut session = Session::new(&header.name, &cfg, codec).unwrap();
+    let mut lines = String::new();
+    session
+        .push(&protocol::encode_cf32le(samples), &mut lines)
+        .unwrap();
+    let end = session.finish();
+    (lines.lines().map(String::from).collect(), end)
+}
+
+/// [`session_frames`] for the fixture geometry, on a stream that ends clean.
 fn batch_frames(name: &str, samples: &[Complex64]) -> Vec<String> {
-    let cfg = gateway_config();
-    let mut gw = StreamGateway::new(&cfg).unwrap();
-    let mut frames = Vec::new();
-    for chunk in samples.chunks(cfg.chunk_samples) {
-        for packet in gw.feed(chunk).unwrap() {
-            frames.push(protocol::frame_json(name, &packet, None).to_string_line());
-        }
-    }
-    assert_eq!(gw.finish(), 0, "reference stream must not truncate");
+    let (frames, end) = session_frames(&header_for(name), &gateway_config(), samples);
+    assert_eq!(end.truncated, 0, "reference stream must not truncate");
     frames
 }
 
@@ -388,65 +400,96 @@ fn coded_stream_reports_crc_verdicts_and_link_counters() {
     coded_stream_case(CodingScheme::Conv, 108);
 }
 
-fn coded_stream_case(scheme: CodingScheme, payload_bits: usize) {
-    let codec = FrameCodec::new(scheme, payload_bits).unwrap();
-    let data: Vec<bool> = BITS.to_vec();
-    let coded = codec.encode_frame(5, &data);
-
-    // Three clean packets from the bin-64 device, each carrying the frame.
+/// Three packets from the bin-64 device, each carrying `codec`'s frame of
+/// [`BITS`] (sequence 5), quantized through the wire's f32 precision: the
+/// first clean, the second with one on-air bit flipped (the code corrects
+/// it), the third with the first half of its on-air bits flipped (it
+/// cannot).
+fn coded_stream(codec: &FrameCodec) -> Vec<Complex64> {
+    let coded = codec.encode_frame(5, &BITS);
     let params = PhyProfile::default().modulation.chirp();
-    let mut pkt = PreambleBuilder::new(params, BINS[0]).build(0.0, 0.0, 1.0);
-    pkt.extend(OnOffModulator::new(params, BINS[0]).modulate_payload(&coded, 0.0, 0.0, 1.0));
     let mut stream = Vec::new();
-    for i in 0..3 {
+    for (i, flips) in [0, 1, coded.len() / 2].into_iter().enumerate() {
+        let mut air = coded.clone();
+        air[..flips].iter_mut().for_each(|bit| *bit = !*bit);
         stream.extend(vec![Complex64::ZERO; 500 + 211 * i]);
-        stream.extend(&pkt);
+        stream.extend(PreambleBuilder::new(params, BINS[0]).build(0.0, 0.0, 1.0));
+        stream.extend(OnOffModulator::new(params, BINS[0]).modulate_payload(&air, 0.0, 0.0, 1.0));
     }
     stream.extend(vec![Complex64::ZERO; 300]);
-    let samples = protocol::quantize_cf32(&stream);
+    protocol::quantize_cf32(&stream)
+}
 
+/// The header of a `scheme`-coded stream at `payload_bits`.
+fn coded_header(name: &str, scheme: CodingScheme, payload_bits: usize) -> StreamHeader {
+    StreamHeader {
+        payload_bits: Some(payload_bits),
+        coding: Some(scheme),
+        ..header_for(name)
+    }
+}
+
+fn coded_stream_case(scheme: CodingScheme, payload_bits: usize) {
+    let codec = FrameCodec::new(scheme, payload_bits).unwrap();
+    let samples = coded_stream(&codec);
     let base = GatewayConfig {
-        chunk_samples: 2048,
-        workers: 2,
-        ring_slots: 256,
-        ..GatewayConfig::new(PhyProfile::default(), BINS.to_vec(), coded.len())
+        payload_symbols: payload_bits,
+        ..gateway_config()
     };
-    let daemon = Daemon::start(DaemonConfig::new(base)).unwrap();
-    let mut header = header_for("coded");
-    header.payload_bits = Some(coded.len());
-    header.coding = Some(scheme);
+    let daemon = Daemon::start(DaemonConfig::new(base.clone())).unwrap();
+    let header = coded_header("coded", scheme, payload_bits);
     let lines =
         client::stream_samples(daemon.ingest_addr(), &header, &samples, Pace::RealTime).unwrap();
 
-    // Every frame record carries the per-device CRC verdict and the
-    // recovered data bits.
-    let frames = lines_of_type(&lines, "frame");
+    // The daemon's coded lines are the serial session's, byte for byte.
+    let frames: Vec<String> = lines_of_type(&lines, "frame")
+        .into_iter()
+        .cloned()
+        .collect();
     assert_eq!(
-        frames.len(),
-        3,
-        "all three {scheme:?} packets decode: {lines:?}"
+        frames,
+        session_frames(&header, &base, &samples).0,
+        "{scheme:?}"
     );
-    for line in &frames {
-        let doc = Json::parse(line).unwrap();
-        let devices = doc.get("devices").and_then(Json::as_array).unwrap();
-        assert_eq!(devices.len(), 1);
-        assert_eq!(devices[0].get("crc_ok"), Some(&Json::Bool(true)));
-        assert_eq!(devices[0].get("seq").and_then(Json::as_u64), Some(5));
-        assert_eq!(
-            devices[0].get("data").and_then(Json::as_str),
-            Some(protocol::bits_string(&data).as_str())
-        );
-    }
+    // Every record carries the per-device CRC verdict: the clean frame and
+    // the corrected one verify and recover the data, the third fails.
+    let verdicts: Vec<(bool, u64)> = frames
+        .iter()
+        .map(|line| {
+            let doc = Json::parse(line).unwrap();
+            let devices = doc.get("devices").and_then(Json::as_array).unwrap();
+            assert_eq!(devices.len(), 1, "{line}");
+            let device = &devices[0];
+            let crc_ok = device.get("crc_ok") == Some(&Json::Bool(true));
+            if crc_ok {
+                assert_eq!(device.get("seq").and_then(Json::as_u64), Some(5));
+                assert_eq!(
+                    device.get("data").and_then(Json::as_str),
+                    Some(protocol::bits_string(&BITS).as_str())
+                );
+            }
+            (
+                crc_ok,
+                device.get("corrected").and_then(Json::as_u64).unwrap(),
+            )
+        })
+        .collect();
+    assert!(
+        matches!(verdicts[..], [(true, 0), (true, fixed), (false, _)] if fixed > 0),
+        "{scheme:?}: {verdicts:?}"
+    );
+    let ok = verdicts.iter().filter(|(crc_ok, _)| *crc_ok).count();
+    let failed = verdicts.len() - ok;
 
-    // The end record and metrics carry the link-layer counters; the line
-    // itself is pinned key for key (only the two measured rates vary).
+    // The end record and metrics count those verdicts; the line itself is
+    // pinned key for key (only the two measured rates vary).
     let end_line = lines_of_type(&lines, "end")[0];
     let (counters, rates) = end_line.split_once("\"samples_per_sec\":").unwrap();
     assert_eq!(
         counters,
         format!(
             "{{\"type\":\"end\",\"stream\":\"coded\",\"code\":\"eof\",\"complete\":true,\
-             \"frames\":3,\"rounds\":3,\"false_alarms\":0,\"frames_ok\":3,\"frames_failed_crc\":0,\
+             \"frames\":3,\"rounds\":3,\"false_alarms\":0,\"frames_ok\":{ok},\"frames_failed_crc\":{failed},\
              \"samples_in\":{},\"truncated\":0,\"trailing_bytes\":0,\"ring_dropped\":0,",
             samples.len()
         )
@@ -454,13 +497,14 @@ fn coded_stream_case(scheme: CodingScheme, payload_bits: usize) {
     let (sps, rtf) = rates.split_once(",\"real_time_factor\":").unwrap();
     let rtf = rtf.strip_suffix('}').unwrap();
     assert!(sps.parse::<f64>().unwrap() > 0.0 && rtf.parse::<f64>().unwrap() > 0.0);
-    let end = Json::parse(end_line).unwrap();
-    assert_eq!(end.get("frames_ok").and_then(Json::as_u64), Some(3));
-    assert_eq!(end.get("frames_failed_crc").and_then(Json::as_u64), Some(0));
     let doc = client::fetch_metrics(daemon.metrics_addr().unwrap()).unwrap();
-    assert!(doc.contains("netscatterd_stream_frames_ok{stream=\"coded\"} 3"));
-    assert!(doc.contains("netscatterd_stream_frames_failed_crc{stream=\"coded\"} 0"));
-    assert!(doc.contains("netscatterd_frames_ok_total 3"));
+    assert!(doc.contains(&format!(
+        "netscatterd_stream_frames_ok{{stream=\"coded\"}} {ok}"
+    )));
+    assert!(doc.contains(&format!(
+        "netscatterd_stream_frames_failed_crc{{stream=\"coded\"}} {failed}"
+    )));
+    assert!(doc.contains(&format!("netscatterd_frames_ok_total {ok}")));
 
     // A coded header whose payload bits fit no frame geometry is rejected
     // up front as a bad header.
@@ -496,5 +540,124 @@ fn malformed_headers_get_an_error_record() {
     let lines: Vec<String> = BufReader::new(sock).lines().map(|l| l.unwrap()).collect();
     let errors = lines_of_type(&lines, "error");
     assert_eq!(errors.len(), 1, "bad header must produce an error record");
+    daemon.shutdown();
+}
+
+/// The tree reference for a session's lines, assembled here from the
+/// pieces: the detector over the whole stream, `decode_round` on each
+/// span, `decode_frame` per device, and `frame_json`'s printed tree.
+fn tree_frames(header: &StreamHeader, base: &GatewayConfig, samples: &[Complex64]) -> Vec<String> {
+    let (cfg, codec) = protocol::stream_config(header, base).unwrap();
+    let mut detector = StreamDetector::new(&cfg).unwrap();
+    let mut spans = Vec::new();
+    detector.push(samples, &mut spans);
+    spans
+        .iter()
+        .map(|span| {
+            let packet = DecodedPacket {
+                index: span.index,
+                start_sample: span.start_sample,
+                round: detector
+                    .receiver()
+                    .decode_round(&span.samples, 0, &cfg.assigned_bins, cfg.payload_symbols)
+                    .unwrap(),
+            };
+            let outcomes = codec.as_ref().map(|c| {
+                let devices = packet.round.devices.iter();
+                devices.map(|d| c.decode_frame(&d.bits)).collect::<Vec<_>>()
+            });
+            protocol::frame_json(&header.name, &packet, outcomes.as_deref()).to_string_line()
+        })
+        .collect()
+}
+
+/// A seeded read-size schedule: 1 B to 64 KiB, spread over every scale,
+/// and never a whole number of samples.
+fn read_sizes(seed: u64) -> impl Iterator<Item = usize> {
+    use rand::{Rng, SeedableRng};
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    std::iter::repeat_with(move || {
+        let scale: u32 = rng.gen_range(0..=16);
+        let size = rng.gen_range(1..=1usize << scale);
+        size - usize::from(size % protocol::SAMPLE_BYTES == 0)
+    })
+}
+
+/// A session's lines are one whole-buffer push's under every read-size
+/// schedule, and the tree reference's; a stream cut mid-packet and
+/// mid-sample ends with the daemon's own `truncated` and `trailing_bytes`.
+#[test]
+fn session_lines_do_not_depend_on_how_the_bytes_are_cut() {
+    let base = gateway_config();
+    let smoke = wire_stream(3);
+    let conv = coded_stream(&FrameCodec::new(CodingScheme::Conv, 108).unwrap());
+    // The last packet loses its final 2 000 samples, and the last sample
+    // kept loses its final three bytes.
+    let cut = wire_stream(2);
+    let kept = cut.len() - 300 - 2000;
+    let cut_bytes = protocol::encode_cf32le(&cut[..kept]);
+    let cut_bytes = &cut_bytes[..cut_bytes.len() - 3];
+    let cases = [
+        (
+            header_for("smoke"),
+            protocol::encode_cf32le(&smoke),
+            &smoke[..],
+        ),
+        (
+            coded_header("conv", CodingScheme::Conv, 108),
+            protocol::encode_cf32le(&conv),
+            &conv[..],
+        ),
+        (header_for("cut"), cut_bytes.to_vec(), &cut[..kept - 1]),
+    ];
+    let daemon = Daemon::start(DaemonConfig::new(base.clone())).unwrap();
+    let mut ends = Vec::new();
+    for (header, bytes, samples) in &cases {
+        let name = &header.name;
+        let (cfg, codec) = protocol::stream_config(header, &base).unwrap();
+        let mut whole = String::new();
+        let mut session = Session::new(name, &cfg, codec).unwrap();
+        session.push(bytes, &mut whole).unwrap();
+        let end = session.finish();
+        let lines: Vec<String> = whole.lines().map(String::from).collect();
+        assert!(!lines.is_empty(), "{name}: nothing decoded");
+        assert_eq!(lines, tree_frames(header, &base, samples), "{name}");
+
+        for seed in 0..8 {
+            let mut split = String::new();
+            let (cfg, codec) = protocol::stream_config(header, &base).unwrap();
+            let mut session = Session::new(name, &cfg, codec).unwrap();
+            let mut rest = &bytes[..];
+            for size in read_sizes(seed) {
+                let (piece, tail) = rest.split_at(size.min(rest.len()));
+                session.push(piece, &mut split).unwrap();
+                rest = tail;
+                if rest.is_empty() {
+                    break;
+                }
+            }
+            assert_eq!(split, whole, "{name}, schedule {seed}");
+            assert_eq!(session.finish(), end, "{name}, schedule {seed}");
+        }
+
+        let served =
+            client::stream_bytes(daemon.ingest_addr(), header, bytes, Pace::Unlimited).unwrap();
+        let end_record = Json::parse(lines_of_type(&served, "end")[0]).unwrap();
+        let count = |key| end_record.get(key).and_then(Json::as_u64).unwrap() as usize;
+        let served_end = SessionEnd {
+            truncated: count("truncated"),
+            trailing_bytes: count("trailing_bytes"),
+        };
+        assert_eq!(served_end, end, "{name}");
+        ends.push(end);
+    }
+    assert_eq!(
+        ends[2],
+        SessionEnd {
+            truncated: 1,
+            trailing_bytes: protocol::SAMPLE_BYTES - 3
+        },
+        "the cut stream ends mid-packet and mid-sample"
+    );
     daemon.shutdown();
 }

@@ -1,7 +1,8 @@
 //! Stream geometry, checked once: `protocol::check_config` holds every
 //! bound of a stream's gateway (bins, payload bits, chunk size, ring depth,
 //! workers, detection floor, coding fit), `protocol::stream_config` merges
-//! a header over the daemon's defaults through it, and the `netscatterd`
+//! a header over the daemon's defaults through it and bounds the header's
+//! stream name and channel tag, and the `netscatterd`
 //! flags are refused at the parse step by the same check. Nothing here
 //! allocates or starts threads to find a bound.
 
@@ -9,8 +10,8 @@ use netscatter_coding::frame::FrameCodec;
 use netscatter_coding::CodingScheme;
 use netscatter_daemon::cli::{parse_serve_args, usage};
 use netscatter_daemon::protocol::{
-    check_config, code, stream_config, StreamHeader, MAX_CHUNK_SAMPLES, MAX_PAYLOAD_BITS,
-    MAX_RING_SLOTS, MAX_WORKERS,
+    check_config, code, stream_config, StreamHeader, MAX_CHANNELS, MAX_CHUNK_SAMPLES,
+    MAX_PAYLOAD_BITS, MAX_RING_SLOTS, MAX_STREAM_NAME_BYTES, MAX_WORKERS,
 };
 use netscatter_gateway::{GatewayConfig, OverflowPolicy};
 use netscatter_phy::params::PhyProfile;
@@ -132,6 +133,42 @@ fn stream_config_merges_a_header_over_the_defaults() {
             "bin 600 is out of range: bins must be in 0..512".into()
         )
     );
+}
+
+/// The daemon keeps a stream's name and a channel tag's rollup for its
+/// whole life, so `stream_config` bounds both: the bound is served, one
+/// past it is a `bad_header`. The header grammar itself stays permissive.
+#[test]
+fn stream_config_bounds_the_stream_name_and_the_channel() {
+    let defaults = geometry(vec![64], 8);
+    let header = |name: String, channel: Option<usize>| StreamHeader {
+        channel,
+        ..StreamHeader::named(&name)
+    };
+    let n = |bytes: usize| "n".repeat(bytes);
+    // Two-byte characters: the bound counts bytes, not characters.
+    let e = |chars: usize| "é".repeat(chars);
+    for (h, fits) in [
+        (header(n(MAX_STREAM_NAME_BYTES), None), true),
+        (header(e(MAX_STREAM_NAME_BYTES / 2), Some(0)), true),
+        (header(n(MAX_STREAM_NAME_BYTES + 1), None), false),
+        (header(e(MAX_STREAM_NAME_BYTES / 2 + 1), None), false),
+        (header(n(1), Some(MAX_CHANNELS - 1)), true),
+        (header(n(1), Some(MAX_CHANNELS)), false),
+        (header(n(1), Some(usize::MAX)), false),
+    ] {
+        let merged = stream_config(&h, &defaults);
+        let (bytes, channel) = (h.name.len(), h.channel);
+        match merged {
+            Ok(_) => assert!(fits, "{bytes} B, channel {channel:?} served"),
+            Err((record, msg)) => {
+                assert!(!fits, "{bytes} B, channel {channel:?}: {msg}");
+                assert_eq!(record, code::BAD_HEADER, "{msg}");
+            }
+        }
+    }
+    let far = header(n(MAX_STREAM_NAME_BYTES + 1), Some(MAX_CHANNELS));
+    assert_eq!(StreamHeader::parse(&far.to_json_line()), Ok(far));
 }
 
 /// Each flag that sizes a per-stream buffer or thread pool is bounded

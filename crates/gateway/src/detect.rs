@@ -51,7 +51,7 @@
 //!      noise sample: idle noise clears the 10 dB anchor threshold with
 //!      p = e⁻¹⁰ ≈ 4.5·10⁻⁵ per sample, and one that lands more than
 //!      [`SYNC_SLACK`] samples ahead of the packet leaves the true start
-//!      outside the scored candidates. Through `StreamGateway` that lost or
+//!      outside the scored candidates. Decoded serially, that lost or
 //!      misanchored 9 of 17 956 rounds at 16 devices and 1 of 2 702 at 64
 //!      and 256 devices (ROADMAP finding F9; the fix is ROADMAP item 1).
 //!

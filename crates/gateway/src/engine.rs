@@ -16,8 +16,8 @@
 //!   (lossless replay), `DropOldest` displaces the oldest queued chunk and
 //!   counts it (the daemon's socket ingest — the TCP reader is never
 //!   blocked); either way a feed fails once the detection thread is gone;
-//! * **drain** — [`StreamEngine::drain`] collects decoded packets *in
-//!   stream order* without blocking, so a serving loop can publish frames
+//! * **drain** — [`StreamEngine::drain_timed`] collects decoded packets
+//!   *in stream order* without blocking, so a serving loop can publish frames
 //!   while the stream is still flowing;
 //! * **shutdown** — [`StreamEngine::shutdown`] closes the ring, joins the
 //!   detection thread and every worker (no detached threads, no lost
@@ -347,11 +347,6 @@ impl StreamEngine {
         })
     }
 
-    /// The ingest stream's sample rate the engine was spawned with.
-    pub fn sample_rate_hz(&self) -> f64 {
-        self.sample_rate_hz
-    }
-
     /// Samples accepted by [`StreamEngine::feed`] so far (samples inside
     /// chunks later displaced by the overflow policy included).
     pub fn samples_fed(&self) -> u64 {
@@ -417,13 +412,8 @@ impl StreamEngine {
 
     /// Collects every packet decoded so far, in stream order, without
     /// blocking. Packets whose predecessors are still in flight are held
-    /// back until the gap fills.
-    pub fn drain(&mut self) -> Vec<DecodedPacket> {
-        self.drain_timed().into_iter().map(|t| t.packet).collect()
-    }
-
-    /// As [`StreamEngine::drain`], keeping each packet's ingest timestamp
-    /// so a serving loop can stamp end-to-end ingest→emit frame latency.
+    /// back until the gap fills. Each keeps its ingest timestamp, so a
+    /// serving loop can stamp end-to-end ingest→emit frame latency.
     pub fn drain_timed(&mut self) -> Vec<TimedPacket> {
         while let Ok(decoded) = self.results.try_recv() {
             self.stash(decoded);
@@ -434,7 +424,7 @@ impl StreamEngine {
     /// Ends the stream: closes the ring, joins the detection thread and the
     /// worker pool, drains the in-flight remainder and returns the final
     /// report. `packets` carries only what was not already handed out by
-    /// [`StreamEngine::drain`]. A supervised panic comes back as
+    /// [`StreamEngine::drain_timed`]. A supervised panic comes back as
     /// [`EngineError::WorkerPanic`] *after* every remaining thread has been
     /// joined, with the partial report inside — shutdown never hangs and
     /// never re-panics.
@@ -634,7 +624,7 @@ mod tests {
         let mut drained = Vec::new();
         for chunk in stream.chunks(777) {
             engine.feed(chunk).unwrap();
-            drained.extend(engine.drain());
+            drained.extend(engine.drain_timed().into_iter().map(|t| t.packet));
         }
         // Whatever was still in flight at the end arrives with the report.
         let report = engine.shutdown().unwrap();

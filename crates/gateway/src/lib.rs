@@ -17,10 +17,11 @@
 //! * [`engine`] — the reusable per-stream [`engine::StreamEngine`]
 //!   (spawn / feed / drain / shutdown lifecycle) the `netscatterd` daemon
 //!   runs one of per ingest stream;
-//! * [`pipeline`] — the synchronous [`pipeline::StreamGateway`] facade and
-//!   the threaded [`pipeline::run_multi_stream`] session (one engine per
-//!   source, run to completion; [`pipeline::run_stream`] is its one-source
-//!   case), reporting measured throughput and the real-time factor.
+//! * [`pipeline`] — the threaded [`pipeline::run_multi_stream`] session
+//!   (one engine per source, run to completion; [`pipeline::run_stream`]
+//!   is its one-source case), reporting measured throughput and the
+//!   real-time factor, and [`pipeline::decode_span`], the one span decode
+//!   the engine's workers and serial callers share.
 //!
 //! The gate needs at least one full noise-only gate window
 //! ([`detect::GATE_WINDOW`] samples) at the head of the stream to calibrate
@@ -49,8 +50,8 @@ pub use engine::{
     TimedPacket,
 };
 pub use pipeline::{
-    run_multi_stream, run_stream, DecodedPacket, GatewayReport, MultiChannelReport,
-    PipelineTelemetry, StreamGateway,
+    decode_span, run_multi_stream, run_stream, DecodedPacket, GatewayReport, MultiChannelReport,
+    PipelineTelemetry,
 };
 pub use ring::RingTelemetry;
 pub use source::{ReplaySource, StreamSource};

@@ -1,27 +1,23 @@
-//! The chunked stream-processing pipeline.
+//! The threaded stream-processing pipeline and the one span decode.
 //!
-//! Two entry points drive the [`crate::detect::StreamDetector`]:
+//! [`run_multi_stream`] is the real-time topology, a run-to-completion
+//! session over one reusable [`crate::engine::StreamEngine`] per source
+//! ([`run_stream`] is the one-source case): the calling thread pulls chunks
+//! from each [`StreamSource`] and feeds them through that engine's blocking
+//! ring; the engine's detection thread locates packets in stream order and
+//! its decode workers handle them round-robin; results are reassembled in
+//! packet order. The report carries the measured throughput and the
+//! real-time factor (throughput over the source's sample rate) — the
+//! number that says whether this gateway keeps up with the radio.
 //!
-//! * [`StreamGateway`] — the synchronous, single-threaded facade: feed
-//!   chunks, get decoded packets back. This is the deterministic core the
-//!   equivalence tests pin against the batch receiver.
-//! * [`run_multi_stream`] — the real-time topology, a run-to-completion
-//!   session over one reusable [`crate::engine::StreamEngine`] per source
-//!   ([`run_stream`] is the one-source case): the calling thread pulls
-//!   chunks from each [`StreamSource`] and feeds them through that
-//!   engine's blocking ring; the engine's detection thread locates packets
-//!   in stream order and its decode workers handle them round-robin;
-//!   results are reassembled in packet order. The report carries the
-//!   measured throughput and the real-time factor (throughput over the
-//!   source's sample rate) — the number that says whether this gateway
-//!   keeps up with the radio.
-//!
-//! Packet decode reuses the existing batch path unchanged
-//! ([`ConcurrentReceiver::decode_round`] → `DemodWorkspace` → one
-//! `2^SF`-point FFT per symbol), so every performance property of the
-//! per-symbol hot path carries over to the streaming receiver.
+//! Every located span is decoded by [`decode_span`], the existing batch
+//! path unchanged ([`ConcurrentReceiver::decode_round`] → `DemodWorkspace`
+//! → one `2^SF`-point FFT per symbol), so every performance property of
+//! the per-symbol hot path carries over to the streaming receiver. The
+//! engine's workers call it, and so does the daemon's serial `Session`,
+//! which runs detection and decode on the caller's thread.
 
-use crate::detect::{GatewayConfig, PacketSpan, StreamDetector};
+use crate::detect::{GatewayConfig, PacketSpan};
 use crate::engine::{resolve_workers, EngineError, StreamEngine};
 use crate::source::StreamSource;
 use netscatter::receiver::{ConcurrentReceiver, DecodedRound};
@@ -62,9 +58,7 @@ pub struct GatewayReport {
     /// under [`crate::engine::OverflowPolicy::Block`], the `run_stream`
     /// default).
     pub ring_dropped: u64,
-    /// Per-stage latency telemetry accumulated over the session (empty
-    /// for the synchronous [`StreamGateway`] facade, which has no queues
-    /// or worker pool to measure).
+    /// Per-stage latency telemetry accumulated over the session.
     pub telemetry: PipelineTelemetry,
 }
 
@@ -163,62 +157,9 @@ impl MultiChannelReport {
     }
 }
 
-/// The synchronous gateway: online detection plus inline decode.
-#[derive(Debug, Clone)]
-pub struct StreamGateway {
-    detector: StreamDetector,
-    assigned_bins: Vec<usize>,
-    payload_symbols: usize,
-    spans: Vec<PacketSpan>,
-}
-
-impl StreamGateway {
-    /// Creates a gateway for `config`.
-    pub fn new(config: &GatewayConfig) -> Result<Self, FftError> {
-        Ok(Self {
-            detector: StreamDetector::new(config)?,
-            assigned_bins: config.assigned_bins.clone(),
-            payload_symbols: config.payload_symbols,
-            spans: Vec::new(),
-        })
-    }
-
-    /// The receiver packets are decoded with.
-    pub fn receiver(&self) -> &ConcurrentReceiver {
-        self.detector.receiver()
-    }
-
-    /// Feeds one chunk and returns the packets completed by it, decoded
-    /// inline on the calling thread.
-    pub fn feed(&mut self, chunk: &[Complex64]) -> Result<Vec<DecodedPacket>, FftError> {
-        self.spans.clear();
-        let mut spans = std::mem::take(&mut self.spans);
-        self.detector.push(chunk, &mut spans);
-        let packets = spans
-            .iter()
-            .map(|span| {
-                decode_span(
-                    self.detector.receiver(),
-                    span,
-                    &self.assigned_bins,
-                    self.payload_symbols,
-                )
-            })
-            .collect::<Result<Vec<_>, _>>();
-        self.spans = spans;
-        packets
-    }
-
-    /// Ends the stream; returns the number of truncated packets.
-    pub fn finish(&mut self) -> usize {
-        self.detector.finish();
-        self.detector.truncated()
-    }
-}
-
-/// Decodes one located span through the batch receiver path. Shared by the
-/// synchronous facade here and the engine's decode workers.
-pub(crate) fn decode_span(
+/// Decodes one located span through the batch receiver path — the one span
+/// decode, shared by the engine's decode workers and every serial caller.
+pub fn decode_span(
     receiver: &ConcurrentReceiver,
     span: &PacketSpan,
     assigned_bins: &[usize],
@@ -352,24 +293,23 @@ mod tests {
     }
 
     #[test]
-    fn synchronous_gateway_decodes_every_packet() {
+    fn run_stream_decodes_every_packet() {
         let bits = vec![true, false, true, true, false, true];
-        let cfg = GatewayConfig::new(PhyProfile::default(), vec![128], bits.len());
-        let stream = stream_with_packets(128, &bits, 3);
-        let mut gw = StreamGateway::new(&cfg).unwrap();
-        let mut packets = Vec::new();
-        for chunk in stream.chunks(777) {
-            packets.extend(gw.feed(chunk).unwrap());
-        }
-        assert_eq!(gw.finish(), 0);
-        assert_eq!(packets.len(), 3);
-        for p in &packets {
+        let cfg = GatewayConfig {
+            chunk_samples: 777,
+            ..GatewayConfig::new(PhyProfile::default(), vec![128], bits.len())
+        };
+        let mut source = ReplaySource::from_samples(stream_with_packets(128, &bits, 3), 500e3);
+        let report = run_stream(&mut source, &cfg).unwrap();
+        assert_eq!(report.truncated, 0);
+        assert_eq!(report.packets.len(), 3);
+        for p in &report.packets {
             assert_eq!(p.round.bits_for(128).unwrap(), &bits[..]);
         }
     }
 
     #[test]
-    fn threaded_pipeline_matches_the_synchronous_gateway() {
+    fn threaded_pipeline_matches_batch_decode_round() {
         let bits = vec![true, true, false, true, false, false, true, true];
         let cfg = GatewayConfig {
             chunk_samples: 1000,
@@ -379,16 +319,22 @@ mod tests {
         };
         let stream = stream_with_packets(64, &bits, 4);
 
-        let mut sync_packets = Vec::new();
-        let mut gw = StreamGateway::new(&cfg).unwrap();
-        for chunk in stream.chunks(cfg.chunk_samples) {
-            sync_packets.extend(gw.feed(chunk).unwrap());
-        }
-        gw.finish();
-
-        let mut source = ReplaySource::from_samples(stream, 500e3);
+        let mut source = ReplaySource::from_samples(stream.clone(), 500e3);
         let report = run_stream(&mut source, &cfg).unwrap();
-        assert_eq!(report.packets, sync_packets);
+        // Each packet is the batch receiver's decode of the samples at its
+        // located start.
+        let receiver = ConcurrentReceiver::new(&cfg.profile).unwrap();
+        for (i, p) in report.packets.iter().enumerate() {
+            let batch = receiver
+                .decode_round(
+                    &stream,
+                    p.start_sample as usize,
+                    &cfg.assigned_bins,
+                    bits.len(),
+                )
+                .unwrap();
+            assert_eq!((p.index, &p.round), (i, &batch));
+        }
         assert_eq!(report.samples_in, source.len() as u64);
         assert_eq!(report.truncated, 0);
         assert_eq!(detected_rounds(&report), 4);

@@ -12,7 +12,7 @@ use netscatter_coding::frame::FrameCodec;
 use netscatter_coding::CodingScheme;
 use netscatter_dsp::Complex64;
 use netscatter_gateway::{
-    run_multi_stream, run_stream, DecodedPacket, GatewayConfig, ReplaySource, StreamGateway,
+    run_multi_stream, run_stream, DecodedPacket, GatewayConfig, ReplaySource, StreamDetector,
     StreamSource,
 };
 use netscatter_phy::distributed::OnOffModulator;
@@ -109,26 +109,38 @@ fn batch_decode(round: &Round) -> DecodedRound {
         .expect("batch decode succeeds")
 }
 
-/// Runs the synchronous gateway over `round.stream` cut into the given
-/// chunk schedule (cycled until the stream is exhausted).
+/// Runs the online detector over `round.stream` cut into the given chunk
+/// schedule (cycled until the stream is exhausted) and decodes every span
+/// it completes through the batch receiver, as the engine's workers do.
 fn stream_decode(round: &Round, chunk_sizes: &[usize]) -> Vec<DecodedPacket> {
     let cfg = GatewayConfig::new(
         PhyProfile::default(),
         round.bins.clone(),
         round.payload_bits,
     );
-    let mut gw = StreamGateway::new(&cfg).expect("gateway builds");
-    let mut packets = Vec::new();
+    let mut detector = StreamDetector::new(&cfg).expect("detector builds");
+    let mut spans = Vec::new();
     let mut at = 0usize;
     let mut i = 0usize;
     while at < round.stream.len() {
         let len = chunk_sizes[i % chunk_sizes.len()].min(round.stream.len() - at);
-        packets.extend(gw.feed(&round.stream[at..at + len]).expect("feed decodes"));
+        detector.push(&round.stream[at..at + len], &mut spans);
         at += len;
         i += 1;
     }
-    assert_eq!(gw.finish(), 0, "no truncated packets");
-    packets
+    detector.finish();
+    assert_eq!(detector.truncated(), 0, "no truncated packets");
+    spans
+        .iter()
+        .map(|span| DecodedPacket {
+            index: span.index,
+            start_sample: span.start_sample,
+            round: detector
+                .receiver()
+                .decode_round(&span.samples, 0, &cfg.assigned_bins, cfg.payload_symbols)
+                .expect("span decodes"),
+        })
+        .collect()
 }
 
 fn assert_equivalent(round: &Round, packets: &[DecodedPacket], label: &str) {
@@ -316,7 +328,7 @@ fn coded_frames_stream_bit_identically_and_decode_clean_at_any_worker_count() {
         .collect();
     let round = build_round_with_frames(&mut rng, 641, &frames);
 
-    // Chunked synchronous path under a randomized schedule.
+    // Chunked serial path under a randomized schedule.
     let schedule: Vec<usize> = (0..48).map(|_| rng.gen_range(1..=2048usize)).collect();
     let packets = stream_decode(&round, &schedule);
     assert_equivalent(&round, &packets, "coded chunked stream");

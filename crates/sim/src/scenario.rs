@@ -22,7 +22,7 @@ use crate::fullround::ChannelModel;
 use crate::montecarlo::{available_threads, MonteCarlo};
 use crate::network::Fidelity;
 pub use netscatter_coding::CodingScheme;
-use netscatter_daemon::protocol::check_config;
+use netscatter_daemon::protocol::{check_config, MAX_CHANNELS};
 use netscatter_gateway::GatewayConfig;
 use netscatter_phy::params::PhyProfile;
 use rand::rngs::StdRng;
@@ -185,9 +185,6 @@ const MAX_ARRIVAL_RATE_HZ: f64 = 1e6;
 /// Upper bound of [`Scenario::devices`], 16× the paper's 256-device
 /// network: every trial sizes per-device state by it up front.
 const MAX_DEVICES: usize = 4096;
-/// Upper bound of [`Scenario::channels`]: the 500 kHz channels of the
-/// 902–928 MHz ISM band, each with its own stream and decode engine.
-const MAX_CHANNELS: usize = 52;
 
 /// The names of every settable [`Scenario`] field, in canonical order —
 /// the vocabulary of `netscatter sweep` and [`Scenario::set_field`].

@@ -4,8 +4,8 @@
 //! over real TCP sockets and scores what comes back three ways:
 //!
 //! 1. **bit identity** — every stream's NDJSON `frame` records must equal,
-//!    byte for byte, what the synchronous batch pipeline
-//!    ([`netscatter_gateway::StreamGateway`]) decodes from the same
+//!    byte for byte, what the serial
+//!    [`netscatter_daemon::session::Session`] writes for the same
 //!    (f32-quantized) samples;
 //! 2. **backpressure** — at the default real-time pacing the drop-oldest
 //!    ring must not drop a single chunk (`ring_dropped == 0` in every end
@@ -37,8 +37,9 @@ use netscatter_coding::CodingScheme;
 use netscatter_daemon::client::{self, Pace};
 use netscatter_daemon::protocol::{self, StreamHeader};
 use netscatter_daemon::registry::STREAM_COUNTERS;
+use netscatter_daemon::session::Session;
 use netscatter_daemon::{Daemon, DaemonConfig};
-use netscatter_gateway::{DecodedPacket, GatewayConfig, StreamGateway};
+use netscatter_gateway::{DecodedPacket, GatewayConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -306,8 +307,8 @@ pub(crate) fn daemon_defaults(opts: &StressOptions) -> GatewayConfig {
     }
 }
 
-/// Batch-decodes `stream` through the synchronous pipeline and returns the
-/// packets plus their `frame` records (the daemon-comparison reference).
+/// Decodes `stream` through a serial [`Session`] and returns the packets
+/// plus their `frame` records (the daemon-comparison reference).
 /// `frame_name` is the daemon-assigned stream name the records must carry —
 /// a long-lived daemon uniquifies colliding names (`stress0#2`, …), so the
 /// reference is rendered under whatever name the `ready` record announced.
@@ -320,28 +321,15 @@ pub(crate) fn batch_reference(
     // and codec are what the daemon assembles, by construction.
     let (cfg, codec) =
         protocol::stream_config(&stream.header, &daemon_defaults(opts)).map_err(|(_, e)| e)?;
-    let mut gw = StreamGateway::new(&cfg).map_err(|e| e.to_string())?;
-    let mut packets = Vec::new();
-    for chunk in stream.rendered.samples.chunks(cfg.chunk_samples) {
-        packets.extend(gw.feed(chunk).map_err(|e| e.to_string())?);
-    }
-    gw.finish();
-    // On a coded fleet the reference records carry the same per-device
-    // frame verdicts the daemon's must.
-    let frames = packets
-        .iter()
-        .map(|p| {
-            let outcomes = codec.as_ref().map(|c| {
-                p.round
-                    .devices
-                    .iter()
-                    .map(|d| c.decode_frame(&d.bits))
-                    .collect::<Vec<_>>()
-            });
-            protocol::frame_json(frame_name, p, outcomes.as_deref()).to_string_line()
-        })
-        .collect();
-    Ok((packets, frames))
+    let mut session = Session::new(frame_name, &cfg, codec).map_err(|e| e.to_string())?;
+    let mut lines = String::new();
+    let packets = session
+        .push(
+            &protocol::encode_cf32le(&stream.rendered.samples),
+            &mut lines,
+        )
+        .map_err(|e| e.to_string())?;
+    Ok((packets, lines.lines().map(String::from).collect()))
 }
 
 /// The daemon-assigned stream name from a transcript's `ready` record,
